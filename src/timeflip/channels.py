@@ -3,12 +3,11 @@ transpose-based input-output inversion."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import HermitianOperator, SystemLayout, atomic_write_text
+from .tensor_core import HermitianOperator, SystemLayout
 
 TP_TOL = 1e-9
 
@@ -149,12 +148,3 @@ def channel_from_dict(obj: dict) -> KrausChannel:
     if (ch.in_dim, ch.out_dim) != (in_dim, out_dim):
         raise ValueError("declared channel dimensions do not match the Kraus matrices")
     return ch
-
-
-def save_channel(path: str, ch: KrausChannel) -> None:
-    atomic_write_text(path, json.dumps(channel_to_dict(ch)))
-
-
-def load_channel(path: str) -> KrausChannel:
-    with open(path) as handle:
-        return channel_from_dict(json.load(handle))

@@ -2,9 +2,9 @@
 direction-discrimination game, and validation reports.
 
 Exit status: 0 on success, 1 on a validation or solver failure, 2 on an I/O
-or parse problem.  All file outputs are written atomically and identical
-configurations produce byte-identical files; printed values carry ten
-significant digits.  The TIMEFLIP_TOL environment variable overrides the
+or parse problem, out-of-range numeric inputs included.  All file outputs
+are written atomically and identical configurations produce byte-identical
+files; printed values carry ten significant digits.  The TIMEFLIP_TOL environment variable overrides the
 default tolerance wherever --tol is not given explicitly.
 """
 
@@ -14,20 +14,19 @@ import argparse
 import json
 import os
 import sys
+from math import isfinite
 from typing import Sequence
 
 from .game import (
-    TAG_PLUS,
+    GAME_STRATEGIES,
     PMAX_DIRECTIONS,
     WAVEPLATE_CONVENTIONS,
-    GameRecord,
     builtin_gate_sets,
     compute_pmax_fixed_direction,
     gate_table_survey,
     load_gate_pairs,
     play_game,
     save_game_report,
-    switch_strategy,
     verify_gate_table,
 )
 from .sdp import MAX_ITER, RESIDUAL_TOL, solve_max_robustness
@@ -51,6 +50,14 @@ EXIT_IO = 2
 
 TOL_ENV_VAR = "TIMEFLIP_TOL"
 
+# numeric inputs checked before any work: (attribute, flag, valid, rule)
+_NUMBER_RULES = (
+    ("tol", "--tol", lambda v: isfinite(v) and v > 0, "finite and > 0"),
+    ("max_iter", "--max-iter", lambda v: v >= 1, ">= 1"),
+    ("shots", "--shots", lambda v: isfinite(v) and v >= 1, "finite and >= 1"),
+    ("repetitions", "--repetitions", lambda v: v >= 2, ">= 2"),
+)
+
 
 def _fmt(value: float) -> str:
     return f"{value:.9e}"
@@ -61,9 +68,20 @@ def _env_tol() -> float | None:
     if raw is None:
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ValueError(f"{TOL_ENV_VAR} must be a number, got {raw!r}") from exc
+    if not (isfinite(value) and value > 0):
+        raise ValueError(f"{TOL_ENV_VAR} must be finite and > 0, got {raw!r}")
+    return value
+
+
+def _check_numbers(args: argparse.Namespace) -> None:
+    for attr, flag, valid, rule in _NUMBER_RULES:
+        value = getattr(args, attr, None)
+        if value is not None and not valid(value):
+            raise ValueError(f"{flag} must be {rule}, got {value}")
+    _env_tol()
 
 
 def _resolve_tol(flag_value: float | None, fallback: float) -> float:
@@ -187,21 +205,6 @@ def cmd_probabilities(args: argparse.Namespace) -> int:
 # game
 # ---------------------------------------------------------------------------
 
-def _switch_records(pairs) -> list[GameRecord]:
-    records = []
-    for index, pair in enumerate(pairs):
-        p_correct = switch_strategy(pair)
-        p_plus = p_correct if pair.tag == TAG_PLUS else 1.0 - p_correct
-        records.append(GameRecord(
-            pair=pair.name or f"pair-{index}",
-            tag=pair.tag,
-            p_port0=p_plus,
-            p_port1=1.0 - p_plus,
-            correct=bool(p_correct >= 1.0 - 1e-9),
-        ))
-    return records
-
-
 def cmd_game(args: argparse.Namespace) -> int:
     try:
         if args.pairs:
@@ -212,7 +215,7 @@ def cmd_game(args: argparse.Namespace) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"cannot load gate pairs: {exc}", EXIT_IO)
 
-    records = play_game(pairs) if args.strategy == "qtf" else _switch_records(pairs)
+    records = play_game(pairs, strategy=args.strategy)
 
     try:
         if args.out:
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     game = sub.add_parser("game", help="play the direction-discrimination game")
     game.add_argument("--pairs", help="gate-pair JSON file (default: built-in sets)")
-    game.add_argument("--strategy", choices=("qtf", "switch"), default="qtf")
+    game.add_argument("--strategy", choices=GAME_STRATEGIES, default="qtf")
     game.add_argument("--out", help="write the per-pair report as CSV")
     game.add_argument("--pmax-sdp", action="store_true",
                       help="also compute the fixed-direction success bound")
@@ -370,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _env_tol()
+        _check_numbers(args)
     except ValueError as exc:
         return _fail(str(exc), EXIT_IO)
     try:

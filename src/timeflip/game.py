@@ -40,6 +40,7 @@ GAME_WIRE_LABELS = ("A_I", "A_O", "B_I", "B_O", "C_O")
 GAME_SLOTS = (SlotSpec(("A_I",), ("A_O",)), SlotSpec(("B_I",), ("B_O",)))
 
 PMAX_DIRECTIONS = ("forward-only", "backward-only", "convex-hull")
+GAME_STRATEGIES = ("qtf", "switch")
 
 _ID = np.eye(2, dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -521,12 +522,21 @@ class GameRecord:
     correct: bool
 
 
-def play_game(pairs: Sequence[GatePair], target_state=(1.0, 0.0),
+def play_game(pairs: Sequence[GatePair], strategy: str = "qtf", target_state=(1.0, 0.0),
               certainty_tol: float = 1e-9) -> list[GameRecord]:
-    """Run the coherent two-direction strategy over a pair list."""
+    """Run a superposition strategy over a pair list: the coherent
+    two-direction strategy ("qtf", measuring `target_state`) or the
+    opposite-direction one ("switch")."""
+    if strategy not in GAME_STRATEGIES:
+        raise ValueError(f"strategy must be one of {GAME_STRATEGIES}, got {strategy!r}")
     records = []
     for index, pair in enumerate(pairs):
-        p0, p1 = qtf_strategy(pair, target_state)
+        if strategy == "qtf":
+            p0, p1 = qtf_strategy(pair, target_state)
+        else:
+            p_correct = switch_strategy(pair)
+            p0 = p_correct if pair.tag == TAG_PLUS else 1.0 - p_correct
+            p1 = 1.0 - p0
         winner = p0 if pair.tag == TAG_PLUS else p1
         records.append(GameRecord(
             pair=pair.name or f"pair-{index}",

@@ -22,10 +22,10 @@ import numpy as np
 from .supermaps import (
     ROLE_GLOBAL_INPUT,
     ROLE_GLOBAL_OUTPUT,
-    ROLE_SLOT_INPUT,
     ROLE_SLOT_OUTPUT,
     ConeId,
     SetupOperator,
+    SpanMask,
     check_setup,
     setup_span_projector,
 )
@@ -39,13 +39,6 @@ from .tensor_core import (
 RESIDUAL_TOL = 1e-6
 GAP_TOL = 1e-4
 MAX_ITER = 50000
-
-_PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 # -- program description -------------------------------------------------------
@@ -508,14 +501,6 @@ class _SlotGeometry:
     def complement(self, projector: Callable) -> Callable:
         return lambda m: m - projector(m)
 
-    def spans(self, directions: Sequence[ConeId]) -> dict[str, Callable]:
-        table = {
-            ConeId.FORWARD: self.p_forward,
-            ConeId.BACKWARD: self.p_backward,
-            ConeId.GENERAL: self.p_general,
-        }
-        return {d.value: table[d] for d in directions}
-
 
 def _mix_to_psd(
     blocks: dict[str, np.ndarray],
@@ -751,38 +736,12 @@ def restricted_witness_projector(setup: SetupOperator) -> Callable[[np.ndarray],
     return project
 
 
-def _hermitian_pauli_basis(
-    layout: SystemLayout, choices: Mapping[str, Sequence[np.ndarray]]
-) -> list[np.ndarray]:
-    """Orthonormal Hermitian product operators, one factor choice per label;
-    labels absent from `choices` contribute an identity factor."""
-    scale = 1 / sqrt(layout.total_dim)
-    picks: list[dict[str, np.ndarray]] = [{}]
-    for lab in layout.labels:
-        opts = choices.get(lab, [np.eye(layout.dim(lab), dtype=complex)])
-        picks = [dict(p, **{lab: opt}) for p in picks for opt in opts]
-    return [scale * reduce(np.kron, [p[lab] for lab in layout.labels]) for p in picks]
-
-
 def _general_span_complement_basis(geom: _SlotGeometry) -> list[np.ndarray]:
-    """Orthonormal basis of the orthogonal complement of the general span:
-    traceless factors on the global input with identities elsewhere, plus
-    products traceless on both slot wires with the global output uniform."""
-    setup, layout = geom.setup, geom.layout
-    slot_in = setup.labels(ROLE_SLOT_INPUT)
-    slot_out = setup.labels(ROLE_SLOT_OUTPUT)
-    gin = setup.labels(ROLE_GLOBAL_INPUT)
-    for lab in (*slot_in, *slot_out, *gin):
-        if layout.dim(lab) != 2:
-            raise ValueError("the explicit complement basis assumes qubit wires")
-    traceless = list(_PAULI[1:])
-    basis = _hermitian_pauli_basis(layout, {lab: traceless for lab in gin})
-    slot_choices: dict[str, Sequence[np.ndarray]] = {
-        lab: traceless for lab in (*slot_in, *slot_out)
-    }
-    for lab in gin:
-        slot_choices[lab] = list(_PAULI)
-    basis += _hermitian_pauli_basis(layout, slot_choices)
+    """Orthonormal Hermitian basis of the orthogonal complement of the general
+    span, built on the product-basis coordinates that the GENERAL mask drops
+    (on the qtf layout: 3 traceless on the global input alone, 36 traceless
+    on both slot wires with the global output the identity)."""
+    basis = SpanMask.of_setup(geom.setup, ConeId.GENERAL).complement_basis()
     gram = np.array([[hs_inner(a, b) for b in basis] for a in basis])
     if np.linalg.norm(gram - np.eye(len(basis))) > 1e-10:
         raise ValueError("complement basis failed its orthonormality check")
@@ -796,10 +755,13 @@ def _witness_shift_solver(geom: _SlotGeometry, witness_projector: Callable) -> C
     """Map a split residual to the witness-orthogonal shift matching it on the
     span complement, so the remaining residual lies back in the general span.
 
-    The Gram system is symmetric positive semidefinite; it is singular exactly
-    on the overlap of the witness subspace with the span complement, where the
-    right-hand side vanishes for residuals of the admissible structure, so a
-    spectral pseudoinverse solves it.  Inconsistent residuals are rejected.
+    The span complement is where the GENERAL mask drops coordinates; residual
+    and shift are compared through their components on the Hermitian basis
+    of those coordinates.  The Gram system on that basis is symmetric positive
+    semidefinite; it is singular exactly on the overlap of the witness
+    subspace with the span complement, where the right-hand side vanishes for
+    residuals of the admissible structure, so a spectral pseudoinverse solves
+    it.  Inconsistent residuals are rejected.
     """
     basis = _general_span_complement_basis(geom)
     k = len(basis)

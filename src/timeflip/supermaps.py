@@ -4,11 +4,13 @@ backward direction, or a coherent combination of both.
 A setup is a Hermitian operator over a labeled layout whose wires carry one of
 four roles: the pair handed to the device (slot input / slot output) and the
 pair facing the rest of the world (global input / global output).  Validity is
-expressed through signed sums of trace-and-replace maps; every such bracket is
-an orthogonal projector and the setup must lie in its kernel.  The same
-bracket machinery produces the subspace projectors used by the conic solver,
-the single-slot and multi-slot membership reports, the coherently controlled
-direction-flip setup, and supermap application via the link contraction.
+a set of linear conditions, each a product of trace-and-replace maps; all of
+them are diagonal in one product operator basis, so every condition and every
+span is a 0/1 support mask over that basis.  The same masks produce the
+subspace projectors used by the conic solver, the single-slot and multi-slot
+membership reports and the basis of a span's complement; the module also
+builds the coherently controlled direction-flip setup and applies supermaps
+via the link contraction.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import combinations
 from math import prod, sqrt
 from typing import Callable, Iterable, Mapping, Sequence
@@ -41,7 +44,6 @@ from .tensor_core import (
     split_factor,
     tensor_product,
     trace_and_replace,
-    trace_and_replace_matrix,
 )
 
 # Absolute tolerance for linear-condition residuals on trace-normalized setups.
@@ -138,115 +140,146 @@ class SetupOperator:
         return SlotSpec(self.labels(ROLE_SLOT_INPUT), self.labels(ROLE_SLOT_OUTPUT))
 
 
-# -- signed trace-and-replace brackets -----------------------------------------
+# -- support masks ---------------------------------------------------------------
 #
-# A bracket is the expansion of  prod_g (id - t_g) . t_always  into signed
-# trace-and-replace terms, where t_X replaces the factors in X by normalized
-# identities.  All t_X commute, so each bracket is an orthogonal projector;
-# a linear validity condition says the setup lies in its kernel.
+# Every trace-and-replace map t_X is diagonal in a product operator basis whose
+# first element on each wire is I/sqrt(d): it keeps the coordinates that are
+# the identity on every wire of X.  So a condition prod_g (id - t_g) . t_always
+# picks the coordinates traceless on at least one wire of each group g and the
+# identity on every wire of `always`; a span keeps what no condition picks.
 
-_Bracket = list[tuple[int, frozenset]]
+# the condition kinds each span imposes
+_SPAN_KINDS = {
+    ConeId.UNIFORM_GLOBAL_INPUT: ("uniform-global-input",),
+    ConeId.GENERAL_SPAN: ("normalization",),
+    ConeId.FORWARD_SPAN: ("forward",),
+    ConeId.BACKWARD_SPAN: ("backward",),
+    ConeId.GENERAL: ("uniform-global-input", "normalization"),
+    ConeId.FORWARD: ("uniform-global-input", "normalization", "forward"),
+    ConeId.BACKWARD: ("uniform-global-input", "normalization", "backward"),
+}
 
 
 def _group_dim(layout: SystemLayout, labels: Iterable[str]) -> int:
     return prod(layout.dim(lab) for lab in labels)
 
 
-def _bracket(layout: SystemLayout, ones: Sequence[Iterable[str]], always: Iterable[str]) -> _Bracket:
-    """Expand the bracket; an empty list means the zero map (vacuous condition).
+def _wire_change(d: int) -> np.ndarray:
+    """Orthogonal change of basis on one wire's d*d matrix units: a real
+    orthogonal matrix whose first row is 1/sqrt(d) mixes the diagonal units,
+    row a landing on the position of the unit (a, a)."""
+    mix = np.linalg.qr(np.column_stack([np.ones(d), np.eye(d)[:, 1:]]))[0].T
+    change = np.eye(d * d)
+    diag = np.arange(d) * (d + 1)
+    change[np.ix_(diag, diag)] = mix * np.sign(mix[0, 0])
+    return change
 
-    A group of total dimension one makes its (id - t_g) factor vanish, since
-    replacing a one-dimensional factor does nothing.
+
+class SpanMask:
+    """The named span as a 0/1 mask over the product-basis coordinates of a
+    layout: `picks` maps each condition name to the coordinates it picks and
+    `keep` holds those no condition picks.  Coordinates are arrays of shape
+    (d1, d1, d2, d2, ...), a (row, column) pair of axes per wire.
+
+    Uniform global input: replacing everything but the global input must
+    equal replacing everything.  Then one condition per non-empty subset of
+    slots, with the other slots replaced together with the global output:
+    "normalization" removes both wires of every chosen slot, "forward" only
+    the device-output wires and "backward" only the device-input wires
+    (strictly stronger conditions, pinning the direction).  A condition on a
+    group of total dimension one is vacuous and left out.
     """
-    terms: _Bracket = [(1, frozenset(always))]
-    for group in ones:
-        group = frozenset(group)
-        if _group_dim(layout, group) == 1:
-            return []
-        terms = terms + [(-sign, labels | group) for sign, labels in terms]
-    return terms
 
-
-def _eval_bracket(mat: np.ndarray, layout: SystemLayout, terms: _Bracket) -> np.ndarray:
-    out = np.zeros(mat.shape, dtype=complex)
-    for sign, labels in terms:
-        out += sign * trace_and_replace_matrix(mat, layout.dims, layout.positions(labels))
-    return out
-
-
-def _uniform_bracket(
-    layout: SystemLayout,
-    slots: Sequence[SlotSpec],
-    global_in: Sequence[str],
-    global_out: Sequence[str],
-) -> list[tuple[str, _Bracket]]:
-    """The uniform-global-input condition: replacing everything but the global
-    input must equal replacing everything."""
-    rest = {lab for s in slots for lab in s.labels} | set(global_out)
-    terms = _bracket(layout, [tuple(global_in)], rest)
-    return [("uniform-global-input", terms)] if terms else []
-
-
-def _subset_brackets(
-    layout: SystemLayout,
-    slots: Sequence[SlotSpec],
-    global_out: Sequence[str],
-    direction: ConeId,
-) -> list[tuple[str, _Bracket]]:
-    """One condition per non-empty subset of slots.
-
-    GENERAL removes both wires of every chosen slot; FORWARD removes only the
-    device-output wires and BACKWARD only the device-input wires (strictly
-    stronger conditions, pinning the direction).  Slots outside the subset are
-    traced and replaced together with the global output.
-    """
-    out: list[tuple[str, _Bracket]] = []
-    for r in range(1, len(slots) + 1):
-        for chosen in combinations(range(len(slots)), r):
-            always = set(global_out)
-            for k in range(len(slots)):
-                if k not in chosen:
-                    always |= set(slots[k].labels)
-            if direction is ConeId.GENERAL:
-                ones = [slots[k].input for k in chosen] + [slots[k].output for k in chosen]
-                key = "normalization"
-            elif direction is ConeId.FORWARD:
-                ones = [slots[k].output for k in chosen]
-                key = "forward"
-            elif direction is ConeId.BACKWARD:
-                ones = [slots[k].input for k in chosen]
-                key = "backward"
-            else:
-                raise ValueError(f"no per-slot condition set for {direction}")
-            terms = _bracket(layout, ones, always)
-            if terms:
+    def __init__(
+        self,
+        layout: SystemLayout,
+        slots: Sequence[SlotSpec],
+        global_in: Sequence[str],
+        global_out: Sequence[str],
+        which: ConeId,
+    ):
+        if which not in _SPAN_KINDS:
+            raise ValueError(f"{which} does not name a linear span")
+        self.layout = layout
+        self.changes = [_wire_change(d) for d in layout.dims]
+        shape = tuple(d for d in layout.dims for _ in range(2))
+        index = np.indices(shape)
+        traceless = {lab: (index[2 * k] > 0) | (index[2 * k + 1] > 0) for k, lab in enumerate(layout.labels)}
+        # (kind, name, groups that must each carry a traceless part, identity wires)
+        rest = tuple(lab for s in slots for lab in s.labels) + tuple(global_out)
+        conditions = [("uniform-global-input", "uniform-global-input", (tuple(global_in),), rest)]
+        for r in range(1, len(slots) + 1):
+            for chosen in combinations(range(len(slots)), r):
+                always = tuple(global_out) + tuple(
+                    lab for k, s in enumerate(slots) if k not in chosen for lab in s.labels
+                )
                 ids = ",".join(str(k + 1) for k in chosen)
-                out.append((f"{key}[{ids}]", terms))
-    return out
+                ins = tuple(slots[k].input for k in chosen)
+                outs = tuple(slots[k].output for k in chosen)
+                for kind, groups in (("normalization", ins + outs), ("forward", outs), ("backward", ins)):
+                    conditions.append((kind, f"{kind}[{ids}]", groups, always))
+        self.picks = {
+            name: reduce(
+                np.logical_and,
+                [reduce(np.logical_or, [traceless[lab] for lab in group]) for group in groups]
+                + [~traceless[lab] for lab in always],
+                np.ones(shape, dtype=bool),
+            )
+            for wanted in _SPAN_KINDS[which]
+            for kind, name, groups, always in conditions
+            if kind == wanted and all(_group_dim(layout, group) > 1 for group in groups)
+        }
+        self.keep = ~reduce(np.logical_or, self.picks.values(), np.zeros(shape, dtype=bool))
 
+    @classmethod
+    def of_setup(cls, setup: SetupOperator, which: ConeId) -> "SpanMask":
+        """Single-slot span mask derived from the setup's role tags."""
+        gin, gout = setup.labels(ROLE_GLOBAL_INPUT), setup.labels(ROLE_GLOBAL_OUTPUT)
+        return cls(setup.op.layout, [setup.slot()], gin, gout, which)
 
-def _span_conditions(
-    layout: SystemLayout,
-    slots: Sequence[SlotSpec],
-    global_in: Sequence[str],
-    global_out: Sequence[str],
-    which: ConeId,
-) -> list[tuple[str, _Bracket]]:
-    uniform = _uniform_bracket(layout, slots, global_in, global_out)
-    if which is ConeId.UNIFORM_GLOBAL_INPUT:
-        return uniform
-    if which is ConeId.GENERAL_SPAN:
-        return _subset_brackets(layout, slots, global_out, ConeId.GENERAL)
-    if which is ConeId.FORWARD_SPAN:
-        return _subset_brackets(layout, slots, global_out, ConeId.FORWARD)
-    if which is ConeId.BACKWARD_SPAN:
-        return _subset_brackets(layout, slots, global_out, ConeId.BACKWARD)
-    if which in (ConeId.GENERAL, ConeId.FORWARD, ConeId.BACKWARD):
-        conds = uniform + _subset_brackets(layout, slots, global_out, ConeId.GENERAL)
-        if which is not ConeId.GENERAL:
-            conds += _subset_brackets(layout, slots, global_out, which)
-        return conds
-    raise ValueError(f"{which} does not name a linear span")
+    def coords(self, mat: np.ndarray) -> np.ndarray:
+        """Product-basis coordinates of a raw matrix."""
+        dims = self.layout.dims
+        pairs = [k + side for k in range(len(dims)) for side in (0, len(dims))]
+        t = np.asarray(mat).reshape(dims + dims).transpose(pairs)
+        # each pass changes the basis of the leading wire and rotates it last
+        for change in self.changes:
+            t = (change @ t.reshape(len(change), -1)).T
+        return t.reshape(self.keep.shape)
+
+    def matrix(self, coords: np.ndarray) -> np.ndarray:
+        """The raw matrix with the given product-basis coordinates."""
+        for change in self.changes:
+            coords = (change.T @ coords.reshape(len(change), -1)).T
+        wires, n = len(self.changes), self.layout.total_dim
+        unpairs = list(range(0, 2 * wires, 2)) + list(range(1, 2 * wires, 2))
+        return coords.reshape(self.keep.shape).transpose(unpairs).reshape(n, n)
+
+    def project(self, mat: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto the span."""
+        return self.matrix(self.coords(mat) * self.keep)
+
+    def residuals(self, mat: np.ndarray) -> dict[str, float]:
+        """Hilbert-Schmidt norm of the part each condition picks."""
+        coords = self.coords(mat)
+        return {name: float(np.linalg.norm(coords[picked])) for name, picked in self.picks.items()}
+
+    def complement_basis(self) -> list[np.ndarray]:
+        """Orthonormal Hermitian basis on the coordinates the mask drops.
+
+        A dropped coordinate and its transpose (row and column swapped on
+        every wire) are dropped together: a self-transposed one gives a real
+        symmetric element, any other pair its two Hermitian combinations."""
+        swap = [2 * k + side for k in range(len(self.changes)) for side in (1, 0)]
+        basis = []
+        for index in map(tuple, np.argwhere(~self.keep)):
+            partner = tuple(index[j] for j in swap)
+            if partner >= index:
+                unit = np.zeros(self.keep.shape)
+                unit[index] = 1.0
+                e = self.matrix(unit)
+                basis += [e] if partner == index else [(e + e.T) / sqrt(2), 1j * (e - e.T) / sqrt(2)]
+        return basis
 
 
 def span_projector(
@@ -261,26 +294,12 @@ def span_projector(
     Cone ids stand for the affine span of the cone (positivity and trace
     normalization are not linear conditions and are checked elsewhere).
     """
-    conds = _span_conditions(layout, slots, global_in, global_out, which)
-
-    def project(mat: np.ndarray) -> np.ndarray:
-        out = np.array(mat, dtype=complex)
-        for _, terms in conds:
-            out -= _eval_bracket(out, layout, terms)
-        return out
-
-    return project
+    return SpanMask(layout, slots, global_in, global_out, which).project
 
 
 def setup_span_projector(setup: SetupOperator, which: ConeId) -> Callable[[np.ndarray], np.ndarray]:
     """Single-slot span projector derived from the setup's role tags."""
-    return span_projector(
-        setup.op.layout,
-        [setup.slot()],
-        setup.labels(ROLE_GLOBAL_INPUT),
-        setup.labels(ROLE_GLOBAL_OUTPUT),
-        which,
-    )
+    return SpanMask.of_setup(setup, which).project
 
 
 def subspace_project(setup: SetupOperator, which: ConeId) -> HermitianOperator:
@@ -322,21 +341,13 @@ def check_setup(setup: SetupOperator, cone: ConeId, tol: float = MEMBERSHIP_TOL)
         )
     if cone not in (ConeId.FORWARD, ConeId.BACKWARD, ConeId.GENERAL):
         raise ValueError(f"check_setup expects a cone id, got {cone}; use subspace_project for spans")
-    layout = setup.op.layout
-    conds = _span_conditions(
-        layout, [setup.slot()], setup.labels(ROLE_GLOBAL_INPUT), setup.labels(ROLE_GLOBAL_OUTPUT), cone
-    )
-    mat = setup.op.matrix
-    residuals = {name: float(np.linalg.norm(_eval_bracket(mat, layout, terms))) for name, terms in conds}
-    trace = setup.op.trace
-    target = setup.trace_target
-    min_eig = min_eigenvalue(setup.op)
-    passed = (
-        all(r <= tol for r in residuals.values())
-        and min_eig >= -tol
-        and abs(trace - target) <= tol * max(1.0, abs(target))
-    )
-    return SetupReport(cone, trace, target, min_eig, residuals, tol, passed)
+    gin, gout = setup.labels(ROLE_GLOBAL_INPUT), setup.labels(ROLE_GLOBAL_OUTPUT)
+    report = check_multipartite(setup.op, [setup.slot()], gin, gout, tol)
+    residuals = dict(report.residuals["general"])
+    if cone is not ConeId.GENERAL:
+        residuals.update(report.residuals[cone.value])
+    passed = report.passed[cone.value]
+    return SetupReport(cone, report.trace, report.trace_target, report.min_eigenvalue, residuals, tol, passed)
 
 
 @dataclass(frozen=True)
@@ -361,8 +372,8 @@ def check_multipartite(
 ) -> MultipartiteReport:
     """Validity report for a setup with N device slots.
 
-    The general set imposes, for every non-empty subset of slots, the bracket
-    that removes both wires of the chosen slots; "forward" and "backward" are
+    The general set imposes, for every non-empty subset of slots, the
+    condition that removes both wires of the chosen slots; "forward" and "backward" are
     the stricter single-direction sets (their residuals come on top of the
     general ones).  Dimension-one wire groups make conditions vacuous, so a
     trivial global input is simply omitted.
@@ -380,17 +391,10 @@ def check_multipartite(
         if _group_dim(layout, s.input) != _group_dim(layout, s.output):
             raise ValueError(f"slot {k + 1} input and output dimensions differ")
 
-    mat = op.matrix
-
-    def residual_map(conds: list[tuple[str, _Bracket]]) -> dict[str, float]:
-        return {name: float(np.linalg.norm(_eval_bracket(mat, layout, terms))) for name, terms in conds}
-
-    general = residual_map(
-        _uniform_bracket(layout, slots, global_in, global_out)
-        + _subset_brackets(layout, slots, global_out, ConeId.GENERAL)
+    general, forward, backward = (
+        SpanMask(layout, slots, global_in, global_out, which).residuals(op.matrix)
+        for which in (ConeId.GENERAL, ConeId.FORWARD_SPAN, ConeId.BACKWARD_SPAN)
     )
-    forward = residual_map(_subset_brackets(layout, slots, global_out, ConeId.FORWARD))
-    backward = residual_map(_subset_brackets(layout, slots, global_out, ConeId.BACKWARD))
 
     trace = op.trace
     target = float(_group_dim(layout, global_in) * prod(_group_dim(layout, s.input) for s in slots))

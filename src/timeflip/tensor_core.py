@@ -352,7 +352,13 @@ def operator_from_dict(obj: dict) -> HermitianOperator:
     try:
         labels = obj["labels"]
         dims = obj["dims"]
-        matrix = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
+        parts = {part: np.array(obj[part], dtype=float) for part in ("re", "im")}
+        for part, values in parts.items():
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                where = bad[0].tolist()
+                raise ValueError(f"non-finite '{part}' entry {values[tuple(where)]} at {where}")
+        matrix = parts["re"] + 1j * parts["im"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed operator record: {exc}") from exc
     if len(labels) != len(dims):

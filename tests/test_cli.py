@@ -7,7 +7,8 @@ import pytest
 
 from timeflip.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from timeflip.game import builtin_gate_sets, save_gate_pairs
-from timeflip.tensor_core import HermitianOperator, qubits, save_operator
+from timeflip.supermaps import qtf_plus_control, setup_to_dict
+from timeflip.tensor_core import HermitianOperator, operator_to_dict, qubits, save_operator
 from timeflip.witness import load_decomposition, load_probabilities
 
 _VALUE_TOL = 5e-3
@@ -233,10 +234,50 @@ class TestValidate:
         assert payload["general"]["trace"] == pytest.approx(4.0, abs=1e-12)
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ("robustness",),
+        ("validate",),
+        ("probabilities",),
+    ])
+    def test_nan_setup_is_an_io_error(self, tmp_path, capsys, argv):
+        record = setup_to_dict(qtf_plus_control())
+        record["re"][3][5] = float("nan")
+        path = tmp_path / "setup.json"
+        path.write_text(json.dumps(record))
+        assert _run(*argv, "--setup", str(path)) == EXIT_IO
+        assert "non-finite 're' entry nan at [3, 5]" in capsys.readouterr().err
+
+    def test_inf_witness_is_an_io_error(self, tmp_path, capsys):
+        from timeflip.witness import WIRE_LABELS
+
+        record = operator_to_dict(HermitianOperator(qubits(*WIRE_LABELS), np.eye(32)))
+        record["im"][0][1] = float("inf")
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(record))
+        assert _run("validate", "--witness", str(path)) == EXIT_IO
+        assert "non-finite 'im' entry inf at [0, 1]" in capsys.readouterr().err
+
+
 class TestConfig:
-    def test_bogus_tolerance_env_is_a_parse_error(self, monkeypatch):
-        monkeypatch.setenv("TIMEFLIP_TOL", "not-a-number")
-        assert _run("validate", "--setup", "qtf") == EXIT_IO
+    def test_bogus_tolerance_env_is_a_parse_error(self, monkeypatch, capsys):
+        for raw in ("not-a-number", "nan", "inf", "-1", "0"):
+            monkeypatch.setenv("TIMEFLIP_TOL", raw)
+            assert _run("validate", "--setup", "qtf") == EXIT_IO
+            assert "TIMEFLIP_TOL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("robustness", "--tol", "nan"), "--tol"),
+        (("robustness", "--tol", "-1"), "--tol"),
+        (("validate", "--setup", "qtf", "--tol", "inf"), "--tol"),
+        (("robustness", "--max-iter", "0"), "--max-iter"),
+        (("probabilities", "--shots", "0.5"), "--shots"),
+        (("probabilities", "--shots", "nan"), "--shots"),
+        (("probabilities", "--repetitions", "1"), "--repetitions"),
+    ])
+    def test_out_of_range_number_is_a_parse_error(self, capsys, argv, flag):
+        assert _run(*argv) == EXIT_IO
+        assert f"error: {flag} must be" in capsys.readouterr().err
 
     def test_tolerance_env_is_honored(self, monkeypatch, capsys):
         monkeypatch.setenv("TIMEFLIP_TOL", "1e-6")

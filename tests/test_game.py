@@ -314,6 +314,16 @@ class TestFileFormats:
         loaded = load_game_report(path)
         assert loaded == records
 
+    def test_switch_records_follow_switch_strategy(self, pairs):
+        records = play_game(pairs, strategy="switch")
+        assert all(rec.correct for rec in records)
+        for rec, pair in zip(records, pairs):
+            winner = rec.p_port0 if pair.tag == TAG_PLUS else rec.p_port1
+            assert winner == pytest.approx(switch_strategy(pair), abs=1e-15)
+            assert rec.p_port0 + rec.p_port1 == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError, match="strategy"):
+            play_game(pairs, strategy="sideways")
+
     def test_game_report_header_checked(self, tmp_path):
         path = tmp_path / "report.csv"
         path.write_text("pair,tag,p0,p1,correct\n")

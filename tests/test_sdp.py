@@ -365,6 +365,18 @@ class TestCertifyDuality:
         assert not certify_duality(primal, dual)
 
 
+class TestComplementBasis:
+    def test_general_span_complement_basis(self, qtf):
+        geom = sdp._SlotGeometry(qtf)
+        basis = sdp._general_span_complement_basis(geom)
+        assert len(basis) == 39
+        for e in basis:
+            assert np.linalg.norm(e - e.conj().T) <= 1e-15
+            assert np.linalg.norm(geom.p_general(e)) <= 1e-12
+        gram = np.array([[hs_inner(a, b) for b in basis] for a in basis])
+        assert np.linalg.norm(gram - np.eye(39)) <= 1e-12
+
+
 class TestConeValue:
     def test_general_cone_self_overlap_is_purity(self, qtf):
         # the maximizer of <S/dd, .> over the general cone is S itself, with

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +13,14 @@ from hypothesis import strategies as st
 from helpers import (
     PAULI_I,
     PAULI_Y,
+    oracle_trace_and_replace,
     random_bistochastic_channel,
     random_channel,
     random_hermitian,
     random_hermitian_operator,
 )
 from timeflip.channels import KrausChannel, input_output_inversion, kraus_to_choi
+from timeflip.game import GAME_SLOTS, game_layout
 from timeflip.supermaps import (
     ROLE_GLOBAL_INPUT,
     ROLE_GLOBAL_OUTPUT,
@@ -62,6 +67,18 @@ _PLAIN_ROLES = {
 
 def _plain_layout() -> SystemLayout:
     return qubits("A_I", "A_O", "B_I", "B_O")
+
+
+# a qutrit global input and a slot input made of two labels
+_QUTRIT_LAYOUT = SystemLayout((("A_I1", 2), ("A_I2", 2), ("A_O", 4), ("B_I", 3), ("B_O", 2)))
+_QUTRIT_ROLES = {
+    "A_I1": ROLE_SLOT_INPUT,
+    "A_I2": ROLE_SLOT_INPUT,
+    "A_O": ROLE_SLOT_OUTPUT,
+    "B_I": ROLE_GLOBAL_INPUT,
+    "B_O": ROLE_GLOBAL_OUTPUT,
+}
+_QUTRIT_SLOTS = [SlotSpec(("A_I1", "A_I2"), ("A_O",))]
 
 
 def _random_comb(rng, direction=ConeId.FORWARD, mem=2) -> SetupOperator:
@@ -354,28 +371,131 @@ def test_setup_json_roundtrip():
         setup_from_dict({k: v for k, v in record.items() if k != "roles"})
 
 
+# -- the span masks against the trace-and-replace definition -------------------
+
+_SPAN_KINDS = {
+    ConeId.UNIFORM_GLOBAL_INPUT: ("uniform",),
+    ConeId.GENERAL_SPAN: ("normalization",),
+    ConeId.FORWARD_SPAN: ("forward",),
+    ConeId.BACKWARD_SPAN: ("backward",),
+    ConeId.GENERAL: ("uniform", "normalization"),
+    ConeId.FORWARD: ("uniform", "normalization", "forward"),
+    ConeId.BACKWARD: ("uniform", "normalization", "backward"),
+}
+
+
+def _span_case(name):
+    """(layout, slots, global input, global output, roles or None)."""
+    if name == "qtf":
+        s = qtf_plus_control()
+        return s.op.layout, [s.slot()], ("B_it",), ("B_ot", "B_oc"), s.roles
+    if name == "game":
+        return game_layout(), list(GAME_SLOTS), (), ("C_O",), None
+    return _QUTRIT_LAYOUT, _QUTRIT_SLOTS, ("B_I",), ("B_O",), _QUTRIT_ROLES
+
+
+def _defined_conditions(layout, slots, global_in, global_out):
+    """Every named condition as (name, groups, always), by kind.  A condition
+    is prod_g (id - t_g) . t_always; a group of dimension one makes it vacuous."""
+
+    def dim(labels):
+        return prod(layout.dim(lab) for lab in labels)
+
+    kinds = {"uniform": [], "normalization": [], "forward": [], "backward": []}
+    if dim(global_in) > 1:
+        rest = [lab for s in slots for lab in s.labels] + list(global_out)
+        kinds["uniform"].append(("uniform-global-input", [global_in], rest))
+    for r in range(1, len(slots) + 1):
+        for chosen in combinations(range(len(slots)), r):
+            rest = list(global_out)
+            rest += [lab for k, s in enumerate(slots) if k not in chosen for lab in s.labels]
+            ids = ",".join(str(k + 1) for k in chosen)
+            inputs = [slots[k].input for k in chosen]
+            outputs = [slots[k].output for k in chosen]
+            for kind, groups in (
+                ("normalization", inputs + outputs),
+                ("forward", outputs),
+                ("backward", inputs),
+            ):
+                if all(dim(g) > 1 for g in groups):
+                    kinds[kind].append((f"{kind}[{ids}]", groups, rest))
+    return kinds
+
+
+def _oracle_condition(mat, layout, groups, always):
+    def t(m, labels):
+        return oracle_trace_and_replace(m, layout.dims, layout.positions(labels))
+
+    out = t(mat, always)
+    for group in groups:
+        out = out - t(out, group)
+    return out
+
+
+@pytest.mark.parametrize("case", ["qtf", "game", "qutrit"])
+def test_masks_match_the_trace_and_replace_definition(case):
+    layout, slots, global_in, global_out, roles = _span_case(case)
+    kinds = _defined_conditions(layout, slots, global_in, global_out)
+    h = random_hermitian(np.random.default_rng(31), layout.total_dim)
+
+    def residuals(names):
+        return {
+            name: float(np.linalg.norm(_oracle_condition(h, layout, groups, always)))
+            for kind in names
+            for name, groups, always in kinds[kind]
+        }
+
+    def assert_residuals(got, expected):
+        assert list(got) == list(expected)
+        assert all(abs(got[name] - expected[name]) <= 1e-12 for name in expected)
+
+    for which, names in _SPAN_KINDS.items():
+        expected = h
+        for kind in names:
+            for _, groups, always in kinds[kind]:
+                expected = expected - _oracle_condition(expected, layout, groups, always)
+        got = span_projector(layout, slots, global_in, global_out, which)(h)
+        assert np.linalg.norm(got - expected) <= 1e-12
+
+    op = HermitianOperator(layout, h)
+    report = check_multipartite(op, slots, global_in, global_out)
+    for part, names in (
+        ("general", _SPAN_KINDS[ConeId.GENERAL]),
+        ("forward", ("forward",)),
+        ("backward", ("backward",)),
+    ):
+        assert_residuals(report.residuals[part], residuals(names))
+    if roles is not None:
+        setup = SetupOperator(op, roles)
+        for cone in (ConeId.GENERAL, ConeId.FORWARD, ConeId.BACKWARD):
+            assert_residuals(check_setup(setup, cone).residuals, residuals(_SPAN_KINDS[cone]))
+
+
 class TestSpanProperties:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_projectors_idempotent_self_adjoint_hermiticity_preserving(self, seed):
         rng = np.random.default_rng(seed)
-        lay = _plain_layout()
-        slots = [SlotSpec(("A_I",), ("A_O",))]
-        h1 = random_hermitian(rng, 16)
-        h2 = random_hermitian(rng, 16)
-        for which in (
-            ConeId.UNIFORM_GLOBAL_INPUT,
-            ConeId.GENERAL_SPAN,
-            ConeId.FORWARD_SPAN,
-            ConeId.BACKWARD_SPAN,
-            ConeId.FORWARD,
-            ConeId.GENERAL,
+        for lay, slots, global_in, global_out in (
+            (_plain_layout(), [SlotSpec(("A_I",), ("A_O",))], ("B_I",), ("B_O",)),
+            (_QUTRIT_LAYOUT, _QUTRIT_SLOTS, ("B_I",), ("B_O",)),
         ):
-            project = span_projector(lay, slots, ("B_I",), ("B_O",), which)
-            p1 = project(h1)
-            assert np.linalg.norm(project(p1) - p1) <= 1e-10
-            assert abs(np.vdot(p1, h2).real - np.vdot(h1, project(h2)).real) <= 1e-10
-            assert np.linalg.norm(p1 - p1.conj().T) <= 1e-12
+            n = lay.total_dim
+            h1 = random_hermitian(rng, n)
+            h2 = random_hermitian(rng, n)
+            for which in (
+                ConeId.UNIFORM_GLOBAL_INPUT,
+                ConeId.GENERAL_SPAN,
+                ConeId.FORWARD_SPAN,
+                ConeId.BACKWARD_SPAN,
+                ConeId.FORWARD,
+                ConeId.GENERAL,
+            ):
+                project = span_projector(lay, slots, global_in, global_out, which)
+                p1 = project(h1)
+                assert np.linalg.norm(project(p1) - p1) <= 1e-10
+                assert abs(np.vdot(p1, h2).real - np.vdot(h1, project(h2)).real) <= 1e-10
+                assert np.linalg.norm(p1 - p1.conj().T) <= 1e-12
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.5))
     @settings(max_examples=20, deadline=None)

@@ -205,6 +205,15 @@ def test_operator_json_roundtrip_verifies_hermiticity():
         operator_from_dict(bad)
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_operator_record_rejects_non_finite_entries(part, value):
+    record = operator_to_dict(identity(qubits("x")))
+    record[part][1][0] = value
+    with pytest.raises(ValueError, match=rf"non-finite '{part}' entry .* at \[1, 0\]"):
+        operator_from_dict(record)
+
+
 class TestProperties:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
