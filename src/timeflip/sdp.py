@@ -2,19 +2,25 @@
 
 Programs are stated over named Hermitian variables, each constrained to a cone
 (positive semidefinite, a linear subspace given by its orthogonal projector,
-or free), coupled by affine rows.  A consensus ADMM iteration alternates an
-exact affine projection (precomputed Gram algebra) with blockwise cone
-projections.  Every program built here carries a polish step that converts the
-approximate iterate into an *exactly feasible* point of its own side, so a
-matched primal/dual pair brackets the true optimum by weak duality; the
-certified gap is the distance between the two polished values.
+or free), coupled by affine rows.  A consensus ADMM iteration holds the k
+blocks of a program as (k, n, n) stacks and alternates an exact affine
+projection (a precomputed k x k operator on the block index plus an offset,
+with a low-rank correction for scalar rows) with the cone projections (one
+stacked eigendecomposition clips every positive semidefinite block; subspace
+blocks apply their projectors).  A program invariant under complex
+conjugation runs in real float64 arithmetic, any other in complex: from the
+zero start the complex iterates of an invariant program stay real symmetric,
+so the choice changes the cost of an iteration, not the iteration.  Every
+program built here carries a polish step that converts the approximate
+iterate into an *exactly feasible* point of its own side, so a matched
+primal/dual pair brackets the true optimum by weak duality; the certified gap
+is the distance between the two polished values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from math import sqrt
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -157,170 +163,160 @@ class SolveReport:
 # -- small matrix helpers --------------------------------------------------------
 
 
+def _herm(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
+
+
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    return (m + _herm(m)) / 2
 
 
 def _psd_clip(m: np.ndarray) -> np.ndarray:
+    """Nearest positive semidefinite matrices to a (k, n, n) stack, by one
+    stacked eigendecomposition."""
     vals, vecs = np.linalg.eigh(_sym(m))
-    return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    return (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ _herm(vecs)
 
 
 def _lmin(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(_sym(m))[0])
 
 
+def _conjugation_invariant(prog: ConicProgram) -> bool:
+    """Whether complex conjugation maps the program onto itself: every
+    objective, operator-row right-hand side and scalar-row weight is real,
+    and every subspace projector keeps a fixed real symmetric probe real."""
+    data = [
+        *prog.objective.values(),
+        *(row.rhs for row in prog.matrix_rows),
+        *(w for row in prog.scalar_rows for w in row.weights.values()),
+    ]
+    if any(np.any(np.imag(m)) for m in data):
+        return False
+    g = np.random.default_rng(0).standard_normal((prog.n, prog.n))
+    probe = g + g.T
+    bound = 1e-12 * np.linalg.norm(probe)
+    return all(
+        np.linalg.norm(np.imag(blk.project(probe))) <= bound
+        for blk in prog.blocks
+        if blk.kind == "sub"
+    )
+
+
 # -- the splitting engine ----------------------------------------------------------
 
 
 class _Admm:
-    """Consensus ADMM over named Hermitian blocks with exact affine projection.
+    """Consensus ADMM over the k blocks of a program, held as (k, n, n) stacks.
 
-    The affine set {A x = b} mixes operator rows (one real coefficient pattern
-    per row, applied entrywise) and scalar rows.  Projection is
-    v - A*(AA*)^{-1}(Av - b); AA* factors into a small real Gram matrix on the
-    operator rows and a Schur complement on the scalar rows, both precomputed.
+    The affine set {A x = b} mixes operator rows (one real coefficient per
+    block, applied entrywise) and scalar rows.  Without scalar rows the
+    projection is x = M v + c with the k x k operator M = I - A^T (A A^T)^{-1} A
+    acting on the block index and the offset c = A^T (A A^T)^{-1} b, both
+    precomputed.  Scalar rows <theta_m, x> = beta_m add a rank-n_s correction
+    along phi_m = M theta_m, the part of each weight that the operator rows
+    leave free, with the small Gram matrix of the phi_m inverted once.  The
+    cone step clips every positive semidefinite block with one stacked
+    eigendecomposition and applies each subspace block's projector.
+
+    The iterates are real symmetric (float64) when the program is invariant
+    under complex conjugation (`_conjugation_invariant`), complex Hermitian
+    otherwise.  From the zero start, the complex iteration on an invariant
+    program never leaves the real symmetric matrices, up to rounding, so the
+    real iterates are the same iteration in cheaper arithmetic.
     """
 
     def __init__(self, prog: ConicProgram, rho: float = 1.0, alpha: float = 1.7):
         self.prog = prog
         self.names = [b.name for b in prog.blocks]
-        self.block = {b.name: b for b in prog.blocks}
-        n = prog.n
+        self.dtype = float if _conjugation_invariant(prog) else complex
+        self.psd = [k for k, b in enumerate(prog.blocks) if b.kind == "psd"]
+        self.sub = [(k, b.project) for k, b in enumerate(prog.blocks) if b.kind == "sub"]
         sign = 1.0 if prog.sense == "min" else -1.0
-        zero = np.zeros((n, n), dtype=complex)
-        self.cost = {
-            name: sign * np.asarray(prog.objective[name], dtype=complex)
-            if name in prog.objective
-            else zero
-            for name in self.names
-        }
+        self.cost = sign * self._stack(prog.objective)
         self.rho = rho
         self.alpha = alpha
-        self.z = {name: zero.copy() for name in self.names}
-        self.u = {name: zero.copy() for name in self.names}
-        self.x = {name: zero.copy() for name in self.names}
+        self.x = self.z = self.u = self._stack({})
         self.iterations = 0
-        self.r_norm = np.inf
-        self.s_norm = np.inf
+        self.r_norm = self.s_norm = np.inf
         self._prepare_affine()
 
+    def _cast(self, m: np.ndarray) -> np.ndarray:
+        return np.real(m) if self.dtype is float else m
+
+    def _stack(self, mats: Mapping[str, np.ndarray]) -> np.ndarray:
+        """The named matrices as one (k, n, n) stack, zero where a block is absent."""
+        n = self.prog.n
+        out = np.zeros((len(self.names), n, n), dtype=self.dtype)
+        for k, name in enumerate(self.names):
+            if name in mats:
+                out[k] = self._cast(np.asarray(mats[name]))
+        return out
+
+    @property
+    def xs(self) -> dict[str, np.ndarray]:
+        """The blocks of x as name -> matrix views; zs does the same for z."""
+        return dict(zip(self.names, self.x))
+
+    @property
+    def zs(self) -> dict[str, np.ndarray]:
+        return dict(zip(self.names, self.z))
+
     def _prepare_affine(self) -> None:
-        prog = self.prog
-        n = prog.n
-        mrows, srows = prog.matrix_rows, prog.scalar_rows
-        self.mrows, self.srows = mrows, srows
-        n_m, n_s = len(mrows), len(srows)
-        if n_m:
-            a = np.zeros((n_m, len(self.names)))
-            for i, row in enumerate(mrows):
-                for k, name in enumerate(self.names):
-                    a[i, k] = row.coeffs.get(name, 0.0)
-            self.a_vecs = a
-            gram = a @ a.T
-            if np.linalg.cond(gram) > 1e10:
-                raise ValueError(f"{prog.name}: operator rows are numerically dependent")
-            self.gram_inv = np.linalg.inv(gram)
-        if n_s:
-            theta = [
-                {name: np.asarray(w, dtype=complex) for name, w in row.weights.items()}
-                for row in srows
-            ]
-            self.theta = theta
-            h = np.zeros((n_s, n_s))
-            for m in range(n_s):
-                for mp in range(n_s):
-                    for name in theta[m].keys() & theta[mp].keys():
-                        h[m, mp] += hs_inner(theta[m][name], theta[mp][name])
-            if n_m:
-                cross = np.zeros((n_m, n_s, n, n), dtype=complex)
-                for i in range(n_m):
-                    for m in range(n_s):
-                        for k, name in enumerate(self.names):
-                            if self.a_vecs[i, k] and name in theta[m]:
-                                cross[i, m] += self.a_vecs[i, k] * theta[m][name]
-                self.cross = cross
-                self.cross_inv = np.einsum("ij,jmab->imab", self.gram_inv, cross)
-                schur = h.copy()
-                for m in range(n_s):
-                    for mp in range(n_s):
-                        schur[m, mp] -= sum(
-                            hs_inner(cross[i, m], self.cross_inv[i, mp]) for i in range(n_m)
-                        )
-            else:
-                schur = h
+        prog, k, n = self.prog, len(self.names), self.prog.n
+        a = np.array(
+            [[row.coeffs.get(name, 0.0) for name in self.names] for row in prog.matrix_rows]
+        ).reshape(-1, k)
+        gram = a @ a.T
+        if len(gram) and np.linalg.cond(gram) > 1e10:
+            raise ValueError(f"{prog.name}: operator rows are numerically dependent")
+        a_pinv = np.linalg.solve(gram, a).T
+        rhs = np.array([self._cast(np.asarray(row.rhs)) for row in prog.matrix_rows])
+        self.op = np.eye(k) - a_pinv @ a
+        self.offset = np.tensordot(a_pinv, rhs.reshape(-1, n, n), axes=1).astype(self.dtype)
+        self.theta = np.array([self._stack(row.weights) for row in prog.scalar_rows])
+        self.beta = np.array([row.rhs for row in prog.scalar_rows], dtype=float)
+        if len(self.theta):
+            self.phi = np.moveaxis(np.tensordot(self.op, self.theta, axes=(1, 1)), 0, 1)
+            schur = np.tensordot(self.phi.conj(), self.phi, axes=((1, 2, 3), (1, 2, 3))).real
             if np.linalg.cond(schur) > 1e10:
                 raise ValueError(f"{prog.name}: scalar rows are numerically dependent")
             self.schur_inv = np.linalg.inv(schur)
 
-    def _project_affine(self, v: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        mrows, srows = self.mrows, self.srows
-        if not mrows and not srows:
-            return dict(v)
-        n = self.prog.n
-        n_m, n_s = len(mrows), len(srows)
-        if n_m:
-            res_m = np.zeros((n_m, n, n), dtype=complex)
-            for i, row in enumerate(mrows):
-                acc = -np.asarray(row.rhs, dtype=complex)
-                for name, coeff in row.coeffs.items():
-                    acc = acc + coeff * v[name]
-                res_m[i] = acc
-            y = np.einsum("ij,jab->iab", self.gram_inv, res_m)
-        if n_s:
-            res_s = np.zeros(n_s)
-            for m, row in enumerate(srows):
-                res_s[m] = sum(hs_inner(w, v[name]) for name, w in row.weights.items()) - row.rhs
-            if n_m:
-                res_s -= np.array(
-                    [sum(hs_inner(self.cross[i, m], y[i]) for i in range(n_m)) for m in range(n_s)]
-                )
-            mu = self.schur_inv @ res_s
-        out = dict(v)
-        if n_m:
-            lam = y
-            if n_s:
-                lam = y - np.einsum("m,imab->iab", mu, self.cross_inv)
-            for k, name in enumerate(self.names):
-                coeffs = self.a_vecs[:, k]
-                if np.any(coeffs):
-                    out[name] = out[name] - np.einsum("i,iab->ab", coeffs, lam)
-        if n_s:
-            for m in range(n_s):
-                if mu[m]:
-                    for name, w in self.theta[m].items():
-                        out[name] = out[name] - mu[m] * w
-        return out
+    def _project_affine(self, v: np.ndarray) -> np.ndarray:
+        x = np.tensordot(self.op, v, axes=1) + self.offset
+        if len(self.theta):
+            res = np.tensordot(self.theta.conj(), x, axes=3).real - self.beta
+            x = x - np.tensordot(self.schur_inv @ res, self.phi, axes=1)
+        return x
 
-    def _project_cone(self, name: str, m: np.ndarray) -> np.ndarray:
-        blk = self.block[name]
-        if blk.kind == "psd":
-            return _psd_clip(m)
-        if blk.kind == "sub":
-            return _sym(blk.project(m))
+    def _project_cone(self, m: np.ndarray) -> np.ndarray:
+        """Project each block onto its cone, in place; free blocks stay."""
+        if self.psd:
+            m[self.psd] = _psd_clip(m[self.psd])
+        for k, project in self.sub:
+            m[k] = _sym(self._cast(project(m[k])))
         return m
 
     def step(self) -> None:
-        v = {name: self.z[name] - self.u[name] - self.cost[name] / self.rho for name in self.names}
-        self.x = self._project_affine(v)
-        z_old = self.z
-        relaxed = {
-            name: self.alpha * self.x[name] + (1 - self.alpha) * z_old[name] for name in self.names
-        }
-        self.z = {name: self._project_cone(name, relaxed[name] + self.u[name]) for name in self.names}
-        self.u = {name: self.u[name] + relaxed[name] - self.z[name] for name in self.names}
-        self.r_norm = sqrt(sum(float(np.linalg.norm(self.x[n] - self.z[n]) ** 2) for n in self.names))
-        self.s_norm = self.rho * sqrt(
-            sum(float(np.linalg.norm(self.z[n] - z_old[n]) ** 2) for n in self.names)
-        )
+        x = self._project_affine(self.z - self.u - self.cost / self.rho)
+        relaxed = self.alpha * x + (1 - self.alpha) * self.z
+        z = self._project_cone(relaxed + self.u)
+        self.u = self.u + relaxed - z
+        self.r_norm = float(np.linalg.norm(x - z))
+        self.s_norm = self.rho * float(np.linalg.norm(z - self.z))
+        # polishes read blocks of x and z as views; nothing may write into them
+        x.flags.writeable = z.flags.writeable = False
+        self.x, self.z = x, z
         self.iterations += 1
         if self.iterations % 25 == 0:
             if self.r_norm > 10 * self.s_norm and self.rho < 1e5:
                 self.rho *= 2.0
-                self.u = {name: m / 2.0 for name, m in self.u.items()}
+                self.u = self.u / 2.0
             elif self.s_norm > 10 * self.r_norm and self.rho > 1e-5:
                 self.rho /= 2.0
-                self.u = {name: m * 2.0 for name, m in self.u.items()}
+                self.u = self.u * 2.0
 
     def run(self, tol: float, max_iter: int) -> None:
         start = self.iterations
@@ -366,7 +362,7 @@ def _report_for_side(
     residuals = _feasibility_residuals(prog, solution)
     residuals["split:primal"] = admm.r_norm
     residuals["split:dual"] = admm.s_norm
-    shadow = prog.value_at(admm.x)
+    shadow = prog.value_at(admm.xs)
     principal = None
     if prog.layout is not None and prog.principal in solution:
         principal = HermitianOperator(prog.layout, solution[prog.principal])
@@ -396,9 +392,9 @@ def solve(prog: ConicProgram, tol: float = RESIDUAL_TOL, max_iter: int = MAX_ITE
     admm = _Admm(prog)
     admm.run(tol, max_iter)
     if prog.polish is not None:
-        value, solution, extras = prog.polish(admm.x, admm.z)
+        value, solution, extras = prog.polish(admm.xs, admm.zs)
     else:
-        value, solution, extras = prog.value_at(admm.z), dict(admm.z), {}
+        value, solution, extras = prog.value_at(admm.zs), admm.zs, {}
     return _report_for_side(prog, admm, tol, value, solution, extras)
 
 
@@ -440,8 +436,8 @@ def _solve_pair(
         if remaining > 0:
             admm_min.run(current, remaining)
             admm_max.run(current, remaining)
-        v_min, sol_min, ex_min = lower_prog.polish(admm_min.x, admm_min.z)
-        v_max, sol_max, ex_max = upper_prog.polish(admm_max.x, admm_max.z)
+        v_min, sol_min, ex_min = lower_prog.polish(admm_min.xs, admm_min.zs)
+        v_max, sol_max, ex_max = upper_prog.polish(admm_max.xs, admm_max.zs)
         remaining = max_iter - max(admm_min.iterations, admm_max.iterations)
         if v_min - v_max <= gap_tol or remaining <= 0 or current <= tol * 1e-6:
             break
@@ -724,8 +720,8 @@ def restricted_witness_projector(setup: SetupOperator) -> Callable[[np.ndarray],
         raise ValueError(
             "the restricted witness form needs one qubit global input and a global output wire"
         )
-    mats = {lab: np.eye(layout.dim(lab), dtype=complex) for lab in layout.labels}
-    mats[gin[0]] = np.diag([1.0, 0.0]).astype(complex)
+    mats = {lab: np.eye(layout.dim(lab)) for lab in layout.labels}
+    mats[gin[0]] = np.diag([1.0, 0.0])
     pin = reduce(np.kron, [mats[lab] for lab in layout.labels])
     replaced = layout.positions((gout[0],))
     dims = layout.dims

@@ -20,7 +20,6 @@ from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .sdp import (
     GAP_TOL,
@@ -112,8 +111,11 @@ class DecompositionTerm:
             raise ValueError(f"expected 5 (full) or 3 (restricted) indices, got {len(idx)}")
         if any(i < 0 or i > 3 for i in idx):
             raise ValueError(f"state indices must lie in 0..3, got {idx}")
+        coeff = float(self.coeff)
+        if not np.isfinite(coeff):
+            raise ValueError(f"non-finite coeff {coeff!r} for term {idx}")
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "coeff", float(self.coeff))
+        object.__setattr__(self, "coeff", coeff)
 
     @property
     def restricted(self) -> bool:
@@ -136,6 +138,8 @@ class ProbabilityRecord:
         if any(i < 0 or i > 3 for i in idx):
             raise ValueError(f"state indices must lie in 0..3, got {idx}")
         p = float(self.probability)
+        if not np.isfinite(p):
+            raise ValueError(f"non-finite probability {p!r} for event {idx}")
         if p < -PROBABILITY_TOL or p > 1.0 + PROBABILITY_TOL:
             raise ValueError(f"probability {p!r} outside [0, 1]")
         object.__setattr__(self, "indices", idx)
@@ -360,29 +364,27 @@ def term_operator(indices: Sequence[int]) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
-def _single_gram() -> np.ndarray:
-    gram = np.empty((4, 4))
-    for i, pi in enumerate(_PROJECTORS):
-        for j, pj in enumerate(_PROJECTORS):
-            gram[i, j] = np.real(np.trace(pi @ pj))
-    return gram
-
-
 @lru_cache(maxsize=2)
 def _design(restricted: bool):
-    """Term list, stacked basis operators, and the Cholesky-factored Gram."""
+    """Term list, stacked basis operators, and index positions."""
     arity = 3 if restricted else 5
     index_list = list(product(range(4), repeat=arity))
     basis = np.stack([term_operator(idx) for idx in index_list])
-    gram = _single_gram()
-    for _ in range(arity - 1):
-        gram = np.kron(gram, _single_gram())
-    if restricted:
-        # the pinned B_it projector contributes trace 1, the B_ot identity trace 2
-        gram = 2.0 * gram
     positions = {idx: k for k, idx in enumerate(index_list)}
-    return index_list, basis, cho_factor(gram), positions
+    return index_list, basis, positions
+
+
+def _solve_gram(pairings: np.ndarray, restricted: bool) -> np.ndarray:
+    """Solve the design's Gram system, the Kronecker power of the one-wire
+    Gram Tr(P_i P_j) (times 2 in restricted mode, where the pinned B_it
+    projector contributes trace 1 and the B_ot identity trace 2), one wire
+    axis at a time."""
+    gram = np.array([[np.real(np.trace(pi @ pj)) for pj in _PROJECTORS] for pi in _PROJECTORS])
+    g_inv = np.linalg.inv(gram)
+    coeffs = pairings.reshape((4,) * (3 if restricted else 5))
+    for axis in range(coeffs.ndim):
+        coeffs = np.moveaxis(np.tensordot(g_inv, coeffs, axes=(1, axis)), 0, axis)
+    return coeffs.reshape(-1) / (2.0 if restricted else 1.0)
 
 
 def decompose_witness(
@@ -397,9 +399,9 @@ def decompose_witness(
     """
     wit = _as_witness(w)
     mat = wit.op.matrix
-    index_list, basis, gram_factor, _ = _design(bool(restricted))
+    index_list, basis, _ = _design(bool(restricted))
     pairings = np.real(np.einsum("tij,ji->t", basis, mat))
-    coeffs = cho_solve(gram_factor, pairings)
+    coeffs = _solve_gram(pairings, bool(restricted))
     coeffs[np.abs(coeffs) < ZERO_COEFF_TOL] = 0.0
     rebuilt = np.einsum("t,tij->ij", coeffs, basis)
     residual = float(np.linalg.norm(mat - rebuilt))
@@ -428,7 +430,7 @@ def born_probabilities(
     mat = s.op.matrix
     records = []
     for term in terms:
-        _, basis, _, positions = _design(term.restricted)
+        _, basis, positions = _design(term.restricted)
         p = float(np.real(np.einsum("ij,ji->", basis[positions[term.indices]], mat)))
         records.append(ProbabilityRecord(term.indices, p))
     return records

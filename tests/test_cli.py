@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import timeflip
 from timeflip.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from timeflip.game import builtin_gate_sets, save_gate_pairs
 from timeflip.supermaps import qtf_plus_control, setup_to_dict
@@ -258,6 +263,28 @@ class TestBadInput:
         assert _run("validate", "--witness", str(path)) == EXIT_IO
         assert "non-finite 'im' entry inf at [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shots", [(), ("--shots", "1e5")])
+    def test_nan_coefficient_is_an_io_error(self, artifacts, tmp_path, capsys, shots):
+        lines = Path(artifacts["decomposition"]).read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:-1] + ["nan"])
+        path = tmp_path / "decomposition.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert _run("probabilities", "--decomposition-in", str(path), *shots) == EXIT_IO
+        assert "non-finite coeff nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shots", [(), ("--shots", "1e5")])
+    def test_nan_probability_is_an_io_error(self, artifacts, tmp_path, capsys, shots):
+        probs = tmp_path / "probs.csv"
+        assert _run("probabilities", "--decomposition-in", artifacts["decomposition"],
+                    "--out", str(probs)) == EXIT_OK
+        lines = probs.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:-1] + ["nan"])
+        probs.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert _run("probabilities", "--decomposition-in", artifacts["decomposition"],
+                    "--counts-in", str(probs), *shots) == EXIT_IO
+        assert "non-finite probability nan" in capsys.readouterr().err
+
 
 class TestConfig:
     def test_bogus_tolerance_env_is_a_parse_error(self, monkeypatch, capsys):
@@ -283,6 +310,16 @@ class TestConfig:
         monkeypatch.setenv("TIMEFLIP_TOL", "1e-6")
         assert _run("validate", "--setup", "qtf") == EXIT_OK
         assert "general pass" in capsys.readouterr().out
+
+    def test_import_does_not_load_scipy(self):
+        src = str(Path(timeflip.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", "import timeflip.cli, sys; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_reruns_are_byte_identical(self, artifacts, tmp_path):
         first = tmp_path / "a.csv"

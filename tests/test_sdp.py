@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -363,6 +364,92 @@ class TestCertifyDuality:
         primal = report.extras["primal_report"]
         dual = dataclasses.replace(report.extras["dual_report"], converged=False)
         assert not certify_duality(primal, dual)
+
+
+@pytest.fixture
+def admm_dtypes(monkeypatch):
+    """Record the program name and iterate dtype of every splitting run."""
+    seen = []
+
+    class Recording(sdp._Admm):
+        def __init__(self, prog, *args, **kwargs):
+            super().__init__(prog, *args, **kwargs)
+            seen.append((prog.name, self.x.dtype))
+
+    monkeypatch.setattr(sdp, "_Admm", Recording)
+    return seen
+
+
+def _guard_program() -> ConicProgram:
+    """Real data, but a span, span{I, H} with H = sx + sy, that conjugation
+    moves: the optimum X = I/2 + H/(2 sqrt 2) of min -<sx, X> is complex."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    h = sx + np.array([[0.0, -1j], [1j, 0.0]])
+
+    def project(m):
+        return np.trace(m) / 2 * np.eye(2) + np.real(np.trace(h @ m)) / 4 * h
+
+    return ConicProgram(
+        name="guard",
+        pair_tag="guard",
+        n=2,
+        blocks=(Block("X", "psd"), Block("X_span", "sub", project)),
+        matrix_rows=(MatrixRow("in-span", {"X": 1.0, "X_span": -1.0}, np.zeros((2, 2))),),
+        scalar_rows=(ScalarRow("trace", {"X": np.eye(2)}, 1.0),),
+        objective={"X": -sx},
+        principal="X",
+    )
+
+
+class TestArithmetic:
+    def test_real_and_complex_paths_agree(self, qtf, admm_dtypes):
+        phases = [np.diag([1.0, np.exp(1j * t)]) for t in (0.7, -1.3, 2.1)]
+        u = np.kron(np.eye(4), reduce(np.kron, phases))
+        rotated = SetupOperator(
+            HermitianOperator(qtf.op.layout, u @ qtf.op.matrix @ u.conj().T), qtf.roles
+        )
+        real_report, _ = solve_max_robustness(qtf)
+        assert {dtype for _, dtype in admm_dtypes} == {np.dtype(float)}
+        admm_dtypes.clear()
+        complex_report, _ = solve_max_robustness(rotated)
+        assert {dtype for _, dtype in admm_dtypes} == {np.dtype(complex)}
+        assert real_report.gap <= _GAP_TOL and complex_report.gap <= _GAP_TOL
+        assert abs(real_report.dual_value - complex_report.dual_value) <= 1e-6
+        assert abs(real_report.primal_value - complex_report.primal_value) <= 1e-6
+
+    def test_projector_that_moves_under_conjugation_runs_complex(self, admm_dtypes):
+        report = solve(_guard_program(), tol=1e-9)
+        assert report.converged
+        assert abs(report.primal_value + 1 / np.sqrt(2)) <= 1e-6
+        assert admm_dtypes == [("guard", np.dtype(complex))]
+
+    @pytest.mark.parametrize("phase", [0.0, 0.4])
+    def test_affine_projection_meets_every_row(self, qtf, phase):
+        s = subspace_project(qtf, ConeId.GENERAL).matrix
+        u = np.kron(np.eye(16), np.diag([1.0, np.exp(1j * phase)]))
+        spans = {
+            "forward": setup_span_projector(qtf, ConeId.FORWARD),
+            "backward": setup_span_projector(qtf, ConeId.BACKWARD),
+        }
+        _, value_prog = sdp.cone_value_programs(
+            u @ s @ u.conj().T, qtf.op.layout, spans, qtf.trace_target
+        )
+        assert value_prog.matrix_rows and value_prog.scalar_rows
+        admm = sdp._Admm(value_prog)
+        assert admm.dtype is (float if phase == 0.0 else complex)
+        rng = np.random.default_rng(5)
+        shape = admm.x.shape
+        v, w = (rng.normal(size=shape).astype(admm.dtype) for _ in range(2))
+        x = admm._project_affine(v)
+        residuals = sdp._feasibility_residuals(value_prog, dict(zip(admm.names, x)))
+        for name, res in residuals.items():
+            if name.startswith("row:"):
+                assert res <= 1e-10, name
+        assert np.linalg.norm(admm._project_affine(x) - x) <= 1e-10 * np.linalg.norm(x)
+        # orthogonal: v - P(v) is normal to every direction inside the set
+        direction = admm._project_affine(w) - x
+        inner = np.vdot(v - x, direction).real
+        assert abs(inner) <= 1e-10 * np.linalg.norm(v) * np.linalg.norm(direction)
 
 
 class TestComplementBasis:

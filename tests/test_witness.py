@@ -136,6 +136,13 @@ class TestDomainTypes:
         clamped = ProbabilityRecord((0, 0, 0, 0, 0), 1.0 + 5e-13)
         assert clamped.probability == 1.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_are_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite coeff .* for term \(0, 1, 2, 3, 0\)"):
+            DecompositionTerm((0, 1, 2, 3, 0), bad)
+        with pytest.raises(ValueError, match=r"non-finite probability .* for event \(3, 2, 1\)"):
+            ProbabilityRecord((3, 2, 1), bad)
+
     def test_counts_need_shots(self):
         with pytest.raises(ValueError):
             ProbabilityRecord((0, 0, 0, 0, 0), 0.5, counts=10)
