@@ -7,6 +7,15 @@ witness (decomposition, Born probabilities, resampling), game (two-gate
 direction-guessing game), cli (command-line front end).
 """
 
+import os
+
+# The solver works on matrices of order 32 and below, where a second BLAS
+# thread only spins and slows a loaded machine down; use one unless the user
+# chose a number.  This must happen before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .channels import (
     KrausChannel,
     choi_to_kraus,

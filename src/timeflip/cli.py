@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     rob.add_argument("--restricted", action="store_true",
                      help="confine the witness to the accessible subspace")
     rob.add_argument("--tol", type=float, default=None)
-    rob.add_argument("--max-iter", type=int, default=MAX_ITER)
+    rob.add_argument("--max-iter", type=int, default=MAX_ITER,
+                     help="splitting iterations of the one run per certified pair")
     rob.add_argument("--out", help="write the solve report as JSON")
     rob.add_argument("--witness-out", help="write the optimal witness operator")
     rob.add_argument("--decomposition-out",

@@ -10,11 +10,15 @@ stacked eigendecomposition clips every positive semidefinite block; subspace
 blocks apply their projectors).  A program invariant under complex
 conjugation runs in real float64 arithmetic, any other in complex: from the
 zero start the complex iterates of an invariant program stay real symmetric,
-so the choice changes the cost of an iteration, not the iteration.  Every
-program built here carries a polish step that converts the approximate
-iterate into an *exactly feasible* point of its own side, so a matched
-primal/dual pair brackets the true optimum by weak duality; the certified gap
-is the distance between the two polished values.
+so the choice changes the cost of an iteration, not the iteration.
+
+Every program built here carries a polish step that converts an approximate
+point into an *exactly feasible* point of its own side.  A matched (min, max)
+pair is certified by one splitting run, on the max side: the scaled
+multipliers of that run, s_k = -rho * u_k, lie in the dual cone of each block
+and are the min side's variables (each min-side program names its blocks'
+sources in `slack_map`).  Both points are polished, so the two values bracket
+the true optimum by weak duality; the certified gap is their distance.
 """
 
 from __future__ import annotations
@@ -91,7 +95,9 @@ class ConicProgram:
     sum_k <objective_k, x_k> + constant, minimized or maximized per `sense`.
     `polish`, when present, maps the final iterates to an exactly feasible
     point and its certified value.  `principal` names the variable reported
-    as the solution operator.
+    as the solution operator.  `slack_map`, on the min side of a pair, builds
+    that side's point from the max side's run: block -> (max-side block,
+    sign), the block being sign times the slack of the max-side block.
     """
 
     name: str
@@ -106,6 +112,7 @@ class ConicProgram:
     constant: float = 0.0
     layout: SystemLayout | None = None
     polish: Callable | None = None
+    slack_map: Mapping[str, tuple[str, float]] = field(default_factory=dict)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -263,6 +270,12 @@ class _Admm:
     def zs(self) -> dict[str, np.ndarray]:
         return dict(zip(self.names, self.z))
 
+    @property
+    def slacks(self) -> dict[str, np.ndarray]:
+        """The slacks -rho * u of every block: each lies in its block's dual
+        cone, and at a fixed point they solve the dual program."""
+        return dict(zip(self.names, -self.rho * self.u))
+
     def _prepare_affine(self) -> None:
         prog, k, n = self.prog, len(self.names), self.prog.n
         a = np.array(
@@ -353,26 +366,26 @@ def _feasibility_residuals(prog: ConicProgram, xs: Mapping[str, np.ndarray]) -> 
 
 def _report_for_side(
     prog: ConicProgram,
-    admm: _Admm,
-    tol: float,
     value: float,
     solution: Mapping[str, np.ndarray],
     extras: dict,
+    other_value: float,
+    split: tuple[float, float],
+    iterations: int,
+    tol: float,
 ) -> SolveReport:
     residuals = _feasibility_residuals(prog, solution)
-    residuals["split:primal"] = admm.r_norm
-    residuals["split:dual"] = admm.s_norm
-    shadow = prog.value_at(admm.xs)
+    residuals["split:primal"], residuals["split:dual"] = split
     principal = None
     if prog.layout is not None and prog.principal in solution:
         principal = HermitianOperator(prog.layout, solution[prog.principal])
     return SolveReport(
         primal_value=value,
-        dual_value=shadow,
-        gap=abs(value - shadow),
-        iterations=admm.iterations,
+        dual_value=other_value,
+        gap=abs(value - other_value),
+        iterations=iterations,
         residuals=residuals,
-        converged=admm.r_norm <= tol and admm.s_norm <= tol,
+        converged=max(split) <= tol,
         sense=prog.sense,
         pair_tag=prog.pair_tag,
         labels=prog.labels,
@@ -395,7 +408,9 @@ def solve(prog: ConicProgram, tol: float = RESIDUAL_TOL, max_iter: int = MAX_ITE
         value, solution, extras = prog.polish(admm.xs, admm.zs)
     else:
         value, solution, extras = prog.value_at(admm.zs), admm.zs, {}
-    return _report_for_side(prog, admm, tol, value, solution, extras)
+    split = (admm.r_norm, admm.s_norm)
+    shadow = prog.value_at(admm.xs)
+    return _report_for_side(prog, value, solution, extras, shadow, split, admm.iterations, tol)
 
 
 def certify_duality(primal: SolveReport, dual: SolveReport, tol: float = GAP_TOL) -> bool:
@@ -417,47 +432,52 @@ def certify_duality(primal: SolveReport, dual: SolveReport, tol: float = GAP_TOL
 
 
 def _solve_pair(
-    lower_prog: ConicProgram,
-    upper_prog: ConicProgram,
+    min_prog: ConicProgram,
+    max_prog: ConicProgram,
     tol: float,
     gap_tol: float,
     max_iter: int,
 ) -> tuple[SolveReport, SolveReport, SolveReport]:
-    """Run a matched (min, max) pair, tightening the splitting tolerance until
-    the certified values bracket the shared optimum within gap_tol.
+    """Certify a matched (min, max) pair with one splitting run, on the max
+    side, tightening its tolerance until the certified values bracket the
+    shared optimum within gap_tol.
 
-    `lower_prog` must be the minimization side (its polished value is an upper
-    bound on the optimum), `upper_prog` the maximization side (lower bound).
+    After each stage the max side's iterate and its slacks mapped by
+    `min_prog.slack_map` are polished into exactly feasible points of their
+    own sides: the min side's value is a certified upper bound on the
+    optimum, the max side's a certified lower bound.  Each side's report
+    carries the other side's value as its dual_value.
     """
-    admm_min, admm_max = _Admm(lower_prog), _Admm(upper_prog)
+    admm = _Admm(max_prog)
     current = tol
     while True:
-        remaining = max_iter - max(admm_min.iterations, admm_max.iterations)
-        if remaining > 0:
-            admm_min.run(current, remaining)
-            admm_max.run(current, remaining)
-        v_min, sol_min, ex_min = lower_prog.polish(admm_min.xs, admm_min.zs)
-        v_max, sol_max, ex_max = upper_prog.polish(admm_max.xs, admm_max.zs)
-        remaining = max_iter - max(admm_min.iterations, admm_max.iterations)
-        if v_min - v_max <= gap_tol or remaining <= 0 or current <= tol * 1e-6:
+        admm.run(current, max_iter - admm.iterations)
+        v_max, sol_max, ex_max = max_prog.polish(admm.xs, admm.zs)
+        slacks = admm.slacks
+        point = {name: sign * slacks[src] for name, (src, sign) in min_prog.slack_map.items()}
+        v_min, sol_min, ex_min = min_prog.polish(point, point)
+        if v_min - v_max <= gap_tol or admm.iterations >= max_iter or current <= tol * 1e-6:
             break
         current /= 10.0
-    rep_min = _report_for_side(lower_prog, admm_min, tol, v_min, sol_min, ex_min)
-    rep_max = _report_for_side(upper_prog, admm_max, tol, v_max, sol_max, ex_max)
+    split = (admm.r_norm, admm.s_norm)
+    n_iter = admm.iterations
+    rep_max = _report_for_side(max_prog, v_max, sol_max, ex_max, v_min, split, n_iter, tol)
+    # the run's primal residual is the min side's dual residual, and back
+    rep_min = _report_for_side(min_prog, v_min, sol_min, ex_min, v_max, split[::-1], n_iter, tol)
     gap = v_min - v_max
     merged = SolveReport(
         primal_value=v_min,
         dual_value=v_max,
         gap=gap,
-        iterations=admm_min.iterations + admm_max.iterations,
+        iterations=n_iter,
         residuals={
             **{f"primal:{k}": v for k, v in rep_min.residuals.items()},
             **{f"dual:{k}": v for k, v in rep_max.residuals.items()},
         },
-        converged=rep_min.converged and rep_max.converged and gap <= gap_tol,
+        converged=rep_max.converged and gap <= gap_tol,
         sense="pair",
-        pair_tag=lower_prog.pair_tag,
-        labels=lower_prog.labels,
+        pair_tag=min_prog.pair_tag,
+        labels=min_prog.labels,
         extras={"primal_report": rep_min, "dual_report": rep_max},
     )
     return merged, rep_min, rep_max
@@ -540,10 +560,14 @@ def _robustness_primal(geom: _SlotGeometry, witness_subspace: Callable | None) -
         Block("B_span", "sub", geom.p_backward),
     ]
     split_coeffs = {"F": 1.0, "B": 1.0, "T": -1.0}
+    # T, F and B are the slacks of the witness program's Q, P_fwd and P_bwd;
+    # SHIFT = F + B - T - S is minus the slack of the restricted witness W
+    slack_map = {"T": ("Q", 1.0), "F": ("P_fwd", 1.0), "B": ("P_bwd", 1.0)}
     if restricted:
         p_wit = witness_subspace
         blocks.append(Block("SHIFT", "sub", lambda m: m - p_wit(m)))
         split_coeffs["SHIFT"] = -1.0
+        slack_map["SHIFT"] = ("W", -1.0)
         solve_shift = _witness_shift_solver(geom, p_wit)
     rows = (
         MatrixRow("noise-in-span", {"T": 1.0, "T_span": -1.0}, zero),
@@ -591,6 +615,7 @@ def _robustness_primal(geom: _SlotGeometry, witness_subspace: Callable | None) -
         sense="min",
         layout=geom.layout,
         polish=polish,
+        slack_map=slack_map,
     )
 
 
@@ -840,10 +865,10 @@ def solve_robustness_given_witness(
     """Robustness certified by one fixed witness: the least noise admixture
     that raises the witness expectation back to zero.
 
-    Reduces to a single normalization program: r = max(0, -<W,S>) / p_W with
-    p_W the largest witness expectation over trace-normalized general-cone
-    operators.  primal_value is the certified upper bound on r, dual_value
-    the certified lower bound.
+    Reduces to one normalization pair: r = max(0, -<W,S>) / p_W with p_W
+    the largest witness expectation over trace-normalized general-cone
+    operators, the cone value of W over the general span.  primal_value is
+    the certified upper bound on r, dual_value the certified lower bound.
     """
     geom = _SlotGeometry(setup)
     if w.layout != geom.layout:
@@ -865,9 +890,11 @@ def solve_robustness_given_witness(
             dual_solution=w,
             extras={"witness_scale": None, "numerator": 0.0},
         )
-    bound_prog, value_prog = _witness_scale_programs(geom, np.asarray(w.matrix, dtype=complex))
-    merged, rep_min, rep_max = _solve_pair(bound_prog, value_prog, tol, gap_tol, max_iter)
-    p_upper, p_lower = merged.primal_value, merged.dual_value
+    scale = solve_cone_value(
+        w.matrix, geom.layout, {"T": geom.p_general}, geom.dd, tol, max_iter, gap_tol,
+        pair_tag="witness-scale",
+    )
+    p_upper, p_lower = scale.primal_value, scale.dual_value
     if p_lower <= 1e-9 * max(1.0, numerator):
         raise ValueError(
             "infeasible noise constraint: no general-cone noise raises this witness "
@@ -876,14 +903,14 @@ def solve_robustness_given_witness(
     r_lower, r_upper = numerator / p_upper, numerator / p_lower
     # the maximizing direction, scaled so the witness expectation of S + T
     # vanishes at the certified upper bound
-    noise = rep_max.extras["solution"]["T"] * (r_upper / geom.dd)
+    noise = scale.extras["parts"]["T"].matrix * (r_upper / geom.dd)
     return SolveReport(
         primal_value=r_upper,
         dual_value=r_lower,
         gap=r_upper - r_lower,
-        iterations=merged.iterations,
-        residuals=merged.residuals,
-        converged=merged.converged and (r_upper - r_lower) <= gap_tol,
+        iterations=scale.iterations,
+        residuals=scale.residuals,
+        converged=scale.converged and (r_upper - r_lower) <= gap_tol,
         sense="pair",
         pair_tag=tag,
         labels=geom.layout.labels,
@@ -891,69 +918,6 @@ def solve_robustness_given_witness(
         dual_solution=w,
         extras={"witness_scale": (p_lower, p_upper), "numerator": numerator},
     )
-
-
-def _witness_scale_programs(
-    geom: _SlotGeometry, w: np.ndarray
-) -> tuple[ConicProgram, ConicProgram]:
-    """p_W = max <W, T> over the trace-normalized general cone, plus the
-    matching upper-bound program (least nu with nu*I - W nonnegative there).
-    Returned as (min side, max side)."""
-    n, dd, eye = geom.n, geom.dd, geom.eye
-    c_gen = geom.complement(geom.p_general)
-    tag = "witness-scale"
-    zero = np.zeros((n, n), dtype=complex)
-    white = (dd / n) * eye
-    interior_t = {"T": white, "T_span": white}
-
-    def polish_value(xs, zs):
-        t = _sym(geom.p_general(zs["T"]))
-        tr = float(np.trace(t).real)
-        t = white.copy() if tr <= dd * 1e-6 else t * (dd / tr)
-        mixed, gamma = _mix_to_psd({"T": t, "T_span": t}, interior_t, ("T",))
-        mixed["T_span"] = mixed["T"]
-        return hs_inner(w, mixed["T"]), mixed, {"interior_mix": gamma}
-
-    value_prog = ConicProgram(
-        name=f"{tag}:value",
-        pair_tag=tag,
-        n=n,
-        blocks=(Block("T", "psd"), Block("T_span", "sub", geom.p_general)),
-        matrix_rows=(MatrixRow("noise-in-span", {"T": 1.0, "T_span": -1.0}, zero),),
-        scalar_rows=(ScalarRow("trace-normalization", {"T": eye}, float(dd)),),
-        objective={"T": w},
-        principal="T",
-        sense="max",
-        layout=geom.layout,
-        polish=polish_value,
-    )
-
-    def span_identity(m: np.ndarray) -> np.ndarray:
-        return (np.trace(m).real / n) * eye
-
-    def polish_bound(xs, zs):
-        nu = float(np.trace(zs["N"]).real) / n
-        z = _sym(c_gen(nu * eye - w - zs["Q"]))
-        shortfall = -_lmin(nu * eye - w - z)
-        if shortfall > 0:
-            nu += shortfall * (1 + 1e-12)
-        q = nu * eye - w - z
-        return nu * dd, {"N": nu * eye, "Q": q, "Z": z}, {"nu": nu}
-
-    bound_prog = ConicProgram(
-        name=f"{tag}:bound",
-        pair_tag=tag,
-        n=n,
-        blocks=(Block("N", "sub", span_identity), Block("Q", "psd"), Block("Z", "sub", c_gen)),
-        matrix_rows=(MatrixRow("domination", {"N": 1.0, "Q": -1.0, "Z": -1.0}, w),),
-        scalar_rows=(),
-        objective={"N": (dd / n) * eye},
-        principal="N",
-        sense="min",
-        layout=geom.layout,
-        polish=polish_bound,
-    )
-    return bound_prog, value_prog
 
 
 # -- cone-value programs over fixed directions (shared with the game module) -------------
@@ -1036,13 +1000,9 @@ def cone_value_programs(
         )
 
     def polish_bound(xs, zs):
-        nu = float(np.trace(zs["N"]).real) / n
-        zmats = {
-            name: _sym(complements[name](nu * eye - target - zs[f"Q_{name}"])) for name in names
-        }
-        shortfall = max(-_lmin(nu * eye - target - zmats[name]) for name in names)
-        if shortfall > 0:
-            nu += shortfall * (1 + 1e-12)
+        zmats = {name: _sym(complements[name](-target - zs[f"Q_{name}"])) for name in names}
+        nu = max(-_lmin(-target - zmats[name]) for name in names)
+        nu += abs(nu) * 1e-12
         solution: dict[str, np.ndarray] = {"N": nu * eye}
         for name in names:
             solution[f"Z_{name}"] = zmats[name]
@@ -1061,6 +1021,7 @@ def cone_value_programs(
         sense="min",
         layout=layout,
         polish=polish_bound,
+        slack_map={f"Q_{name}": (name, 1.0) for name in names},
     )
     return bound_prog, value_prog
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,13 @@ class TestRobustness:
         values = _stdout_values(capsys)
         assert values["robustness"] == pytest.approx(0.1716, abs=_VALUE_TOL)
         assert values["gap"] <= 1e-4
+
+    def test_iteration_cap_fails_naming_the_worst_residual(self, capsys):
+        assert _run("robustness", "--setup", "qtf", "--max-iter", "10") == EXIT_FAIL
+        captured = capsys.readouterr()
+        gap = float(re.search(r"^gap (\S+)$", captured.out, re.M).group(1))
+        assert gap > 1e-4
+        assert re.search(r"worst residual (primal|dual):[\w:-]+ = \d", captured.err)
 
     def test_missing_setup_file_is_an_io_error(self, tmp_path):
         assert _run("robustness", "--setup", str(tmp_path / "nope.json")) == EXIT_IO
@@ -320,6 +328,28 @@ class TestConfig:
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
         assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("user_value", [None, "2"])
+    def test_blas_threads_default_to_one(self, user_value):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        src = str(Path(timeflip.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if user_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = user_value
+        script = (
+            "import os, timeflip\n"
+            f"print(*(os.environ[name] for name in {names!r}))\n"
+            "tasks = '/proc/self/task'\n"
+            "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else 0)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        values, threads = out.stdout.splitlines()
+        assert values == f"{user_value or 1} 1 1"
+        if user_value is None:
+            # numpy was loaded after the default: no BLAS worker thread exists
+            assert int(threads) <= 1
 
     def test_reruns_are_byte_identical(self, artifacts, tmp_path):
         first = tmp_path / "a.csv"

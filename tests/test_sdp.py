@@ -401,13 +401,39 @@ def _guard_program() -> ConicProgram:
     )
 
 
+@pytest.fixture
+def admm_runs(monkeypatch):
+    """Record every splitting run that starts."""
+    runs = []
+
+    class Recording(sdp._Admm):
+        def __init__(self, prog, *args, **kwargs):
+            super().__init__(prog, *args, **kwargs)
+            runs.append(self)
+
+    monkeypatch.setattr(sdp, "_Admm", Recording)
+    return runs
+
+
+def _rotated(qtf):
+    """qtf conjugated by a fixed complex diagonal unitary on B_it, B_ot, B_oc."""
+    phases = [np.diag([1.0, np.exp(1j * t)]) for t in (0.7, -1.3, 2.1)]
+    u = np.kron(np.eye(4), reduce(np.kron, phases))
+    return SetupOperator(
+        HermitianOperator(qtf.op.layout, u @ qtf.op.matrix @ u.conj().T), qtf.roles
+    )
+
+
+def _definite_spans(qtf):
+    return {
+        "forward": setup_span_projector(qtf, ConeId.FORWARD),
+        "backward": setup_span_projector(qtf, ConeId.BACKWARD),
+    }
+
+
 class TestArithmetic:
     def test_real_and_complex_paths_agree(self, qtf, admm_dtypes):
-        phases = [np.diag([1.0, np.exp(1j * t)]) for t in (0.7, -1.3, 2.1)]
-        u = np.kron(np.eye(4), reduce(np.kron, phases))
-        rotated = SetupOperator(
-            HermitianOperator(qtf.op.layout, u @ qtf.op.matrix @ u.conj().T), qtf.roles
-        )
+        rotated = _rotated(qtf)
         real_report, _ = solve_max_robustness(qtf)
         assert {dtype for _, dtype in admm_dtypes} == {np.dtype(float)}
         admm_dtypes.clear()
@@ -427,12 +453,8 @@ class TestArithmetic:
     def test_affine_projection_meets_every_row(self, qtf, phase):
         s = subspace_project(qtf, ConeId.GENERAL).matrix
         u = np.kron(np.eye(16), np.diag([1.0, np.exp(1j * phase)]))
-        spans = {
-            "forward": setup_span_projector(qtf, ConeId.FORWARD),
-            "backward": setup_span_projector(qtf, ConeId.BACKWARD),
-        }
         _, value_prog = sdp.cone_value_programs(
-            u @ s @ u.conj().T, qtf.op.layout, spans, qtf.trace_target
+            u @ s @ u.conj().T, qtf.op.layout, _definite_spans(qtf), qtf.trace_target
         )
         assert value_prog.matrix_rows and value_prog.scalar_rows
         admm = sdp._Admm(value_prog)
@@ -450,6 +472,59 @@ class TestArithmetic:
         direction = admm._project_affine(w) - x
         inner = np.vdot(v - x, direction).real
         assert abs(inner) <= 1e-10 * np.linalg.norm(v) * np.linalg.norm(direction)
+
+
+_PAIR_DRIVERS = {
+    "full": lambda qtf, w: solve_max_robustness(qtf)[0],
+    "restricted": lambda qtf, w: solve_max_robustness(qtf, restricted=True)[0],
+    "cone-value": lambda qtf, w: solve_cone_value(
+        subspace_project(qtf, ConeId.GENERAL).matrix / qtf.trace_target,
+        qtf.op.layout,
+        _definite_spans(qtf),
+        qtf.trace_target,
+    ),
+    "given-witness": lambda qtf, w: solve_robustness_given_witness(qtf, w),
+}
+
+
+class TestOneRunPerPair:
+    @pytest.mark.parametrize("driver", sorted(_PAIR_DRIVERS))
+    def test_one_splitting_run_per_pair(self, qtf, solved, admm_runs, driver):
+        report = _PAIR_DRIVERS[driver](qtf, solved[1])
+        assert report.converged and report.gap <= _GAP_TOL
+        assert len(admm_runs) == 1
+        assert admm_runs[0].prog.sense == "max"
+        assert report.iterations == admm_runs[0].iterations > 0
+
+    @pytest.mark.parametrize("case", ["qtf", "restricted", "rotated"])
+    def test_min_side_point_is_exactly_feasible(self, qtf, request, case):
+        if case == "rotated":
+            setup = _rotated(qtf)
+            report, _ = solve_max_robustness(setup)
+        else:
+            setup = qtf
+            report, _ = request.getfixturevalue(
+                "solved_restricted" if case == "restricted" else "solved"
+            )
+        restricted = case == "restricted"
+        prog = sdp._robustness_primal(
+            sdp._SlotGeometry(setup), restricted_witness_projector(setup) if restricted else None
+        )
+        point = report.extras["primal_report"].extras["solution"]
+        assert set(point) == {blk.name for blk in prog.blocks}
+        for row in prog.matrix_rows:
+            lhs = sum(coeff * point[name] for name, coeff in row.coeffs.items())
+            assert np.linalg.norm(lhs - row.rhs) <= 1e-9, row.name
+        for blk in prog.blocks:
+            m = point[blk.name]
+            assert np.linalg.norm(m - m.conj().T) <= 1e-12, blk.name
+            if blk.kind == "psd":
+                assert np.linalg.eigvalsh(m)[0] >= 0.0, blk.name
+            else:
+                assert np.linalg.norm(m - blk.project(m)) <= 1e-9, blk.name
+        upper = np.trace(point["T"]).real / setup.trace_target
+        assert report.primal_value == pytest.approx(upper, abs=1e-12)
+        assert report.dual_value <= report.primal_value <= report.dual_value + _GAP_TOL
 
 
 class TestComplementBasis:
