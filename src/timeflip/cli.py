@@ -104,6 +104,13 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _fail_uncertified(report) -> int:
+    worst = max(report.residuals.items(), key=lambda kv: kv[1])
+    return _fail(
+        f"solver did not certify: gap {report.gap:.3e}, "
+        f"worst residual {worst[0]} = {worst[1]:.3e}", EXIT_FAIL)
+
+
 def _load_setup_arg(name: str) -> SetupOperator:
     if name == "qtf":
         return qtf_plus_control()
@@ -131,7 +138,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     payload = report.as_dict()
     payload["command"] = "robustness"
     payload["restricted"] = bool(args.restricted)
-    payload["robustness"] = report.dual_value
+    payload["robustness"] = report.lower
 
     try:
         if args.out:
@@ -144,13 +151,10 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"cannot write output: {exc}", EXIT_IO)
 
-    print(f"robustness {_fmt(report.dual_value)}")
+    print(f"robustness {_fmt(report.lower)}")
     print(f"gap {_fmt(report.gap)}")
     if not report.converged:
-        worst = max(report.residuals.items(), key=lambda kv: kv[1])
-        return _fail(
-            f"solver did not certify: gap {report.gap:.3e}, "
-            f"worst residual {worst[0]} = {worst[1]:.3e}", EXIT_FAIL)
+        return _fail_uncertified(report)
     return EXIT_OK
 
 
@@ -166,7 +170,9 @@ def cmd_probabilities(args: argparse.Namespace) -> int:
         if args.decomposition_in:
             terms = load_decomposition(args.decomposition_in)
         else:
-            _, witness = solve_max_robustness(setup, tol=tol, restricted=args.restricted)
+            report, witness = solve_max_robustness(setup, tol=tol, restricted=args.restricted)
+            if not report.converged:
+                return _fail_uncertified(report)
             terms = decompose_witness(witness, restricted=args.restricted)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"cannot obtain a witness decomposition: {exc}", EXIT_IO)

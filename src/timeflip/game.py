@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .channels import KrausChannel, kraus_to_choi
-from .sdp import GAP_TOL, MAX_ITER, RESIDUAL_TOL, SolveReport, solve_cone_value
+from .sdp import GAP_TOL, MAX_ITER, RESIDUAL_TOL, solve_cone_value
 from .supermaps import ConeId, SlotSpec, span_projector
 from .tensor_core import HermitianOperator, SystemLayout, atomic_write_text, qubits
 
@@ -353,11 +353,10 @@ def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str,
     if direction in ("backward-only", "convex-hull"):
         spans["backward"] = span_projector(layout, GAME_SLOTS, (), ("C_O",), ConeId.BACKWARD)
     report = solve_cone_value(target, layout, spans, trace_target=4.0, tol=tol,
-                              gap_tol=gap_tol, max_iter=max_iter,
-                              pair_tag=f"pmax-{direction}")
+                              gap_tol=gap_tol, max_iter=max_iter)
     if not report.converged:
         raise ValueError(f"fixed-direction bound did not certify: gap {report.gap:.3e}")
-    return min(1.0, float(report.primal_value))
+    return min(1.0, float(report.upper))
 
 
 def strategy_success(strategy_op: HermitianOperator, pairs: Sequence[GatePair],

@@ -13,12 +13,14 @@ zero start the complex iterates of an invariant program stay real symmetric,
 so the choice changes the cost of an iteration, not the iteration.
 
 Every program built here carries a polish step that converts an approximate
-point into an *exactly feasible* point of its own side.  A matched (min, max)
-pair is certified by one splitting run, on the max side: the scaled
-multipliers of that run, s_k = -rho * u_k, lie in the dual cone of each block
-and are the min side's variables (each min-side program names its blocks'
-sources in `slack_map`).  Both points are polished, so the two values bracket
-the true optimum by weak duality; the certified gap is their distance.
+point into an *exactly feasible* point of its own side; a bound is certified
+when its point was polished.  A matched (min, max) pair is certified by one
+splitting run, on the max side: the scaled multipliers of that run,
+s_k = -rho * u_k, lie in the dual cone of each block and are the min side's
+variables (each min-side program names its blocks' sources in `slack_map`).
+Both points are polished, so by weak duality the min side's value is a
+certified `upper` bound on the shared optimum and the max side's a certified
+`lower` bound; every solve returns one `SolveReport` holding that bracket.
 """
 
 from __future__ import annotations
@@ -92,79 +94,62 @@ class ConicProgram:
     """One side of a conic pair, in block form.
 
     `objective` holds the true objective operators: the value of a point is
-    sum_k <objective_k, x_k> + constant, minimized or maximized per `sense`.
-    `polish`, when present, maps the final iterates to an exactly feasible
-    point and its certified value.  `principal` names the variable reported
-    as the solution operator.  `slack_map`, on the min side of a pair, builds
-    that side's point from the max side's run: block -> (max-side block,
-    sign), the block being sign times the slack of the max-side block.
+    sum_k <objective_k, x_k>, minimized or maximized per `sense`.  `polish`,
+    when present, maps the final iterates to an exactly feasible point and
+    its certified value.  `slack_map`, on the min side of a pair, builds that
+    side's point from the max side's run: block -> (max-side block, sign),
+    the block being sign times the slack of the max-side block.
     """
 
     name: str
-    pair_tag: str
     n: int
     blocks: tuple[Block, ...]
     matrix_rows: tuple[MatrixRow, ...]
     scalar_rows: tuple[ScalarRow, ...]
     objective: Mapping[str, np.ndarray]
-    principal: str
     sense: str = "min"
-    constant: float = 0.0
-    layout: SystemLayout | None = None
     polish: Callable | None = None
     slack_map: Mapping[str, tuple[str, float]] = field(default_factory=dict)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.layout.labels if self.layout is not None else ()
-
     def value_at(self, xs: Mapping[str, np.ndarray]) -> float:
-        total = self.constant
-        for name, c in self.objective.items():
-            total += hs_inner(c, xs[name])
-        return float(total)
+        return float(sum(hs_inner(c, xs[name]) for name, c in self.objective.items()))
 
 
 @dataclass
 class SolveReport:
-    """Certified values and diagnostics for one program or a matched pair."""
+    """Bounds and diagnostics of one solve: a matched pair or a lone program.
 
-    primal_value: float
-    dual_value: float
-    gap: float
+    `upper` and `lower` bracket the optimum; each is certified when its point
+    was polished into an exactly feasible point of its side.  A pair fills
+    both, and `gap` is their difference.  A lone program fills only its own
+    side (`upper` for a min program, `lower` for a max program) and leaves
+    the other at +inf or -inf, so it never claims a finite gap.  `converged`
+    means the split residuals are at most the tolerance and, for a pair, also
+    that the gap is at most the gap tolerance.  `extras` holds the polished
+    points, `upper_point` and `lower_point` (block name -> matrix), next to
+    the polish diagnostics and whatever the driver adds.
+    """
+
+    upper: float
+    lower: float
     iterations: int
-    residuals: dict[str, float]
     converged: bool
-    sense: str
-    pair_tag: str
-    labels: tuple[str, ...]
-    constant: float = 0.0
-    primal_solution: HermitianOperator | None = None
-    dual_solution: HermitianOperator | None = None
+    residuals: dict[str, float]
     extras: dict = field(default_factory=dict)
 
-    def as_dict(self, include_solutions: bool = False) -> dict:
-        out = {
-            "primal_value": self.primal_value,
-            "dual_value": self.dual_value,
+    @property
+    def gap(self) -> float:
+        return self.upper - self.lower
+
+    def as_dict(self) -> dict:
+        return {
+            "upper": self.upper,
+            "lower": self.lower,
             "gap": self.gap,
             "iterations": self.iterations,
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "converged": bool(self.converged),
-            "sense": self.sense,
-            "pair_tag": self.pair_tag,
-            "labels": list(self.labels),
         }
-        if include_solutions:
-            from .tensor_core import operator_to_dict
-
-            for key, sol in (
-                ("primal_solution", self.primal_solution),
-                ("dual_solution", self.dual_solution),
-            ):
-                if sol is not None:
-                    out[key] = operator_to_dict(sol)
-        return out
 
 
 # -- small matrix helpers --------------------------------------------------------
@@ -364,71 +349,42 @@ def _feasibility_residuals(prog: ConicProgram, xs: Mapping[str, np.ndarray]) -> 
     return out
 
 
-def _report_for_side(
-    prog: ConicProgram,
-    value: float,
-    solution: Mapping[str, np.ndarray],
-    extras: dict,
-    other_value: float,
-    split: tuple[float, float],
-    iterations: int,
-    tol: float,
-) -> SolveReport:
-    residuals = _feasibility_residuals(prog, solution)
-    residuals["split:primal"], residuals["split:dual"] = split
-    principal = None
-    if prog.layout is not None and prog.principal in solution:
-        principal = HermitianOperator(prog.layout, solution[prog.principal])
-    return SolveReport(
-        primal_value=value,
-        dual_value=other_value,
-        gap=abs(value - other_value),
-        iterations=iterations,
-        residuals=residuals,
-        converged=max(split) <= tol,
-        sense=prog.sense,
-        pair_tag=prog.pair_tag,
-        labels=prog.labels,
-        constant=prog.constant,
-        primal_solution=principal,
-        extras=dict(extras, solution=dict(solution)),
-    )
+def _side_residuals(
+    prog: ConicProgram, point: Mapping[str, np.ndarray], split: tuple[float, float]
+) -> dict[str, float]:
+    """Feasibility residuals of a side's point, plus the run's (primal, dual)
+    split residuals as that side sees them."""
+    out = _feasibility_residuals(prog, point)
+    out["split:primal"], out["split:dual"] = split
+    return out
 
 
 def solve(prog: ConicProgram, tol: float = RESIDUAL_TOL, max_iter: int = MAX_ITER) -> SolveReport:
-    """Run the splitting iteration on one program and polish its solution.
+    """Run the splitting iteration on one program and polish its point.
 
-    primal_value is the certified value of the polished (exactly feasible)
-    point; dual_value is the raw objective at the affine-projected iterate,
-    which approaches the optimum from the other side as the split closes.
+    The report fills only this program's side with the value of its point:
+    `upper` for a min program, `lower` for a max program; the other bound is
+    infinite.  The value is certified when the program has a polish; without
+    one the point is the cone-side iterate.  The point is reported in
+    extras["upper_point"] or extras["lower_point"], next to the polish
+    diagnostics, and `converged` means both split residuals are <= tol.
     """
     admm = _Admm(prog)
     admm.run(tol, max_iter)
     if prog.polish is not None:
-        value, solution, extras = prog.polish(admm.xs, admm.zs)
+        value, point, extras = prog.polish(admm.xs, admm.zs)
     else:
-        value, solution, extras = prog.value_at(admm.zs), admm.zs, {}
+        value, point, extras = prog.value_at(admm.zs), admm.zs, {}
+    side = "upper" if prog.sense == "min" else "lower"
+    bounds = {"upper": np.inf, "lower": -np.inf, side: value}
     split = (admm.r_norm, admm.s_norm)
-    shadow = prog.value_at(admm.xs)
-    return _report_for_side(prog, value, solution, extras, shadow, split, admm.iterations, tol)
-
-
-def certify_duality(primal: SolveReport, dual: SolveReport, tol: float = GAP_TOL) -> bool:
-    """Check the zero-gap identity on a matched primal/dual pair of reports.
-
-    The shared normalization constants of a matched pair cancel, so the
-    identity reduces to agreement of the two certified optimal values within
-    10*tol; both solves must also have converged.
-    """
-    if primal.labels != dual.labels:
-        raise ValueError(f"mismatched layouts: {primal.labels} vs {dual.labels}")
-    if primal.pair_tag != dual.pair_tag:
-        raise ValueError(
-            f"reports come from different pairs: {primal.pair_tag!r} vs {dual.pair_tag!r}"
-        )
-    if not (primal.converged and dual.converged):
-        return False
-    return abs(primal.primal_value - dual.primal_value) <= 10 * tol
+    return SolveReport(
+        **bounds,
+        iterations=admm.iterations,
+        converged=max(split) <= tol,
+        residuals=_side_residuals(prog, point, split),
+        extras={**extras, f"{side}_point": point},
+    )
 
 
 def _solve_pair(
@@ -437,16 +393,19 @@ def _solve_pair(
     tol: float,
     gap_tol: float,
     max_iter: int,
-) -> tuple[SolveReport, SolveReport, SolveReport]:
+) -> SolveReport:
     """Certify a matched (min, max) pair with one splitting run, on the max
     side, tightening its tolerance until the certified values bracket the
     shared optimum within gap_tol.
 
     After each stage the max side's iterate and its slacks mapped by
     `min_prog.slack_map` are polished into exactly feasible points of their
-    own sides: the min side's value is a certified upper bound on the
-    optimum, the max side's a certified lower bound.  Each side's report
-    carries the other side's value as its dual_value.
+    own sides: the min side's value is the certified `upper` bound on the
+    optimum, the max side's the certified `lower` bound.  The report holds
+    both polished points and both sides' polish diagnostics in `extras`, and
+    both sides' residuals under the prefixes "primal:" (min side) and
+    "dual:" (max side).  `converged` means both split residuals are <= tol
+    and the gap is <= gap_tol.
     """
     admm = _Admm(max_prog)
     current = tol
@@ -460,27 +419,20 @@ def _solve_pair(
             break
         current /= 10.0
     split = (admm.r_norm, admm.s_norm)
-    n_iter = admm.iterations
-    rep_max = _report_for_side(max_prog, v_max, sol_max, ex_max, v_min, split, n_iter, tol)
     # the run's primal residual is the min side's dual residual, and back
-    rep_min = _report_for_side(min_prog, v_min, sol_min, ex_min, v_max, split[::-1], n_iter, tol)
-    gap = v_min - v_max
-    merged = SolveReport(
-        primal_value=v_min,
-        dual_value=v_max,
-        gap=gap,
-        iterations=n_iter,
+    res_min = _side_residuals(min_prog, sol_min, split[::-1])
+    res_max = _side_residuals(max_prog, sol_max, split)
+    return SolveReport(
+        upper=v_min,
+        lower=v_max,
+        iterations=admm.iterations,
+        converged=max(split) <= tol and v_min - v_max <= gap_tol,
         residuals={
-            **{f"primal:{k}": v for k, v in rep_min.residuals.items()},
-            **{f"dual:{k}": v for k, v in rep_max.residuals.items()},
+            **{f"primal:{k}": v for k, v in res_min.items()},
+            **{f"dual:{k}": v for k, v in res_max.items()},
         },
-        converged=rep_max.converged and gap <= gap_tol,
-        sense="pair",
-        pair_tag=min_prog.pair_tag,
-        labels=min_prog.labels,
-        extras={"primal_report": rep_min, "dual_report": rep_max},
+        extras={**ex_min, **ex_max, "upper_point": sol_min, "lower_point": sol_max},
     )
-    return merged, rep_min, rep_max
 
 
 # -- geometry shared by the single-slot programs ---------------------------------------
@@ -605,15 +557,12 @@ def _robustness_primal(geom: _SlotGeometry, witness_subspace: Callable | None) -
     tag = "robustness-restricted" if restricted else "robustness"
     return ConicProgram(
         name=f"{tag}:primal",
-        pair_tag=tag,
         n=n,
         blocks=tuple(blocks),
         matrix_rows=rows,
         scalar_rows=(),
         objective={"T": eye / dd},
-        principal="T",
         sense="min",
-        layout=geom.layout,
         polish=polish,
         slack_map=slack_map,
     )
@@ -689,15 +638,12 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
     tag = "robustness-restricted" if restricted else "robustness"
     return ConicProgram(
         name=f"{tag}:dual",
-        pair_tag=tag,
         n=n,
         blocks=blocks,
         matrix_rows=rows,
         scalar_rows=(),
         objective={"W": -s},
-        principal="W",
         sense="max",
-        layout=geom.layout,
         polish=polish,
     )
 
@@ -828,96 +774,30 @@ def solve_max_robustness(
     """Generalized robustness of a setup: the least general-cone noise whose
     admixture pushes the setup into the cone of fixed-direction mixtures.
 
-    Returns the merged pair report and the optimal witness.  The report's
-    dual_value is a certified lower bound on the robustness (it equals the
-    witness expectation of the returned witness), primal_value a certified
-    upper bound, and gap their difference.  `restricted` confines the witness
-    to the experimentally accessible subspace.
+    Returns the pair report and the optimal witness.  The report's `lower`
+    is a certified lower bound on the robustness (it equals the witness
+    expectation of the returned witness), `upper` a certified upper bound
+    (the trace of an exactly feasible noise), and `gap` their difference.
+    extras["certificate"] holds the witness's splitting parts.  `restricted`
+    confines the witness to the experimentally accessible subspace.
     """
     geom = _SlotGeometry(setup)
     witness_subspace = restricted_witness_projector(setup) if restricted else None
     primal = _robustness_primal(geom, witness_subspace)
     dual = _robustness_dual(geom, witness_subspace)
-    merged, rep_p, rep_d = _solve_pair(primal, dual, tol, gap_tol, max_iter)
-    solution = rep_d.extras["solution"]
-    witness = HermitianOperator(geom.layout, solution["W"])
-    merged.primal_solution = HermitianOperator(geom.layout, rep_p.extras["solution"]["T"])
-    merged.dual_solution = witness
-    merged.extras["certificate"] = {
-        "uniform-part": HermitianOperator(geom.layout, solution["W_uni"]),
-        "forward-part": HermitianOperator(geom.layout, solution["W_fwd"]),
-        "backward-part": HermitianOperator(geom.layout, solution["W_bwd"]),
-        "forward-slack": HermitianOperator(geom.layout, solution["P_fwd"]),
-        "backward-slack": HermitianOperator(geom.layout, solution["P_bwd"]),
-        "domination-slack": HermitianOperator(geom.layout, solution["Q"]),
+    report = _solve_pair(primal, dual, tol, gap_tol, max_iter)
+    point = report.extras["lower_point"]
+    witness = HermitianOperator(geom.layout, point["W"])
+    report.extras["certificate"] = {
+        "uniform-part": HermitianOperator(geom.layout, point["W_uni"]),
+        "forward-part": HermitianOperator(geom.layout, point["W_fwd"]),
+        "backward-part": HermitianOperator(geom.layout, point["W_bwd"]),
+        "forward-slack": HermitianOperator(geom.layout, point["P_fwd"]),
+        "backward-slack": HermitianOperator(geom.layout, point["P_bwd"]),
+        "domination-slack": HermitianOperator(geom.layout, point["Q"]),
     }
-    merged.extras["restricted"] = restricted
-    return merged, witness
-
-
-def solve_robustness_given_witness(
-    setup: SetupOperator,
-    w: HermitianOperator,
-    tol: float = RESIDUAL_TOL,
-    max_iter: int = MAX_ITER,
-    gap_tol: float = GAP_TOL,
-) -> SolveReport:
-    """Robustness certified by one fixed witness: the least noise admixture
-    that raises the witness expectation back to zero.
-
-    Reduces to one normalization pair: r = max(0, -<W,S>) / p_W with p_W
-    the largest witness expectation over trace-normalized general-cone
-    operators, the cone value of W over the general span.  primal_value is
-    the certified upper bound on r, dual_value the certified lower bound.
-    """
-    geom = _SlotGeometry(setup)
-    if w.layout != geom.layout:
-        raise ValueError("witness layout does not match the setup layout")
-    numerator = max(0.0, -hs_inner(w.matrix, geom.s_mat))
-    tag = "robustness-given-witness"
-    if numerator == 0.0:
-        return SolveReport(
-            primal_value=0.0,
-            dual_value=0.0,
-            gap=0.0,
-            iterations=0,
-            residuals={},
-            converged=True,
-            sense="pair",
-            pair_tag=tag,
-            labels=geom.layout.labels,
-            primal_solution=HermitianOperator(geom.layout, np.zeros((geom.n, geom.n))),
-            dual_solution=w,
-            extras={"witness_scale": None, "numerator": 0.0},
-        )
-    scale = solve_cone_value(
-        w.matrix, geom.layout, {"T": geom.p_general}, geom.dd, tol, max_iter, gap_tol,
-        pair_tag="witness-scale",
-    )
-    p_upper, p_lower = scale.primal_value, scale.dual_value
-    if p_lower <= 1e-9 * max(1.0, numerator):
-        raise ValueError(
-            "infeasible noise constraint: no general-cone noise raises this witness "
-            f"expectation (largest expectation bounded above by {p_upper:.3e})"
-        )
-    r_lower, r_upper = numerator / p_upper, numerator / p_lower
-    # the maximizing direction, scaled so the witness expectation of S + T
-    # vanishes at the certified upper bound
-    noise = scale.extras["parts"]["T"].matrix * (r_upper / geom.dd)
-    return SolveReport(
-        primal_value=r_upper,
-        dual_value=r_lower,
-        gap=r_upper - r_lower,
-        iterations=scale.iterations,
-        residuals=scale.residuals,
-        converged=scale.converged and (r_upper - r_lower) <= gap_tol,
-        sense="pair",
-        pair_tag=tag,
-        labels=geom.layout.labels,
-        primal_solution=HermitianOperator(geom.layout, noise),
-        dual_solution=w,
-        extras={"witness_scale": (p_lower, p_upper), "numerator": numerator},
-    )
+    report.extras["restricted"] = restricted
+    return report, witness
 
 
 # -- cone-value programs over fixed directions (shared with the game module) -------------
@@ -928,7 +808,6 @@ def cone_value_programs(
     layout: SystemLayout,
     spans: Mapping[str, Callable[[np.ndarray], np.ndarray]],
     trace_target: float,
-    pair_tag: str = "cone-value",
 ) -> tuple[ConicProgram, ConicProgram]:
     """max <target, sum_d S_d> over operators S_d, each positive semidefinite
     inside its named span, with fixed total trace; plus the matching
@@ -973,16 +852,13 @@ def cone_value_programs(
         return value, mixed, {"interior_mix": gamma}
 
     value_prog = ConicProgram(
-        name=f"{pair_tag}:value",
-        pair_tag=pair_tag,
+        name="cone-value:value",
         n=n,
         blocks=tuple(blocks_p),
         matrix_rows=tuple(rows_p),
         scalar_rows=(ScalarRow("trace-normalization", weights, dd),),
         objective=objective,
-        principal=names[0],
         sense="max",
-        layout=layout,
         polish=polish_value,
     )
 
@@ -1010,16 +886,13 @@ def cone_value_programs(
         return nu * dd, solution, {"nu": nu}
 
     bound_prog = ConicProgram(
-        name=f"{pair_tag}:bound",
-        pair_tag=pair_tag,
+        name="cone-value:bound",
         n=n,
         blocks=tuple(blocks_d),
         matrix_rows=tuple(rows_d),
         scalar_rows=(),
         objective={"N": (dd / n) * eye},
-        principal="N",
         sense="min",
-        layout=layout,
         polish=polish_bound,
         slack_map={f"Q_{name}": (name, 1.0) for name in names},
     )
@@ -1034,14 +907,12 @@ def solve_cone_value(
     tol: float = RESIDUAL_TOL,
     max_iter: int = MAX_ITER,
     gap_tol: float = GAP_TOL,
-    pair_tag: str = "cone-value",
 ) -> SolveReport:
     """Certified maximum of <target, .> over trace-normalized mixtures of the
-    named cones: primal_value upper-bounds the maximum and dual_value is
+    named cones: `upper` bounds the maximum from above and `lower` is
     attained by an exactly feasible mixture (reported in extras["parts"])."""
-    bound_prog, value_prog = cone_value_programs(target, layout, spans, trace_target, pair_tag)
-    merged, rep_min, rep_max = _solve_pair(bound_prog, value_prog, tol, gap_tol, max_iter)
-    merged.extras["parts"] = {
-        name: HermitianOperator(layout, rep_max.extras["solution"][name]) for name in spans
-    }
-    return merged
+    bound_prog, value_prog = cone_value_programs(target, layout, spans, trace_target)
+    report = _solve_pair(bound_prog, value_prog, tol, gap_tol, max_iter)
+    point = report.extras["lower_point"]
+    report.extras["parts"] = {name: HermitianOperator(layout, point[name]) for name in spans}
+    return report

@@ -243,7 +243,6 @@ def _build_certificate(
     layout = op.layout
     prog = ConicProgram(
         name="certificate-feasibility",
-        pair_tag="witness-certificate",
         n=layout.total_dim,
         blocks=(
             Block("uniform-part", "sub", lambda m: m - p_uni(m)),
@@ -266,11 +265,9 @@ def _build_certificate(
         ),
         scalar_rows=(),
         objective={},
-        principal="uniform-part",
-        layout=layout,
     )
     report = solve(prog, tol=tol, max_iter=max_iter)
-    sol = report.extras["solution"]
+    sol = report.extras["upper_point"]
     w0 = sol["uniform-part"] - p_uni(sol["uniform-part"])
     w2 = sol["forward-part"] - p_fwd(sol["forward-part"])
     w3 = sol["backward-part"] - p_bwd(sol["backward-part"])
@@ -299,10 +296,9 @@ def validate_witness(w: Witness | HermitianOperator, tol: float = GAP_TOL) -> Wi
         spans,
         trace_target=4.0,
         gap_tol=max(tol / 2.0, 1e-6),
-        pair_tag="definite-floor",
     )
-    min_value = -floor.primal_value
-    attained = -floor.dual_value
+    min_value = -floor.upper
+    attained = -floor.lower
     valid = bool(floor.converged and min_value >= -tol)
     residuals: dict[str, float] = {"definite-floor-gap": float(floor.gap)}
 

@@ -7,7 +7,8 @@ from math import prod
 import numpy as np
 
 from timeflip.channels import KrausChannel
-from timeflip.tensor_core import HermitianOperator, SystemLayout
+from timeflip.supermaps import ConeId, SetupOperator, sequential_setup
+from timeflip.tensor_core import HermitianOperator, SystemLayout, tensor_product
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -97,3 +98,29 @@ def random_channel(rng, din, dout, kraus_rank=2) -> KrausChannel:
     iso = q[:, :din] * (np.diag(r)[:din] / np.abs(np.diag(r)[:din]))
     kraus = [iso[k * dout:(k + 1) * dout, :] for k in range(kraus_rank)]
     return KrausChannel(kraus)
+
+
+def random_fixed_direction(rng, direction, layout) -> SetupOperator:
+    """Fixed-direction setup on the full five-wire layout: a random comb on
+    the first four wires tensored with a random state on the trailing one."""
+    pre = random_channel(rng, 2, 4)
+    post = random_channel(rng, 4, 2)
+    comb = sequential_setup(pre, post, 2, direction, labels=layout.labels[:4])
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    state = HermitianOperator(SystemLayout((layout.factors[4],)), rho)
+    roles = dict(comb.roles)
+    roles[layout.labels[4]] = "global-output"
+    return SetupOperator(tensor_product([comb.op, state]), roles)
+
+
+def definite_mixture(rng, template) -> SetupOperator:
+    """A random mixture of one forward and one backward fixed-direction setup,
+    with the roles of the template."""
+    layout = template.op.layout
+    fwd = random_fixed_direction(rng, ConeId.FORWARD, layout)
+    bwd = random_fixed_direction(rng, ConeId.BACKWARD, layout)
+    lam = rng.uniform(0.15, 0.85)
+    mixed = lam * fwd.op.matrix + (1 - lam) * bwd.op.matrix
+    return SetupOperator(HermitianOperator(layout, mixed), template.roles)

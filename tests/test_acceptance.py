@@ -11,28 +11,23 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_channel, random_bistochastic_channel
+from helpers import definite_mixture, random_bistochastic_channel
 from timeflip.channels import input_output_inversion, kraus_to_choi, KrausChannel
 from timeflip.cli import EXIT_OK, main as cli_main
 from timeflip.game import TAG_PLUS, builtin_gate_sets, qtf_strategy, switch_strategy
 from timeflip.sdp import solve_max_robustness
 from timeflip.supermaps import (
-    ConeId,
-    SetupOperator,
     apply_supermap,
     definite_split,
     qtf_choi,
     qtf_plus_control,
     random_span_element,
-    sequential_setup,
 )
 from timeflip.tensor_core import (
     HermitianOperator,
-    SystemLayout,
     min_eigenvalue,
     permute_factors,
     split_factor,
-    tensor_product,
 )
 from timeflip.witness import (
     born_probabilities,
@@ -62,28 +57,6 @@ def solved(qtf):
 @pytest.fixture(scope="module")
 def solved_restricted(qtf):
     return solve_max_robustness(qtf, restricted=True)
-
-
-def _random_fixed_direction(rng, direction, layout):
-    pre = random_channel(rng, 2, 4)
-    post = random_channel(rng, 4, 2)
-    comb = sequential_setup(pre, post, 2, direction, labels=layout.labels[:4])
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    state = HermitianOperator(SystemLayout((layout.factors[4],)), rho)
-    roles = dict(comb.roles)
-    roles[layout.labels[4]] = "global-output"
-    return SetupOperator(tensor_product([comb.op, state]), roles)
-
-
-def _definite_mixture(rng, template):
-    layout = template.op.layout
-    fwd = _random_fixed_direction(rng, ConeId.FORWARD, layout)
-    bwd = _random_fixed_direction(rng, ConeId.BACKWARD, layout)
-    lam = rng.uniform(0.15, 0.85)
-    mixed = lam * fwd.op.matrix + (1 - lam) * bwd.op.matrix
-    return SetupOperator(HermitianOperator(layout, mixed), template.roles)
 
 
 def test_criterion_01_qtf_robustness(tmp_path):
@@ -117,9 +90,9 @@ def test_criterion_03_faithfulness_on_definite_mixtures(qtf):
     rng = np.random.default_rng(2026)
     worst = 0.0
     for _ in range(20):
-        mix = _definite_mixture(rng, qtf)
+        mix = definite_mixture(rng, qtf)
         report, _ = solve_max_robustness(mix)
-        worst = max(worst, report.primal_value)
+        worst = max(worst, report.upper)
     ok = worst <= 1e-4
     _report(3, ok, f"largest certified robustness over 20 mixtures {worst:.2e}")
     assert ok
@@ -130,9 +103,9 @@ def test_criterion_04_estimate_matches_sdp_value(qtf, solved):
     terms = decompose_witness(witness)
     probs = born_probabilities(qtf, terms)
     estimate = estimate_robustness(terms, probs)
-    diff = abs(estimate - report.dual_value)
+    diff = abs(estimate - report.lower)
     ok = diff <= 1e-6
-    _report(4, ok, f"estimate {estimate:.9f} vs SDP {report.dual_value:.9f}, "
+    _report(4, ok, f"estimate {estimate:.9f} vs SDP {report.lower:.9f}, "
                    f"diff {diff:.2e}")
     assert ok
 

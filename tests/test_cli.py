@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file outputs, determinism."""
 
+import functools
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import timeflip
+from timeflip import cli
 from timeflip.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from timeflip.game import builtin_gate_sets, save_gate_pairs
 from timeflip.supermaps import qtf_plus_control, setup_to_dict
@@ -59,7 +61,12 @@ def artifacts(tmp_path_factory):
 class TestRobustness:
     def test_headline_value_and_gap(self, artifacts):
         report = artifacts["parsed"]
+        assert set(report) == {
+            "command", "restricted", "robustness", "upper", "lower", "gap",
+            "iterations", "residuals", "converged",
+        }
         assert report["command"] == "robustness"
+        assert report["robustness"] == report["lower"]
         assert report["converged"] is True
         assert report["robustness"] == pytest.approx(0.4007, abs=_VALUE_TOL)
         assert report["gap"] <= 1e-4
@@ -93,6 +100,14 @@ class TestRobustness:
 
 
 class TestProbabilities:
+    def test_uncertified_solve_fails(self, monkeypatch, capsys):
+        capped = functools.partial(cli.solve_max_robustness, max_iter=10)
+        monkeypatch.setattr(cli, "solve_max_robustness", capped)
+        assert _run("probabilities", "--setup", "qtf") == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert "estimate" not in captured.out
+        assert re.search(r"solver did not certify: gap \S+, worst residual", captured.err)
+
     def test_forward_identity_term_shows_one_half(self, artifacts, tmp_path):
         out = str(tmp_path / "probs.csv")
         status = _run("probabilities", "--decomposition-in",

@@ -1,71 +1,41 @@
-"""Conic solver: engine behavior, robustness values, certificates, duality."""
+"""Conic solver: engine behavior, robustness values, certificates, certified bounds."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from helpers import random_channel
+from helpers import definite_mixture, random_fixed_direction
 from timeflip import sdp
 from timeflip.sdp import (
     Block,
     ConicProgram,
     MatrixRow,
     ScalarRow,
-    certify_duality,
     restricted_witness_projector,
     solve,
     solve_cone_value,
     solve_max_robustness,
-    solve_robustness_given_witness,
 )
 from timeflip.supermaps import (
     ConeId,
     SetupOperator,
     qtf_plus_control,
-    sequential_setup,
     setup_span_projector,
     subspace_project,
 )
 from timeflip.tensor_core import (
     HermitianOperator,
-    SystemLayout,
     hs_inner,
     min_eigenvalue,
-    tensor_product,
     trace_and_replace,
 )
 
 _GAP_TOL = 1e-4
 _VALUE_TOL = 5e-3
-
-
-def _random_fixed_direction(rng, direction, layout):
-    """Fixed-direction setup on the full five-wire layout: a random comb on
-    the first four wires tensored with a random state on the trailing one."""
-    pre = random_channel(rng, 2, 4)
-    post = random_channel(rng, 4, 2)
-    comb = sequential_setup(pre, post, 2, direction, labels=layout.labels[:4])
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    state = HermitianOperator(SystemLayout((layout.factors[4],)), rho)
-    roles = dict(comb.roles)
-    roles[layout.labels[4]] = "global-output"
-    return SetupOperator(tensor_product([comb.op, state]), roles)
-
-
-def _definite_mixture(rng, template):
-    layout = template.op.layout
-    fwd = _random_fixed_direction(rng, ConeId.FORWARD, layout)
-    bwd = _random_fixed_direction(rng, ConeId.BACKWARD, layout)
-    lam = rng.uniform(0.15, 0.85)
-    mixed = lam * fwd.op.matrix + (1 - lam) * bwd.op.matrix
-    return SetupOperator(HermitianOperator(layout, mixed), template.roles)
 
 
 def _random_general_setup(rng, template):
@@ -105,43 +75,38 @@ class TestEngine:
         s = g @ g.conj().T / 8
         prog = ConicProgram(
             name="trivial",
-            pair_tag="trivial",
             n=8,
             blocks=(Block("T", "psd"), Block("R", "psd")),
             matrix_rows=(MatrixRow("shifted-positivity", {"T": 1.0, "R": -1.0}, -s),),
             scalar_rows=(),
             objective={"T": np.eye(8) / 4},
-            principal="T",
         )
         report = solve(prog)
         assert report.converged
-        assert abs(report.primal_value) <= 1e-5
+        assert abs(report.upper) <= 1e-5
 
     def test_scalar_row_is_projected_exactly(self):
         eye = np.eye(4, dtype=complex)
         prog = ConicProgram(
             name="traced",
-            pair_tag="traced",
             n=4,
             blocks=(Block("X", "psd"),),
             matrix_rows=(),
             scalar_rows=(ScalarRow("trace", {"X": eye}, 2.0),),
             objective={"X": np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)},
-            principal="X",
         )
         report = solve(prog)
         assert report.converged
-        solution = report.extras["solution"]["X"]
+        solution = report.extras["upper_point"]["X"]
         # the cone-side iterate meets the trace row to splitting accuracy
         assert abs(np.trace(solution).real - 2.0) <= 1e-4
         # mass should concentrate on the cheapest diagonal entry
-        assert abs(report.primal_value - 2.0) <= 1e-4
+        assert abs(report.upper - 2.0) <= 1e-4
 
     def test_dependent_rows_raise(self):
         zero = np.zeros((2, 2))
         prog = ConicProgram(
             name="dependent",
-            pair_tag="dependent",
             n=2,
             blocks=(Block("X", "psd"), Block("Y", "psd")),
             matrix_rows=(
@@ -150,7 +115,6 @@ class TestEngine:
             ),
             scalar_rows=(),
             objective={},
-            principal="X",
         )
         with pytest.raises(ValueError, match="dependent"):
             solve(prog)
@@ -161,11 +125,27 @@ class TestEngine:
         with pytest.raises(ValueError, match="kind"):
             Block("X", "conic")
 
+    def test_lone_min_program_claims_no_gap(self):
+        prog = ConicProgram(
+            name="lone",
+            n=2,
+            blocks=(Block("X", "psd"),),
+            matrix_rows=(),
+            scalar_rows=(ScalarRow("trace", {"X": np.eye(2)}, 1.0),),
+            objective={"X": np.diag([1.0, 3.0])},
+        )
+        report = solve(prog)
+        assert report.converged
+        assert np.isfinite(report.upper) and abs(report.upper - 1.0) <= 1e-4
+        assert report.lower == -np.inf
+        assert report.gap == np.inf
+        assert set(report.extras) == {"upper_point"}
+
     def test_report_round_trips_through_json(self, solved):
         report, _ = solved
         payload = json.dumps(report.as_dict())
         back = json.loads(payload)
-        assert back["pair_tag"] == "robustness"
+        assert set(back) == {"upper", "lower", "gap", "iterations", "residuals", "converged"}
         assert back["converged"] is True
 
 
@@ -174,15 +154,15 @@ class TestMaxRobustness:
         report, witness = solved
         assert report.converged
         assert report.gap <= _GAP_TOL
-        assert abs(report.dual_value - 0.4007) <= _VALUE_TOL
-        assert abs(report.primal_value - 0.4007) <= _VALUE_TOL
+        assert abs(report.lower - 0.4007) <= _VALUE_TOL
+        assert abs(report.upper - 0.4007) <= _VALUE_TOL
         # the certified lower bound is the witness expectation itself
-        assert report.dual_value >= 0.0
+        assert report.lower >= 0.0
 
     def test_witness_matches_reported_value(self, qtf, solved):
         report, witness = solved
         s = subspace_project(qtf, ConeId.GENERAL).matrix
-        assert abs(-hs_inner(witness.matrix, s) - report.dual_value) <= 1e-9
+        assert abs(-hs_inner(witness.matrix, s) - report.lower) <= 1e-9
 
     def test_certificate_structure(self, qtf, solved):
         report, witness = solved
@@ -216,7 +196,7 @@ class TestMaxRobustness:
         rng = np.random.default_rng(11)
         for direction in (ConeId.FORWARD, ConeId.BACKWARD):
             for _ in range(5):
-                probe = _random_fixed_direction(rng, direction, qtf.op.layout)
+                probe = random_fixed_direction(rng, direction, qtf.op.layout)
                 assert hs_inner(witness.matrix, probe.op.matrix) >= -1e-8
 
     def test_witness_normalization_on_general_cone(self, qtf, solved):
@@ -230,7 +210,7 @@ class TestMaxRobustness:
         report, witness = solved_restricted
         assert report.converged
         assert report.gap <= _GAP_TOL
-        assert abs(report.dual_value - 0.1716) <= _VALUE_TOL
+        assert abs(report.lower - 0.1716) <= _VALUE_TOL
         assert report.extras["restricted"] is True
 
     def test_restricted_witness_in_subspace(self, qtf, solved_restricted):
@@ -240,21 +220,21 @@ class TestMaxRobustness:
 
     def test_forward_setup_has_zero_robustness(self, qtf):
         rng = np.random.default_rng(5)
-        setup = _random_fixed_direction(rng, ConeId.FORWARD, qtf.op.layout)
+        setup = random_fixed_direction(rng, ConeId.FORWARD, qtf.op.layout)
         report, _ = solve_max_robustness(setup)
-        assert report.primal_value <= _GAP_TOL
-        assert report.dual_value >= 0.0
+        assert report.upper <= _GAP_TOL
+        assert report.lower >= 0.0
 
     def test_definite_mixtures_are_faithful(self, qtf):
         rng = np.random.default_rng(17)
         for _ in range(3):
-            mix = _definite_mixture(rng, qtf)
+            mix = definite_mixture(rng, qtf)
             report, _ = solve_max_robustness(mix)
-            assert report.primal_value <= _GAP_TOL
+            assert report.upper <= _GAP_TOL
 
     def test_monotone_under_uniform_noise(self, qtf, solved):
         base_report, _ = solved
-        base = base_report.primal_value
+        base = base_report.upper
         layout = qtf.op.layout
         n = layout.total_dim
         white = (qtf.trace_target / n) * np.eye(n)
@@ -263,7 +243,7 @@ class TestMaxRobustness:
                 HermitianOperator(layout, (1 - q) * qtf.op.matrix + q * white), qtf.roles
             )
             report, _ = solve_max_robustness(mixed)
-            assert report.dual_value <= (1 - q) * base + _GAP_TOL
+            assert report.lower <= (1 - q) * base + _GAP_TOL
 
     def test_strict_feasibility_probes(self, qtf):
         s = subspace_project(qtf, ConeId.GENERAL)
@@ -280,90 +260,6 @@ class TestMaxRobustness:
         w0 = eye_op.matrix / (2 * qtf.trace_target)
         assert abs(hs_inner(w0, s.matrix) - 0.5) <= 1e-12
         assert min_eigenvalue(eye_op.matrix / qtf.trace_target - w0) > 0
-
-
-class TestGivenWitness:
-    def test_zero_witness_costs_nothing(self, qtf):
-        w = HermitianOperator(qtf.op.layout, np.zeros((32, 32)))
-        report = solve_robustness_given_witness(qtf, w)
-        assert report.converged
-        assert report.primal_value == 0.0
-        assert report.iterations == 0
-
-    def test_optimal_witness_recovers_full_value(self, qtf, solved):
-        full_report, witness = solved
-        report = solve_robustness_given_witness(qtf, witness)
-        assert report.converged
-        assert report.gap <= _GAP_TOL
-        assert abs(report.dual_value - full_report.dual_value) <= _GAP_TOL
-        p_low, p_high = report.extras["witness_scale"]
-        assert p_low <= 1.0 + 1e-6 and p_high >= 1.0 - 1e-4
-
-    def test_optimal_witness_on_definite_mixture(self, qtf, solved):
-        _, witness = solved
-        rng = np.random.default_rng(29)
-        mix = _definite_mixture(rng, qtf)
-        report = solve_robustness_given_witness(mix, witness)
-        assert report.primal_value <= _GAP_TOL
-
-    def test_unraisable_witness_reports_infeasible(self, qtf):
-        s = subspace_project(qtf, ConeId.GENERAL)
-        w = HermitianOperator(qtf.op.layout, -s.matrix)
-        with pytest.raises(ValueError, match="infeasible noise constraint"):
-            solve_robustness_given_witness(qtf, w)
-
-    def test_mismatched_witness_layout_raises(self, qtf):
-        small = HermitianOperator(SystemLayout((("x", 2),)), np.eye(2))
-        with pytest.raises(ValueError, match="layout"):
-            solve_robustness_given_witness(qtf, small)
-
-
-class TestCertifyDuality:
-    def test_matched_pair_certifies(self, solved):
-        report, _ = solved
-        primal = report.extras["primal_report"]
-        dual = report.extras["dual_report"]
-        assert certify_duality(primal, dual)
-
-    def test_perturbed_dual_fails(self, solved):
-        report, _ = solved
-        primal = report.extras["primal_report"]
-        dual = dataclasses.replace(
-            report.extras["dual_report"],
-            primal_value=report.extras["dual_report"].primal_value + 0.05,
-        )
-        assert not certify_duality(primal, dual)
-
-    def test_zero_program_pair_certifies(self):
-        def zero_prog(sense):
-            return ConicProgram(
-                name=f"zero:{sense}",
-                pair_tag="zero",
-                n=2,
-                blocks=(Block("X", "psd"),),
-                matrix_rows=(),
-                scalar_rows=(),
-                objective={},
-                principal="X",
-                sense=sense,
-            )
-
-        rep_min = solve(zero_prog("min"), max_iter=50)
-        rep_max = solve(zero_prog("max"), max_iter=50)
-        assert certify_duality(rep_min, rep_max)
-
-    def test_mismatched_layouts_raise(self, solved):
-        report, _ = solved
-        primal = report.extras["primal_report"]
-        dual = dataclasses.replace(report.extras["dual_report"], labels=("other",))
-        with pytest.raises(ValueError, match="mismatched layouts"):
-            certify_duality(primal, dual)
-
-    def test_unconverged_report_fails(self, solved):
-        report, _ = solved
-        primal = report.extras["primal_report"]
-        dual = dataclasses.replace(report.extras["dual_report"], converged=False)
-        assert not certify_duality(primal, dual)
 
 
 @pytest.fixture
@@ -391,13 +287,11 @@ def _guard_program() -> ConicProgram:
 
     return ConicProgram(
         name="guard",
-        pair_tag="guard",
         n=2,
         blocks=(Block("X", "psd"), Block("X_span", "sub", project)),
         matrix_rows=(MatrixRow("in-span", {"X": 1.0, "X_span": -1.0}, np.zeros((2, 2))),),
         scalar_rows=(ScalarRow("trace", {"X": np.eye(2)}, 1.0),),
         objective={"X": -sx},
-        principal="X",
     )
 
 
@@ -440,13 +334,13 @@ class TestArithmetic:
         complex_report, _ = solve_max_robustness(rotated)
         assert {dtype for _, dtype in admm_dtypes} == {np.dtype(complex)}
         assert real_report.gap <= _GAP_TOL and complex_report.gap <= _GAP_TOL
-        assert abs(real_report.dual_value - complex_report.dual_value) <= 1e-6
-        assert abs(real_report.primal_value - complex_report.primal_value) <= 1e-6
+        assert abs(real_report.lower - complex_report.lower) <= 1e-6
+        assert abs(real_report.upper - complex_report.upper) <= 1e-6
 
     def test_projector_that_moves_under_conjugation_runs_complex(self, admm_dtypes):
         report = solve(_guard_program(), tol=1e-9)
         assert report.converged
-        assert abs(report.primal_value + 1 / np.sqrt(2)) <= 1e-6
+        assert abs(report.upper + 1 / np.sqrt(2)) <= 1e-6
         assert admm_dtypes == [("guard", np.dtype(complex))]
 
     @pytest.mark.parametrize("phase", [0.0, 0.4])
@@ -475,23 +369,24 @@ class TestArithmetic:
 
 
 _PAIR_DRIVERS = {
-    "full": lambda qtf, w: solve_max_robustness(qtf)[0],
-    "restricted": lambda qtf, w: solve_max_robustness(qtf, restricted=True)[0],
-    "cone-value": lambda qtf, w: solve_cone_value(
+    "full": lambda qtf: solve_max_robustness(qtf)[0],
+    "restricted": lambda qtf: solve_max_robustness(qtf, restricted=True)[0],
+    "cone-value": lambda qtf: solve_cone_value(
         subspace_project(qtf, ConeId.GENERAL).matrix / qtf.trace_target,
         qtf.op.layout,
         _definite_spans(qtf),
         qtf.trace_target,
     ),
-    "given-witness": lambda qtf, w: solve_robustness_given_witness(qtf, w),
 }
 
 
 class TestOneRunPerPair:
     @pytest.mark.parametrize("driver", sorted(_PAIR_DRIVERS))
-    def test_one_splitting_run_per_pair(self, qtf, solved, admm_runs, driver):
-        report = _PAIR_DRIVERS[driver](qtf, solved[1])
+    def test_one_splitting_run_per_pair(self, qtf, admm_runs, driver):
+        report = _PAIR_DRIVERS[driver](qtf)
         assert report.converged and report.gap <= _GAP_TOL
+        assert report.lower <= report.upper
+        assert report.gap == report.upper - report.lower
         assert len(admm_runs) == 1
         assert admm_runs[0].prog.sense == "max"
         assert report.iterations == admm_runs[0].iterations > 0
@@ -510,7 +405,7 @@ class TestOneRunPerPair:
         prog = sdp._robustness_primal(
             sdp._SlotGeometry(setup), restricted_witness_projector(setup) if restricted else None
         )
-        point = report.extras["primal_report"].extras["solution"]
+        point = report.extras["upper_point"]
         assert set(point) == {blk.name for blk in prog.blocks}
         for row in prog.matrix_rows:
             lhs = sum(coeff * point[name] for name, coeff in row.coeffs.items())
@@ -523,8 +418,8 @@ class TestOneRunPerPair:
             else:
                 assert np.linalg.norm(m - blk.project(m)) <= 1e-9, blk.name
         upper = np.trace(point["T"]).real / setup.trace_target
-        assert report.primal_value == pytest.approx(upper, abs=1e-12)
-        assert report.dual_value <= report.primal_value <= report.dual_value + _GAP_TOL
+        assert report.upper == pytest.approx(upper, abs=1e-12)
+        assert report.lower <= report.upper <= report.lower + _GAP_TOL
 
 
 class TestComplementBasis:
@@ -549,8 +444,8 @@ class TestConeValue:
             s.matrix / qtf.trace_target, qtf.op.layout, geom_spans, qtf.trace_target
         )
         assert report.converged
-        assert abs(report.primal_value - qtf.trace_target) <= 1e-4
-        assert abs(report.dual_value - qtf.trace_target) <= 1e-4
+        assert abs(report.upper - qtf.trace_target) <= 1e-4
+        assert abs(report.lower - qtf.trace_target) <= 1e-4
 
     def test_definite_value_stays_below_general(self, qtf):
         s = subspace_project(qtf, ConeId.GENERAL)
@@ -562,7 +457,7 @@ class TestConeValue:
             s.matrix / qtf.trace_target, qtf.op.layout, spans, qtf.trace_target
         )
         assert report.converged
-        assert report.primal_value < qtf.trace_target - 0.5
+        assert report.upper < qtf.trace_target - 0.5
         parts = report.extras["parts"]
         total = sum(np.trace(p.matrix).real for p in parts.values())
         assert abs(total - qtf.trace_target) <= 1e-9

@@ -291,7 +291,7 @@ class TestEstimator:
         terms = decompose_witness(w_opt)
         probs = born_probabilities(qtf, terms)
         estimate = estimate_robustness(terms, probs)
-        assert estimate == pytest.approx(report.dual_value, abs=1e-6)
+        assert estimate == pytest.approx(report.lower, abs=1e-6)
         assert estimate == pytest.approx(0.4007, abs=_VALUE_TOL)
 
     def test_restricted_estimate_matches_sdp_value(self, qtf, solved_restricted):
@@ -299,7 +299,7 @@ class TestEstimator:
         terms = decompose_witness(w_res, restricted=True)
         probs = born_probabilities(qtf, terms)
         estimate = estimate_robustness(terms, probs)
-        assert estimate == pytest.approx(report.dual_value, abs=1e-6)
+        assert estimate == pytest.approx(report.lower, abs=1e-6)
         assert estimate == pytest.approx(0.1716, abs=_VALUE_TOL)
 
     def test_restricted_probabilities_are_exact_marginals(self, qtf, solved_restricted):
@@ -360,7 +360,7 @@ class TestPoissonResampler:
         terms = decompose_witness(w_opt)
         probs = born_probabilities(qtf, terms)
         mean, spread = poisson_resample(terms, probs, shots=10**7, repetitions=100, seed=0)
-        assert mean == pytest.approx(report.dual_value, abs=1e-3)
+        assert mean == pytest.approx(report.lower, abs=1e-3)
         assert spread < 1e-3
 
     def test_input_validation(self):
