@@ -29,7 +29,7 @@ from .game import (
     save_game_report,
     verify_gate_table,
 )
-from .sdp import MAX_ITER, RESIDUAL_TOL, solve_max_robustness
+from .sdp import MAX_ITER, RESIDUAL_TOL, restricted_witness_projector, solve_max_robustness
 from .supermaps import ConeId, SetupOperator, check_setup, load_setup, qtf_plus_control
 from .tensor_core import atomic_write_text, load_operator, save_operator
 from .witness import (
@@ -130,6 +130,11 @@ def cmd_robustness(args: argparse.Namespace) -> int:
         setup = _load_setup_arg(args.setup)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"cannot load setup {args.setup!r}: {exc}", EXIT_IO)
+    if args.restricted:
+        try:
+            restricted_witness_projector(setup)
+        except ValueError as exc:
+            return _fail(f"--restricted does not apply to setup {args.setup!r}: {exc}", EXIT_IO)
 
     tol = _resolve_tol(args.tol, RESIDUAL_TOL)
     report, witness = solve_max_robustness(

@@ -650,11 +650,10 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
 
 def _restricted_dual_interior(geom: _SlotGeometry) -> dict[str, np.ndarray]:
     """A strictly feasible witness of the restricted form, recentered inside
-    both direction cones by a traceless component on the global input."""
+    both direction cones by a traceless component on the global input (one
+    qubit, as `restricted_witness_projector` has checked)."""
     layout, n, dd = geom.layout, geom.n, geom.dd
     gin = geom.setup.labels(ROLE_GLOBAL_INPUT)
-    if len(gin) != 1 or layout.dim(gin[0]) != 2:
-        raise ValueError("the restricted witness form needs a single qubit global input")
     mats = {lab: np.eye(layout.dim(lab), dtype=complex) for lab in layout.labels}
     mats[gin[0]] = np.diag([1.0, 0.0]).astype(complex)
     p0_full = reduce(np.kron, [mats[lab] for lab in layout.labels])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -124,3 +125,13 @@ def definite_mixture(rng, template) -> SetupOperator:
     lam = rng.uniform(0.15, 0.85)
     mixed = lam * fwd.op.matrix + (1 - lam) * bwd.op.matrix
     return SetupOperator(HermitianOperator(layout, mixed), template.roles)
+
+
+def rotated(setup) -> SetupOperator:
+    """A five-wire setup conjugated by a fixed complex diagonal unitary on
+    B_it, B_ot, B_oc: the same robustness, but complex data."""
+    phases = [np.diag([1.0, np.exp(1j * t)]) for t in (0.7, -1.3, 2.1)]
+    u = np.kron(np.eye(4), reduce(np.kron, phases))
+    return SetupOperator(
+        HermitianOperator(setup.op.layout, u @ setup.op.matrix @ u.conj().T), setup.roles
+    )

@@ -15,8 +15,14 @@ import timeflip
 from timeflip import cli
 from timeflip.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from timeflip.game import builtin_gate_sets, save_gate_pairs
-from timeflip.supermaps import qtf_plus_control, setup_to_dict
-from timeflip.tensor_core import HermitianOperator, operator_to_dict, qubits, save_operator
+from timeflip.supermaps import SetupOperator, qtf_plus_control, save_setup, setup_to_dict
+from timeflip.tensor_core import (
+    HermitianOperator,
+    SystemLayout,
+    operator_to_dict,
+    qubits,
+    save_operator,
+)
 from timeflip.witness import load_decomposition, load_probabilities
 
 _VALUE_TOL = 5e-3
@@ -262,19 +268,37 @@ class TestValidate:
         assert payload["general"]["trace"] == pytest.approx(4.0, abs=1e-12)
 
 
+# corruptions of one setup entry, re[3][5]: (id prefix, new value, message)
+_SETUP_CORRUPTIONS = (
+    ("", lambda v: float("nan"), "non-finite 're' entry nan at [3, 5]"),
+    ("asymmetric-", lambda v: v + 0.3, "matrix is not Hermitian (max asymmetry 3.000e-01)"),
+)
+
+
 class TestBadInput:
-    @pytest.mark.parametrize("argv", [
-        ("robustness",),
-        ("validate",),
-        ("probabilities",),
+    @pytest.mark.parametrize("argv, corrupt, message", [
+        pytest.param(argv, corrupt, message, id=f"{prefix}argv{k}")
+        for prefix, corrupt, message in _SETUP_CORRUPTIONS
+        for k, argv in enumerate([("robustness",), ("validate",), ("probabilities",)])
     ])
-    def test_nan_setup_is_an_io_error(self, tmp_path, capsys, argv):
+    def test_nan_setup_is_an_io_error(self, tmp_path, capsys, argv, corrupt, message):
         record = setup_to_dict(qtf_plus_control())
-        record["re"][3][5] = float("nan")
+        record["re"][3][5] = corrupt(record["re"][3][5])
         path = tmp_path / "setup.json"
         path.write_text(json.dumps(record))
         assert _run(*argv, "--setup", str(path)) == EXIT_IO
-        assert "non-finite 're' entry nan at [3, 5]" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_restricted_needs_a_qubit_global_input(self, tmp_path, capsys):
+        layout = SystemLayout((("G", 3), ("A_I", 2), ("A_O", 2), ("Go", 2)))
+        roles = {"G": "global-input", "A_I": "slot-input", "A_O": "slot-output",
+                 "Go": "global-output"}
+        n = layout.total_dim
+        path = tmp_path / "qutrit.json"
+        save_setup(str(path), SetupOperator(HermitianOperator(layout, 6.0 / n * np.eye(n)), roles))
+        assert _run("robustness", "--restricted", "--setup", str(path)) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "--restricted" in err and "one qubit global input" in err
 
     def test_inf_witness_is_an_io_error(self, tmp_path, capsys):
         from timeflip.witness import WIRE_LABELS

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import json
-from functools import reduce
 
 import numpy as np
 import pytest
 
-from helpers import definite_mixture, random_fixed_direction
+from helpers import definite_mixture, random_fixed_direction, rotated
 from timeflip import sdp
 from timeflip.sdp import (
     Block,
@@ -295,29 +294,6 @@ def _guard_program() -> ConicProgram:
     )
 
 
-@pytest.fixture
-def admm_runs(monkeypatch):
-    """Record every splitting run that starts."""
-    runs = []
-
-    class Recording(sdp._Admm):
-        def __init__(self, prog, *args, **kwargs):
-            super().__init__(prog, *args, **kwargs)
-            runs.append(self)
-
-    monkeypatch.setattr(sdp, "_Admm", Recording)
-    return runs
-
-
-def _rotated(qtf):
-    """qtf conjugated by a fixed complex diagonal unitary on B_it, B_ot, B_oc."""
-    phases = [np.diag([1.0, np.exp(1j * t)]) for t in (0.7, -1.3, 2.1)]
-    u = np.kron(np.eye(4), reduce(np.kron, phases))
-    return SetupOperator(
-        HermitianOperator(qtf.op.layout, u @ qtf.op.matrix @ u.conj().T), qtf.roles
-    )
-
-
 def _definite_spans(qtf):
     return {
         "forward": setup_span_projector(qtf, ConeId.FORWARD),
@@ -327,11 +303,10 @@ def _definite_spans(qtf):
 
 class TestArithmetic:
     def test_real_and_complex_paths_agree(self, qtf, admm_dtypes):
-        rotated = _rotated(qtf)
         real_report, _ = solve_max_robustness(qtf)
         assert {dtype for _, dtype in admm_dtypes} == {np.dtype(float)}
         admm_dtypes.clear()
-        complex_report, _ = solve_max_robustness(rotated)
+        complex_report, _ = solve_max_robustness(rotated(qtf))
         assert {dtype for _, dtype in admm_dtypes} == {np.dtype(complex)}
         assert real_report.gap <= _GAP_TOL and complex_report.gap <= _GAP_TOL
         assert abs(real_report.lower - complex_report.lower) <= 1e-6
@@ -394,7 +369,7 @@ class TestOneRunPerPair:
     @pytest.mark.parametrize("case", ["qtf", "restricted", "rotated"])
     def test_min_side_point_is_exactly_feasible(self, qtf, request, case):
         if case == "rotated":
-            setup = _rotated(qtf)
+            setup = rotated(qtf)
             report, _ = solve_max_robustness(setup)
         else:
             setup = qtf

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian_operator
+from helpers import random_hermitian_operator, rotated
 from timeflip.sdp import solve_max_robustness
 from timeflip.supermaps import (
     ConeId,
@@ -28,12 +28,14 @@ from timeflip.tensor_core import (
     tensor_product,
 )
 from timeflip.witness import (
+    CERTIFICATE_TOL,
     STATE_KETS,
     WIRE_LABELS,
     DecompositionTerm,
     ProbabilityRecord,
     Witness,
     born_probabilities,
+    certificate_residuals,
     decompose_witness,
     estimate_robustness,
     experiment_layout,
@@ -418,6 +420,29 @@ class TestValidateWitness:
         spoiled = cert["forward-part"] + identity(experiment_layout()) * 0.1
         with pytest.raises(ValueError, match="certificate"):
             Witness(op=w_opt, certificate=(w0, w_opt - w0, spoiled, cert["backward-part"]))
+
+    def test_one_splitting_run(self, solved, admm_runs):
+        _, w_opt = solved
+        report = validate_witness(w_opt)
+        assert report.valid and report.certificate_ok
+        assert len(admm_runs) == 1
+        assert admm_runs[0].prog.sense == "max"
+
+    @pytest.mark.parametrize("case", ["qtf", "restricted", "rotated"])
+    def test_certificate_is_the_floor_dual_point(self, qtf, request, case):
+        if case == "rotated":
+            _, w = solve_max_robustness(rotated(qtf))
+        else:
+            _, w = request.getfixturevalue("solved_restricted" if case == "restricted" else "solved")
+        report = validate_witness(w)
+        assert report.valid and report.certificate_ok
+        w0, w1, _, _ = report.certificate
+        assert not np.any(w0.matrix)
+        assert np.array_equal(w1.matrix, w.matrix)
+        residuals = certificate_residuals(w, report.certificate)
+        for name, res in residuals.items():
+            assert res <= CERTIFICATE_TOL, name
+            assert report.residuals[name] == res
 
     def test_report_dict_is_json_safe(self):
         import json
