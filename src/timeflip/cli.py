@@ -117,6 +117,16 @@ def _load_setup_arg(name: str) -> SetupOperator:
     return load_setup(name)
 
 
+def _check_restricted(name: str, setup: SetupOperator) -> int | None:
+    """Exit status for a --restricted run on a setup the restricted witness
+    form does not fit, None when it fits."""
+    try:
+        restricted_witness_projector(setup)
+    except ValueError as exc:
+        return _fail(f"--restricted does not apply to setup {name!r}: {exc}", EXIT_IO)
+    return None
+
+
 def _write_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
@@ -130,11 +140,8 @@ def cmd_robustness(args: argparse.Namespace) -> int:
         setup = _load_setup_arg(args.setup)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"cannot load setup {args.setup!r}: {exc}", EXIT_IO)
-    if args.restricted:
-        try:
-            restricted_witness_projector(setup)
-        except ValueError as exc:
-            return _fail(f"--restricted does not apply to setup {args.setup!r}: {exc}", EXIT_IO)
+    if args.restricted and (status := _check_restricted(args.setup, setup)) is not None:
+        return status
 
     tol = _resolve_tol(args.tol, RESIDUAL_TOL)
     report, witness = solve_max_robustness(
@@ -175,6 +182,8 @@ def cmd_probabilities(args: argparse.Namespace) -> int:
         if args.decomposition_in:
             terms = load_decomposition(args.decomposition_in)
         else:
+            if args.restricted and (status := _check_restricted(args.setup, setup)) is not None:
+                return status
             report, witness = solve_max_robustness(setup, tol=tol, restricted=args.restricted)
             if not report.converged:
                 return _fail_uncertified(report)
@@ -336,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="confine the witness to the accessible subspace")
     rob.add_argument("--tol", type=float, default=None)
     rob.add_argument("--max-iter", type=int, default=MAX_ITER,
-                     help="splitting iterations of the one run per certified pair")
+                     help="splitting iterations of the one run per certified pair, "
+                          "rejected accelerated steps included")
     rob.add_argument("--out", help="write the solve report as JSON")
     rob.add_argument("--witness-out", help="write the optimal witness operator")
     rob.add_argument("--decomposition-out",

@@ -7,10 +7,13 @@ blocks of a program as (k, n, n) stacks and alternates an exact affine
 projection (a precomputed k x k operator on the block index plus an offset,
 with a low-rank correction for scalar rows) with the cone projections (one
 stacked eigendecomposition clips every positive semidefinite block; subspace
-blocks apply their projectors).  A program invariant under complex
-conjugation runs in real float64 arithmetic, any other in complex: from the
-zero start the complex iterates of an invariant program stay real symmetric,
-so the choice changes the cost of an iteration, not the iteration.
+blocks apply their projectors).  The iteration is run as a fixed-point map on
+one stack, with safeguarded type-II Anderson acceleration: an extrapolated
+point whose fixed-point residual exceeds the last accepted point's is dropped
+for the plain step.  A program invariant under complex conjugation runs in real float64
+arithmetic, any other in complex: from the zero start the complex iterates of
+an invariant program stay real symmetric, so the choice changes the cost of
+an iteration, not the iteration.
 
 Every program built here carries a polish step that converts an approximate
 point into an *exactly feasible* point of its own side; a bound is certified
@@ -18,9 +21,13 @@ when its point was polished.  A matched (min, max) pair is certified by one
 splitting run, on the max side: the scaled multipliers of that run,
 s_k = -rho * u_k, lie in the dual cone of each block and are the min side's
 variables (each min-side program names its blocks' sources in `slack_map`).
-Both points are polished, so by weak duality the min side's value is a
-certified `upper` bound on the shared optimum and the max side's a certified
-`lower` bound; every solve returns one `SolveReport` holding that bracket.
+Every CHECKPOINT iterations both points are polished, so by weak duality the
+min side's value is a certified `upper` bound on the shared optimum and the
+max side's a certified `lower` bound.  The run stops at the first checkpoint
+where the split residuals are within the tolerance and the gap within the gap
+tolerance (or where a caller's own decision rule holds), and gives up early
+when the gap has stopped falling; every solve returns one `SolveReport`
+holding the bracket.
 """
 
 from __future__ import annotations
@@ -51,6 +58,11 @@ from .tensor_core import (
 RESIDUAL_TOL = 1e-6
 GAP_TOL = 1e-4
 MAX_ITER = 50000
+# a certified pair polishes both sides every CHECKPOINT iterations, and gives
+# up when its least gap fell by less than STALL_DROP over STALL_WINDOW
+CHECKPOINT = 50
+STALL_WINDOW = 1000
+STALL_DROP = 0.01
 
 
 # -- program description -------------------------------------------------------
@@ -125,9 +137,12 @@ class SolveReport:
     side (`upper` for a min program, `lower` for a max program) and leaves
     the other at +inf or -inf, so it never claims a finite gap.  `converged`
     means the split residuals are at most the tolerance and, for a pair, also
-    that the gap is at most the gap tolerance.  `extras` holds the polished
-    points, `upper_point` and `lower_point` (block name -> matrix), next to
-    the polish diagnostics and whatever the driver adds.
+    that the gap is at most the gap tolerance (or that the caller's decision
+    rule held, for a pair run with one).  `iterations` counts every
+    evaluation of the splitting map, rejected extrapolations included.
+    `extras` holds the polished points, `upper_point` and `lower_point`
+    (block name -> matrix), next to the polish diagnostics and whatever the
+    driver adds.
     """
 
     upper: float
@@ -200,7 +215,8 @@ def _conjugation_invariant(prog: ConicProgram) -> bool:
 
 
 class _Admm:
-    """Consensus ADMM over the k blocks of a program, held as (k, n, n) stacks.
+    """Consensus ADMM over the k blocks of a program, held as (k, n, n) stacks
+    and run as a fixed-point iteration with safeguarded Anderson acceleration.
 
     The affine set {A x = b} mixes operator rows (one real coefficient per
     block, applied entrywise) and scalar rows.  Without scalar rows the
@@ -212,12 +228,35 @@ class _Admm:
     cone step clips every positive semidefinite block with one stacked
     eigendecomposition and applies each subspace block's projector.
 
+    The state is one stack, the Douglas-Rachford variable w.  One evaluation
+    of the map T projects z = P_K(w), takes the scaled multipliers u = w - z
+    and the affine point x = P_A(z - u - cost/rho), and returns
+    T(w) = w + alpha (x - z), the over-relaxed ADMM step.  The split
+    residuals come from that one evaluation: r is the distance of the cone
+    point z from the affine set, and s is rho times the part of x - z along
+    the affine set, which is the distance of the slacks -rho u (exact
+    dual-cone points) from their own affine set.  Every 25 iterations rho is
+    rebalanced toward r ~ s.
+
+    Type-II Anderson acceleration (Walker and Ni, SIAM J. Numer. Anal. 49,
+    2011) extrapolates from the last MEMORY differences of T and of the
+    fixed-point residual g = T(w) - w, held in preallocated ring buffers
+    whose Gram matrix gains one row per evaluation.  The safeguard (as in
+    Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30, 2020): an extrapolated
+    point whose ||g|| exceeds that of the last accepted point is dropped,
+    the run restarts from the plain step T of the last accepted point and
+    the memory is cleared; a rho change clears it too.  Every evaluation,
+    a rejected one included, counts as an iteration.
+
     The iterates are real symmetric (float64) when the program is invariant
     under complex conjugation (`_conjugation_invariant`), complex Hermitian
     otherwise.  From the zero start, the complex iteration on an invariant
     program never leaves the real symmetric matrices, up to rounding, so the
     real iterates are the same iteration in cheaper arithmetic.
     """
+
+    MEMORY = 5
+    REGULARIZATION = 1e-10
 
     def __init__(self, prog: ConicProgram, rho: float = 1.0, alpha: float = 1.7):
         self.prog = prog
@@ -231,8 +270,29 @@ class _Admm:
         self.alpha = alpha
         self.x = self.z = self.u = self._stack({})
         self.iterations = 0
-        self.r_norm = self.s_norm = np.inf
+        self._shift = self.cost / rho
+        self._d_norm, self._split = np.inf, (np.inf, np.inf)
         self._prepare_affine()
+        # the next point to evaluate, whether it is extrapolated, and the
+        # factor a rho change still owes its multipliers
+        self._next = self._stack({})
+        self._extrapolated = False
+        self._rescale = 1.0
+        # T, g and ||g|| at the last accepted point (T is None after a rho
+        # change), and the ring buffers of their differences
+        self._f = self._g = None
+        self._g_norm = np.inf
+        shape = (self.MEMORY, *self.x.shape)
+        self._df = np.zeros(shape, dtype=self.dtype)
+        self._dg = np.zeros(shape, dtype=self.dtype)
+        # the same buffers as flat rows, the dG rows as real numbers, so a
+        # matrix product takes real Hilbert-Schmidt inner products
+        self._df_rows = self._df.reshape(self.MEMORY, -1)
+        self._dg_rows = self._dg.reshape(self.MEMORY, -1).view(float)
+        # Gram matrix of the dG and their products <dG_i, g> with the last g
+        self._gram = np.zeros((self.MEMORY, self.MEMORY))
+        self._h = np.zeros(self.MEMORY)
+        self._filled = self._slot = 0
 
     def _cast(self, m: np.ndarray) -> np.ndarray:
         return np.real(m) if self.dtype is float else m
@@ -273,20 +333,22 @@ class _Admm:
         rhs = np.array([self._cast(np.asarray(row.rhs)) for row in prog.matrix_rows])
         self.op = np.eye(k) - a_pinv @ a
         self.offset = np.tensordot(a_pinv, rhs.reshape(-1, n, n), axes=1).astype(self.dtype)
-        self.theta = np.array([self._stack(row.weights) for row in prog.scalar_rows])
+        # scalar rows as flat rows over the stack: conj(theta_m) and phi_m
+        theta = np.array([self._stack(row.weights).reshape(-1) for row in prog.scalar_rows])
         self.beta = np.array([row.rhs for row in prog.scalar_rows], dtype=float)
-        if len(self.theta):
-            self.phi = np.moveaxis(np.tensordot(self.op, self.theta, axes=(1, 1)), 0, 1)
-            schur = np.tensordot(self.phi.conj(), self.phi, axes=((1, 2, 3), (1, 2, 3))).real
+        if len(theta):
+            self.theta_h = theta.conj()
+            self.phi = np.array([(self.op @ t.reshape(k, -1)).reshape(-1) for t in theta])
+            schur = (self.phi.conj() @ self.phi.T).real
             if np.linalg.cond(schur) > 1e10:
                 raise ValueError(f"{prog.name}: scalar rows are numerically dependent")
             self.schur_inv = np.linalg.inv(schur)
 
     def _project_affine(self, v: np.ndarray) -> np.ndarray:
-        x = np.tensordot(self.op, v, axes=1) + self.offset
-        if len(self.theta):
-            res = np.tensordot(self.theta.conj(), x, axes=3).real - self.beta
-            x = x - np.tensordot(self.schur_inv @ res, self.phi, axes=1)
+        x = (self.op @ v.reshape(len(v), -1)).reshape(v.shape) + self.offset
+        if len(self.beta):
+            res = (self.theta_h @ x.reshape(-1)).real - self.beta
+            x -= ((self.schur_inv @ res) @ self.phi).reshape(x.shape)
         return x
 
     def _project_cone(self, m: np.ndarray) -> np.ndarray:
@@ -298,29 +360,116 @@ class _Admm:
         return m
 
     def step(self) -> None:
-        x = self._project_affine(self.z - self.u - self.cost / self.rho)
-        relaxed = self.alpha * x + (1 - self.alpha) * self.z
-        z = self._project_cone(relaxed + self.u)
-        self.u = self.u + relaxed - z
-        self.r_norm = float(np.linalg.norm(x - z))
-        self.s_norm = self.rho * float(np.linalg.norm(z - self.z))
+        """Evaluate T at the next point, then accept the point or drop it."""
+        w = self._next
+        z = self._project_cone(w.copy())
+        u = w - z
+        if self._rescale != 1.0:
+            u *= self._rescale
+            w = z + u
+            self._rescale = 1.0
+        x = self._project_affine(z - u - self._shift)
+        d = x - z
+        d_norm = float(np.linalg.norm(d))
+        self.iterations += 1
+        if self._extrapolated and self.alpha * d_norm > self._g_norm:
+            # safeguard: restart from the plain step of the last accepted
+            # point, which stays the base of the next difference
+            self._next, self._extrapolated = self._f, False
+            self._forget()
+            return
         # polishes read blocks of x and z as views; nothing may write into them
         x.flags.writeable = z.flags.writeable = False
-        self.x, self.z = x, z
-        self.iterations += 1
-        if self.iterations % 25 == 0:
-            if self.r_norm > 10 * self.s_norm and self.rho < 1e5:
-                self.rho *= 2.0
-                self.u = self.u / 2.0
-            elif self.s_norm > 10 * self.r_norm and self.rho > 1e-5:
-                self.rho /= 2.0
-                self.u = self.u * 2.0
+        self.x, self.z, self.u = x, z, u
+        self._d_norm, self._split = d_norm, None
+        g = d
+        g *= self.alpha  # the fixed-point residual T(w) - w, in place
+        f = g + w
+        if self._f is not None:
+            self._remember(f, g)
+        self._f, self._g, self._g_norm = f, g, self.alpha * d_norm
+        factor = self._rebalance() if self.iterations % 25 == 0 else 1.0
+        if factor != 1.0:
+            # T changes with rho: evaluate the plain step next, its
+            # multipliers rescaled like the current ones, with a fresh memory
+            self.rho *= factor
+            self._shift = self.cost / self.rho
+            self.u = self.u / factor
+            self._rescale = 1.0 / factor
+            self._next, self._extrapolated = f, False
+            self._f = self._g = None
+            self._forget()
+        else:
+            self._next, self._extrapolated = self._extrapolate(f)
+
+    @property
+    def split(self) -> tuple[float, float]:
+        """The split residuals (r, s) of the last accepted evaluation: r is
+        the distance of z from the affine set, s is rho times the distance of
+        x from the affine projection of z.  The two are the orthogonal parts
+        of x - z, so r^2 + (s/rho)^2 = ||x - z||^2."""
+        if self._split is None:
+            p = self._project_affine(self.z)
+            self._split = (
+                float(np.linalg.norm(self.z - p)),
+                self.rho * float(np.linalg.norm(self.x - p)),
+            )
+        return self._split
+
+    def met(self, tol: float) -> bool:
+        """Whether both split residuals are <= tol, skipping the affine
+        projection when ||x - z|| already rules it out."""
+        if self._split is None and self._d_norm > tol * np.sqrt(1.0 + self.rho**-2):
+            return False
+        return max(self.split) <= tol
+
+    def _rebalance(self) -> float:
+        """The factor on rho that moves the split residuals toward balance."""
+        r, s = self.split
+        if r > 10 * s and self.rho < 1e5:
+            return 2.0
+        if s > 10 * r and self.rho > 1e-5:
+            return 0.5
+        return 1.0
+
+    def _remember(self, f: np.ndarray, g: np.ndarray) -> None:
+        """Store the differences from the last accepted T and g in the ring,
+        over the oldest pair when it is full, with their row of the Gram
+        matrix and the products of every stored dG with the new g."""
+        j = self._slot
+        np.subtract(f, self._f, out=self._df[j])
+        np.subtract(g, self._g, out=self._dg[j])
+        self._slot = (j + 1) % self.MEMORY
+        self._filled = m = min(self._filled + 1, self.MEMORY)
+        rows = self._dg_rows[:m]
+        row = rows @ rows[j]
+        self._gram[j, :m] = row
+        self._gram[:m, j] = row
+        # g = old g + dG_j, so each older <dG_i, g> gains <dG_i, dG_j>
+        self._h[:m] += row
+        self._h[j] = rows[j] @ g.reshape(-1).view(float)
+
+    def _forget(self) -> None:
+        self._filled = self._slot = 0
+
+    def _extrapolate(self, f: np.ndarray) -> tuple[np.ndarray, bool]:
+        """The type-II Anderson point T(w) - dF gamma, gamma the regularized
+        least-squares fit of the last g by the residual differences dG."""
+        m = self._filled
+        if m == 0:
+            return f, False
+        gram = self._gram[:m, :m]
+        reg = self.REGULARIZATION * gram.diagonal().sum()
+        if reg <= 0.0:
+            return f, False
+        gamma = np.linalg.solve(gram + reg * np.eye(m), self._h[:m])
+        return f - (gamma @ self._df_rows[:m]).reshape(f.shape), True
 
     def run(self, tol: float, max_iter: int) -> None:
         start = self.iterations
         while self.iterations - start < max_iter:
             self.step()
-            if self.r_norm <= tol and self.s_norm <= tol:
+            if self.met(tol):
                 break
 
 
@@ -377,7 +526,7 @@ def solve(prog: ConicProgram, tol: float = RESIDUAL_TOL, max_iter: int = MAX_ITE
         value, point, extras = prog.value_at(admm.zs), admm.zs, {}
     side = "upper" if prog.sense == "min" else "lower"
     bounds = {"upper": np.inf, "lower": -np.inf, side: value}
-    split = (admm.r_norm, admm.s_norm)
+    split = admm.split
     return SolveReport(
         **bounds,
         iterations=admm.iterations,
@@ -393,32 +542,48 @@ def _solve_pair(
     tol: float,
     gap_tol: float,
     max_iter: int,
+    done: Callable[[float, float], bool] | None = None,
 ) -> SolveReport:
     """Certify a matched (min, max) pair with one splitting run, on the max
-    side, tightening its tolerance until the certified values bracket the
-    shared optimum within gap_tol.
+    side, checkpointed every CHECKPOINT iterations.
 
-    After each stage the max side's iterate and its slacks mapped by
+    At each checkpoint the max side's iterate and its slacks mapped by
     `min_prog.slack_map` are polished into exactly feasible points of their
     own sides: the min side's value is the certified `upper` bound on the
-    optimum, the max side's the certified `lower` bound.  The report holds
-    both polished points and both sides' polish diagnostics in `extras`, and
-    both sides' residuals under the prefixes "primal:" (min side) and
-    "dual:" (max side).  `converged` means both split residuals are <= tol
-    and the gap is <= gap_tol.
+    optimum, the max side's the certified `lower` bound.  A checkpoint also
+    comes early when both split residuals first drop to tol.  The run stops
+    converged at the first checkpoint where both split residuals are <= tol
+    and the gap is <= gap_tol, or, when `done` is given, where
+    done(upper, lower) holds instead.  It stops unconverged at max_iter, or
+    when the gap is above gap_tol and the least gap seen has fallen by less
+    than STALL_DROP over the last STALL_WINDOW iterations.
+
+    The report holds the last checkpoint's bounds, both polished points and
+    both sides' polish diagnostics in `extras`, and both sides' residuals
+    under the prefixes "primal:" (min side) and "dual:" (max side).
     """
     admm = _Admm(max_prog)
-    current = tol
+    best: list[tuple[int, float]] = []  # (iterations, least gap so far) per checkpoint
+    stop_tol = tol
     while True:
-        admm.run(current, max_iter - admm.iterations)
+        checkpoint = (admm.iterations // CHECKPOINT + 1) * CHECKPOINT
+        admm.run(stop_tol, min(checkpoint, max_iter) - admm.iterations)
         v_max, sol_max, ex_max = max_prog.polish(admm.xs, admm.zs)
         slacks = admm.slacks
         point = {name: sign * slacks[src] for name, (src, sign) in min_prog.slack_map.items()}
         v_min, sol_min, ex_min = min_prog.polish(point, point)
-        if v_min - v_max <= gap_tol or admm.iterations >= max_iter or current <= tol * 1e-6:
+        gap = v_min - v_max
+        met = admm.met(tol)
+        converged = done(v_min, v_max) if done is not None else met and gap <= gap_tol
+        if converged or admm.iterations >= max_iter:
             break
-        current /= 10.0
-    split = (admm.r_norm, admm.s_norm)
+        best.append((admm.iterations, min(gap, best[-1][1]) if best else gap))
+        before = [least for it, least in best if it <= admm.iterations - STALL_WINDOW]
+        if gap > gap_tol and before and best[-1][1] > (1 - STALL_DROP) * before[-1]:
+            break
+        # once the residuals are met, only the gap decides: run whole chunks
+        stop_tol = 0.0 if met else tol
+    split = admm.split
     # the run's primal residual is the min side's dual residual, and back
     res_min = _side_residuals(min_prog, sol_min, split[::-1])
     res_max = _side_residuals(max_prog, sol_max, split)
@@ -426,7 +591,7 @@ def _solve_pair(
         upper=v_min,
         lower=v_max,
         iterations=admm.iterations,
-        converged=max(split) <= tol and v_min - v_max <= gap_tol,
+        converged=converged,
         residuals={
             **{f"primal:{k}": v for k, v in res_min.items()},
             **{f"dual:{k}": v for k, v in res_max.items()},
@@ -906,12 +1071,15 @@ def solve_cone_value(
     tol: float = RESIDUAL_TOL,
     max_iter: int = MAX_ITER,
     gap_tol: float = GAP_TOL,
+    done: Callable[[float, float], bool] | None = None,
 ) -> SolveReport:
     """Certified maximum of <target, .> over trace-normalized mixtures of the
     named cones: `upper` bounds the maximum from above and `lower` is
-    attained by an exactly feasible mixture (reported in extras["parts"])."""
+    attained by an exactly feasible mixture (reported in extras["parts"]).
+    `done(upper, lower)`, when given, replaces the residual and gap stop: the
+    run ends converged at the first checkpoint where it holds."""
     bound_prog, value_prog = cone_value_programs(target, layout, spans, trace_target)
-    report = _solve_pair(bound_prog, value_prog, tol, gap_tol, max_iter)
+    report = _solve_pair(bound_prog, value_prog, tol, gap_tol, max_iter, done)
     point = report.extras["lower_point"]
     report.extras["parts"] = {name: HermitianOperator(layout, point[name]) for name in spans}
     return report

@@ -35,6 +35,8 @@ from .tensor_core import (
 WIRE_LABELS = ("A_I", "A_O", "B_it", "B_ot", "B_oc")
 
 CERTIFICATE_TOL = 1e-8
+# trace of a setup on the experiment layout
+_TRACE = 4.0
 ZERO_COEFF_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
 PROBABILITY_TOL = 1e-12
@@ -227,12 +229,17 @@ def validate_witness(w: Witness | HermitianOperator, tol: float = GAP_TOL) -> Wi
     """Check witness validity against the definite-direction cone.
 
     Certifies a lower bound on min Tr(W S') over trace-normalized definite
-    setups S' (validity means the bound is >= -tol).  The bound side's
-    polished point of that pair, N = nu*I and Z_d in the complement of each
-    direction's span with Q_d = nu*I + W - Z_d PSD, is the dual point that
-    certifies the witness: when nu <= 0, (0, W, Z_forward, Z_backward) is a
-    splitting certificate.  A valid witness without an attached certificate
-    gets that one when it meets every identity within CERTIFICATE_TOL.
+    setups S' (validity means the bound is >= -tol).  The floor pair runs
+    until it has decided the certificate question: the certified minimum is
+    at least -dd * CERTIFICATE_TOL (a certificate exists), a definite setup
+    attains less than -tol (the witness is invalid), or the gap is at most
+    dd * CERTIFICATE_TOL (no certificate exists to that tolerance).
+    The bound side's polished point of that pair, N = nu*I and Z_d in the
+    complement of each direction's span with Q_d = nu*I + W - Z_d PSD, is the
+    dual point that certifies the witness: when nu <= 0,
+    (0, W, Z_forward, Z_backward) is a splitting certificate.  A valid
+    witness without an attached certificate gets that one when it meets
+    every identity within CERTIFICATE_TOL.
     """
     wit = _as_witness(w)
     pro = _span_projectors()
@@ -240,16 +247,17 @@ def validate_witness(w: Witness | HermitianOperator, tol: float = GAP_TOL) -> Wi
         "forward": pro[ConeId.FORWARD_SPAN],
         "backward": pro[ConeId.BACKWARD_SPAN],
     }
+    margin = _TRACE * CERTIFICATE_TOL
+
+    def decided(upper: float, lower: float) -> bool:
+        return upper <= margin or lower > tol or upper - lower <= margin
+
     floor = solve_cone_value(
-        -wit.op.matrix,
-        wit.op.layout,
-        spans,
-        trace_target=4.0,
-        gap_tol=max(tol / 2.0, 1e-6),
+        -wit.op.matrix, wit.op.layout, spans, trace_target=_TRACE, gap_tol=margin, done=decided
     )
     min_value = -floor.upper
     attained = -floor.lower
-    valid = bool(floor.converged and min_value >= -tol)
+    valid = bool(min_value >= -tol)
     residuals: dict[str, float] = {"definite-floor-gap": float(floor.gap)}
 
     certificate = wit.certificate

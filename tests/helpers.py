@@ -127,6 +127,13 @@ def definite_mixture(rng, template) -> SetupOperator:
     return SetupOperator(HermitianOperator(layout, mixed), template.roles)
 
 
+def half_definite(rng, template) -> SetupOperator:
+    """0.5 * template + 0.5 * a definite mixture with its roles: a setup whose
+    robustness program the witness form cannot certify (its gap stays flat)."""
+    mixed = 0.5 * template.op.matrix + 0.5 * definite_mixture(rng, template).op.matrix
+    return SetupOperator(HermitianOperator(template.op.layout, mixed), template.roles)
+
+
 def rotated(setup) -> SetupOperator:
     """A five-wire setup conjugated by a fixed complex diagonal unitary on
     B_it, B_ot, B_oc: the same robustness, but complex data."""

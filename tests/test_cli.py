@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import timeflip
+from helpers import half_definite
 from timeflip import cli
 from timeflip.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from timeflip.game import builtin_gate_sets, save_gate_pairs
@@ -100,6 +101,16 @@ class TestRobustness:
         gap = float(re.search(r"^gap (\S+)$", captured.out, re.M).group(1))
         assert gap > 1e-4
         assert re.search(r"worst residual (primal|dual):[\w:-]+ = \d", captured.err)
+
+    def test_flat_gap_exits_early(self, tmp_path, capsys):
+        setup = tmp_path / "half.json"
+        out = tmp_path / "report.json"
+        save_setup(str(setup), half_definite(np.random.default_rng(2), qtf_plus_control()))
+        assert _run("robustness", "--setup", str(setup), "--out", str(out)) == EXIT_FAIL
+        assert "solver did not certify" in capsys.readouterr().err
+        report = json.loads(out.read_text())
+        assert report["converged"] is False and report["gap"] > 1e-4
+        assert report["iterations"] <= 2000
 
     def test_missing_setup_file_is_an_io_error(self, tmp_path):
         assert _run("robustness", "--setup", str(tmp_path / "nope.json")) == EXIT_IO
@@ -296,9 +307,11 @@ class TestBadInput:
         n = layout.total_dim
         path = tmp_path / "qutrit.json"
         save_setup(str(path), SetupOperator(HermitianOperator(layout, 6.0 / n * np.eye(n)), roles))
-        assert _run("robustness", "--restricted", "--setup", str(path)) == EXIT_IO
-        err = capsys.readouterr().err
-        assert "--restricted" in err and "one qubit global input" in err
+        for command in ("robustness", "probabilities"):
+            assert _run(command, "--restricted", "--setup", str(path)) == EXIT_IO, command
+            err = capsys.readouterr().err
+            assert f"--restricted does not apply to setup {str(path)!r}" in err, command
+            assert "one qubit global input" in err, command
 
     def test_inf_witness_is_an_io_error(self, tmp_path, capsys):
         from timeflip.witness import WIRE_LABELS

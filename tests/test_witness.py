@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_hermitian_operator, rotated
-from timeflip.sdp import solve_max_robustness
+from timeflip.sdp import solve_cone_value, solve_max_robustness
 from timeflip.supermaps import (
     ConeId,
     SetupOperator,
     qtf_plus_control,
+    setup_span_projector,
     subspace_project,
 )
 from timeflip.tensor_core import (
@@ -443,6 +444,32 @@ class TestValidateWitness:
         for name, res in residuals.items():
             assert res <= CERTIFICATE_TOL, name
             assert report.residuals[name] == res
+
+    def test_certificate_decided_at_a_tiny_positive_floor(self, qtf, solved):
+        _, w = solved
+        spans = {
+            "forward": setup_span_projector(qtf, ConeId.FORWARD_SPAN),
+            "backward": setup_span_projector(qtf, ConeId.BACKWARD_SPAN),
+        }
+        floor = solve_cone_value(
+            -w.matrix, w.layout, spans, qtf.trace_target, done=lambda upper, lower: upper - lower <= 1e-10
+        )
+        assert floor.converged
+        # shifting by c I/dd shifts the floor by c: this one's is 1e-7
+        target = 1e-7
+        shift = target + (floor.upper + floor.lower) / 2
+        shifted = w + identity(w.layout) * (shift / qtf.trace_target)
+        report = validate_witness(shifted)
+        assert report.valid and report.certificate_ok
+        assert report.min_definite_value <= target + 1e-9
+
+    def test_shifted_below_tolerance_is_invalid(self, qtf, solved):
+        _, w = solved
+        shifted = w - identity(w.layout) * (1e-3 / qtf.trace_target)
+        report = validate_witness(shifted)
+        assert not report.valid and not report.certificate_ok
+        assert report.certificate is None
+        assert report.attained_definite_value < -report.tol
 
     def test_report_dict_is_json_safe(self):
         import json
