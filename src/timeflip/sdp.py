@@ -619,9 +619,6 @@ class _SlotGeometry:
         self.n = layout.total_dim
         self.dd = setup.trace_target
         self.eye = np.eye(self.n, dtype=complex)
-        self.p_uniform = setup_span_projector(setup, ConeId.UNIFORM_GLOBAL_INPUT)
-        self.p_fwd_span = setup_span_projector(setup, ConeId.FORWARD_SPAN)
-        self.p_bwd_span = setup_span_projector(setup, ConeId.BACKWARD_SPAN)
         self.p_general = setup_span_projector(setup, ConeId.GENERAL)
         self.p_forward = setup_span_projector(setup, ConeId.FORWARD)
         self.p_backward = setup_span_projector(setup, ConeId.BACKWARD)
@@ -734,19 +731,21 @@ def _robustness_primal(geom: _SlotGeometry, witness_subspace: Callable | None) -
 
 
 def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> ConicProgram:
-    """max -<S, W> over witnesses W nonnegative on both fixed directions (via
-    the span-orthogonal decomposition) and dominated by I/dd on the general
-    cone."""
+    """max -<S, W> over witnesses W nonnegative on both fixed directions and
+    dominated by I/dd on the general cone.
+
+    W is nonnegative on the definite cone C_F + C_B exactly when it lies in
+    the dual C_F* ∩ C_B*, and each C_d* is the PSD cone plus the orthogonal
+    complement of span(d): W = W_d + P_d with W_d ⟂ span(d) and P_d ⪰ 0, one
+    complement part per direction."""
     n, dd, eye, s = geom.n, geom.dd, geom.eye, geom.s_mat
     restricted = witness_subspace is not None
     zero = np.zeros((n, n), dtype=complex)
-    c_uni = geom.complement(geom.p_uniform)
-    c_fwd = geom.complement(geom.p_fwd_span)
-    c_bwd = geom.complement(geom.p_bwd_span)
+    c_fwd = geom.complement(geom.p_forward)
+    c_bwd = geom.complement(geom.p_backward)
     c_gen = geom.complement(geom.p_general)
     blocks = (
         Block("W", "sub", witness_subspace) if restricted else Block("W", "free"),
-        Block("W_uni", "sub", c_uni),
         Block("W_fwd", "sub", c_fwd),
         Block("W_bwd", "sub", c_bwd),
         Block("P_fwd", "psd"),
@@ -755,8 +754,8 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
         Block("Z", "sub", c_gen),
     )
     rows = (
-        MatrixRow("forward-direction", {"W": 1.0, "W_uni": -1.0, "W_fwd": -1.0, "P_fwd": -1.0}, zero),
-        MatrixRow("backward-direction", {"W": 1.0, "W_uni": -1.0, "W_bwd": -1.0, "P_bwd": -1.0}, zero),
+        MatrixRow("forward-direction", {"W": 1.0, "W_fwd": -1.0, "P_fwd": -1.0}, zero),
+        MatrixRow("backward-direction", {"W": 1.0, "W_bwd": -1.0, "P_bwd": -1.0}, zero),
         MatrixRow("general-domination", {"W": 1.0, "Q": 1.0, "Z": 1.0}, eye / dd),
     )
 
@@ -766,7 +765,6 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
         w0 = eye / (2 * dd)
         interior = {
             "W": w0,
-            "W_uni": zero,
             "W_fwd": zero,
             "W_bwd": zero,
             "P_fwd": w0,
@@ -777,17 +775,15 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
 
     def polish(xs, zs):
         w = _sym(witness_subspace(zs["W"])) if restricted else _sym(zs["W"])
-        w_uni = _sym(c_uni(zs["W_uni"]))
         w_fwd = _sym(c_fwd(zs["W_fwd"]))
         w_bwd = _sym(c_bwd(zs["W_bwd"]))
         z = _sym(c_gen(eye / dd - w - zs["Q"]))
         point = {
             "W": w,
-            "W_uni": w_uni,
             "W_fwd": w_fwd,
             "W_bwd": w_bwd,
-            "P_fwd": w - w_uni - w_fwd,
-            "P_bwd": w - w_uni - w_bwd,
+            "P_fwd": w - w_fwd,
+            "P_bwd": w - w_bwd,
             "Q": eye / dd - w - z,
             "Z": z,
         }
@@ -816,8 +812,10 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
 def _restricted_dual_interior(geom: _SlotGeometry) -> dict[str, np.ndarray]:
     """A strictly feasible witness of the restricted form, recentered inside
     both direction cones by a traceless component on the global input (one
-    qubit, as `restricted_witness_projector` has checked)."""
-    layout, n, dd = geom.layout, geom.n, geom.dd
+    qubit, as `restricted_witness_projector` has checked).  That component is
+    orthogonal to the uniform-global-input span, which contains both
+    direction spans, so it serves as either direction's complement part."""
+    layout, dd = geom.layout, geom.dd
     gin = geom.setup.labels(ROLE_GLOBAL_INPUT)
     mats = {lab: np.eye(layout.dim(lab), dtype=complex) for lab in layout.labels}
     mats[gin[0]] = np.diag([1.0, 0.0]).astype(complex)
@@ -825,19 +823,17 @@ def _restricted_dual_interior(geom: _SlotGeometry) -> dict[str, np.ndarray]:
     mats[gin[0]] = np.diag([1.0, -1.0]).astype(complex)
     z_full = reduce(np.kron, [mats[lab] for lab in layout.labels])
     w = p0_full / (2 * dd)
-    w_uni = z_full / (4 * dd)
-    zero = np.zeros((n, n), dtype=complex)
+    w_dir = z_full / (4 * dd)
     # margins: P_fwd = P_bwd = I/(4 dd); Q = I/dd - P0/(2 dd) has least
     # eigenvalue 1/(2 dd)
     return {
         "W": w,
-        "W_uni": w_uni,
-        "W_fwd": zero,
-        "W_bwd": zero,
-        "P_fwd": w - w_uni,
-        "P_bwd": w - w_uni,
+        "W_fwd": w_dir,
+        "W_bwd": w_dir,
+        "P_fwd": w - w_dir,
+        "P_bwd": w - w_dir,
         "Q": geom.eye / dd - w,
-        "Z": zero,
+        "Z": np.zeros_like(w),
     }
 
 
@@ -942,8 +938,11 @@ def solve_max_robustness(
     is a certified lower bound on the robustness (it equals the witness
     expectation of the returned witness), `upper` a certified upper bound
     (the trace of an exactly feasible noise), and `gap` their difference.
-    extras["certificate"] holds the witness's splitting parts.  `restricted`
-    confines the witness to the experimentally accessible subspace.
+    extras["certificate"] is the witness's splitting certificate
+    (W_fwd, W_bwd), in the form `Witness` accepts: W_d is orthogonal to the
+    span of direction d and W - W_d is positive semidefinite; the slacks are
+    in extras["lower_point"].  `restricted` confines the witness to the
+    experimentally accessible subspace.
     """
     geom = _SlotGeometry(setup)
     witness_subspace = restricted_witness_projector(setup) if restricted else None
@@ -952,14 +951,10 @@ def solve_max_robustness(
     report = _solve_pair(primal, dual, tol, gap_tol, max_iter)
     point = report.extras["lower_point"]
     witness = HermitianOperator(geom.layout, point["W"])
-    report.extras["certificate"] = {
-        "uniform-part": HermitianOperator(geom.layout, point["W_uni"]),
-        "forward-part": HermitianOperator(geom.layout, point["W_fwd"]),
-        "backward-part": HermitianOperator(geom.layout, point["W_bwd"]),
-        "forward-slack": HermitianOperator(geom.layout, point["P_fwd"]),
-        "backward-slack": HermitianOperator(geom.layout, point["P_bwd"]),
-        "domination-slack": HermitianOperator(geom.layout, point["Q"]),
-    }
+    report.extras["certificate"] = (
+        HermitianOperator(geom.layout, point["W_fwd"]),
+        HermitianOperator(geom.layout, point["W_bwd"]),
+    )
     report.extras["restricted"] = restricted
     return report, witness
 

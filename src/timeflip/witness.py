@@ -63,15 +63,12 @@ def experiment_layout() -> SystemLayout:
 
 @lru_cache(maxsize=1)
 def _span_projectors() -> dict:
+    """Projectors onto the spans of the forward and backward cones."""
     layout = experiment_layout()
     slots = [SlotSpec(("A_I",), ("A_O",))]
     return {
-        which: span_projector(layout, slots, ("B_it",), ("B_ot", "B_oc"), which)
-        for which in (
-            ConeId.UNIFORM_GLOBAL_INPUT,
-            ConeId.FORWARD_SPAN,
-            ConeId.BACKWARD_SPAN,
-        )
+        name: span_projector(layout, slots, ("B_it",), ("B_ot", "B_oc"), which)
+        for name, which in (("forward", ConeId.FORWARD), ("backward", ConeId.BACKWARD))
     }
 
 
@@ -154,37 +151,38 @@ def certificate_residuals(
 ) -> dict[str, float]:
     """Residuals of the defining identities of a witness certificate.
 
-    A certificate (W0, W1, W2, W3) must satisfy W = W0 + W1 with W0
-    orthogonal to the uniform-global-input span, W1 - W2 and W1 - W3 PSD,
-    and W2, W3 orthogonal to the forward and backward spans respectively.
+    A certificate (Z_forward, Z_backward) puts the witness in the dual of
+    the definite cone, one direction at a time: Z_forward is orthogonal to
+    the span of the forward cone and W - Z_forward is PSD, and likewise for
+    the backward direction.  Then <W, S> = <W - Z_d, S> >= 0 for every
+    setup S of direction d.
     """
-    w0, w1, w2, w3 = certificate
+    z_fwd, z_bwd = certificate
     pro = _span_projectors()
     return {
-        "identity": float(np.linalg.norm(op.matrix - w0.matrix - w1.matrix)),
-        "uniform-membership": float(
-            np.linalg.norm(pro[ConeId.UNIFORM_GLOBAL_INPUT](w0.matrix))
-        ),
-        "forward-membership": float(np.linalg.norm(pro[ConeId.FORWARD_SPAN](w2.matrix))),
-        "backward-membership": float(np.linalg.norm(pro[ConeId.BACKWARD_SPAN](w3.matrix))),
-        "forward-psd": max(0.0, -min_eigenvalue(w1 - w2)),
-        "backward-psd": max(0.0, -min_eigenvalue(w1 - w3)),
+        "forward-membership": float(np.linalg.norm(pro["forward"](z_fwd.matrix))),
+        "backward-membership": float(np.linalg.norm(pro["backward"](z_bwd.matrix))),
+        "forward-psd": max(0.0, -min_eigenvalue(op - z_fwd)),
+        "backward-psd": max(0.0, -min_eigenvalue(op - z_bwd)),
     }
 
 
 @dataclass(frozen=True)
 class Witness:
-    """A candidate witness operator, optionally with its validity certificate."""
+    """A candidate witness operator, optionally with its validity certificate
+    (Z_forward, Z_backward), checked by `certificate_residuals`."""
 
     op: HermitianOperator
-    certificate: tuple[HermitianOperator, ...] | None = None
+    certificate: tuple[HermitianOperator, HermitianOperator] | None = None
 
     def __post_init__(self):
         _require_experiment_layout(self.op.layout, "a witness")
         if self.certificate is not None:
             cert = tuple(self.certificate)
-            if len(cert) != 4:
-                raise ValueError(f"certificate must be a (W0, W1, W2, W3) tuple, got {len(cert)} parts")
+            if len(cert) != 2:
+                raise ValueError(
+                    f"certificate must be a (Z_forward, Z_backward) pair, got {len(cert)} parts"
+                )
             object.__setattr__(self, "certificate", cert)
             bad = {
                 name: res
@@ -203,7 +201,7 @@ class WitnessReport:
     min_definite_value: float
     attained_definite_value: float
     certificate_ok: bool
-    certificate: tuple[HermitianOperator, ...] | None
+    certificate: tuple[HermitianOperator, HermitianOperator] | None
     residuals: Mapping[str, float]
     tol: float
 
@@ -229,24 +227,22 @@ def validate_witness(w: Witness | HermitianOperator, tol: float = GAP_TOL) -> Wi
     """Check witness validity against the definite-direction cone.
 
     Certifies a lower bound on min Tr(W S') over trace-normalized definite
-    setups S' (validity means the bound is >= -tol).  The floor pair runs
+    setups S', that is over mixtures of setups in the exact forward and
+    backward cones (uniform global input and normalization included);
+    validity means the bound is >= -tol.  The floor pair runs
     until it has decided the certificate question: the certified minimum is
     at least -dd * CERTIFICATE_TOL (a certificate exists), a definite setup
     attains less than -tol (the witness is invalid), or the gap is at most
     dd * CERTIFICATE_TOL (no certificate exists to that tolerance).
     The bound side's polished point of that pair, N = nu*I and Z_d in the
     complement of each direction's span with Q_d = nu*I + W - Z_d PSD, is the
-    dual point that certifies the witness: when nu <= 0,
-    (0, W, Z_forward, Z_backward) is a splitting certificate.  A valid
+    dual point that certifies the witness: when nu <= 0, W - Z_d = Q_d - nu*I
+    is PSD and (Z_forward, Z_backward) is a splitting certificate.  A valid
     witness without an attached certificate gets that one when it meets
     every identity within CERTIFICATE_TOL.
     """
     wit = _as_witness(w)
-    pro = _span_projectors()
-    spans = {
-        "forward": pro[ConeId.FORWARD_SPAN],
-        "backward": pro[ConeId.BACKWARD_SPAN],
-    }
+    spans = _span_projectors()
     margin = _TRACE * CERTIFICATE_TOL
 
     def decided(upper: float, lower: float) -> bool:
@@ -262,13 +258,10 @@ def validate_witness(w: Witness | HermitianOperator, tol: float = GAP_TOL) -> Wi
 
     certificate = wit.certificate
     if certificate is None and valid:
-        layout = wit.op.layout
         point = floor.extras["upper_point"]
         certificate = (
-            HermitianOperator(layout, np.zeros_like(wit.op.matrix)),
-            wit.op,
-            HermitianOperator(layout, point["Z_forward"]),
-            HermitianOperator(layout, point["Z_backward"]),
+            HermitianOperator(wit.op.layout, point["Z_forward"]),
+            HermitianOperator(wit.op.layout, point["Z_backward"]),
         )
     certificate_ok = False
     if certificate is not None:

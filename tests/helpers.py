@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 from functools import reduce
 from math import prod
 
 import numpy as np
 
+from timeflip import sdp
 from timeflip.channels import KrausChannel
 from timeflip.supermaps import ConeId, SetupOperator, sequential_setup
 from timeflip.tensor_core import HermitianOperator, SystemLayout, tensor_product
@@ -128,8 +130,10 @@ def definite_mixture(rng, template) -> SetupOperator:
 
 
 def half_definite(rng, template) -> SetupOperator:
-    """0.5 * template + 0.5 * a definite mixture with its roles: a setup whose
-    robustness program the witness form cannot certify (its gap stays flat)."""
+    """0.5 * template + 0.5 * a definite mixture with its roles.  On the qtf
+    template with seed 2 its robustness is 0.0474, and its optimal witness
+    needs a different complement part in each direction: a witness program
+    that shares one part between the directions stalls below that value."""
     mixed = 0.5 * template.op.matrix + 0.5 * definite_mixture(rng, template).op.matrix
     return SetupOperator(HermitianOperator(template.op.layout, mixed), template.roles)
 
@@ -142,3 +146,21 @@ def rotated(setup) -> SetupOperator:
     return SetupOperator(
         HermitianOperator(setup.op.layout, u @ setup.op.matrix @ u.conj().T), setup.roles
     )
+
+
+def shifted_robustness_primal(shift: float):
+    """A stand-in for `sdp._robustness_primal` whose polish reports the noise
+    trace plus `shift`: the certified gap of a robustness pair built on it
+    never falls below `shift`, so it is flat by construction."""
+    original = sdp._robustness_primal
+
+    def build(geom, witness_subspace):
+        prog = original(geom, witness_subspace)
+
+        def polish(xs, zs):
+            value, point, extras = prog.polish(xs, zs)
+            return value + shift, point, extras
+
+        return dataclasses.replace(prog, polish=polish)
+
+    return build

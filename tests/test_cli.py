@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import timeflip
-from helpers import half_definite
-from timeflip import cli
+from helpers import half_definite, shifted_robustness_primal
+from timeflip import cli, sdp
 from timeflip.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from timeflip.game import builtin_gate_sets, save_gate_pairs
 from timeflip.supermaps import SetupOperator, qtf_plus_control, save_setup, setup_to_dict
@@ -102,11 +102,11 @@ class TestRobustness:
         assert gap > 1e-4
         assert re.search(r"worst residual (primal|dual):[\w:-]+ = \d", captured.err)
 
-    def test_flat_gap_exits_early(self, tmp_path, capsys):
-        setup = tmp_path / "half.json"
+    def test_flat_gap_exits_early(self, tmp_path, capsys, monkeypatch):
+        # the min side's polish adds 0.05 to its bound: the gap cannot close
+        monkeypatch.setattr(sdp, "_robustness_primal", shifted_robustness_primal(0.05))
         out = tmp_path / "report.json"
-        save_setup(str(setup), half_definite(np.random.default_rng(2), qtf_plus_control()))
-        assert _run("robustness", "--setup", str(setup), "--out", str(out)) == EXIT_FAIL
+        assert _run("robustness", "--out", str(out)) == EXIT_FAIL
         assert "solver did not certify" in capsys.readouterr().err
         report = json.loads(out.read_text())
         assert report["converged"] is False and report["gap"] > 1e-4
@@ -238,6 +238,18 @@ class TestValidate:
 
     def test_witness_file_certificate(self, artifacts, capsys):
         assert _run("validate", "--witness", artifacts["witness"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "witness valid" in out
+        assert "certificate ok" in out
+
+    def test_witness_with_distinct_direction_parts(self, tmp_path, capsys):
+        # its witness is nonnegative on the definite cone only through a
+        # different complement part per direction
+        setup = tmp_path / "half.json"
+        witness = tmp_path / "witness.json"
+        save_setup(str(setup), half_definite(np.random.default_rng(2), qtf_plus_control()))
+        assert _run("robustness", "--setup", str(setup), "--witness-out", str(witness)) == EXIT_OK
+        assert _run("validate", "--witness", str(witness)) == EXIT_OK
         out = capsys.readouterr().out
         assert "witness valid" in out
         assert "certificate ok" in out

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import definite_mixture, half_definite, random_fixed_direction, rotated
+from helpers import definite_mixture, random_fixed_direction, rotated, shifted_robustness_primal
 from timeflip import sdp
 from timeflip.sdp import (
     Block,
@@ -30,6 +30,7 @@ from timeflip.tensor_core import (
     HermitianOperator,
     hs_inner,
     min_eigenvalue,
+    permute_factors,
     trace_and_replace,
 )
 
@@ -65,6 +66,11 @@ def solved(qtf):
 @pytest.fixture(scope="module")
 def solved_restricted(qtf):
     return solve_max_robustness(qtf, restricted=True)
+
+
+@pytest.fixture(scope="module")
+def solved_rotated(qtf):
+    return solve_max_robustness(rotated(qtf))
 
 
 class TestEngine:
@@ -166,25 +172,21 @@ class TestMaxRobustness:
     def test_certificate_structure(self, qtf, solved):
         report, witness = solved
         cert = report.extras["certificate"]
-        layout = qtf.op.layout
-        eye = np.eye(layout.total_dim)
+        assert isinstance(cert, tuple) and len(cert) == 2
+        assert all(isinstance(part, HermitianOperator) for part in cert)
+        point = report.extras["lower_point"]
+        eye = np.eye(qtf.op.layout.total_dim)
         w = witness.matrix
-        w_uni = cert["uniform-part"].matrix
-        w_fwd = cert["forward-part"].matrix
-        w_bwd = cert["backward-part"].matrix
-        p_fwd = cert["forward-slack"].matrix
-        p_bwd = cert["backward-slack"].matrix
-        q = cert["domination-slack"].matrix
-        assert np.linalg.norm(w - w_uni - w_fwd - p_fwd) <= 1e-9
-        assert np.linalg.norm(w - w_uni - w_bwd - p_bwd) <= 1e-9
+        w_fwd, w_bwd = (part.matrix for part in cert)
+        p_fwd, p_bwd, q = point["P_fwd"], point["P_bwd"], point["Q"]
+        assert np.linalg.norm(w - w_fwd - p_fwd) <= 1e-9
+        assert np.linalg.norm(w - w_bwd - p_bwd) <= 1e-9
         for slack in (p_fwd, p_bwd, q):
             assert min_eigenvalue(slack) >= -1e-11
-        # decomposition parts live in the orthogonal complements of the spans
-        p_uni = setup_span_projector(qtf, ConeId.UNIFORM_GLOBAL_INPUT)
-        p_f = setup_span_projector(qtf, ConeId.FORWARD_SPAN)
-        p_b = setup_span_projector(qtf, ConeId.BACKWARD_SPAN)
+        # each direction's part lives in the orthogonal complement of its span
+        p_f = setup_span_projector(qtf, ConeId.FORWARD)
+        p_b = setup_span_projector(qtf, ConeId.BACKWARD)
         p_e = setup_span_projector(qtf, ConeId.GENERAL)
-        assert np.linalg.norm(p_uni(w_uni)) <= 1e-9
         assert np.linalg.norm(p_f(w_fwd)) <= 1e-9
         assert np.linalg.norm(p_b(w_bwd)) <= 1e-9
         z = eye / qtf.trace_target - w - q
@@ -348,6 +350,38 @@ class TestArithmetic:
         assert abs(inner) <= 1e-10 * np.linalg.norm(v) * np.linalg.norm(direction)
 
 
+def _same_robustness(a, b):
+    # both brackets hold the optimum, so their lower bounds differ by at
+    # most the wider gap
+    assert a.converged and b.converged
+    assert abs(a.lower - b.lower) <= max(a.gap, b.gap) + 1e-6
+
+
+class TestInvariance:
+    def test_complex_conjugation(self, qtf, solved_rotated):
+        setup = rotated(qtf)
+        conjugated = SetupOperator(
+            HermitianOperator(setup.op.layout, setup.op.matrix.conj()), setup.roles
+        )
+        report, _ = solve_max_robustness(conjugated)
+        _same_robustness(report, solved_rotated[0])
+
+    def test_global_output_wires_reordered(self, qtf, solved):
+        order = ("A_I", "A_O", "B_it", "B_oc", "B_ot")
+        swapped = SetupOperator(permute_factors(qtf.op, order), qtf.roles)
+        assert swapped.op.layout.labels == order
+        report, _ = solve_max_robustness(swapped)
+        _same_robustness(report, solved[0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bounds_ordered_on_random_setups(self, qtf, seed):
+        general = _random_general_setup(np.random.default_rng(seed), qtf)
+        mixed = (qtf.op.matrix + general.op.matrix) / 2
+        setup = SetupOperator(HermitianOperator(qtf.op.layout, mixed), qtf.roles)
+        report, _ = solve_max_robustness(setup, max_iter=300)
+        assert 0.0 <= report.lower <= report.upper + 1e-6
+
+
 _PAIR_DRIVERS = {
     "full": lambda qtf: solve_max_robustness(qtf)[0],
     "restricted": lambda qtf: solve_max_robustness(qtf, restricted=True)[0],
@@ -375,7 +409,7 @@ class TestOneRunPerPair:
     def test_min_side_point_is_exactly_feasible(self, qtf, request, case):
         if case == "rotated":
             setup = rotated(qtf)
-            report, _ = solve_max_robustness(setup)
+            report, _ = request.getfixturevalue("solved_rotated")
         else:
             setup = qtf
             report, _ = request.getfixturevalue(
@@ -448,10 +482,12 @@ class TestConeValue:
 
 
 class TestStopRule:
-    def test_flat_gap_exits_unconverged(self, qtf):
-        # this setup's certified gap is 7.85e-2 at 1,000 iterations and
-        # 7.86e-2 at 20,000 (measured with the stall exit switched off)
-        report, _ = solve_max_robustness(half_definite(np.random.default_rng(2), qtf))
+    def test_flat_gap_exits_unconverged(self, qtf, monkeypatch):
+        # the min side's polish adds 0.05 to its bound, so the certified gap
+        # is 5.0e-2 at 1,000 iterations and at 20,000 (measured with the
+        # stall exit switched off)
+        monkeypatch.setattr(sdp, "_robustness_primal", shifted_robustness_primal(0.05))
+        report, _ = solve_max_robustness(qtf)
         assert not report.converged
         assert report.gap > _GAP_TOL
         assert report.iterations <= 2000

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian_operator, rotated
+from helpers import half_definite, random_hermitian_operator, rotated
 from timeflip.sdp import solve_cone_value, solve_max_robustness
 from timeflip.supermaps import (
     ConeId,
@@ -405,22 +405,17 @@ class TestValidateWitness:
 
     def test_solver_certificate_verifies(self, solved):
         report, w_opt = solved
-        cert = report.extras["certificate"]
-        w0 = cert["uniform-part"]
-        witness = Witness(
-            op=w_opt,
-            certificate=(w0, w_opt - w0, cert["forward-part"], cert["backward-part"]),
-        )
+        witness = Witness(op=w_opt, certificate=report.extras["certificate"])
         checked = validate_witness(witness)
         assert checked.valid and checked.certificate_ok
+        assert checked.certificate == witness.certificate
 
     def test_tampered_certificate_rejected(self, solved):
         report, w_opt = solved
-        cert = report.extras["certificate"]
-        w0 = cert["uniform-part"]
-        spoiled = cert["forward-part"] + identity(experiment_layout()) * 0.1
+        z_fwd, z_bwd = report.extras["certificate"]
+        spoiled = z_fwd + identity(experiment_layout()) * 0.1
         with pytest.raises(ValueError, match="certificate"):
-            Witness(op=w_opt, certificate=(w0, w_opt - w0, spoiled, cert["backward-part"]))
+            Witness(op=w_opt, certificate=(spoiled, z_bwd))
 
     def test_one_splitting_run(self, solved, admm_runs):
         _, w_opt = solved
@@ -437,9 +432,7 @@ class TestValidateWitness:
             _, w = request.getfixturevalue("solved_restricted" if case == "restricted" else "solved")
         report = validate_witness(w)
         assert report.valid and report.certificate_ok
-        w0, w1, _, _ = report.certificate
-        assert not np.any(w0.matrix)
-        assert np.array_equal(w1.matrix, w.matrix)
+        assert len(report.certificate) == 2
         residuals = certificate_residuals(w, report.certificate)
         for name, res in residuals.items():
             assert res <= CERTIFICATE_TOL, name
@@ -448,8 +441,8 @@ class TestValidateWitness:
     def test_certificate_decided_at_a_tiny_positive_floor(self, qtf, solved):
         _, w = solved
         spans = {
-            "forward": setup_span_projector(qtf, ConeId.FORWARD_SPAN),
-            "backward": setup_span_projector(qtf, ConeId.BACKWARD_SPAN),
+            "forward": setup_span_projector(qtf, ConeId.FORWARD),
+            "backward": setup_span_projector(qtf, ConeId.BACKWARD),
         }
         floor = solve_cone_value(
             -w.matrix, w.layout, spans, qtf.trace_target, done=lambda upper, lower: upper - lower <= 1e-10
@@ -477,6 +470,33 @@ class TestValidateWitness:
         report = validate_witness(identity(experiment_layout()) * 0.25)
         parsed = json.loads(json.dumps(report.as_dict()))
         assert parsed["valid"] is True
+
+
+@pytest.fixture(scope="module")
+def solved_half(qtf):
+    return solve_max_robustness(half_definite(np.random.default_rng(2), qtf))
+
+
+class TestDistinctDirectionParts:
+    """A witness that is nonnegative on the definite cone only through a
+    different complement part per direction (see `half_definite`)."""
+
+    def test_robustness_certifies(self, solved_half):
+        report, _ = solved_half
+        assert report.converged
+        assert report.gap <= 1e-4
+        assert report.lower <= report.upper
+
+    def test_solver_certificate_is_accepted(self, solved_half):
+        report, w = solved_half
+        witness = Witness(op=w, certificate=report.extras["certificate"])
+        assert witness.certificate == report.extras["certificate"]
+
+    def test_witness_validates_with_a_certificate(self, solved_half):
+        _, w = solved_half
+        report = validate_witness(w)
+        assert report.valid and report.certificate_ok
+        assert report.min_definite_value >= -report.tol
 
 
 class TestCsvInterfaces:
