@@ -23,7 +23,7 @@ import numpy as np
 
 from .channels import KrausChannel, kraus_to_choi
 from .sdp import GAP_TOL, MAX_ITER, RESIDUAL_TOL, solve_cone_value
-from .supermaps import ConeId, SlotSpec, span_projector
+from .supermaps import ConeId, SlotSpec, SpanMask
 from .tensor_core import HermitianOperator, SystemLayout, atomic_write_text, qubits
 
 TAG_PLUS = "plus"
@@ -347,12 +347,12 @@ def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str,
     m_plus, m_minus = success_effects(pairs, weights)
     target = m_plus.matrix + m_minus.matrix
     layout = game_layout()
-    spans: dict[str, Callable[[np.ndarray], np.ndarray]] = {}
+    spans: dict[str, SpanMask] = {}
     if direction in ("forward-only", "convex-hull"):
-        spans["forward"] = span_projector(layout, GAME_SLOTS, (), ("C_O",), ConeId.FORWARD)
+        spans["forward"] = SpanMask(layout, GAME_SLOTS, (), ("C_O",), ConeId.FORWARD)
     if direction in ("backward-only", "convex-hull"):
-        spans["backward"] = span_projector(layout, GAME_SLOTS, (), ("C_O",), ConeId.BACKWARD)
-    report = solve_cone_value(target, layout, spans, trace_target=4.0, tol=tol,
+        spans["backward"] = SpanMask(layout, GAME_SLOTS, (), ("C_O",), ConeId.BACKWARD)
+    report = solve_cone_value(target, spans, trace_target=4.0, tol=tol,
                               gap_tol=gap_tol, max_iter=max_iter)
     if not report.converged:
         raise ValueError(f"fixed-direction bound did not certify: gap {report.gap:.3e}")

@@ -2,18 +2,22 @@
 
 Programs are stated over named Hermitian variables, each constrained to a cone
 (positive semidefinite, a linear subspace given by its orthogonal projector,
-or free), coupled by affine rows.  A consensus ADMM iteration holds the k
-blocks of a program as (k, n, n) stacks and alternates an exact affine
-projection (a precomputed k x k operator on the block index plus an offset,
-with a low-rank correction for scalar rows) with the cone projections (one
-stacked eigendecomposition clips every positive semidefinite block; subspace
-blocks apply their projectors).  The iteration is run as a fixed-point map on
-one stack, with safeguarded type-II Anderson acceleration: an extrapolated
-point whose fixed-point residual exceeds the last accepted point's is dropped
-for the plain step.  A program invariant under complex conjugation runs in real float64
-arithmetic, any other in complex: from the zero start the complex iterates of
-an invariant program stay real symmetric, so the choice changes the cost of
-an iteration, not the iteration.
+or free), coupled by affine rows.  A row may hold on a support only, a 0/1
+mask over the product-basis coordinates of the program's layout: the
+coordinates a span keeps (X - Y in the span's complement is X = Y there),
+those it drops (X in the span is X = 0 there), or the identity coordinate,
+which carries the trace.  A consensus ADMM iteration holds the k blocks of a
+program as (k, n, n) stacks and alternates an exact affine projection (per
+class of coordinates where the same rows hold, a precomputed k x k operator
+on the block index plus an offset) with the cone projections (one stacked
+eigendecomposition clips every positive semidefinite block; subspace blocks
+apply their projectors).  The iteration is run as a fixed-point map on one
+stack, with safeguarded type-II Anderson acceleration: an extrapolated point
+whose fixed-point residual exceeds the last accepted point's is dropped for
+the plain step.  A program invariant under complex conjugation runs in real
+float64 arithmetic, any other in complex: from the zero start the complex
+iterates of an invariant program stay real symmetric, so the choice changes
+the cost of an iteration, not the iteration.
 
 Every program built here carries a polish step that converts an approximate
 point into an *exactly feasible* point of its own side; a bound is certified
@@ -45,8 +49,10 @@ from .supermaps import (
     ConeId,
     SetupOperator,
     SpanMask,
+    basis_coords,
+    basis_matrices,
     check_setup,
-    setup_span_projector,
+    identity_coordinate,
 )
 from .tensor_core import (
     HermitianOperator,
@@ -85,20 +91,16 @@ class Block:
 
 @dataclass(frozen=True)
 class MatrixRow:
-    """Affine row sum_k coeff_k x_k = rhs, one operator equation."""
+    """Affine row sum_k coeff_k x_k = rhs, one operator equation.
+
+    With a `support`, a boolean mask over the product-basis coordinates of
+    the program's layout (shaped like `SpanMask.keep`), the row holds on
+    those coordinates only; without one it holds on every entry."""
 
     name: str
     coeffs: Mapping[str, float]
     rhs: np.ndarray
-
-
-@dataclass(frozen=True)
-class ScalarRow:
-    """Affine row sum_k <weight_k, x_k> = rhs, one real equation."""
-
-    name: str
-    weights: Mapping[str, np.ndarray]
-    rhs: float
+    support: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -106,22 +108,23 @@ class ConicProgram:
     """One side of a conic pair, in block form.
 
     `objective` holds the true objective operators: the value of a point is
-    sum_k <objective_k, x_k>, minimized or maximized per `sense`.  `polish`,
-    when present, maps the final iterates to an exactly feasible point and
-    its certified value.  `slack_map`, on the min side of a pair, builds that
-    side's point from the max side's run: block -> (max-side block, sign),
-    the block being sign times the slack of the max-side block.
+    sum_k <objective_k, x_k>, minimized or maximized per `sense`.  `layout`,
+    needed when a row has a support, gives the coordinates it masks.
+    `polish`, when present, maps the final iterates to an exactly feasible
+    point and its certified value.  `slack_map`, on the min side of a pair,
+    builds that side's point from the max side's run: block -> (max-side
+    block, sign), the block being sign times the slack of the max-side block.
     """
 
     name: str
     n: int
     blocks: tuple[Block, ...]
     matrix_rows: tuple[MatrixRow, ...]
-    scalar_rows: tuple[ScalarRow, ...]
     objective: Mapping[str, np.ndarray]
     sense: str = "min"
     polish: Callable | None = None
     slack_map: Mapping[str, tuple[str, float]] = field(default_factory=dict)
+    layout: SystemLayout | None = None
 
     def value_at(self, xs: Mapping[str, np.ndarray]) -> float:
         return float(sum(hs_inner(c, xs[name]) for name, c in self.objective.items()))
@@ -192,13 +195,9 @@ def _lmin(m: np.ndarray) -> float:
 
 def _conjugation_invariant(prog: ConicProgram) -> bool:
     """Whether complex conjugation maps the program onto itself: every
-    objective, operator-row right-hand side and scalar-row weight is real,
-    and every subspace projector keeps a fixed real symmetric probe real."""
-    data = [
-        *prog.objective.values(),
-        *(row.rhs for row in prog.matrix_rows),
-        *(w for row in prog.scalar_rows for w in row.weights.values()),
-    ]
+    objective and row right-hand side is real, and every subspace projector
+    keeps a fixed real symmetric probe real (row supports are real masks)."""
+    data = [*prog.objective.values(), *(row.rhs for row in prog.matrix_rows)]
     if any(np.any(np.imag(m)) for m in data):
         return False
     g = np.random.default_rng(0).standard_normal((prog.n, prog.n))
@@ -218,15 +217,17 @@ class _Admm:
     """Consensus ADMM over the k blocks of a program, held as (k, n, n) stacks
     and run as a fixed-point iteration with safeguarded Anderson acceleration.
 
-    The affine set {A x = b} mixes operator rows (one real coefficient per
-    block, applied entrywise) and scalar rows.  Without scalar rows the
-    projection is x = M v + c with the k x k operator M = I - A^T (A A^T)^{-1} A
-    acting on the block index and the offset c = A^T (A A^T)^{-1} b, both
-    precomputed.  Scalar rows <theta_m, x> = beta_m add a rank-n_s correction
-    along phi_m = M theta_m, the part of each weight that the operator rows
-    leave free, with the small Gram matrix of the phi_m inverted once.  The
-    cone step clips every positive semidefinite block with one stacked
-    eigendecomposition and applies each subspace block's projector.
+    The affine set {A x = b} is made of operator rows, one real coefficient
+    per block, each holding on its support.  The projection works per
+    coordinate class, the coordinates where the same rows A_c hold: there
+    x = M_c v + c_c, with the k x k operator M_c = I - A_c^T (A_c A_c^T)^{-1}
+    A_c on the block index and the offset c_c = A_c^T (A_c A_c^T)^{-1} b,
+    both precomputed; a class where no row holds stays as it is.  The
+    coordinates are those of the orthogonal change to the product basis
+    (`supermaps.basis_coords`), or the raw entries, one class, when no row
+    is masked.  The cone step clips every positive semidefinite block with
+    one stacked eigendecomposition and applies each subspace block's
+    projector.
 
     The state is one stack, the Douglas-Rachford variable w.  One evaluation
     of the map T projects z = P_K(w), takes the scaled multipliers u = w - z
@@ -321,35 +322,47 @@ class _Admm:
         cone, and at a fixed point they solve the dual program."""
         return dict(zip(self.names, -self.rho * self.u))
 
+    def _coords(self, v: np.ndarray) -> np.ndarray:
+        """The coordinates of a stack (its raw entries when no row is
+        masked), as a new contiguous array."""
+        return v.copy() if self.layout is None else np.ascontiguousarray(basis_coords(self.layout, v))
+
     def _prepare_affine(self) -> None:
         prog, k, n = self.prog, len(self.names), self.prog.n
-        a = np.array(
-            [[row.coeffs.get(name, 0.0) for name in self.names] for row in prog.matrix_rows]
-        ).reshape(-1, k)
-        gram = a @ a.T
-        if len(gram) and np.linalg.cond(gram) > 1e10:
-            raise ValueError(f"{prog.name}: operator rows are numerically dependent")
-        a_pinv = np.linalg.solve(gram, a).T
-        rhs = np.array([self._cast(np.asarray(row.rhs)) for row in prog.matrix_rows])
-        self.op = np.eye(k) - a_pinv @ a
-        self.offset = np.tensordot(a_pinv, rhs.reshape(-1, n, n), axes=1).astype(self.dtype)
-        # scalar rows as flat rows over the stack: conj(theta_m) and phi_m
-        theta = np.array([self._stack(row.weights).reshape(-1) for row in prog.scalar_rows])
-        self.beta = np.array([row.rhs for row in prog.scalar_rows], dtype=float)
-        if len(theta):
-            self.theta_h = theta.conj()
-            self.phi = np.array([(self.op @ t.reshape(k, -1)).reshape(-1) for t in theta])
-            schur = (self.phi.conj() @ self.phi.T).real
-            if np.linalg.cond(schur) > 1e10:
-                raise ValueError(f"{prog.name}: scalar rows are numerically dependent")
-            self.schur_inv = np.linalg.inv(schur)
+        rows = prog.matrix_rows
+        masked = any(row.support is not None for row in rows)
+        if masked and prog.layout is None:
+            raise ValueError(f"{prog.name}: a row with a support needs the program's layout")
+        self.layout = prog.layout if masked else None
+        self.classes = []
+        if not rows:
+            return
+        a = np.array([[row.coeffs.get(name, 0.0) for name in self.names] for row in rows])
+        rhs = self._coords(np.array([self._cast(np.asarray(row.rhs)) for row in rows]))
+        rhs = rhs.reshape(len(rows), -1)
+        # which rows hold at each coordinate; a class is one pattern of them
+        every = np.ones(n * n, dtype=bool)
+        held = np.array([every if row.support is None else np.ravel(row.support) for row in rows])
+        patterns, labels = np.unique(held.T, axis=0, return_inverse=True)
+        for j, pattern in enumerate(patterns):
+            if not pattern.any():
+                continue
+            where = np.flatnonzero(labels.ravel() == j)
+            idx = slice(None) if len(where) == n * n else where
+            a_c = a[pattern]
+            gram = a_c @ a_c.T
+            if np.linalg.cond(gram) > 1e10:
+                raise ValueError(f"{prog.name}: operator rows are numerically dependent")
+            a_pinv = np.linalg.solve(gram, a_c).T
+            offset = (a_pinv @ rhs[pattern][:, idx]).astype(self.dtype)
+            self.classes.append((idx, np.eye(k) - a_pinv @ a_c, offset))
 
     def _project_affine(self, v: np.ndarray) -> np.ndarray:
-        x = (self.op @ v.reshape(len(v), -1)).reshape(v.shape) + self.offset
-        if len(self.beta):
-            res = (self.theta_h @ x.reshape(-1)).real - self.beta
-            x -= ((self.schur_inv @ res) @ self.phi).reshape(x.shape)
-        return x
+        c = self._coords(v)
+        flat = c.reshape(len(c), -1)
+        for idx, op, offset in self.classes:
+            flat[:, idx] = op @ flat[:, idx] + offset
+        return c if self.layout is None else basis_matrices(self.layout, c)
 
     def _project_cone(self, m: np.ndarray) -> np.ndarray:
         """Project each block onto its cone, in place; free blocks stay."""
@@ -474,16 +487,16 @@ class _Admm:
 
 
 def _feasibility_residuals(prog: ConicProgram, xs: Mapping[str, np.ndarray]) -> dict[str, float]:
-    """Residuals of every affine row and the worst cone violations at a point."""
+    """Residuals of every affine row, on its support, and the worst cone
+    violations at a point."""
     out: dict[str, float] = {}
     for row in prog.matrix_rows:
         res = -np.asarray(row.rhs, dtype=complex)
         for name, coeff in row.coeffs.items():
             res = res + coeff * xs[name]
+        if row.support is not None:
+            res = basis_coords(prog.layout, res)[row.support]
         out[f"row:{row.name}"] = float(np.linalg.norm(res))
-    for row in prog.scalar_rows:
-        res = sum(hs_inner(w, xs[name]) for name, w in row.weights.items()) - row.rhs
-        out[f"row:{row.name}"] = abs(float(res))
     worst_psd = 0.0
     worst_sub = 0.0
     for blk in prog.blocks:
@@ -604,7 +617,7 @@ def _solve_pair(
 
 
 class _SlotGeometry:
-    """Projectors, dimensions and exactly-represented data for one setup."""
+    """Span masks, dimensions and exactly-represented data for one setup."""
 
     def __init__(self, setup: SetupOperator):
         report = check_setup(setup, ConeId.GENERAL, tol=1e-6)
@@ -619,17 +632,19 @@ class _SlotGeometry:
         self.n = layout.total_dim
         self.dd = setup.trace_target
         self.eye = np.eye(self.n, dtype=complex)
-        self.p_general = setup_span_projector(setup, ConeId.GENERAL)
-        self.p_forward = setup_span_projector(setup, ConeId.FORWARD)
-        self.p_backward = setup_span_projector(setup, ConeId.BACKWARD)
+        self.general, self.forward, self.backward = (
+            SpanMask.of_setup(setup, cone) for cone in (ConeId.GENERAL, ConeId.FORWARD, ConeId.BACKWARD)
+        )
         # the setup matrix re-projected onto its span, so the polish identities
         # close to floating-point accuracy
-        self.s_mat = _sym(self.p_general(setup.op.matrix))
+        self.s_mat = _sym(self.general.project(setup.op.matrix))
         out_positions = layout.positions(setup.labels(ROLE_SLOT_OUTPUT))
         self.tau_out = lambda m: trace_and_replace_matrix(m, layout.dims, out_positions)
 
-    def complement(self, projector: Callable) -> Callable:
-        return lambda m: m - projector(m)
+
+def _complement(mask: SpanMask) -> Callable:
+    """Projector onto the orthogonal complement of a span."""
+    return lambda m: m - mask.project(m)
 
 
 def _mix_to_psd(
@@ -665,14 +680,7 @@ def _robustness_primal(geom: _SlotGeometry, witness_subspace: Callable | None) -
     n, dd, eye, s = geom.n, geom.dd, geom.eye, geom.s_mat
     restricted = witness_subspace is not None
     zero = np.zeros((n, n), dtype=complex)
-    blocks = [
-        Block("T", "psd"),
-        Block("T_span", "sub", geom.p_general),
-        Block("F", "psd"),
-        Block("F_span", "sub", geom.p_forward),
-        Block("B", "psd"),
-        Block("B_span", "sub", geom.p_backward),
-    ]
+    blocks = [Block("T", "psd"), Block("F", "psd"), Block("B", "psd")]
     split_coeffs = {"F": 1.0, "B": 1.0, "T": -1.0}
     # T, F and B are the slacks of the witness program's Q, P_fwd and P_bwd;
     # SHIFT = F + B - T - S is minus the slack of the restricted witness W
@@ -684,16 +692,16 @@ def _robustness_primal(geom: _SlotGeometry, witness_subspace: Callable | None) -
         slack_map["SHIFT"] = ("W", -1.0)
         solve_shift = _witness_shift_solver(geom, p_wit)
     rows = (
-        MatrixRow("noise-in-span", {"T": 1.0, "T_span": -1.0}, zero),
-        MatrixRow("forward-in-span", {"F": 1.0, "F_span": -1.0}, zero),
-        MatrixRow("backward-in-span", {"B": 1.0, "B_span": -1.0}, zero),
+        MatrixRow("noise-in-span", {"T": 1.0}, zero, ~geom.general.keep),
+        MatrixRow("forward-in-span", {"F": 1.0}, zero, ~geom.forward.keep),
+        MatrixRow("backward-in-span", {"B": 1.0}, zero, ~geom.backward.keep),
         MatrixRow("definite-split", split_coeffs, s),
     )
 
     def polish(xs, zs):
-        t = _sym(geom.p_general(zs["T"]))
-        f = _sym(geom.p_forward(zs["F"]))
-        b = _sym(geom.p_backward(zs["B"]))
+        t = _sym(geom.general.project(zs["T"]))
+        f = _sym(geom.forward.project(zs["F"]))
+        b = _sym(geom.backward.project(zs["B"]))
         delta = s - (f + b - t)
         shift = zero
         if restricted:
@@ -710,7 +718,7 @@ def _robustness_primal(geom: _SlotGeometry, witness_subspace: Callable | None) -
         t = t + bump * eye
         f = f + bump / 2 * eye
         b = b + bump / 2 * eye
-        solution = {"T": t, "T_span": t, "F": f, "F_span": f, "B": b, "B_span": b}
+        solution = {"T": t, "F": f, "B": b}
         if restricted:
             solution["SHIFT"] = shift
         value = float(np.trace(t).real) / dd
@@ -722,11 +730,11 @@ def _robustness_primal(geom: _SlotGeometry, witness_subspace: Callable | None) -
         n=n,
         blocks=tuple(blocks),
         matrix_rows=rows,
-        scalar_rows=(),
         objective={"T": eye / dd},
         sense="min",
         polish=polish,
         slack_map=slack_map,
+        layout=geom.layout,
     )
 
 
@@ -737,56 +745,38 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
     W is nonnegative on the definite cone C_F + C_B exactly when it lies in
     the dual C_F* ∩ C_B*, and each C_d* is the PSD cone plus the orthogonal
     complement of span(d): W = W_d + P_d with W_d ⟂ span(d) and P_d ⪰ 0, one
-    complement part per direction."""
+    complement part per direction.  So W - P_d vanishes on the coordinates
+    span(d) keeps, and W + Q = I/dd on those the general span keeps; the
+    polish computes the complement parts W_d and Z, and W - P_d of its point
+    is the certificate part W_d."""
     n, dd, eye, s = geom.n, geom.dd, geom.eye, geom.s_mat
     restricted = witness_subspace is not None
     zero = np.zeros((n, n), dtype=complex)
-    c_fwd = geom.complement(geom.p_forward)
-    c_bwd = geom.complement(geom.p_backward)
-    c_gen = geom.complement(geom.p_general)
+    c_fwd, c_bwd, c_gen = (_complement(m) for m in (geom.forward, geom.backward, geom.general))
     blocks = (
         Block("W", "sub", witness_subspace) if restricted else Block("W", "free"),
-        Block("W_fwd", "sub", c_fwd),
-        Block("W_bwd", "sub", c_bwd),
         Block("P_fwd", "psd"),
         Block("P_bwd", "psd"),
         Block("Q", "psd"),
-        Block("Z", "sub", c_gen),
     )
     rows = (
-        MatrixRow("forward-direction", {"W": 1.0, "W_fwd": -1.0, "P_fwd": -1.0}, zero),
-        MatrixRow("backward-direction", {"W": 1.0, "W_bwd": -1.0, "P_bwd": -1.0}, zero),
-        MatrixRow("general-domination", {"W": 1.0, "Q": 1.0, "Z": 1.0}, eye / dd),
+        MatrixRow("forward-direction", {"W": 1.0, "P_fwd": -1.0}, zero, geom.forward.keep),
+        MatrixRow("backward-direction", {"W": 1.0, "P_bwd": -1.0}, zero, geom.backward.keep),
+        MatrixRow("general-domination", {"W": 1.0, "Q": 1.0}, eye / dd, geom.general.keep),
     )
 
     if restricted:
         interior = _restricted_dual_interior(geom)
     else:
         w0 = eye / (2 * dd)
-        interior = {
-            "W": w0,
-            "W_fwd": zero,
-            "W_bwd": zero,
-            "P_fwd": w0,
-            "P_bwd": w0,
-            "Q": eye / dd - w0,
-            "Z": zero,
-        }
+        interior = {"W": w0, "P_fwd": w0, "P_bwd": w0, "Q": eye / dd - w0}
 
     def polish(xs, zs):
         w = _sym(witness_subspace(zs["W"])) if restricted else _sym(zs["W"])
-        w_fwd = _sym(c_fwd(zs["W_fwd"]))
-        w_bwd = _sym(c_bwd(zs["W_bwd"]))
+        w_fwd = _sym(c_fwd(w - zs["P_fwd"]))
+        w_bwd = _sym(c_bwd(w - zs["P_bwd"]))
         z = _sym(c_gen(eye / dd - w - zs["Q"]))
-        point = {
-            "W": w,
-            "W_fwd": w_fwd,
-            "W_bwd": w_bwd,
-            "P_fwd": w - w_fwd,
-            "P_bwd": w - w_bwd,
-            "Q": eye / dd - w - z,
-            "Z": z,
-        }
+        point = {"W": w, "P_fwd": w - w_fwd, "P_bwd": w - w_bwd, "Q": eye / dd - w - z}
         mixed, gamma = _mix_to_psd(point, interior, ("P_fwd", "P_bwd", "Q"))
         value = -hs_inner(s, mixed["W"])
         if value < 0.0:
@@ -802,10 +792,10 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
         n=n,
         blocks=blocks,
         matrix_rows=rows,
-        scalar_rows=(),
         objective={"W": -s},
         sense="max",
         polish=polish,
+        layout=geom.layout,
     )
 
 
@@ -815,46 +805,44 @@ def _restricted_dual_interior(geom: _SlotGeometry) -> dict[str, np.ndarray]:
     qubit, as `restricted_witness_projector` has checked).  That component is
     orthogonal to the uniform-global-input span, which contains both
     direction spans, so it serves as either direction's complement part."""
-    layout, dd = geom.layout, geom.dd
-    gin = geom.setup.labels(ROLE_GLOBAL_INPUT)
-    mats = {lab: np.eye(layout.dim(lab), dtype=complex) for lab in layout.labels}
-    mats[gin[0]] = np.diag([1.0, 0.0]).astype(complex)
-    p0_full = reduce(np.kron, [mats[lab] for lab in layout.labels])
-    mats[gin[0]] = np.diag([1.0, -1.0]).astype(complex)
-    z_full = reduce(np.kron, [mats[lab] for lab in layout.labels])
+    p0_full, dd = _pin(geom.layout), geom.dd
     w = p0_full / (2 * dd)
-    w_dir = z_full / (4 * dd)
+    w_dir = (2 * p0_full - geom.eye) / (4 * dd)
     # margins: P_fwd = P_bwd = I/(4 dd); Q = I/dd - P0/(2 dd) has least
     # eigenvalue 1/(2 dd)
-    return {
-        "W": w,
-        "W_fwd": w_dir,
-        "W_bwd": w_dir,
-        "P_fwd": w - w_dir,
-        "P_bwd": w - w_dir,
-        "Q": geom.eye / dd - w,
-        "Z": np.zeros_like(w),
-    }
+    return {"W": w, "P_fwd": w - w_dir, "P_bwd": w - w_dir, "Q": geom.eye / dd - w}
 
 
 # -- restricted-witness machinery -----------------------------------------------------
 
+# the wires the restricted witness pins to |0> and replaces by the uniform state
+_PINNED, _TRACED = "B_it", "B_ot"
+
+
+def _pin(layout: SystemLayout) -> np.ndarray:
+    """|0><0| on the pinned wire, the identity on every other."""
+    mats = [np.diag([1.0, 0.0]) if lab == _PINNED else np.eye(layout.dim(lab)) for lab in layout.labels]
+    return reduce(np.kron, mats)
+
 
 def restricted_witness_projector(setup: SetupOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """Projector onto the experimentally accessible witness form: the global
-    input pinned to the first basis state and the first global-output wire
-    uniform, everything else free."""
+    """Projector onto the experimentally accessible witness form: the target
+    input B_it pinned to the first basis state and the target output B_ot
+    uniform, everything else free.  The wires are found by label, as in the
+    restricted decomposition of the witness module, so a reordering of the
+    layout does not change them."""
     layout = setup.op.layout
-    gin = setup.labels(ROLE_GLOBAL_INPUT)
-    gout = setup.labels(ROLE_GLOBAL_OUTPUT)
-    if len(gin) != 1 or layout.dim(gin[0]) != 2 or not gout:
+    if (
+        setup.labels(ROLE_GLOBAL_INPUT) != (_PINNED,)
+        or layout.dim(_PINNED) != 2
+        or setup.roles.get(_TRACED) != ROLE_GLOBAL_OUTPUT
+    ):
         raise ValueError(
-            "the restricted witness form needs one qubit global input and a global output wire"
+            f"the restricted witness form needs one qubit global input {_PINNED} "
+            f"and the global output wire {_TRACED}"
         )
-    mats = {lab: np.eye(layout.dim(lab)) for lab in layout.labels}
-    mats[gin[0]] = np.diag([1.0, 0.0])
-    pin = reduce(np.kron, [mats[lab] for lab in layout.labels])
-    replaced = layout.positions((gout[0],))
+    pin = _pin(layout)
+    replaced = layout.positions((_TRACED,))
     dims = layout.dims
 
     def project(m: np.ndarray) -> np.ndarray:
@@ -873,7 +861,7 @@ def _general_span_complement_basis(geom: _SlotGeometry) -> list[np.ndarray]:
     if np.linalg.norm(gram - np.eye(len(basis))) > 1e-10:
         raise ValueError("complement basis failed its orthonormality check")
     for b in basis:
-        if np.linalg.norm(geom.p_general(b)) > 1e-10:
+        if np.linalg.norm(geom.general.project(b)) > 1e-10:
             raise ValueError("complement basis element is not orthogonal to the general span")
     return basis
 
@@ -939,10 +927,10 @@ def solve_max_robustness(
     expectation of the returned witness), `upper` a certified upper bound
     (the trace of an exactly feasible noise), and `gap` their difference.
     extras["certificate"] is the witness's splitting certificate
-    (W_fwd, W_bwd), in the form `Witness` accepts: W_d is orthogonal to the
-    span of direction d and W - W_d is positive semidefinite; the slacks are
-    in extras["lower_point"].  `restricted` confines the witness to the
-    experimentally accessible subspace.
+    (W_fwd, W_bwd), in the form `Witness` accepts: W_d = W - P_d is
+    orthogonal to the span of direction d and P_d is positive semidefinite;
+    the slacks P_fwd, P_bwd and Q are in extras["lower_point"].  `restricted`
+    confines the witness to the experimentally accessible subspace.
     """
     geom = _SlotGeometry(setup)
     witness_subspace = restricted_witness_projector(setup) if restricted else None
@@ -951,9 +939,8 @@ def solve_max_robustness(
     report = _solve_pair(primal, dual, tol, gap_tol, max_iter)
     point = report.extras["lower_point"]
     witness = HermitianOperator(geom.layout, point["W"])
-    report.extras["certificate"] = (
-        HermitianOperator(geom.layout, point["W_fwd"]),
-        HermitianOperator(geom.layout, point["W_bwd"]),
+    report.extras["certificate"] = tuple(
+        HermitianOperator(geom.layout, point["W"] - point[part]) for part in ("P_fwd", "P_bwd")
     )
     report.extras["restricted"] = restricted
     return report, witness
@@ -964,75 +951,63 @@ def solve_max_robustness(
 
 def cone_value_programs(
     target: np.ndarray,
-    layout: SystemLayout,
-    spans: Mapping[str, Callable[[np.ndarray], np.ndarray]],
+    spans: Mapping[str, SpanMask],
     trace_target: float,
 ) -> tuple[ConicProgram, ConicProgram]:
     """max <target, sum_d S_d> over operators S_d, each positive semidefinite
     inside its named span, with fixed total trace; plus the matching
-    upper-bound program.  Returned as (min side, max side)."""
+    upper-bound program.  Returned as (min side, max side).
+
+    The spans share one layout.  The value program has S_d = 0 off the
+    coordinates span d keeps and sum_d S_d = (dd/n) I on the identity
+    coordinate; the bound program has N = nu I and N - Q_d = target on the
+    coordinates span d keeps, nu I - target - Q_d being the complement part
+    Z_d."""
+    layout = next(iter(spans.values())).layout
+    if any(mask.layout != layout for mask in spans.values()):
+        raise ValueError("the spans of a cone-value program must share one layout")
     n = layout.total_dim
     dd = float(trace_target)
     eye = np.eye(n, dtype=complex)
     names = list(spans)
     zero = np.zeros((n, n), dtype=complex)
     target = np.asarray(target, dtype=complex)
+    identity = identity_coordinate(layout)
 
-    blocks_p: list[Block] = []
-    rows_p: list[MatrixRow] = []
-    weights: dict[str, np.ndarray] = {}
-    objective: dict[str, np.ndarray] = {}
-    interior: dict[str, np.ndarray] = {}
+    rows_p = [MatrixRow(f"{name}-in-span", {name: 1.0}, zero, ~spans[name].keep) for name in names]
+    trace = MatrixRow("trace-normalization", dict.fromkeys(names, 1.0), (dd / n) * eye, identity)
+    rows_p.append(trace)
     white = (dd / (n * len(names))) * eye
-    for name in names:
-        blocks_p.append(Block(name, "psd"))
-        blocks_p.append(Block(f"{name}_span", "sub", spans[name]))
-        rows_p.append(MatrixRow(f"{name}-in-span", {name: 1.0, f"{name}_span": -1.0}, zero))
-        weights[name] = eye
-        objective[name] = target
-        interior[name] = white
-        interior[f"{name}_span"] = white
+    interior = dict.fromkeys(names, white)
 
     def polish_value(xs, zs):
-        parts = {name: _sym(spans[name](zs[name])) for name in names}
+        parts = {name: _sym(spans[name].project(zs[name])) for name in names}
         total = sum(float(np.trace(m).real) for m in parts.values())
         if total <= dd * 1e-6:
             parts = {name: white.copy() for name in names}
         else:
             parts = {name: m * (dd / total) for name, m in parts.items()}
-        point: dict[str, np.ndarray] = {}
-        for name in names:
-            point[name] = parts[name]
-            point[f"{name}_span"] = parts[name]
-        mixed, gamma = _mix_to_psd(point, interior, names)
-        for name in names:
-            mixed[f"{name}_span"] = mixed[name]
+        mixed, gamma = _mix_to_psd(parts, interior, names)
         value = sum(hs_inner(target, mixed[name]) for name in names)
         return value, mixed, {"interior_mix": gamma}
 
     value_prog = ConicProgram(
         name="cone-value:value",
         n=n,
-        blocks=tuple(blocks_p),
+        blocks=tuple(Block(name, "psd") for name in names),
         matrix_rows=tuple(rows_p),
-        scalar_rows=(ScalarRow("trace-normalization", weights, dd),),
-        objective=objective,
+        objective=dict.fromkeys(names, target),
         sense="max",
         polish=polish_value,
+        layout=layout,
     )
 
-    def span_identity(m: np.ndarray) -> np.ndarray:
-        return (np.trace(m).real / n) * eye
-
-    complements = {name: (lambda m, p=spans[name]: m - p(m)) for name in names}
-    blocks_d: list[Block] = [Block("N", "sub", span_identity)]
-    rows_d: list[MatrixRow] = []
-    for name in names:
-        blocks_d.append(Block(f"Q_{name}", "psd"))
-        blocks_d.append(Block(f"Z_{name}", "sub", complements[name]))
-        rows_d.append(
-            MatrixRow(f"{name}-domination", {"N": 1.0, f"Q_{name}": -1.0, f"Z_{name}": -1.0}, target)
-        )
+    complements = {name: _complement(spans[name]) for name in names}
+    rows_d = [MatrixRow("bound-is-scalar", {"N": 1.0}, zero, ~identity)]
+    rows_d += [
+        MatrixRow(f"{name}-domination", {"N": 1.0, f"Q_{name}": -1.0}, target, spans[name].keep)
+        for name in names
+    ]
 
     def polish_bound(xs, zs):
         zmats = {name: _sym(complements[name](-target - zs[f"Q_{name}"])) for name in names}
@@ -1040,28 +1015,26 @@ def cone_value_programs(
         nu += abs(nu) * 1e-12
         solution: dict[str, np.ndarray] = {"N": nu * eye}
         for name in names:
-            solution[f"Z_{name}"] = zmats[name]
             solution[f"Q_{name}"] = nu * eye - target - zmats[name]
-        return nu * dd, solution, {"nu": nu}
+        return nu * dd, solution, {"nu": nu, "complements": zmats}
 
     bound_prog = ConicProgram(
         name="cone-value:bound",
         n=n,
-        blocks=tuple(blocks_d),
+        blocks=(Block("N", "free"), *(Block(f"Q_{name}", "psd") for name in names)),
         matrix_rows=tuple(rows_d),
-        scalar_rows=(),
         objective={"N": (dd / n) * eye},
         sense="min",
         polish=polish_bound,
         slack_map={f"Q_{name}": (name, 1.0) for name in names},
+        layout=layout,
     )
     return bound_prog, value_prog
 
 
 def solve_cone_value(
     target: np.ndarray,
-    layout: SystemLayout,
-    spans: Mapping[str, Callable[[np.ndarray], np.ndarray]],
+    spans: Mapping[str, SpanMask],
     trace_target: float,
     tol: float = RESIDUAL_TOL,
     max_iter: int = MAX_ITER,
@@ -1069,12 +1042,14 @@ def solve_cone_value(
     done: Callable[[float, float], bool] | None = None,
 ) -> SolveReport:
     """Certified maximum of <target, .> over trace-normalized mixtures of the
-    named cones: `upper` bounds the maximum from above and `lower` is
-    attained by an exactly feasible mixture (reported in extras["parts"]).
-    `done(upper, lower)`, when given, replaces the residual and gap stop: the
-    run ends converged at the first checkpoint where it holds."""
-    bound_prog, value_prog = cone_value_programs(target, layout, spans, trace_target)
+    named cones, each given by the mask of its span: `upper` bounds the
+    maximum from above and `lower` is attained by an exactly feasible
+    mixture (reported in extras["parts"]).  extras["complements"] holds the
+    bound side's complement part Z_d of each span.  `done(upper, lower)`,
+    when given, replaces the residual and gap stop: the run ends converged
+    at the first checkpoint where it holds."""
+    bound_prog, value_prog = cone_value_programs(target, spans, trace_target)
     report = _solve_pair(bound_prog, value_prog, tol, gap_tol, max_iter, done)
     point = report.extras["lower_point"]
-    report.extras["parts"] = {name: HermitianOperator(layout, point[name]) for name in spans}
+    report.extras["parts"] = {name: HermitianOperator(bound_prog.layout, point[name]) for name in spans}
     return report

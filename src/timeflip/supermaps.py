@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import prod, sqrt
 from typing import Callable, Iterable, Mapping, Sequence
@@ -164,6 +164,7 @@ def _group_dim(layout: SystemLayout, labels: Iterable[str]) -> int:
     return prod(layout.dim(lab) for lab in labels)
 
 
+@lru_cache(maxsize=None)
 def _wire_change(d: int) -> np.ndarray:
     """Orthogonal change of basis on one wire's d*d matrix units: a real
     orthogonal matrix whose first row is 1/sqrt(d) mixes the diagonal units,
@@ -172,14 +173,58 @@ def _wire_change(d: int) -> np.ndarray:
     change = np.eye(d * d)
     diag = np.arange(d) * (d + 1)
     change[np.ix_(diag, diag)] = mix * np.sign(mix[0, 0])
+    change.flags.writeable = False  # cached: every caller shares it
     return change
+
+
+def _pair_shape(dims: Sequence[int]) -> tuple[int, ...]:
+    return tuple(d for d in dims for _ in range(2))
+
+
+def basis_coords(layout: SystemLayout, mats: np.ndarray) -> np.ndarray:
+    """Product-basis coordinates of a raw matrix or of every matrix in a
+    stack of shape (..., n, n): an array of shape (..., d1, d1, d2, d2, ...),
+    a (row, column) pair of axes per wire.  The change of basis is real and
+    orthogonal, so it keeps real matrices real and Hilbert-Schmidt inner
+    products unchanged."""
+    dims = layout.dims
+    mats = np.asarray(mats)
+    lead = mats.shape[:-2]
+    wires = len(dims)
+    pairs = [1 + k + side for k in range(wires) for side in (0, wires)]
+    # the stack axis goes last; each pass changes the basis of the leading
+    # wire and rotates it last, so after every wire the stack axis leads
+    t = mats.reshape((-1, *dims, *dims)).transpose(pairs + [0])
+    for d in dims:
+        t = (_wire_change(d) @ t.reshape(d * d, -1)).T
+    return t.reshape(lead + _pair_shape(dims))
+
+
+def basis_matrices(layout: SystemLayout, coords: np.ndarray) -> np.ndarray:
+    """The raw matrices with the given product-basis coordinates; the inverse
+    of `basis_coords`, for one coordinate array or a stack of them."""
+    dims, n = layout.dims, layout.total_dim
+    wires = len(dims)
+    lead = coords.shape[: coords.ndim - 2 * wires]
+    t = coords.reshape(-1, n * n).T
+    for d in dims:
+        t = (_wire_change(d).T @ t.reshape(d * d, -1)).T
+    unpairs = [0] + [1 + 2 * k for k in range(wires)] + [2 + 2 * k for k in range(wires)]
+    return t.reshape((-1, *_pair_shape(dims))).transpose(unpairs).reshape(lead + (n, n))
+
+
+def identity_coordinate(layout: SystemLayout) -> np.ndarray:
+    """Mask of the one coordinate that is the identity on every wire: the
+    coordinate of a matrix there is its trace over sqrt(n)."""
+    mask = np.zeros(_pair_shape(layout.dims), dtype=bool)
+    mask[(0,) * mask.ndim] = True
+    return mask
 
 
 class SpanMask:
     """The named span as a 0/1 mask over the product-basis coordinates of a
-    layout: `picks` maps each condition name to the coordinates it picks and
-    `keep` holds those no condition picks.  Coordinates are arrays of shape
-    (d1, d1, d2, d2, ...), a (row, column) pair of axes per wire.
+    layout (`basis_coords`): `picks` maps each condition name to the
+    coordinates it picks and `keep` holds those no condition picks.
 
     Uniform global input: replacing everything but the global input must
     equal replacing everything.  Then one condition per non-empty subset of
@@ -201,8 +246,7 @@ class SpanMask:
         if which not in _SPAN_KINDS:
             raise ValueError(f"{which} does not name a linear span")
         self.layout = layout
-        self.changes = [_wire_change(d) for d in layout.dims]
-        shape = tuple(d for d in layout.dims for _ in range(2))
+        shape = _pair_shape(layout.dims)
         index = np.indices(shape)
         traceless = {lab: (index[2 * k] > 0) | (index[2 * k + 1] > 0) for k, lab in enumerate(layout.labels)}
         # (kind, name, groups that must each carry a traceless part, identity wires)
@@ -237,31 +281,13 @@ class SpanMask:
         gin, gout = setup.labels(ROLE_GLOBAL_INPUT), setup.labels(ROLE_GLOBAL_OUTPUT)
         return cls(setup.op.layout, [setup.slot()], gin, gout, which)
 
-    def coords(self, mat: np.ndarray) -> np.ndarray:
-        """Product-basis coordinates of a raw matrix."""
-        dims = self.layout.dims
-        pairs = [k + side for k in range(len(dims)) for side in (0, len(dims))]
-        t = np.asarray(mat).reshape(dims + dims).transpose(pairs)
-        # each pass changes the basis of the leading wire and rotates it last
-        for change in self.changes:
-            t = (change @ t.reshape(len(change), -1)).T
-        return t.reshape(self.keep.shape)
-
-    def matrix(self, coords: np.ndarray) -> np.ndarray:
-        """The raw matrix with the given product-basis coordinates."""
-        for change in self.changes:
-            coords = (change.T @ coords.reshape(len(change), -1)).T
-        wires, n = len(self.changes), self.layout.total_dim
-        unpairs = list(range(0, 2 * wires, 2)) + list(range(1, 2 * wires, 2))
-        return coords.reshape(self.keep.shape).transpose(unpairs).reshape(n, n)
-
     def project(self, mat: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the span."""
-        return self.matrix(self.coords(mat) * self.keep)
+        return basis_matrices(self.layout, basis_coords(self.layout, mat) * self.keep)
 
     def residuals(self, mat: np.ndarray) -> dict[str, float]:
         """Hilbert-Schmidt norm of the part each condition picks."""
-        coords = self.coords(mat)
+        coords = basis_coords(self.layout, mat)
         return {name: float(np.linalg.norm(coords[picked])) for name, picked in self.picks.items()}
 
     def complement_basis(self) -> list[np.ndarray]:
@@ -270,14 +296,14 @@ class SpanMask:
         A dropped coordinate and its transpose (row and column swapped on
         every wire) are dropped together: a self-transposed one gives a real
         symmetric element, any other pair its two Hermitian combinations."""
-        swap = [2 * k + side for k in range(len(self.changes)) for side in (1, 0)]
+        swap = [2 * k + side for k in range(len(self.layout.dims)) for side in (1, 0)]
         basis = []
         for index in map(tuple, np.argwhere(~self.keep)):
             partner = tuple(index[j] for j in swap)
             if partner >= index:
                 unit = np.zeros(self.keep.shape)
                 unit[index] = 1.0
-                e = self.matrix(unit)
+                e = basis_matrices(self.layout, unit)
                 basis += [e] if partner == index else [(e + e.T) / sqrt(2), 1j * (e - e.T) / sqrt(2)]
         return basis
 

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .sdp import GAP_TOL, solve_cone_value
-from .supermaps import ConeId, SetupOperator, SlotSpec, span_projector
+from .supermaps import ConeId, SetupOperator, SlotSpec, SpanMask
 from .tensor_core import (
     HermitianOperator,
     SystemLayout,
@@ -62,12 +62,12 @@ def experiment_layout() -> SystemLayout:
 
 
 @lru_cache(maxsize=1)
-def _span_projectors() -> dict:
-    """Projectors onto the spans of the forward and backward cones."""
+def _span_masks() -> dict[str, SpanMask]:
+    """Masks of the spans of the forward and backward cones."""
     layout = experiment_layout()
     slots = [SlotSpec(("A_I",), ("A_O",))]
     return {
-        name: span_projector(layout, slots, ("B_it",), ("B_ot", "B_oc"), which)
+        name: SpanMask(layout, slots, ("B_it",), ("B_ot", "B_oc"), which)
         for name, which in (("forward", ConeId.FORWARD), ("backward", ConeId.BACKWARD))
     }
 
@@ -158,10 +158,10 @@ def certificate_residuals(
     setup S of direction d.
     """
     z_fwd, z_bwd = certificate
-    pro = _span_projectors()
+    masks = _span_masks()
     return {
-        "forward-membership": float(np.linalg.norm(pro["forward"](z_fwd.matrix))),
-        "backward-membership": float(np.linalg.norm(pro["backward"](z_bwd.matrix))),
+        "forward-membership": float(np.linalg.norm(masks["forward"].project(z_fwd.matrix))),
+        "backward-membership": float(np.linalg.norm(masks["backward"].project(z_bwd.matrix))),
         "forward-psd": max(0.0, -min_eigenvalue(op - z_fwd)),
         "backward-psd": max(0.0, -min_eigenvalue(op - z_bwd)),
     }
@@ -234,22 +234,22 @@ def validate_witness(w: Witness | HermitianOperator, tol: float = GAP_TOL) -> Wi
     at least -dd * CERTIFICATE_TOL (a certificate exists), a definite setup
     attains less than -tol (the witness is invalid), or the gap is at most
     dd * CERTIFICATE_TOL (no certificate exists to that tolerance).
-    The bound side's polished point of that pair, N = nu*I and Z_d in the
-    complement of each direction's span with Q_d = nu*I + W - Z_d PSD, is the
-    dual point that certifies the witness: when nu <= 0, W - Z_d = Q_d - nu*I
-    is PSD and (Z_forward, Z_backward) is a splitting certificate.  A valid
+    The bound side's polished point of that pair, N = nu*I and Q_d =
+    nu*I + W - Z_d PSD with Z_d in the complement of each direction's span
+    (the polish reports the Z_d in extras["complements"]), is the dual point
+    that certifies the witness: when nu <= 0, W - Z_d = Q_d - nu*I is PSD
+    and (Z_forward, Z_backward) is a splitting certificate.  A valid
     witness without an attached certificate gets that one when it meets
     every identity within CERTIFICATE_TOL.
     """
     wit = _as_witness(w)
-    spans = _span_projectors()
     margin = _TRACE * CERTIFICATE_TOL
 
     def decided(upper: float, lower: float) -> bool:
         return upper <= margin or lower > tol or upper - lower <= margin
 
     floor = solve_cone_value(
-        -wit.op.matrix, wit.op.layout, spans, trace_target=_TRACE, gap_tol=margin, done=decided
+        -wit.op.matrix, _span_masks(), trace_target=_TRACE, gap_tol=margin, done=decided
     )
     min_value = -floor.upper
     attained = -floor.lower
@@ -258,11 +258,8 @@ def validate_witness(w: Witness | HermitianOperator, tol: float = GAP_TOL) -> Wi
 
     certificate = wit.certificate
     if certificate is None and valid:
-        point = floor.extras["upper_point"]
-        certificate = (
-            HermitianOperator(wit.op.layout, point["Z_forward"]),
-            HermitianOperator(wit.op.layout, point["Z_backward"]),
-        )
+        parts = floor.extras["complements"]
+        certificate = tuple(HermitianOperator(wit.op.layout, parts[d]) for d in ("forward", "backward"))
     certificate_ok = False
     if certificate is not None:
         cert_res = certificate_residuals(wit.op, certificate)

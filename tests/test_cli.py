@@ -22,6 +22,7 @@ from timeflip.tensor_core import (
     SystemLayout,
     operator_to_dict,
     qubits,
+    relabel,
     save_operator,
 )
 from timeflip.witness import load_decomposition, load_probabilities
@@ -324,6 +325,19 @@ class TestBadInput:
             err = capsys.readouterr().err
             assert f"--restricted does not apply to setup {str(path)!r}" in err, command
             assert "one qubit global input" in err, command
+
+    @pytest.mark.parametrize("renamed", ["B_it", "B_ot"])
+    def test_restricted_needs_the_target_wires(self, tmp_path, capsys, renamed):
+        # the restricted form finds B_it and B_ot by label, not by position
+        qtf = qtf_plus_control()
+        roles = {("X" if lab == renamed else lab): role for lab, role in qtf.roles.items()}
+        path = tmp_path / "renamed.json"
+        save_setup(str(path), SetupOperator(relabel(qtf.op, {renamed: "X"}), roles))
+        for command in ("robustness", "probabilities"):
+            assert _run(command, "--restricted", "--setup", str(path)) == EXIT_IO, command
+            err = capsys.readouterr().err
+            assert f"--restricted does not apply to setup {str(path)!r}" in err, command
+            assert "B_it" in err and "B_ot" in err, command
 
     def test_inf_witness_is_an_io_error(self, tmp_path, capsys):
         from timeflip.witness import WIRE_LABELS

@@ -12,8 +12,8 @@ from timeflip.sdp import solve_cone_value, solve_max_robustness
 from timeflip.supermaps import (
     ConeId,
     SetupOperator,
+    SpanMask,
     qtf_plus_control,
-    setup_span_projector,
     subspace_project,
 )
 from timeflip.tensor_core import (
@@ -441,11 +441,11 @@ class TestValidateWitness:
     def test_certificate_decided_at_a_tiny_positive_floor(self, qtf, solved):
         _, w = solved
         spans = {
-            "forward": setup_span_projector(qtf, ConeId.FORWARD),
-            "backward": setup_span_projector(qtf, ConeId.BACKWARD),
+            "forward": SpanMask.of_setup(qtf, ConeId.FORWARD),
+            "backward": SpanMask.of_setup(qtf, ConeId.BACKWARD),
         }
         floor = solve_cone_value(
-            -w.matrix, w.layout, spans, qtf.trace_target, done=lambda upper, lower: upper - lower <= 1e-10
+            -w.matrix, spans, qtf.trace_target, done=lambda upper, lower: upper - lower <= 1e-10
         )
         assert floor.converged
         # shifting by c I/dd shifts the floor by c: this one's is 1e-7
