@@ -29,7 +29,7 @@ from .game import (
     save_game_report,
     verify_gate_table,
 )
-from .sdp import MAX_ITER, RESIDUAL_TOL, restricted_witness_projector, solve_max_robustness
+from .sdp import MAX_ITER, restricted_witness_projector, solve_max_robustness
 from .supermaps import ConeId, SetupOperator, check_setup, load_setup, qtf_plus_control
 from .tensor_core import atomic_write_text, load_operator, save_operator
 from .witness import (
@@ -54,8 +54,10 @@ TOL_ENV_VAR = "TIMEFLIP_TOL"
 _NUMBER_RULES = (
     ("tol", "--tol", lambda v: isfinite(v) and v > 0, "finite and > 0"),
     ("max_iter", "--max-iter", lambda v: v >= 1, ">= 1"),
-    ("shots", "--shots", lambda v: isfinite(v) and v >= 1, "finite and >= 1"),
+    # numpy's Poisson sampler rejects a mean above about 9.2e18
+    ("shots", "--shots", lambda v: 1 <= v <= 1e18, "between 1 and 1e18"),
     ("repetitions", "--repetitions", lambda v: v >= 2, ">= 2"),
+    ("seed", "--seed", lambda v: v >= 0, ">= 0"),
 )
 
 
@@ -82,13 +84,6 @@ def _check_numbers(args: argparse.Namespace) -> None:
         if value is not None and not valid(value):
             raise ValueError(f"{flag} must be {rule}, got {value}")
     _env_tol()
-
-
-def _resolve_tol(flag_value: float | None, fallback: float) -> float:
-    if flag_value is not None:
-        return flag_value
-    env = _env_tol()
-    return env if env is not None else fallback
 
 
 def _tol_kwargs(flag_value: float | None) -> dict:
@@ -143,9 +138,8 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     if args.restricted and (status := _check_restricted(args.setup, setup)) is not None:
         return status
 
-    tol = _resolve_tol(args.tol, RESIDUAL_TOL)
     report, witness = solve_max_robustness(
-        setup, tol=tol, max_iter=args.max_iter, restricted=args.restricted)
+        setup, max_iter=args.max_iter, restricted=args.restricted, **_tol_kwargs(args.tol))
 
     payload = report.as_dict()
     payload["command"] = "robustness"
@@ -175,7 +169,6 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_probabilities(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args.tol, RESIDUAL_TOL)
     try:
         needs_setup = not (args.decomposition_in and args.counts_in)
         setup = _load_setup_arg(args.setup) if needs_setup else None
@@ -184,7 +177,8 @@ def cmd_probabilities(args: argparse.Namespace) -> int:
         else:
             if args.restricted and (status := _check_restricted(args.setup, setup)) is not None:
                 return status
-            report, witness = solve_max_robustness(setup, tol=tol, restricted=args.restricted)
+            report, witness = solve_max_robustness(
+                setup, restricted=args.restricted, **_tol_kwargs(args.tol))
             if not report.converged:
                 return _fail_uncertified(report)
             terms = decompose_witness(witness, restricted=args.restricted)

@@ -36,7 +36,7 @@ holding the bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable, Mapping, Sequence
 
@@ -58,6 +58,7 @@ from .tensor_core import (
     HermitianOperator,
     SystemLayout,
     hs_inner,
+    partial_trace_matrix,
     trace_and_replace_matrix,
 )
 
@@ -617,15 +618,10 @@ def _solve_pair(
 
 
 class _SlotGeometry:
-    """Span masks, dimensions and exactly-represented data for one setup."""
+    """Span masks, dimensions and exactly-represented data for one setup
+    (checked by the caller)."""
 
     def __init__(self, setup: SetupOperator):
-        report = check_setup(setup, ConeId.GENERAL, tol=1e-6)
-        if not report.passed:
-            raise ValueError(
-                "setup is not a valid general-direction operator "
-                f"(min eig {report.min_eigenvalue:.2e}, residuals {report.residuals})"
-            )
         self.setup = setup
         layout = setup.op.layout
         self.layout = layout
@@ -673,29 +669,22 @@ def _mix_to_psd(
 # -- the robustness pair -----------------------------------------------------------------
 
 
-def _robustness_primal(geom: _SlotGeometry, witness_subspace: Callable | None) -> ConicProgram:
+def _robustness_primal(geom: _SlotGeometry) -> ConicProgram:
     """min Tr(T)/dd over general-cone noise T such that S + T splits into a
-    forward plus a backward part (up to a witness-orthogonal shift when the
-    witness is restricted to a subspace)."""
+    forward plus a backward part F + B; the min side of the robustness pair.
+
+    The polish projects T, F and B onto their spans, moves the split
+    residual into F and B along the slot-output trace-and-replace, and
+    repairs positivity along the identity.  The restricted pair uses this
+    program for the reduced setup E*(S) (`_restricted_reduction`), its polish
+    first applying E* to the witness run's slacks."""
     n, dd, eye, s = geom.n, geom.dd, geom.eye, geom.s_mat
-    restricted = witness_subspace is not None
     zero = np.zeros((n, n), dtype=complex)
-    blocks = [Block("T", "psd"), Block("F", "psd"), Block("B", "psd")]
-    split_coeffs = {"F": 1.0, "B": 1.0, "T": -1.0}
-    # T, F and B are the slacks of the witness program's Q, P_fwd and P_bwd;
-    # SHIFT = F + B - T - S is minus the slack of the restricted witness W
-    slack_map = {"T": ("Q", 1.0), "F": ("P_fwd", 1.0), "B": ("P_bwd", 1.0)}
-    if restricted:
-        p_wit = witness_subspace
-        blocks.append(Block("SHIFT", "sub", lambda m: m - p_wit(m)))
-        split_coeffs["SHIFT"] = -1.0
-        slack_map["SHIFT"] = ("W", -1.0)
-        solve_shift = _witness_shift_solver(geom, p_wit)
     rows = (
         MatrixRow("noise-in-span", {"T": 1.0}, zero, ~geom.general.keep),
         MatrixRow("forward-in-span", {"F": 1.0}, zero, ~geom.forward.keep),
         MatrixRow("backward-in-span", {"B": 1.0}, zero, ~geom.backward.keep),
-        MatrixRow("definite-split", split_coeffs, s),
+        MatrixRow("definite-split", {"F": 1.0, "B": 1.0, "T": -1.0}, s),
     )
 
     def polish(xs, zs):
@@ -703,13 +692,6 @@ def _robustness_primal(geom: _SlotGeometry, witness_subspace: Callable | None) -
         f = _sym(geom.forward.project(zs["F"]))
         b = _sym(geom.backward.project(zs["B"]))
         delta = s - (f + b - t)
-        shift = zero
-        if restricted:
-            shift = _sym(zs["SHIFT"] - p_wit(zs["SHIFT"]))
-            delta = delta + shift
-            correction = solve_shift(delta)
-            shift = shift - correction
-            delta = delta - correction
         d_f = geom.tau_out(delta)
         f = f + d_f
         b = b + (delta - d_f)
@@ -718,22 +700,19 @@ def _robustness_primal(geom: _SlotGeometry, witness_subspace: Callable | None) -
         t = t + bump * eye
         f = f + bump / 2 * eye
         b = b + bump / 2 * eye
-        solution = {"T": t, "F": f, "B": b}
-        if restricted:
-            solution["SHIFT"] = shift
         value = float(np.trace(t).real) / dd
-        return value, solution, {"positivity_bump": bump}
+        return value, {"T": t, "F": f, "B": b}, {"positivity_bump": bump}
 
-    tag = "robustness-restricted" if restricted else "robustness"
     return ConicProgram(
-        name=f"{tag}:primal",
+        name="robustness:primal",
         n=n,
-        blocks=tuple(blocks),
+        blocks=(Block("T", "psd"), Block("F", "psd"), Block("B", "psd")),
         matrix_rows=rows,
         objective={"T": eye / dd},
         sense="min",
         polish=polish,
-        slack_map=slack_map,
+        # T, F and B are the slacks of the witness program's Q, P_fwd and P_bwd
+        slack_map={"T": ("Q", 1.0), "F": ("P_fwd", 1.0), "B": ("P_bwd", 1.0)},
         layout=geom.layout,
     )
 
@@ -851,62 +830,34 @@ def restricted_witness_projector(setup: SetupOperator) -> Callable[[np.ndarray],
     return project
 
 
-def _general_span_complement_basis(geom: _SlotGeometry) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of the orthogonal complement of the general
-    span, built on the product-basis coordinates that the GENERAL mask drops
-    (on the qtf layout: 3 traceless on the global input alone, 36 traceless
-    on both slot wires with the global output the identity)."""
-    basis = SpanMask.of_setup(geom.setup, ConeId.GENERAL).complement_basis()
-    gram = np.array([[hs_inner(a, b) for b in basis] for a in basis])
-    if np.linalg.norm(gram - np.eye(len(basis))) > 1e-10:
-        raise ValueError("complement basis failed its orthonormality check")
-    for b in basis:
-        if np.linalg.norm(geom.general.project(b)) > 1e-10:
-            raise ValueError("complement basis element is not orthogonal to the general span")
-    return basis
+def _restricted_reduction(setup: SetupOperator) -> tuple[SetupOperator, Callable[[np.ndarray], np.ndarray]]:
+    """The reduced setup E*(S) of a setup the restricted witness form fits,
+    and the map E*(X) = <0|_B_it Tr_B_ot(X) |0>_B_it on raw matrices.
 
+    The reduced layout keeps every wire in place, B_it and B_ot at dimension
+    one (so B_ot still carries the global-output role when no other wire
+    does).  E* maps the general, forward and backward cones onto those of the
+    reduced setup, and the lift X -> I_B_it (x) X (x) I_B_ot/2 maps them back
+    with Tr(X)/dd unchanged, while E* vanishes on the complement of the
+    restricted witness subspace.  So the restricted noise program is the
+    full noise program of E*(S)."""
+    layout = setup.op.layout
+    dims = layout.dims
+    traced = layout.position(_TRACED)
+    kept = [d for k, d in enumerate(dims) if k != traced]
+    pinned = layout.position(_PINNED) - (traced < layout.position(_PINNED))
+    pin = tuple(0 if k == pinned else slice(None) for k in range(len(kept))) * 2
+    reduced = SystemLayout(
+        tuple((lab, 1 if lab in (_PINNED, _TRACED) else d) for lab, d in layout.factors)
+    )
+    n = reduced.total_dim
 
-def _witness_shift_solver(geom: _SlotGeometry, witness_projector: Callable) -> Callable:
-    """Map a split residual to the witness-orthogonal shift matching it on the
-    span complement, so the remaining residual lies back in the general span.
+    def restrict(m: np.ndarray) -> np.ndarray:
+        t = partial_trace_matrix(m, dims, (traced,)).reshape(kept * 2)
+        return t[pin].reshape(n, n)
 
-    The span complement is where the GENERAL mask drops coordinates; residual
-    and shift are compared through their components on the Hermitian basis
-    of those coordinates.  The Gram system on that basis is symmetric positive
-    semidefinite; it is singular exactly on the overlap of the witness
-    subspace with the span complement, where the right-hand side vanishes for
-    residuals of the admissible structure, so a spectral pseudoinverse solves
-    it.  Inconsistent residuals are rejected.
-    """
-    basis = _general_span_complement_basis(geom)
-    k = len(basis)
-    projected = [witness_projector(e) for e in basis]
-    b_mat = np.empty((k, k))
-    for i, e in enumerate(basis):
-        for j in range(k):
-            b_mat[i, j] = hs_inner(e, basis[j] - projected[j])
-    b_mat = (b_mat + b_mat.T) / 2
-    vals, vecs = np.linalg.eigh(b_mat)
-    keep = vals > 1e-10 * max(vals[-1], 1e-300)
-    if not np.any(keep):
-        raise ValueError(
-            "numerically singular witness projector: the witness subspace contains "
-            "the whole span complement"
-        )
-    b_pinv = (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
-
-    def solve_shift(delta: np.ndarray) -> np.ndarray:
-        d = np.array([hs_inner(e, delta) for e in basis])
-        coeff = b_pinv @ d
-        if np.linalg.norm(b_mat @ coeff - d) > 1e-8 * (1 + np.linalg.norm(d)):
-            raise ValueError(
-                "numerically singular witness projector: split residual has a "
-                "component the witness-orthogonal shift cannot reach"
-            )
-        y = sum(c * e for c, e in zip(coeff, basis))
-        return y - witness_projector(y)
-
-    return solve_shift
+    op = HermitianOperator(reduced, restrict(setup.op.matrix))
+    return SetupOperator(op, setup.roles), restrict
 
 
 # -- the public drivers ---------------------------------------------------------------
@@ -929,13 +880,35 @@ def solve_max_robustness(
     extras["certificate"] is the witness's splitting certificate
     (W_fwd, W_bwd), in the form `Witness` accepts: W_d = W - P_d is
     orthogonal to the span of direction d and P_d is positive semidefinite;
-    the slacks P_fwd, P_bwd and Q are in extras["lower_point"].  `restricted`
-    confines the witness to the experimentally accessible subspace.
+    the slacks P_fwd, P_bwd and Q are in extras["lower_point"].
+
+    `restricted` confines the witness to the experimentally accessible
+    subspace (`restricted_witness_projector`).  The upper bound then comes
+    from the full noise program of the reduced setup E*(S)
+    (`_restricted_reduction`), polished from E* of the witness run's slacks,
+    and extras["upper_point"] lives on the reduced layout.
     """
+    check = check_setup(setup, ConeId.GENERAL, tol=1e-6)
+    if not check.passed:
+        raise ValueError(
+            "setup is not a valid general-direction operator "
+            f"(min eig {check.min_eigenvalue:.2e}, residuals {check.residuals})"
+        )
     geom = _SlotGeometry(setup)
-    witness_subspace = restricted_witness_projector(setup) if restricted else None
-    primal = _robustness_primal(geom, witness_subspace)
-    dual = _robustness_dual(geom, witness_subspace)
+    if restricted:
+        dual = _robustness_dual(geom, restricted_witness_projector(setup))
+        # the reduced setup is not checked again: E* sums two compressions,
+        # so its least eigenvalue may reach twice the tolerance above
+        reduced, restrict = _restricted_reduction(setup)
+        reduced_primal = _robustness_primal(_SlotGeometry(reduced))
+
+        def polish(xs, zs):
+            point = {name: restrict(m) for name, m in zs.items()}
+            return reduced_primal.polish(point, point)
+
+        primal = replace(reduced_primal, name="robustness-restricted:primal", polish=polish)
+    else:
+        primal, dual = _robustness_primal(geom), _robustness_dual(geom, None)
     report = _solve_pair(primal, dual, tol, gap_tol, max_iter)
     point = report.extras["lower_point"]
     witness = HermitianOperator(geom.layout, point["W"])

@@ -7,10 +7,10 @@ pair facing the rest of the world (global input / global output).  Validity is
 a set of linear conditions, each a product of trace-and-replace maps; all of
 them are diagonal in one product operator basis, so every condition and every
 span is a 0/1 support mask over that basis.  The same masks produce the
-subspace projectors used by the conic solver, the single-slot and multi-slot
-membership reports and the basis of a span's complement; the module also
-builds the coherently controlled direction-flip setup and applies supermaps
-via the link contraction.
+subspace projectors used by the conic solver and the single-slot and
+multi-slot membership reports; the module also builds the coherently
+controlled direction-flip setup and applies supermaps via the link
+contraction.
 """
 
 from __future__ import annotations
@@ -289,23 +289,6 @@ class SpanMask:
         """Hilbert-Schmidt norm of the part each condition picks."""
         coords = basis_coords(self.layout, mat)
         return {name: float(np.linalg.norm(coords[picked])) for name, picked in self.picks.items()}
-
-    def complement_basis(self) -> list[np.ndarray]:
-        """Orthonormal Hermitian basis on the coordinates the mask drops.
-
-        A dropped coordinate and its transpose (row and column swapped on
-        every wire) are dropped together: a self-transposed one gives a real
-        symmetric element, any other pair its two Hermitian combinations."""
-        swap = [2 * k + side for k in range(len(self.layout.dims)) for side in (1, 0)]
-        basis = []
-        for index in map(tuple, np.argwhere(~self.keep)):
-            partner = tuple(index[j] for j in swap)
-            if partner >= index:
-                unit = np.zeros(self.keep.shape)
-                unit[index] = 1.0
-                e = basis_matrices(self.layout, unit)
-                basis += [e] if partner == index else [(e + e.T) / sqrt(2), 1j * (e - e.T) / sqrt(2)]
-        return basis
 
 
 def span_projector(

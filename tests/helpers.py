@@ -154,8 +154,8 @@ def shifted_robustness_primal(shift: float):
     never falls below `shift`, so it is flat by construction."""
     original = sdp._robustness_primal
 
-    def build(geom, witness_subspace):
-        prog = original(geom, witness_subspace)
+    def build(geom):
+        prog = original(geom)
 
         def polish(xs, zs):
             value, point, extras = prog.polish(xs, zs)

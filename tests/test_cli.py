@@ -339,6 +339,17 @@ class TestBadInput:
             assert f"--restricted does not apply to setup {str(path)!r}" in err, command
             assert "B_it" in err and "B_ot" in err, command
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--shots", "1e30")])
+    def test_resampling_number_out_of_range_exits_before_any_work(
+        self, artifacts, capsys, flag, value
+    ):
+        numbers = {"--shots": "1000", "--seed": "0", flag: value}
+        argv = [arg for pair in numbers.items() for arg in pair]
+        assert _run("probabilities", "--decomposition-in", artifacts["decomposition"], *argv) == EXIT_IO
+        captured = capsys.readouterr()
+        assert f"error: {flag} must be" in captured.err
+        assert "estimate" not in captured.out
+
     def test_inf_witness_is_an_io_error(self, tmp_path, capsys):
         from timeflip.witness import WIRE_LABELS
 
@@ -406,6 +417,17 @@ class TestConfig:
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
         assert out.stdout.strip() == "False"
+
+    def test_benchmark_tracer_finds_every_name_it_wraps(self):
+        # perfbench/spans.py wraps package functions by name; a renamed or
+        # deleted one breaks its traced runs
+        src = Path(timeflip.__file__).resolve().parents[1]
+        tracer_dir = src.parent / "perfbench"
+        path = os.pathsep.join(filter(None, [str(src), str(tracer_dir), os.environ.get("PYTHONPATH")]))
+        script = "import timeflip.cli, spans; spans.install(spans.Tracer('x'))"
+        out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
 
     @pytest.mark.parametrize("user_value", [None, "2"])
     def test_blas_threads_default_to_one(self, user_value):

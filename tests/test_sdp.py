@@ -7,7 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from helpers import definite_mixture, random_fixed_direction, rotated, shifted_robustness_primal
+from helpers import (
+    definite_mixture,
+    random_channel,
+    random_fixed_direction,
+    rotated,
+    shifted_robustness_primal,
+)
 from timeflip import sdp
 from timeflip.sdp import (
     Block,
@@ -25,6 +31,7 @@ from timeflip.supermaps import (
     basis_coords,
     identity_coordinate,
     qtf_plus_control,
+    sequential_setup,
     setup_span_projector,
     subspace_project,
 )
@@ -35,6 +42,7 @@ from timeflip.tensor_core import (
     min_eigenvalue,
     permute_factors,
     qubits,
+    tensor_product,
     trace_and_replace,
 )
 
@@ -75,6 +83,19 @@ def solved_restricted(qtf):
 @pytest.fixture(scope="module")
 def solved_rotated(qtf):
     return solve_max_robustness(rotated(qtf))
+
+
+@pytest.fixture(scope="module")
+def solved_restricted_rotated(qtf):
+    return solve_max_robustness(rotated(qtf), restricted=True)
+
+
+_SOLVED = {
+    "qtf": "solved",
+    "restricted": "solved_restricted",
+    "rotated": "solved_rotated",
+    "restricted-rotated": "solved_restricted_rotated",
+}
 
 
 class TestEngine:
@@ -223,6 +244,12 @@ class TestMaxRobustness:
         _, witness = solved_restricted
         project = restricted_witness_projector(qtf)
         assert np.linalg.norm(witness.matrix - project(witness.matrix)) <= 1e-9
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_invalid_setup_is_rejected(self, qtf, restricted):
+        doubled = SetupOperator(HermitianOperator(qtf.op.layout, 2 * qtf.op.matrix), qtf.roles)
+        with pytest.raises(ValueError, match="not a valid general-direction operator"):
+            solve_max_robustness(doubled, restricted=restricted)
 
     def test_forward_setup_has_zero_robustness(self, qtf):
         rng = np.random.default_rng(5)
@@ -431,20 +458,14 @@ class TestOneRunPerPair:
         assert admm_runs[0].prog.sense == "max"
         assert report.iterations == admm_runs[0].iterations > 0
 
-    @pytest.mark.parametrize("case", ["qtf", "restricted", "rotated"])
+    @pytest.mark.parametrize("case", sorted(_SOLVED))
     def test_min_side_point_is_exactly_feasible(self, qtf, request, case):
-        if case == "rotated":
-            setup = rotated(qtf)
-            report, _ = request.getfixturevalue("solved_rotated")
-        else:
-            setup = qtf
-            report, _ = request.getfixturevalue(
-                "solved_restricted" if case == "restricted" else "solved"
-            )
-        restricted = case == "restricted"
-        prog = sdp._robustness_primal(
-            sdp._SlotGeometry(setup), restricted_witness_projector(setup) if restricted else None
-        )
+        setup = rotated(qtf) if case.endswith("rotated") else qtf
+        report, _ = request.getfixturevalue(_SOLVED[case])
+        if case.startswith("restricted"):
+            # the restricted min side is the noise program of the reduced setup
+            setup = sdp._restricted_reduction(setup)[0]
+        prog = sdp._robustness_primal(sdp._SlotGeometry(setup))
         point = report.extras["upper_point"]
         assert set(point) == {blk.name for blk in prog.blocks}
         for row in prog.matrix_rows:
@@ -465,16 +486,43 @@ class TestOneRunPerPair:
         assert report.lower <= report.upper <= report.lower + _GAP_TOL
 
 
-class TestComplementBasis:
-    def test_general_span_complement_basis(self, qtf):
-        geom = sdp._SlotGeometry(qtf)
-        basis = sdp._general_span_complement_basis(geom)
-        assert len(basis) == 39
-        for e in basis:
-            assert np.linalg.norm(e - e.conj().T) <= 1e-15
-            assert np.linalg.norm(geom.general.project(e)) <= 1e-12
-        gram = np.array([[hs_inner(a, b) for b in basis] for a in basis])
-        assert np.linalg.norm(gram - np.eye(39)) <= 1e-12
+def _lift(x, setup):
+    """I_B_it (x) X (x) I_B_ot/2 in the setup's layout order, for X on the
+    reduced layout, where B_it and B_ot have dimension one."""
+    layout = setup.op.layout
+    core = HermitianOperator(layout.subset(set(layout.labels) - {"B_it", "B_ot"}), x)
+    pinned = HermitianOperator(qubits("B_it"), np.eye(2))
+    traced = HermitianOperator(qubits("B_ot"), np.eye(2) / 2)
+    return permute_factors(tensor_product([core, pinned, traced]), layout.labels).matrix
+
+
+class TestRestrictedReduction:
+    @pytest.mark.parametrize("case", ["restricted", "restricted-rotated"])
+    def test_lifted_noise_is_feasible_at_full_size(self, qtf, request, case):
+        setup = rotated(qtf) if case.endswith("rotated") else qtf
+        report, _ = request.getfixturevalue(_SOLVED[case])
+        point = {name: _lift(m, setup) for name, m in report.extras["upper_point"].items()}
+        t, f, b = point["T"], point["F"], point["B"]
+        for m, cone in ((t, ConeId.GENERAL), (f, ConeId.FORWARD), (b, ConeId.BACKWARD)):
+            assert np.linalg.norm(m - SpanMask.of_setup(setup, cone).project(m)) <= 1e-9, cone
+            assert min_eigenvalue(m) >= 0.0, cone
+        # S + T splits into F + B up to a part the restricted witness cannot see
+        shift = f + b - t - setup.op.matrix
+        assert np.linalg.norm(restricted_witness_projector(setup)(shift)) <= 1e-9
+        assert np.trace(t).real / setup.trace_target == pytest.approx(report.upper, abs=1e-12)
+
+    def test_target_output_may_be_the_only_global_output(self):
+        # the reduced setup keeps B_ot at dimension one, so it still has a
+        # global output wire
+        rng = np.random.default_rng(5)
+        pre, post = random_channel(rng, 2, 4), random_channel(rng, 4, 2)
+        labels = ("A_I", "A_O", "B_it", "B_ot")
+        setup = sequential_setup(pre, post, 2, ConeId.FORWARD, labels=labels)
+        reduced, _ = sdp._restricted_reduction(setup)
+        assert reduced.op.layout.factors == (("A_I", 2), ("A_O", 2), ("B_it", 1), ("B_ot", 1))
+        report, _ = solve_max_robustness(setup, restricted=True)
+        assert report.converged
+        assert report.upper <= _GAP_TOL
 
 
 class TestConeValue:
