@@ -50,9 +50,7 @@ STATE_KETS = (
     np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
 )
 
-_PROJECTORS = tuple(np.outer(k, k.conj()) for k in STATE_KETS)
-_CONJ_PROJECTORS = tuple(p.conj() for p in _PROJECTORS)
-_I2 = np.eye(2, dtype=complex)
+_PROJECTORS = np.stack([np.outer(k, k.conj()) for k in STATE_KETS])
 
 
 @lru_cache(maxsize=1)
@@ -281,43 +279,39 @@ def validate_witness(w: Witness | HermitianOperator, tol: float = GAP_TOL) -> Wi
 # -- decomposition ---------------------------------------------------------------
 
 
-def term_operator(indices: Sequence[int]) -> np.ndarray:
-    """The product operator of one decomposition term, on the full layout.
-
-    Full terms place (in layout order A_I, A_O, B_it, B_ot, B_oc) the
-    projectors P_b, conj(P_c), conj(P_a), P_d, P_e; the conjugations are what
-    remains of the global transpose once it is distributed over the factors.
-    Restricted terms pin B_it to |0><0| and put the identity on B_ot.
-    """
-    idx = tuple(int(i) for i in indices)
-    if len(idx) == 5:
-        a, b, c, d, e = idx
-        factors = (
-            _PROJECTORS[b],
-            _CONJ_PROJECTORS[c],
-            _CONJ_PROJECTORS[a],
-            _PROJECTORS[d],
-            _PROJECTORS[e],
-        )
-    elif len(idx) == 3:
-        b, c, e = idx
-        factors = (_PROJECTORS[b], _CONJ_PROJECTORS[c], _PROJECTORS[0], _I2, _PROJECTORS[e])
-    else:
-        raise ValueError(f"expected 5 or 3 indices, got {len(idx)}")
-    out = factors[0]
-    for factor in factors[1:]:
-        out = np.kron(out, factor)
-    return out
+# The product design, one wire at a time.  A term's operator is the tensor
+# product of one-wire factors, in layout order (A_I, A_O, B_it, B_ot, B_oc):
+# P_b, conj(P_c), conj(P_a), P_d, P_e for a full term (a, b, c, d, e); the
+# conjugations are what remains of the global transpose once it is
+# distributed over the factors.  Restricted terms (b, c, e) pin B_it to
+# |0><0| and put the identity on B_ot, as one-element stacks.  Each design
+# also names the permutation from its wire axes to its index order.
+_P = _PROJECTORS
+_DESIGNS = {
+    5: ((_P, _P.conj(), _P.conj(), _P, _P), (2, 0, 1, 3, 4)),
+    3: ((_P, _P.conj(), _P[:1], np.eye(2, dtype=complex)[None], _P), (0, 1, 2, 3, 4)),
+}
 
 
-@lru_cache(maxsize=2)
-def _design(restricted: bool):
-    """Term list, stacked basis operators, and index positions."""
-    arity = 3 if restricted else 5
-    index_list = list(product(range(4), repeat=arity))
-    basis = np.stack([term_operator(idx) for idx in index_list])
-    positions = {idx: k for k, idx in enumerate(index_list)}
-    return index_list, basis, positions
+def _pairings(mat: np.ndarray, arity: int) -> np.ndarray:
+    """Tr(F_t mat) for every term t of one arity, as an array indexed by the
+    term's indices: one contraction of each wire with its factor stack."""
+    stacks, order = _DESIGNS[arity]
+    out = mat.reshape((2,) * 10)
+    for wires_left in range(5, 0, -1):
+        # Tr(F M) pairs the factor's (row, col) with M's (col, row)
+        out = np.tensordot(out, stacks[5 - wires_left], axes=([0, wires_left], [2, 1]))
+    return np.real(out.transpose(order).reshape((4,) * arity))
+
+
+def _combine(coeffs: np.ndarray, arity: int) -> np.ndarray:
+    """sum_t coeffs[t] F_t, the adjoint of `_pairings`."""
+    stacks, order = _DESIGNS[arity]
+    out = coeffs.reshape([len(stacks[wire]) for wire in order]).transpose(np.argsort(order))
+    for stack in stacks:
+        out = np.tensordot(out, stack, axes=([0], [0]))
+    # axes are now (row, col) per wire, in layout order
+    return out.transpose(tuple(range(0, 10, 2)) + tuple(range(1, 10, 2))).reshape(32, 32)
 
 
 def _solve_gram(pairings: np.ndarray, restricted: bool) -> np.ndarray:
@@ -345,12 +339,10 @@ def decompose_witness(
     """
     wit = _as_witness(w)
     mat = wit.op.matrix
-    index_list, basis, _ = _design(bool(restricted))
-    pairings = np.real(np.einsum("tij,ji->t", basis, mat))
-    coeffs = _solve_gram(pairings, bool(restricted))
+    arity = 3 if restricted else 5
+    coeffs = _solve_gram(_pairings(mat, arity), bool(restricted))
     coeffs[np.abs(coeffs) < ZERO_COEFF_TOL] = 0.0
-    rebuilt = np.einsum("t,tij->ij", coeffs, basis)
-    residual = float(np.linalg.norm(mat - rebuilt))
+    residual = float(np.linalg.norm(mat - _combine(coeffs, arity)))
     if residual > RECONSTRUCTION_TOL:
         if restricted:
             raise ValueError(
@@ -358,7 +350,7 @@ def decompose_witness(
                 f"(|0><0| on B_it, identity on B_ot): residual {residual:.3e}"
             )
         raise ValueError(f"decomposition failed to reconstruct the witness: residual {residual:.3e}")
-    return [DecompositionTerm(idx, c) for idx, c in zip(index_list, coeffs)]
+    return [DecompositionTerm(idx, c) for idx, c in zip(product(range(4), repeat=arity), coeffs)]
 
 
 # -- Born probabilities and estimation --------------------------------------------
@@ -370,22 +362,21 @@ def born_probabilities(
     """Event probabilities of the decomposition settings on a setup.
 
     Each probability is the pairing of the setup operator with the term's
-    product operator (the transposed preparation-and-measurement projector).
+    product operator (the transposed preparation-and-measurement projector),
+    looked up in the pairings of every term of its arity.
     """
     _require_experiment_layout(s.op.layout, "the setup")
-    mat = s.op.matrix
-    records = []
-    for term in terms:
-        _, basis, positions = _design(term.restricted)
-        p = float(np.real(np.einsum("ij,ji->", basis[positions[term.indices]], mat)))
-        records.append(ProbabilityRecord(term.indices, p))
-    return records
+    tables = {n: _pairings(s.op.matrix, n) for n in {len(term.indices) for term in terms}}
+    return [
+        ProbabilityRecord(term.indices, float(tables[len(term.indices)][term.indices]))
+        for term in terms
+    ]
 
 
 def _aligned_contributions(
     terms: Sequence[DecompositionTerm], probs: Sequence[ProbabilityRecord]
 ) -> tuple[np.ndarray, np.ndarray]:
-    table = {record.indices: record.probability for record in probs}
+    table = _by_indices(probs, "event")
     coeffs = []
     values = []
     for term in terms:
@@ -394,7 +385,7 @@ def _aligned_contributions(
         if term.indices not in table:
             raise ValueError(f"missing probability for contributing term {term.indices}")
         coeffs.append(term.coeff)
-        values.append(table[term.indices])
+        values.append(table[term.indices].probability)
     return np.asarray(coeffs, dtype=float), np.asarray(values, dtype=float)
 
 
@@ -461,6 +452,16 @@ def _uniform_arity(items, what: str) -> int:
     return arities.pop() if arities else 5
 
 
+def _by_indices(items, what: str) -> dict:
+    """The items keyed by their index tuples; a repeated tuple is an error."""
+    table = {}
+    for item in items:
+        if item.indices in table:
+            raise ValueError(f"repeated {what} {item.indices}")
+        table[item.indices] = item
+    return table
+
+
 def save_decomposition(path: str, terms: Sequence[DecompositionTerm]) -> None:
     """Write contributing terms as CSV; exact-zero coefficients are omitted."""
     terms = list(terms)
@@ -474,23 +475,33 @@ def save_decomposition(path: str, terms: Sequence[DecompositionTerm]) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
-def load_decomposition(path: str) -> list[DecompositionTerm]:
+def _read_csv(path: str, what: str):
+    """The header, index arity and numbered non-empty rows of a CSV file
+    whose header starts with the full or the restricted index columns."""
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows:
-        raise ValueError(f"empty decomposition file {path}")
+        raise ValueError(f"empty {what} file {path}")
     header = tuple(rows[0])
     for columns in (_FULL_COLUMNS, _RESTRICTED_COLUMNS):
-        if header == columns + ("coeff",):
-            arity = len(columns)
-            break
-    else:
+        if header[: len(columns)] == columns:
+            numbered = [(n, row) for n, row in enumerate(rows[1:], start=2) if row]
+            return header, len(columns), numbered
+    raise ValueError(f"unrecognized {what} header {header}")
+
+
+def load_decomposition(path: str) -> list[DecompositionTerm]:
+    header, arity, rows = _read_csv(path, "decomposition")
+    if header[arity:] != ("coeff",):
         raise ValueError(f"unrecognized decomposition header {header}")
-    return [
-        DecompositionTerm(tuple(int(v) for v in row[:arity]), float(row[arity]))
-        for row in rows[1:]
-        if row
-    ]
+    terms = []
+    for number, row in rows:
+        if len(row) != len(header):
+            raise ValueError(
+                f"row {number} of {path} has {len(row)} fields, expected {len(header)}: {row}"
+            )
+        terms.append(DecompositionTerm(tuple(int(v) for v in row[:arity]), float(row[arity])))
+    return list(_by_indices(terms, "term").values())
 
 
 def save_probabilities(path: str, records: Sequence[ProbabilityRecord]) -> None:
@@ -518,22 +529,10 @@ def save_probabilities(path: str, records: Sequence[ProbabilityRecord]) -> None:
 def load_probabilities(path: str) -> list[ProbabilityRecord]:
     """Read probability records; raw-count rows (counts, shots and no
     probability column) are converted to frequencies."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise ValueError(f"empty probability file {path}")
-    header = tuple(rows[0])
-    for columns in (_FULL_COLUMNS, _RESTRICTED_COLUMNS):
-        if header[: len(columns)] == columns:
-            arity = len(columns)
-            break
-    else:
-        raise ValueError(f"unrecognized probability header {header}")
+    header, arity, rows = _read_csv(path, "probability")
     value_columns = header[arity:]
     records = []
-    for row in rows[1:]:
-        if not row:
-            continue
+    for _, row in rows:
         indices = tuple(int(v) for v in row[:arity])
         fields = dict(zip(value_columns, row[arity:]))
         counts = int(fields["counts"]) if fields.get("counts") else None
@@ -547,4 +546,4 @@ def load_probabilities(path: str) -> list[ProbabilityRecord]:
                 f"row {indices} in {path} has neither a probability nor counts with shots"
             )
         records.append(ProbabilityRecord(indices, probability, counts=counts, shots=shots))
-    return records
+    return list(_by_indices(records, "event").values())

@@ -62,6 +62,32 @@ def oracle_trace_and_replace(mat, dims, replaced_positions):
     return out
 
 
+# The experiment's preparation/measurement states |0>, |1>, |+> and |+i>.
+_ORACLE_KETS = (
+    np.array([1.0, 0.0]),
+    np.array([0.0, 1.0]),
+    np.array([1.0, 1.0]) / np.sqrt(2.0),
+    np.array([1.0, 1.0j]) / np.sqrt(2.0),
+)
+
+
+def oracle_term(indices):
+    """The paper-form product operator of one decomposition term: the global
+    transpose of the physical preparation/measurement projectors on the
+    layout (A_I, A_O, B_it, B_ot, B_oc), built with no shortcut.  Full terms
+    (a, b, c, d, e) measure b on A_I, prepare c on A_O, prepare a on B_it
+    and measure d, e on B_ot, B_oc; restricted terms (b, c, e) prepare |0>
+    on B_it and leave B_ot unmeasured."""
+    proj = [np.outer(k, k.conj()) for k in _ORACLE_KETS]
+    if len(indices) == 5:
+        a, b, c, d, e = indices
+        physical = [proj[b].conj(), proj[c], proj[a], proj[d].conj(), proj[e].conj()]
+    else:
+        b, c, e = indices
+        physical = [proj[b].conj(), proj[c], proj[0], np.eye(2), proj[e].conj()]
+    return reduce(np.kron, physical).T
+
+
 def random_hermitian(rng, n, scale=1.0):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scale * (g + g.conj().T) / 2

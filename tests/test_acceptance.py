@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import definite_mixture, random_bistochastic_channel
+from helpers import definite_mixture, oracle_term, random_bistochastic_channel
 from timeflip.channels import input_output_inversion, kraus_to_choi, KrausChannel
 from timeflip.cli import EXIT_OK, main as cli_main
 from timeflip.game import TAG_PLUS, builtin_gate_sets, qtf_strategy, switch_strategy
@@ -35,7 +35,6 @@ from timeflip.witness import (
     estimate_robustness,
     experiment_layout,
     poisson_resample,
-    term_operator,
     z_score,
 )
 
@@ -169,7 +168,7 @@ def test_criterion_08_decomposition_roundtrip(solved, solved_restricted):
         g = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
         op = HermitianOperator(layout, (g + g.conj().T) / 2)
         terms = decompose_witness(op)
-        rebuilt = sum(t.coeff * term_operator(t.indices) for t in terms)
+        rebuilt = sum(t.coeff * oracle_term(t.indices) for t in terms)
         worst = max(worst, float(np.linalg.norm(rebuilt - op.matrix)))
     full_count = sum(t.coeff != 0.0 for t in decompose_witness(solved[1]))
     restricted_count = sum(

@@ -382,6 +382,25 @@ class TestBadInput:
                     "--counts-in", str(probs), *shots) == EXIT_IO
         assert "non-finite probability nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("decomposition, counts, message", [
+        ("0,0,0,0,0,0.5\n0,0,0,0,0,0.5\n", None, "repeated term (0, 0, 0, 0, 0)"),
+        ("0,0,0,0,0\n", None, "row 2 of "),
+        ("0,0,0,0,0,1.0\n", "0,0,0,0,0,0.1\n0,0,0,0,0,0.9\n", "repeated event (0, 0, 0, 0, 0)"),
+    ], ids=["repeated-term", "short-row", "repeated-event"])
+    def test_malformed_csv_row_is_an_io_error(
+        self, tmp_path, capsys, decomposition, counts, message
+    ):
+        path = tmp_path / "decomposition.csv"
+        path.write_text("a,b,c,d,e,coeff\n" + decomposition)
+        argv = ["probabilities", "--decomposition-in", str(path)]
+        if counts is not None:
+            (tmp_path / "counts.csv").write_text("a,b,c,d,e,probability\n" + counts)
+            argv += ["--counts-in", str(tmp_path / "counts.csv")]
+        assert _run(*argv) == EXIT_IO
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "estimate" not in captured.out
+
 
 class TestConfig:
     def test_bogus_tolerance_env_is_a_parse_error(self, monkeypatch, capsys):

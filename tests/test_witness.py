@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import half_definite, random_hermitian_operator, rotated
+from helpers import half_definite, oracle_term, random_hermitian_operator, rotated
 from timeflip.sdp import solve_cone_value, solve_max_robustness
 from timeflip.supermaps import (
     ConeId,
@@ -30,7 +33,6 @@ from timeflip.tensor_core import (
 )
 from timeflip.witness import (
     CERTIFICATE_TOL,
-    STATE_KETS,
     WIRE_LABELS,
     DecompositionTerm,
     ProbabilityRecord,
@@ -53,27 +55,11 @@ _TOL = 1e-8
 _VALUE_TOL = 5e-3
 
 
-def _oracle_term(indices):
-    """The paper-form product operator: the global transpose of the physical
-    preparation/measurement projectors, built without the module's shortcuts."""
-    proj = [np.outer(k, k.conj()) for k in STATE_KETS]
-    if len(indices) == 5:
-        a, b, c, d, e = indices
-        physical = [proj[b].conj(), proj[c], proj[a], proj[d].conj(), proj[e].conj()]
-    else:
-        b, c, e = indices
-        physical = [proj[b].conj(), proj[c], proj[0], np.eye(2), proj[e].conj()]
-    out = physical[0]
-    for factor in physical[1:]:
-        out = np.kron(out, factor)
-    return out.T
-
-
 def _rebuild(terms):
     total = np.zeros((32, 32), dtype=complex)
     for term in terms:
         if term.coeff != 0.0:
-            total += term.coeff * _oracle_term(term.indices)
+            total += term.coeff * oracle_term(term.indices)
     return total
 
 
@@ -186,7 +172,7 @@ class TestDecomposition:
     def test_tiny_coefficients_become_exact_zeros(self):
         mat = np.zeros((32, 32), dtype=complex)
         mat[0, 0] = 1.0
-        spread = _oracle_term((3, 3, 3, 3, 3))
+        spread = oracle_term((3, 3, 3, 3, 3))
         op = HermitianOperator(experiment_layout(), mat + 5e-11 * spread)
         terms = {t.indices: t.coeff for t in decompose_witness(op)}
         assert terms[(3, 3, 3, 3, 3)] == 0.0
@@ -244,7 +230,7 @@ class TestDecompositionProperties:
         for _ in range(4):
             inverse = np.kron(inverse, np.linalg.inv(gram))
         pairings = np.array(
-            [np.real(np.trace(_oracle_term(t.indices) @ op.matrix)) for t in terms]
+            [np.real(np.trace(oracle_term(t.indices) @ op.matrix)) for t in terms]
         )
         oracle = inverse @ pairings
         produced = np.array([t.coeff for t in terms])
@@ -280,6 +266,27 @@ class TestBornProbabilities:
                     ]
                     total = sum(r.probability for r in born_probabilities(setup, terms))
                     assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_every_term_matches_the_oracle(self, qtf):
+        setup = _random_general_setup(np.random.default_rng(5), qtf)
+        full = [DecompositionTerm(idx, 1.0) for idx in product(range(4), repeat=5)]
+        restricted = [DecompositionTerm(idx, 1.0) for idx in product(range(4), repeat=3)]
+        mixed = restricted[::5] + full[::9] + restricted[2::5]
+        for terms in (full, restricted, mixed):
+            records = born_probabilities(setup, terms)
+            assert [r.indices for r in records] == [t.indices for t in terms]
+            expected = [np.real(np.trace(oracle_term(t.indices) @ setup.op.matrix)) for t in terms]
+            assert np.max(np.abs([r.probability for r in records] - np.array(expected))) <= 1e-12
+
+    def test_cold_pipeline_peak_memory(self, qtf):
+        op = random_hermitian_operator(np.random.default_rng(8), experiment_layout())
+        tracemalloc.start()
+        try:
+            born_probabilities(qtf, decompose_witness(op))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_layout_mismatch_raises(self, qtf):
         relabeled = relabel(qtf.op, {"B_oc": "B_x"})
@@ -333,6 +340,13 @@ class TestEstimator:
         # zero-coefficient terms do not need probabilities
         probs = [ProbabilityRecord((0, 0, 0, 0, 0), 0.25)]
         assert estimate_robustness(terms, probs) == pytest.approx(-0.25)
+
+
+    def test_repeated_event_raises(self):
+        terms = [DecompositionTerm((0, 0, 0, 0, 0), 1.0)]
+        probs = [ProbabilityRecord((0, 0, 0, 0, 0), p) for p in (0.1, 0.9)]
+        with pytest.raises(ValueError, match=r"repeated event \(0, 0, 0, 0, 0\)"):
+            estimate_robustness(terms, probs)
 
 
 class TestEstimatorProperties:
