@@ -9,9 +9,11 @@ those it drops (X in the span is X = 0 there), or the identity coordinate,
 which carries the trace.  A consensus ADMM iteration holds the k blocks of a
 program as (k, n, n) stacks and alternates an exact affine projection (per
 class of coordinates where the same rows hold, a precomputed k x k operator
-on the block index plus an offset) with the cone projections (one stacked
-eigendecomposition clips every positive semidefinite block; subspace blocks
-apply their projectors).  The iteration is run as a fixed-point map on one
+on the block index plus an offset; the largest class's operator applied to
+the raw entries, the few other coordinates corrected through their basis
+matrices) with the cone projections (one stacked eigendecomposition clips
+every positive semidefinite block; subspace blocks apply their
+projectors).  The iteration is run as a fixed-point map on one
 stack, with safeguarded type-II Anderson acceleration: an extrapolated point
 whose fixed-point residual exceeds the last accepted point's is dropped for
 the plain step.  A program invariant under complex conjugation runs in real
@@ -194,6 +196,15 @@ def _lmin(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(_sym(m))[0])
 
 
+def _psd_shortfall(m: np.ndarray) -> float:
+    """How far the least eigenvalue of a Hermitian matrix falls short of the
+    error bound n * eps * ||m||_2 of `eigvalsh`, or 0.  A repair by only
+    minus the least eigenvalue (say 1e-17) can be lost in rounding."""
+    vals = np.linalg.eigvalsh(_sym(m))
+    bound = len(m) * np.finfo(float).eps * max(-vals[0], vals[-1])
+    return max(0.0, float(bound - vals[0]))
+
+
 def _conjugation_invariant(prog: ConicProgram) -> bool:
     """Whether complex conjugation maps the program onto itself: every
     objective and row right-hand side is real, and every subspace projector
@@ -223,12 +234,19 @@ class _Admm:
     coordinate class, the coordinates where the same rows A_c hold: there
     x = M_c v + c_c, with the k x k operator M_c = I - A_c^T (A_c A_c^T)^{-1}
     A_c on the block index and the offset c_c = A_c^T (A_c A_c^T)^{-1} b,
-    both precomputed; a class where no row holds stays as it is.  The
-    coordinates are those of the orthogonal change to the product basis
+    both precomputed; a class where no row holds has M_c = I and no offset.
+    The coordinates are those of the orthogonal change to the product basis
     (`supermaps.basis_coords`), or the raw entries, one class, when no row
-    is masked.  The cone step clips every positive semidefinite block with
-    one stacked eigendecomposition and applies each subspace block's
-    projector.
+    is masked.  The operator M of the largest class acts on the block index
+    only, so it commutes with the change of basis: the step applies M to the
+    raw entries and adds the whole offset as a raw stack, then corrects each
+    of the m other coordinates by (M_c - M) of its value, through their basis
+    matrices E (one real m x n^2 product each way, per real and imaginary
+    plane).  That costs about m n^2 per block; when m is n^2 / 8 or more (238
+    of 1,024 on the game cap, 63 on the witness program) the step takes the
+    round trip through every coordinate instead.  The cone step clips every
+    positive semidefinite block with one stacked eigendecomposition and
+    applies each subspace block's projector.
 
     The state is one stack, the Douglas-Rachford variable w.  One evaluation
     of the map T projects z = P_K(w), takes the scaled multipliers u = w - z
@@ -257,7 +275,9 @@ class _Admm:
     real iterates are the same iteration in cheaper arithmetic.
     """
 
-    MEMORY = 5
+    # 12 takes fewer iterations than 10 on every benchmark pair; 11, 13, 14,
+    # 15 and 20 take more than 10 on at least one
+    MEMORY = 12
     REGULARIZATION = 1e-10
 
     def __init__(self, prog: ConicProgram, rho: float = 1.0, alpha: float = 1.7):
@@ -335,35 +355,82 @@ class _Admm:
         if masked and prog.layout is None:
             raise ValueError(f"{prog.name}: a row with a support needs the program's layout")
         self.layout = prog.layout if masked else None
-        self.classes = []
+        # without rows the projection is the identity, taken on the raw path
+        self.round_trip = None
+        self._main, self._offset = None, np.zeros((k, n, n), dtype=self.dtype)
+        self._basis, self._corrections = None, []
         if not rows:
             return
         a = np.array([[row.coeffs.get(name, 0.0) for name in self.names] for row in rows])
         rhs = self._coords(np.array([self._cast(np.asarray(row.rhs)) for row in rows]))
+        coords = rhs.shape[1:]  # of one matrix: a pair of axes per wire, or (n, n)
         rhs = rhs.reshape(len(rows), -1)
-        # which rows hold at each coordinate; a class is one pattern of them
+        # which rows hold at each coordinate; a class is one pattern of them,
+        # with the operator I and no offset where no row holds
         every = np.ones(n * n, dtype=bool)
         held = np.array([every if row.support is None else np.ravel(row.support) for row in rows])
         patterns, labels = np.unique(held.T, axis=0, return_inverse=True)
+        labels = labels.ravel()
+        ops, offset = [], np.zeros((k, n * n), dtype=self.dtype)
         for j, pattern in enumerate(patterns):
-            if not pattern.any():
-                continue
-            where = np.flatnonzero(labels.ravel() == j)
-            idx = slice(None) if len(where) == n * n else where
-            a_c = a[pattern]
-            gram = a_c @ a_c.T
-            if np.linalg.cond(gram) > 1e10:
-                raise ValueError(f"{prog.name}: operator rows are numerically dependent")
-            a_pinv = np.linalg.solve(gram, a_c).T
-            offset = (a_pinv @ rhs[pattern][:, idx]).astype(self.dtype)
-            self.classes.append((idx, np.eye(k) - a_pinv @ a_c, offset))
+            op = np.eye(k)
+            if pattern.any():
+                where = labels == j
+                a_c = a[pattern]
+                gram = a_c @ a_c.T
+                if np.linalg.cond(gram) > 1e10:
+                    raise ValueError(f"{prog.name}: operator rows are numerically dependent")
+                a_pinv = np.linalg.solve(gram, a_c).T
+                op -= a_pinv @ a_c
+                offset[:, where] = a_pinv @ rhs[pattern][:, where]
+            ops.append(op)
+        main = int(np.argmax(np.bincount(labels)))
+        order = np.argsort(labels, kind="stable")
+        minority = order[labels[order] != main]  # grouped by class
+        if 8 * len(minority) >= n * n:
+            # their basis matrices would cost more than the round trip
+            self.round_trip = []
+            for j, pattern in enumerate(patterns):
+                if pattern.any():
+                    where = np.flatnonzero(labels == j)
+                    self.round_trip.append((where, ops[j], offset[:, where]))
+            return
+        self._main = ops[main] if patterns[main].any() else None
+        offset = offset.reshape(k, *coords)
+        self._offset = offset if self.layout is None else basis_matrices(self.layout, offset)
+        if len(minority):
+            # E: the basis matrices of those coordinates, as flat rows
+            units = np.zeros((len(minority), n * n))
+            units[np.arange(len(minority)), minority] = 1.0
+            self._basis = basis_matrices(self.layout, units.reshape(-1, *coords)).reshape(len(minority), -1)
+            cuts = [0, *(np.flatnonzero(np.diff(labels[minority])) + 1), len(minority)]
+            self._corrections = [
+                (slice(lo, hi), ops[labels[minority[lo]]] - ops[main]) for lo, hi in zip(cuts, cuts[1:])
+            ]
 
     def _project_affine(self, v: np.ndarray) -> np.ndarray:
-        c = self._coords(v)
-        flat = c.reshape(len(c), -1)
-        for idx, op, offset in self.classes:
-            flat[:, idx] = op @ flat[:, idx] + offset
-        return c if self.layout is None else basis_matrices(self.layout, c)
+        k = len(v)
+        if self.round_trip is not None:
+            c = self._coords(v)
+            flat = c.reshape(k, -1)
+            for idx, op, offset in self.round_trip:
+                flat[:, idx] = op @ flat[:, idx] + offset
+            return basis_matrices(self.layout, c)
+        flat = v.reshape(k, -1)
+        out = (v if self._main is None else (self._main @ flat).reshape(v.shape)) + self._offset
+        if self._basis is not None:
+            # E stays real: a complex stack goes as its real and imaginary planes
+            planes = flat if self.dtype is float else np.concatenate((flat.real, flat.imag))
+            picked = (planes @ self._basis.T).reshape(-1, k, len(self._basis))
+            for idx, op in self._corrections:
+                picked[..., idx] = op @ picked[..., idx]
+            fix = (picked.reshape(planes.shape[0], -1) @ self._basis).reshape(-1, *v.shape)
+            if self.dtype is float:
+                out += fix[0]
+            else:
+                out.real += fix[0]
+                out.imag += fix[1]
+        return out
 
     def _project_cone(self, m: np.ndarray) -> np.ndarray:
         """Project each block onto its cone, in place; free blocks stay."""
@@ -649,10 +716,11 @@ def _mix_to_psd(
     psd_names: Sequence[str],
 ) -> tuple[dict[str, np.ndarray], float]:
     """Mix every block toward a strictly feasible interior point, just far
-    enough that the named blocks become positive semidefinite."""
+    enough that the named blocks become positive semidefinite with the
+    margin of `_psd_shortfall`."""
     gamma = 0.0
     for name in psd_names:
-        eps = max(0.0, -_lmin(blocks[name]))
+        eps = _psd_shortfall(blocks[name])
         if eps == 0.0:
             continue
         margin = _lmin(interior[name])
@@ -696,7 +764,7 @@ def _robustness_primal(geom: _SlotGeometry) -> ConicProgram:
         f = f + d_f
         b = b + (delta - d_f)
         # positivity repair along the identity, a member of every span
-        bump = max(0.0, -2 * _lmin(f), -2 * _lmin(b), -_lmin(t)) * (1 + 1e-9)
+        bump = max(2 * _psd_shortfall(f), 2 * _psd_shortfall(b), _psd_shortfall(t)) * (1 + 1e-9)
         t = t + bump * eye
         f = f + bump / 2 * eye
         b = b + bump / 2 * eye

@@ -477,7 +477,8 @@ def save_decomposition(path: str, terms: Sequence[DecompositionTerm]) -> None:
 
 def _read_csv(path: str, what: str):
     """The header, index arity and numbered non-empty rows of a CSV file
-    whose header starts with the full or the restricted index columns."""
+    whose header starts with the full or the restricted index columns; each
+    row holds one field per column, as a dict keyed by column."""
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows:
@@ -485,22 +486,44 @@ def _read_csv(path: str, what: str):
     header = tuple(rows[0])
     for columns in (_FULL_COLUMNS, _RESTRICTED_COLUMNS):
         if header[: len(columns)] == columns:
-            numbered = [(n, row) for n, row in enumerate(rows[1:], start=2) if row]
-            return header, len(columns), numbered
-    raise ValueError(f"unrecognized {what} header {header}")
+            break
+    else:
+        raise ValueError(f"unrecognized {what} header {header}")
+    numbered = []
+    for number, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"row {number} of {path} has {len(row)} fields, expected {len(header)}: {row}"
+            )
+        numbered.append((number, dict(zip(header, row))))
+    return header, len(columns), numbered
+
+
+def _field(path: str, number: int, row: dict, column: str, kind: type):
+    """One field of a CSV row read as an int or a float; a field that is not
+    one names the file, the row and the column."""
+    try:
+        return kind(row[column])
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(
+            f"row {number} of {path}: column {column!r} is not {what}: {row[column]!r}"
+        ) from None
 
 
 def load_decomposition(path: str) -> list[DecompositionTerm]:
     header, arity, rows = _read_csv(path, "decomposition")
     if header[arity:] != ("coeff",):
         raise ValueError(f"unrecognized decomposition header {header}")
-    terms = []
-    for number, row in rows:
-        if len(row) != len(header):
-            raise ValueError(
-                f"row {number} of {path} has {len(row)} fields, expected {len(header)}: {row}"
-            )
-        terms.append(DecompositionTerm(tuple(int(v) for v in row[:arity]), float(row[arity])))
+    terms = [
+        DecompositionTerm(
+            tuple(_field(path, number, row, column, int) for column in header[:arity]),
+            _field(path, number, row, "coeff", float),
+        )
+        for number, row in rows
+    ]
     return list(_by_indices(terms, "term").values())
 
 
@@ -530,15 +553,13 @@ def load_probabilities(path: str) -> list[ProbabilityRecord]:
     """Read probability records; raw-count rows (counts, shots and no
     probability column) are converted to frequencies."""
     header, arity, rows = _read_csv(path, "probability")
-    value_columns = header[arity:]
     records = []
-    for _, row in rows:
-        indices = tuple(int(v) for v in row[:arity])
-        fields = dict(zip(value_columns, row[arity:]))
-        counts = int(fields["counts"]) if fields.get("counts") else None
-        shots = int(fields["shots"]) if fields.get("shots") else None
-        if "probability" in fields:
-            probability = float(fields["probability"])
+    for number, row in rows:
+        indices = tuple(_field(path, number, row, column, int) for column in header[:arity])
+        counts = _field(path, number, row, "counts", int) if row.get("counts") else None
+        shots = _field(path, number, row, "shots", int) if row.get("shots") else None
+        if "probability" in row:
+            probability = _field(path, number, row, "probability", float)
         elif counts is not None and shots is not None:
             probability = counts / shots
         else:

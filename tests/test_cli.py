@@ -386,7 +386,12 @@ class TestBadInput:
         ("0,0,0,0,0,0.5\n0,0,0,0,0,0.5\n", None, "repeated term (0, 0, 0, 0, 0)"),
         ("0,0,0,0,0\n", None, "row 2 of "),
         ("0,0,0,0,0,1.0\n", "0,0,0,0,0,0.1\n0,0,0,0,0,0.9\n", "repeated event (0, 0, 0, 0, 0)"),
-    ], ids=["repeated-term", "short-row", "repeated-event"])
+        ("0,0,0,0,0,1.0\n", "0,0,0,0,0,0.5,7\n", "counts.csv has 7 fields, expected 6"),
+        ("0,0,x,0,0,0.5\n", None, "decomposition.csv: column 'c' is not an integer: 'x'"),
+        ("0,0,0,0,0,1.0\n", "0,0,x,0,0,0.5\n", "counts.csv: column 'c' is not an integer: 'x'"),
+        ("0,0,0,0,0,1.0\n", "0,0,0,0,0,abc\n", "counts.csv: column 'probability' is not a number: 'abc'"),
+    ], ids=["repeated-term", "short-row", "repeated-event", "long-event-row", "non-integer-index",
+            "non-integer-event-index", "non-numeric-probability"])
     def test_malformed_csv_row_is_an_io_error(
         self, tmp_path, capsys, decomposition, counts, message
     ):
