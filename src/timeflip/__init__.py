@@ -68,7 +68,6 @@ from .tensor_core import (
 from .witness import (
     DecompositionTerm,
     ProbabilityRecord,
-    Witness,
     WitnessReport,
     born_probabilities,
     decompose_witness,
@@ -92,7 +91,6 @@ __all__ = [
     "SlotSpec",
     "SolveReport",
     "SystemLayout",
-    "Witness",
     "WitnessReport",
     "apply_supermap",
     "born_probabilities",

@@ -286,10 +286,11 @@ def _validate_witness(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _validate_gate_table(args: argparse.Namespace) -> tuple[int, dict]:
+    tol = _tol_kwargs(args.tol)
     if args.convention:
-        reports = {args.convention: verify_gate_table(args.convention)}
+        reports = {args.convention: verify_gate_table(args.convention, **tol)}
     else:
-        reports = gate_table_survey()
+        reports = gate_table_survey(**tol)
     payload = {}
     for convention, report in reports.items():
         payload[convention] = report.as_dict()

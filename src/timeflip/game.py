@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .channels import KrausChannel, kraus_to_choi
-from .sdp import GAP_TOL, MAX_ITER, RESIDUAL_TOL, solve_cone_value
+from .sdp import solve_cone_value
 from .supermaps import ConeId, SlotSpec, SpanMask
 from .tensor_core import HermitianOperator, SystemLayout, atomic_write_text, qubits
 
@@ -35,6 +35,7 @@ TAG_TOL = 1e-10
 STATE_NORM_TOL = 1e-10
 WEIGHT_TOL = 1e-9
 TABLE_TOL = 1e-8
+CERTAINTY_TOL = 1e-9
 
 GAME_WIRE_LABELS = ("A_I", "A_O", "B_I", "B_O", "C_O")
 GAME_SLOTS = (SlotSpec(("A_I",), ("A_O",)), SlotSpec(("B_I",), ("B_O",)))
@@ -63,6 +64,8 @@ def _as_gate(matrix, what: str) -> np.ndarray:
     mat = np.asarray(matrix, dtype=complex)
     if mat.shape != (2, 2):
         raise ValueError(f"{what} must be a 2x2 matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{what} has non-finite entries")
     if np.linalg.norm(mat.conj().T @ mat - _ID, 2) > UNITARY_TOL:
         raise ValueError(f"{what} is not unitary within {UNITARY_TOL:g}")
     return mat
@@ -83,15 +86,16 @@ class GatePair:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _as_gate(self.u, "u"))
-        object.__setattr__(self, "v", _as_gate(self.v, "v"))
+        label = self.name or "(u, v)"
+        object.__setattr__(self, "u", _as_gate(self.u, f"u of pair {label}"))
+        object.__setattr__(self, "v", _as_gate(self.v, f"v of pair {label}"))
         if self.tag not in GATE_TAGS:
             raise ValueError(f"tag must be one of {GATE_TAGS}, got {self.tag!r}")
         sign = 1.0 if self.tag == TAG_PLUS else -1.0
         defect = np.linalg.norm(self.u @ self.v.T - sign * self.u.T @ self.v, 2)
         if defect > TAG_TOL:
             raise ValueError(
-                f"pair {self.name or '(u, v)'} does not satisfy the "
+                f"pair {label} does not satisfy the "
                 f"{self.tag!r} relation: defect {defect:.3e}")
 
 
@@ -143,6 +147,8 @@ def _as_state(vec, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(vec, dtype=complex).reshape(-1)
     if arr.shape != (dim,):
         raise ValueError(f"{what} must be a {dim}-component vector")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries")
     if abs(np.linalg.norm(arr) - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"{what} is not normalized")
     return arr
@@ -332,9 +338,7 @@ def game_witness(pairs: Sequence[GatePair], weights=None,
 
 
 def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str,
-                                 weights=None, tol: float = RESIDUAL_TOL,
-                                 gap_tol: float = GAP_TOL,
-                                 max_iter: int = MAX_ITER) -> float:
+                                 weights=None) -> float:
     """Certified cap on the success probability of fixed-direction strategies.
 
     ``direction`` selects the strategy class: "forward-only" and
@@ -352,8 +356,7 @@ def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str,
         spans["forward"] = SpanMask(layout, GAME_SLOTS, (), ("C_O",), ConeId.FORWARD)
     if direction in ("backward-only", "convex-hull"):
         spans["backward"] = SpanMask(layout, GAME_SLOTS, (), ("C_O",), ConeId.BACKWARD)
-    report = solve_cone_value(target, spans, trace_target=4.0, tol=tol,
-                              gap_tol=gap_tol, max_iter=max_iter)
+    report = solve_cone_value(target, spans, trace_target=4.0)
     if not report.converged:
         raise ValueError(f"fixed-direction bound did not certify: gap {report.gap:.3e}")
     return min(1.0, float(report.upper))
@@ -507,6 +510,8 @@ def load_gate_pairs(path: str) -> list[GatePair]:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("gate-pair file must hold a JSON list")
+    if not data:
+        raise ValueError(f"gate-pair file {path} holds no pairs")
     return [gate_pair_from_dict(obj) for obj in data]
 
 
@@ -521,17 +526,16 @@ class GameRecord:
     correct: bool
 
 
-def play_game(pairs: Sequence[GatePair], strategy: str = "qtf", target_state=(1.0, 0.0),
-              certainty_tol: float = 1e-9) -> list[GameRecord]:
+def play_game(pairs: Sequence[GatePair], strategy: str = "qtf") -> list[GameRecord]:
     """Run a superposition strategy over a pair list: the coherent
-    two-direction strategy ("qtf", measuring `target_state`) or the
+    two-direction strategy ("qtf", on the target state |0>) or the
     opposite-direction one ("switch")."""
     if strategy not in GAME_STRATEGIES:
         raise ValueError(f"strategy must be one of {GAME_STRATEGIES}, got {strategy!r}")
     records = []
     for index, pair in enumerate(pairs):
         if strategy == "qtf":
-            p0, p1 = qtf_strategy(pair, target_state)
+            p0, p1 = qtf_strategy(pair, (1.0, 0.0))
         else:
             p_correct = switch_strategy(pair)
             p0 = p_correct if pair.tag == TAG_PLUS else 1.0 - p_correct
@@ -542,7 +546,7 @@ def play_game(pairs: Sequence[GatePair], strategy: str = "qtf", target_state=(1.
             tag=pair.tag,
             p_port0=p0,
             p_port1=p1,
-            correct=bool(winner >= 1.0 - certainty_tol),
+            correct=bool(winner >= 1.0 - CERTAINTY_TOL),
         ))
     return records
 

@@ -244,19 +244,22 @@ class _Admm:
     matrices E (one real m x n^2 product each way, per real and imaginary
     plane).  That costs about m n^2 per block; when m is n^2 / 8 or more (238
     of 1,024 on the game cap, 63 on the witness program) the step takes the
-    round trip through every coordinate instead.  The cone step clips every
-    positive semidefinite block with one stacked eigendecomposition and
-    applies each subspace block's projector.
+    round trip through every coordinate instead.  Time does not decide that:
+    on the game cap both steps take the same wall time, but E and the unit
+    stack it is built from raise the peak memory of `game --pmax-sdp` from
+    40.9 to 46.7 MB (14%).  The cone step clips every positive semidefinite
+    block with one stacked eigendecomposition and applies each subspace
+    block's projector.
 
     The state is one stack, the Douglas-Rachford variable w.  One evaluation
     of the map T projects z = P_K(w), takes the scaled multipliers u = w - z
     and the affine point x = P_A(z - u - cost/rho), and returns
-    T(w) = w + alpha (x - z), the over-relaxed ADMM step.  The split
+    T(w) = w + ALPHA (x - z), the over-relaxed ADMM step.  The split
     residuals come from that one evaluation: r is the distance of the cone
     point z from the affine set, and s is rho times the part of x - z along
     the affine set, which is the distance of the slacks -rho u (exact
-    dual-cone points) from their own affine set.  Every 25 iterations rho is
-    rebalanced toward r ~ s.
+    dual-cone points) from their own affine set.  rho starts at RHO and is
+    rebalanced toward r ~ s every 25 iterations.
 
     Type-II Anderson acceleration (Walker and Ni, SIAM J. Numer. Anal. 49,
     2011) extrapolates from the last MEMORY differences of T and of the
@@ -279,8 +282,10 @@ class _Admm:
     # 15 and 20 take more than 10 on at least one
     MEMORY = 12
     REGULARIZATION = 1e-10
+    ALPHA = 1.7
+    RHO = 1.0
 
-    def __init__(self, prog: ConicProgram, rho: float = 1.0, alpha: float = 1.7):
+    def __init__(self, prog: ConicProgram):
         self.prog = prog
         self.names = [b.name for b in prog.blocks]
         self.dtype = float if _conjugation_invariant(prog) else complex
@@ -288,11 +293,10 @@ class _Admm:
         self.sub = [(k, b.project) for k, b in enumerate(prog.blocks) if b.kind == "sub"]
         sign = 1.0 if prog.sense == "min" else -1.0
         self.cost = sign * self._stack(prog.objective)
-        self.rho = rho
-        self.alpha = alpha
+        self.rho = self.RHO
         self.x = self.z = self.u = self._stack({})
         self.iterations = 0
-        self._shift = self.cost / rho
+        self._shift = self.cost / self.rho
         self._d_norm, self._split = np.inf, (np.inf, np.inf)
         self._prepare_affine()
         # the next point to evaluate, whether it is extrapolated, and the
@@ -388,7 +392,8 @@ class _Admm:
         order = np.argsort(labels, kind="stable")
         minority = order[labels[order] != main]  # grouped by class
         if 8 * len(minority) >= n * n:
-            # their basis matrices would cost more than the round trip
+            # their basis matrices would tie the round trip in time and cost
+            # 14% more peak memory on the game cap (see the class docstring)
             self.round_trip = []
             for j, pattern in enumerate(patterns):
                 if pattern.any():
@@ -453,7 +458,7 @@ class _Admm:
         d = x - z
         d_norm = float(np.linalg.norm(d))
         self.iterations += 1
-        if self._extrapolated and self.alpha * d_norm > self._g_norm:
+        if self._extrapolated and self.ALPHA * d_norm > self._g_norm:
             # safeguard: restart from the plain step of the last accepted
             # point, which stays the base of the next difference
             self._next, self._extrapolated = self._f, False
@@ -464,11 +469,11 @@ class _Admm:
         self.x, self.z, self.u = x, z, u
         self._d_norm, self._split = d_norm, None
         g = d
-        g *= self.alpha  # the fixed-point residual T(w) - w, in place
+        g *= self.ALPHA  # the fixed-point residual T(w) - w, in place
         f = g + w
         if self._f is not None:
             self._remember(f, g)
-        self._f, self._g, self._g_norm = f, g, self.alpha * d_norm
+        self._f, self._g, self._g_norm = f, g, self.ALPHA * d_norm
         factor = self._rebalance() if self.iterations % 25 == 0 else 1.0
         if factor != 1.0:
             # T changes with rho: evaluate the plain step next, its
@@ -589,7 +594,7 @@ def _side_residuals(
     return out
 
 
-def solve(prog: ConicProgram, tol: float = RESIDUAL_TOL, max_iter: int = MAX_ITER) -> SolveReport:
+def solve(prog: ConicProgram, tol: float = RESIDUAL_TOL) -> SolveReport:
     """Run the splitting iteration on one program and polish its point.
 
     The report fills only this program's side with the value of its point:
@@ -597,10 +602,11 @@ def solve(prog: ConicProgram, tol: float = RESIDUAL_TOL, max_iter: int = MAX_ITE
     infinite.  The value is certified when the program has a polish; without
     one the point is the cone-side iterate.  The point is reported in
     extras["upper_point"] or extras["lower_point"], next to the polish
-    diagnostics, and `converged` means both split residuals are <= tol.
+    diagnostics, and `converged` means both split residuals are <= tol
+    within MAX_ITER iterations.
     """
     admm = _Admm(prog)
-    admm.run(tol, max_iter)
+    admm.run(tol, MAX_ITER)
     if prog.polish is not None:
         value, point, extras = prog.polish(admm.xs, admm.zs)
     else:
@@ -936,7 +942,6 @@ def solve_max_robustness(
     tol: float = RESIDUAL_TOL,
     max_iter: int = MAX_ITER,
     restricted: bool = False,
-    gap_tol: float = GAP_TOL,
 ) -> tuple[SolveReport, HermitianOperator]:
     """Generalized robustness of a setup: the least general-cone noise whose
     admixture pushes the setup into the cone of fixed-direction mixtures.
@@ -944,11 +949,13 @@ def solve_max_robustness(
     Returns the pair report and the optimal witness.  The report's `lower`
     is a certified lower bound on the robustness (it equals the witness
     expectation of the returned witness), `upper` a certified upper bound
-    (the trace of an exactly feasible noise), and `gap` their difference.
+    (the trace of an exactly feasible noise), and `gap` their difference;
+    the run stops converged once the gap is at most GAP_TOL.
     extras["certificate"] is the witness's splitting certificate
-    (W_fwd, W_bwd), in the form `Witness` accepts: W_d = W - P_d is
-    orthogonal to the span of direction d and P_d is positive semidefinite;
-    the slacks P_fwd, P_bwd and Q are in extras["lower_point"].
+    (W_fwd, W_bwd), whose identities `witness.certificate_residuals` checks:
+    W_d = W - P_d is orthogonal to the span of direction d and P_d is
+    positive semidefinite; the slacks P_fwd, P_bwd and Q are in
+    extras["lower_point"].
 
     `restricted` confines the witness to the experimentally accessible
     subspace (`restricted_witness_projector`).  The upper bound then comes
@@ -977,7 +984,7 @@ def solve_max_robustness(
         primal = replace(reduced_primal, name="robustness-restricted:primal", polish=polish)
     else:
         primal, dual = _robustness_primal(geom), _robustness_dual(geom, None)
-    report = _solve_pair(primal, dual, tol, gap_tol, max_iter)
+    report = _solve_pair(primal, dual, tol, GAP_TOL, max_iter)
     point = report.extras["lower_point"]
     witness = HermitianOperator(geom.layout, point["W"])
     report.extras["certificate"] = tuple(
@@ -1077,8 +1084,6 @@ def solve_cone_value(
     target: np.ndarray,
     spans: Mapping[str, SpanMask],
     trace_target: float,
-    tol: float = RESIDUAL_TOL,
-    max_iter: int = MAX_ITER,
     gap_tol: float = GAP_TOL,
     done: Callable[[float, float], bool] | None = None,
 ) -> SolveReport:
@@ -1086,11 +1091,12 @@ def solve_cone_value(
     named cones, each given by the mask of its span: `upper` bounds the
     maximum from above and `lower` is attained by an exactly feasible
     mixture (reported in extras["parts"]).  extras["complements"] holds the
-    bound side's complement part Z_d of each span.  `done(upper, lower)`,
-    when given, replaces the residual and gap stop: the run ends converged
-    at the first checkpoint where it holds."""
+    bound side's complement part Z_d of each span.  The run ends converged
+    at the first checkpoint where the split residuals are at most
+    RESIDUAL_TOL and the gap at most gap_tol, or, when `done(upper, lower)`
+    is given, where that holds instead."""
     bound_prog, value_prog = cone_value_programs(target, spans, trace_target)
-    report = _solve_pair(bound_prog, value_prog, tol, gap_tol, max_iter, done)
+    report = _solve_pair(bound_prog, value_prog, RESIDUAL_TOL, gap_tol, MAX_ITER, done)
     point = report.extras["lower_point"]
     report.extras["parts"] = {name: HermitianOperator(bound_prog.layout, point[name]) for name in spans}
     return report

@@ -2,11 +2,11 @@
 
 A witness is a Hermitian operator on the five-qubit experiment layout whose
 pairing with every definite-direction setup is nonnegative.  This module
-validates witnesses (by certificate and by a certified minimum over the
-definite cone), expands them over the product basis of preparation and
-measurement projectors actually realized in the experiment, models the
-resulting event probabilities, and turns (possibly noisy) probabilities back
-into robustness estimates.
+validates witnesses (by a certified minimum over the definite cone, whose
+dual point is the witness's certificate), expands them over the product
+basis of preparation and measurement projectors actually realized in the
+experiment, models the resulting event probabilities, and turns (possibly
+noisy) probabilities back into robustness estimates.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .tensor_core import (
     HermitianOperator,
     SystemLayout,
     atomic_write_text,
-    hs_inner,
     min_eigenvalue,
     qubits,
 )
@@ -166,32 +165,6 @@ def certificate_residuals(
 
 
 @dataclass(frozen=True)
-class Witness:
-    """A candidate witness operator, optionally with its validity certificate
-    (Z_forward, Z_backward), checked by `certificate_residuals`."""
-
-    op: HermitianOperator
-    certificate: tuple[HermitianOperator, HermitianOperator] | None = None
-
-    def __post_init__(self):
-        _require_experiment_layout(self.op.layout, "a witness")
-        if self.certificate is not None:
-            cert = tuple(self.certificate)
-            if len(cert) != 2:
-                raise ValueError(
-                    f"certificate must be a (Z_forward, Z_backward) pair, got {len(cert)} parts"
-                )
-            object.__setattr__(self, "certificate", cert)
-            bad = {
-                name: res
-                for name, res in certificate_residuals(self.op, cert).items()
-                if res > CERTIFICATE_TOL
-            }
-            if bad:
-                raise ValueError(f"certificate fails its defining identities: {bad}")
-
-
-@dataclass(frozen=True)
 class WitnessReport:
     """Outcome of witness validation."""
 
@@ -214,14 +187,10 @@ class WitnessReport:
         }
 
 
-def _as_witness(w: Witness | HermitianOperator) -> Witness:
-    return w if isinstance(w, Witness) else Witness(op=w)
-
-
 # -- validation ------------------------------------------------------------------
 
 
-def validate_witness(w: Witness | HermitianOperator, tol: float = GAP_TOL) -> WitnessReport:
+def validate_witness(op: HermitianOperator, tol: float = GAP_TOL) -> WitnessReport:
     """Check witness validity against the definite-direction cone.
 
     Certifies a lower bound on min Tr(W S') over trace-normalized definite
@@ -237,39 +206,36 @@ def validate_witness(w: Witness | HermitianOperator, tol: float = GAP_TOL) -> Wi
     (the polish reports the Z_d in extras["complements"]), is the dual point
     that certifies the witness: when nu <= 0, W - Z_d = Q_d - nu*I is PSD
     and (Z_forward, Z_backward) is a splitting certificate.  A valid
-    witness without an attached certificate gets that one when it meets
-    every identity within CERTIFICATE_TOL.
+    witness gets that certificate when it meets every identity of
+    `certificate_residuals` within CERTIFICATE_TOL.
     """
-    wit = _as_witness(w)
+    _require_experiment_layout(op.layout, "a witness")
     margin = _TRACE * CERTIFICATE_TOL
 
     def decided(upper: float, lower: float) -> bool:
         return upper <= margin or lower > tol or upper - lower <= margin
 
     floor = solve_cone_value(
-        -wit.op.matrix, _span_masks(), trace_target=_TRACE, gap_tol=margin, done=decided
+        -op.matrix, _span_masks(), trace_target=_TRACE, gap_tol=margin, done=decided
     )
     min_value = -floor.upper
     attained = -floor.lower
     valid = bool(min_value >= -tol)
     residuals: dict[str, float] = {"definite-floor-gap": float(floor.gap)}
 
-    certificate = wit.certificate
-    if certificate is None and valid:
+    certificate = None
+    if valid:
         parts = floor.extras["complements"]
-        certificate = tuple(HermitianOperator(wit.op.layout, parts[d]) for d in ("forward", "backward"))
-    certificate_ok = False
-    if certificate is not None:
-        cert_res = certificate_residuals(wit.op, certificate)
+        candidate = tuple(HermitianOperator(op.layout, parts[d]) for d in ("forward", "backward"))
+        cert_res = certificate_residuals(op, candidate)
         residuals.update(cert_res)
-        certificate_ok = all(res <= CERTIFICATE_TOL for res in cert_res.values())
-        if not certificate_ok:
-            certificate = None
+        if all(res <= CERTIFICATE_TOL for res in cert_res.values()):
+            certificate = candidate
     return WitnessReport(
         valid=valid,
         min_definite_value=float(min_value),
         attained_definite_value=float(attained),
-        certificate_ok=certificate_ok,
+        certificate_ok=certificate is not None,
         certificate=certificate,
         residuals=residuals,
         tol=float(tol),
@@ -327,9 +293,7 @@ def _solve_gram(pairings: np.ndarray, restricted: bool) -> np.ndarray:
     return coeffs.reshape(-1) / (2.0 if restricted else 1.0)
 
 
-def decompose_witness(
-    w: Witness | HermitianOperator, restricted: bool = False
-) -> list[DecompositionTerm]:
+def decompose_witness(op: HermitianOperator, restricted: bool = False) -> list[DecompositionTerm]:
     """Expand a witness over the product basis of experiment settings.
 
     Solves the Gram system of the (informationally complete) projector
@@ -337,8 +301,8 @@ def decompose_witness(
     zeros.  In restricted mode the basis only spans operators of the pinned
     B_it / traced B_ot form, and an operator outside that span is rejected.
     """
-    wit = _as_witness(w)
-    mat = wit.op.matrix
+    _require_experiment_layout(op.layout, "a witness")
+    mat = op.matrix
     arity = 3 if restricted else 5
     coeffs = _solve_gram(_pairings(mat, arity), bool(restricted))
     coeffs[np.abs(coeffs) < ZERO_COEFF_TOL] = 0.0

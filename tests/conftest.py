@@ -18,8 +18,8 @@ def admm_runs(monkeypatch):
     runs = []
 
     class Recording(sdp._Admm):
-        def __init__(self, prog, *args, **kwargs):
-            super().__init__(prog, *args, **kwargs)
+        def __init__(self, prog):
+            super().__init__(prog)
             runs.append(self)
 
     monkeypatch.setattr(sdp, "_Admm", Recording)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import timeflip
 from helpers import half_definite, shifted_robustness_primal
 from timeflip import cli, sdp
 from timeflip.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
-from timeflip.game import builtin_gate_sets, save_gate_pairs
+from timeflip.game import builtin_gate_sets, gate_pair_to_dict, save_gate_pairs
 from timeflip.supermaps import SetupOperator, qtf_plus_control, save_setup, setup_to_dict
 from timeflip.tensor_core import (
     HermitianOperator,
@@ -228,6 +229,29 @@ class TestGame:
         path.write_text("not json")
         assert _run("game", "--pairs", str(path)) == EXIT_IO
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_pair_entry_is_an_io_error(self, tmp_path, capsys, bad):
+        plus, _ = builtin_gate_sets()
+        record = gate_pair_to_dict(plus[0])
+        record["u"]["re"][0][0] = bad
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps([record]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run("game", "--pairs", str(path)) == EXIT_IO
+        assert not caught
+        message = f"cannot load gate pairs: u of pair {plus[0].name} has non-finite entries"
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [(), ("--pmax-sdp",)])
+    def test_empty_pair_file_is_an_io_error(self, tmp_path, capsys, extra):
+        path = tmp_path / "pairs.json"
+        path.write_text("[]")
+        assert _run("game", "--pairs", str(path), *extra) == EXIT_IO
+        captured = capsys.readouterr()
+        assert "correct" not in captured.out
+        assert f"gate-pair file {path} holds no pairs" in captured.err
+
 
 class TestValidate:
     def test_qtf_setup_memberships(self, capsys):
@@ -278,6 +302,15 @@ class TestValidate:
         status = _run("validate", "--gate-table", "--convention", "retarder-/angle-")
         assert status == EXIT_FAIL
         assert "fail" in capsys.readouterr().out
+
+    def test_gate_table_tol_is_the_largest_row_distance(self, tmp_path, capsys):
+        args = ("validate", "--gate-table", "--convention", "retarder+/angle-")
+        assert _run(*args) == EXIT_FAIL
+        assert "retarder+/angle- fail worst 2.000000000e+00" in capsys.readouterr().out
+        out = tmp_path / "table.json"
+        assert _run(*args, "--tol", "10", "--out", str(out)) == EXIT_OK
+        assert "retarder+/angle- pass worst 2.000000000e+00" in capsys.readouterr().out
+        assert json.loads(out.read_text())["retarder+/angle-"]["tol"] == 10.0
 
     def test_mode_is_required(self, capsys):
         assert _run("validate") == EXIT_IO

@@ -1,6 +1,7 @@
 """Direction-discrimination game: gate sets, strategies, bounds, file formats."""
 
 import math
+import re
 import types
 
 import numpy as np
@@ -97,6 +98,15 @@ class TestGatePair:
         with pytest.raises(ValueError, match="tag"):
             GatePair(_I, _I, "sideways")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_entry_names_the_matrix_and_the_pair(self, bad):
+        spoiled = _I.copy()
+        spoiled[0, 0] = bad
+        with pytest.raises(ValueError, match=r"^u of pair \(I, X\) has non-finite entries$"):
+            GatePair(spoiled, _X, TAG_PLUS, name="(I, X)")
+        with pytest.raises(ValueError, match=r"^v of pair \(u, v\) has non-finite entries$"):
+            GatePair(_I, spoiled, TAG_PLUS)
+
 
 class TestQtfStrategy:
     def test_every_builtin_pair_answered_with_certainty(self, pairs):
@@ -117,6 +127,13 @@ class TestQtfStrategy:
     def test_unnormalized_target_rejected(self, pairs):
         with pytest.raises(ValueError, match="normalized"):
             qtf_strategy(pairs[0], (1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_target_rejected(self, pairs, bad):
+        # abs(nan - 1) > tol is false, so the norm check alone lets nan through
+        for strategy in (lambda psi: qtf_strategy(pairs[0], psi), qtf_strategy_operator):
+            with pytest.raises(ValueError, match="target_state has non-finite entries"):
+                strategy((bad, 0.0))
 
 
 class TestSwitchStrategy:
@@ -303,6 +320,12 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="JSON list"):
             load_gate_pairs(str(path))
 
+    def test_empty_gate_pair_file_rejected(self, tmp_path):
+        path = tmp_path / "pairs.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match=re.escape(f"gate-pair file {path} holds no pairs")):
+            load_gate_pairs(str(path))
+
     def test_game_report_roundtrip(self, tmp_path, pairs):
         records = play_game(pairs)
         assert all(rec.correct for rec in records)
@@ -345,6 +368,8 @@ class TestGateTableRowValidation:
 
         with pytest.raises(ValueError, match="unitary"):
             GateTableRow("bogus", np.ones((2, 2)), (0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="gate 'bogus' has non-finite entries"):
+            GateTableRow("bogus", np.full((2, 2), np.nan), (0.0, 0.0, 0.0))
 
     def test_bad_angle_arity_rejected(self):
         from timeflip.game import GateTableRow

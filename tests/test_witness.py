@@ -36,7 +36,6 @@ from timeflip.witness import (
     WIRE_LABELS,
     DecompositionTerm,
     ProbabilityRecord,
-    Witness,
     born_probabilities,
     certificate_residuals,
     decompose_witness,
@@ -140,8 +139,9 @@ class TestDomainTypes:
 
     def test_witness_layout_enforced(self):
         wrong = identity(qubits("A_I", "A_O", "B_it", "B_ot", "B_x"))
-        with pytest.raises(ValueError):
-            Witness(op=wrong)
+        for check in (validate_witness, decompose_witness):
+            with pytest.raises(ValueError, match="five-qubit layout"):
+                check(wrong)
 
 
 class TestDecomposition:
@@ -419,17 +419,17 @@ class TestValidateWitness:
 
     def test_solver_certificate_verifies(self, solved):
         report, w_opt = solved
-        witness = Witness(op=w_opt, certificate=report.extras["certificate"])
-        checked = validate_witness(witness)
-        assert checked.valid and checked.certificate_ok
-        assert checked.certificate == witness.certificate
+        residuals = certificate_residuals(w_opt, report.extras["certificate"])
+        for name, res in residuals.items():
+            assert res <= CERTIFICATE_TOL, name
 
     def test_tampered_certificate_rejected(self, solved):
         report, w_opt = solved
         z_fwd, z_bwd = report.extras["certificate"]
         spoiled = z_fwd + identity(experiment_layout()) * 0.1
-        with pytest.raises(ValueError, match="certificate"):
-            Witness(op=w_opt, certificate=(spoiled, z_bwd))
+        residuals = certificate_residuals(w_opt, (spoiled, z_bwd))
+        assert residuals["forward-membership"] > CERTIFICATE_TOL
+        assert residuals["backward-membership"] <= CERTIFICATE_TOL
 
     def test_one_splitting_run(self, solved, admm_runs):
         _, w_opt = solved
@@ -503,8 +503,9 @@ class TestDistinctDirectionParts:
 
     def test_solver_certificate_is_accepted(self, solved_half):
         report, w = solved_half
-        witness = Witness(op=w, certificate=report.extras["certificate"])
-        assert witness.certificate == report.extras["certificate"]
+        residuals = certificate_residuals(w, report.extras["certificate"])
+        for name, res in residuals.items():
+            assert res <= CERTIFICATE_TOL, name
 
     def test_witness_validates_with_a_certificate(self, solved_half):
         _, w = solved_half
