@@ -20,6 +20,7 @@ from typing import Sequence
 from .game import (
     GAME_STRATEGIES,
     PMAX_DIRECTIONS,
+    TABLE_TOL,
     WAVEPLATE_CONVENTIONS,
     builtin_gate_sets,
     compute_pmax_fixed_direction,
@@ -286,11 +287,13 @@ def _validate_witness(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _validate_gate_table(args: argparse.Namespace) -> tuple[int, dict]:
-    tol = _tol_kwargs(args.tol)
+    if args.tol is not None:
+        raise ValueError(f"--tol does not apply to --gate-table: a row passes "
+                         f"within the fixed distance {TABLE_TOL:g} of its gate")
     if args.convention:
-        reports = {args.convention: verify_gate_table(args.convention, **tol)}
+        reports = {args.convention: verify_gate_table(args.convention)}
     else:
-        reports = gate_table_survey(**tol)
+        reports = gate_table_survey()
     payload = {}
     for convention, report in reports.items():
         payload[convention] = report.as_dict()

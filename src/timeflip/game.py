@@ -449,14 +449,14 @@ class GateTableReport:
         }
 
 
-def verify_gate_table(convention: str, tol: float = TABLE_TOL) -> GateTableReport:
+def verify_gate_table(convention: str) -> GateTableReport:
     """Check the built-in waveplate table under one sign convention.
 
     Each row's QWP-HWP-QWP stack is composed in beam order (QWP1 acts first)
     and compared to the named gate up to a global phase.  The four selectable
     conventions flip the retarder phase sign and/or the rotation sense of the
     axis angle; the report is informative, recording which rows reproduce
-    their gates under the chosen reading.
+    their gates under the chosen reading, a row within TABLE_TOL of its gate.
     """
     if convention not in WAVEPLATE_CONVENTIONS:
         raise ValueError(
@@ -470,13 +470,13 @@ def verify_gate_table(convention: str, tol: float = TABLE_TOL) -> GateTableRepor
                     @ _waveplate(q1, 1.0j, convention))
         dist = _phase_distance(composed, row.matrix)
         distances[row.name] = dist
-        passed[row.name] = dist <= tol
-    return GateTableReport(convention, distances, passed, all(passed.values()), tol)
+        passed[row.name] = dist <= TABLE_TOL
+    return GateTableReport(convention, distances, passed, all(passed.values()), TABLE_TOL)
 
 
-def gate_table_survey(tol: float = TABLE_TOL) -> dict[str, GateTableReport]:
+def gate_table_survey() -> dict[str, GateTableReport]:
     """Run `verify_gate_table` under all four conventions."""
-    return {conv: verify_gate_table(conv, tol) for conv in WAVEPLATE_CONVENTIONS}
+    return {conv: verify_gate_table(conv) for conv in WAVEPLATE_CONVENTIONS}
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +492,25 @@ def gate_pair_to_dict(pair: GatePair) -> dict:
     }
 
 
+def _gate_from_dict(obj: dict, key: str, label: str) -> np.ndarray:
+    # each part is checked on its own: re + 1j * im would broadcast a
+    # misshapen part and turn an infinite one into nan with a warning
+    re, im = (np.array(obj[key][part], dtype=float) for part in ("re", "im"))
+    for part, arr in (("re", re), ("im", im)):
+        if arr.shape != (2, 2):
+            raise ValueError(f"{key}.{part} of pair {label} must be a 2x2 matrix, "
+                             f"got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{key} of pair {label} has non-finite entries")
+    return re + 1j * im
+
+
 def gate_pair_from_dict(obj: dict) -> GatePair:
     try:
-        u = np.array(obj["u"]["re"], dtype=float) + 1j * np.array(obj["u"]["im"], dtype=float)
-        v = np.array(obj["v"]["re"], dtype=float) + 1j * np.array(obj["v"]["im"], dtype=float)
-        return GatePair(u, v, obj["tag"], name=str(obj.get("name", "")))
-    except (KeyError, TypeError) as exc:
+        name = str(obj.get("name", ""))
+        u, v = (_gate_from_dict(obj, key, name or "(u, v)") for key in ("u", "v"))
+        return GatePair(u, v, obj["tag"], name=name)
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed gate-pair record: {exc}") from exc
 
 

@@ -244,12 +244,12 @@ class _Admm:
     matrices E (one real m x n^2 product each way, per real and imaginary
     plane).  That costs about m n^2 per block; when m is n^2 / 8 or more (238
     of 1,024 on the game cap, 63 on the witness program) the step takes the
-    round trip through every coordinate instead.  Time does not decide that:
-    on the game cap both steps take the same wall time, but E and the unit
-    stack it is built from raise the peak memory of `game --pmax-sdp` from
-    40.9 to 46.7 MB (14%).  The cone step clips every positive semidefinite
-    block with one stacked eigendecomposition and applies each subspace
-    block's projector.
+    round trip through every coordinate instead.  Memory decides that, not
+    time: on the game cap both steps take the same time, but E and the unit
+    stack it is built from grow as m n^2 and would raise the peak memory of
+    a `game --pmax-sdp` run measurably.  The cone step clips every positive
+    semidefinite block with one stacked eigendecomposition and applies each
+    subspace block's projector.
 
     The state is one stack, the Douglas-Rachford variable w.  One evaluation
     of the map T projects z = P_K(w), takes the scaled multipliers u = w - z
@@ -392,8 +392,8 @@ class _Admm:
         order = np.argsort(labels, kind="stable")
         minority = order[labels[order] != main]  # grouped by class
         if 8 * len(minority) >= n * n:
-            # their basis matrices would tie the round trip in time and cost
-            # 14% more peak memory on the game cap (see the class docstring)
+            # their basis matrices would cost memory, not save time (see the
+            # class docstring)
             self.round_trip = []
             for j, pattern in enumerate(patterns):
                 if pattern.any():
@@ -594,7 +594,7 @@ def _side_residuals(
     return out
 
 
-def solve(prog: ConicProgram, tol: float = RESIDUAL_TOL) -> SolveReport:
+def solve(prog: ConicProgram) -> SolveReport:
     """Run the splitting iteration on one program and polish its point.
 
     The report fills only this program's side with the value of its point:
@@ -602,11 +602,11 @@ def solve(prog: ConicProgram, tol: float = RESIDUAL_TOL) -> SolveReport:
     infinite.  The value is certified when the program has a polish; without
     one the point is the cone-side iterate.  The point is reported in
     extras["upper_point"] or extras["lower_point"], next to the polish
-    diagnostics, and `converged` means both split residuals are <= tol
-    within MAX_ITER iterations.
+    diagnostics, and `converged` means both split residuals are <=
+    RESIDUAL_TOL within MAX_ITER iterations.
     """
     admm = _Admm(prog)
-    admm.run(tol, MAX_ITER)
+    admm.run(RESIDUAL_TOL, MAX_ITER)
     if prog.polish is not None:
         value, point, extras = prog.polish(admm.xs, admm.zs)
     else:
@@ -617,7 +617,7 @@ def solve(prog: ConicProgram, tol: float = RESIDUAL_TOL) -> SolveReport:
     return SolveReport(
         **bounds,
         iterations=admm.iterations,
-        converged=max(split) <= tol,
+        converged=max(split) <= RESIDUAL_TOL,
         residuals=_side_residuals(prog, point, split),
         extras={**extras, f"{side}_point": point},
     )

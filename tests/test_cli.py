@@ -229,11 +229,12 @@ class TestGame:
         path.write_text("not json")
         assert _run("game", "--pairs", str(path)) == EXIT_IO
 
+    @pytest.mark.parametrize("part", ["re", "im"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_pair_entry_is_an_io_error(self, tmp_path, capsys, bad):
+    def test_non_finite_pair_entry_is_an_io_error(self, tmp_path, capsys, part, bad):
         plus, _ = builtin_gate_sets()
         record = gate_pair_to_dict(plus[0])
-        record["u"]["re"][0][0] = bad
+        record["u"][part][0][0] = bad
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps([record]))
         with warnings.catch_warnings(record=True) as caught:
@@ -242,6 +243,20 @@ class TestGame:
         assert not caught
         message = f"cannot load gate pairs: u of pair {plus[0].name} has non-finite entries"
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("bad", [0, [0, 0], [[0, 0]]])
+    def test_misshapen_pair_part_is_an_io_error(self, tmp_path, capsys, part, bad):
+        plus, _ = builtin_gate_sets()
+        record = gate_pair_to_dict(plus[0])
+        record["v"][part] = bad
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps([record]))
+        assert _run("game", "--pairs", str(path)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert "correct" not in captured.out
+        shape = np.shape(bad)
+        assert f"v.{part} of pair {plus[0].name} must be a 2x2 matrix, got shape {shape}" in captured.err
 
     @pytest.mark.parametrize("extra", [(), ("--pmax-sdp",)])
     def test_empty_pair_file_is_an_io_error(self, tmp_path, capsys, extra):
@@ -303,14 +318,19 @@ class TestValidate:
         assert status == EXIT_FAIL
         assert "fail" in capsys.readouterr().out
 
-    def test_gate_table_tol_is_the_largest_row_distance(self, tmp_path, capsys):
+    def test_gate_table_takes_no_tol(self, tmp_path, capsys, monkeypatch):
         args = ("validate", "--gate-table", "--convention", "retarder+/angle-")
         assert _run(*args) == EXIT_FAIL
         assert "retarder+/angle- fail worst 2.000000000e+00" in capsys.readouterr().out
         out = tmp_path / "table.json"
-        assert _run(*args, "--tol", "10", "--out", str(out)) == EXIT_OK
-        assert "retarder+/angle- pass worst 2.000000000e+00" in capsys.readouterr().out
-        assert json.loads(out.read_text())["retarder+/angle-"]["tol"] == 10.0
+        assert _run(*args, "--tol", "10", "--out", str(out)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert "--tol does not apply to --gate-table" in captured.err
+        assert captured.out == "" and not out.exists()
+        # the tolerance variable leaves the fixed row distance alone
+        monkeypatch.setenv("TIMEFLIP_TOL", "10")
+        assert _run(*args, "--out", str(out)) == EXIT_FAIL
+        assert json.loads(out.read_text())["retarder+/angle-"]["tol"] == 1e-8
 
     def test_mode_is_required(self, capsys):
         assert _run("validate") == EXIT_IO
