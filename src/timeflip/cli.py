@@ -170,6 +170,12 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_probabilities(args: argparse.Namespace) -> int:
+    if args.decomposition_in:
+        # both shape the solve that a stored decomposition replaces
+        for flag, given in (("--restricted", args.restricted), ("--tol", args.tol is not None)):
+            if given:
+                return _fail(f"{flag} does not apply to --decomposition-in: "
+                             f"the stored decomposition is used as it is", EXIT_IO)
     try:
         needs_setup = not (args.decomposition_in and args.counts_in)
         setup = _load_setup_arg(args.setup) if needs_setup else None

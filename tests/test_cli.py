@@ -188,6 +188,15 @@ class TestProbabilities:
         assert values["estimate"] == pytest.approx(
             artifacts["parsed"]["robustness"], abs=1e-6)
 
+    @pytest.mark.parametrize("flag", [("--restricted",), ("--tol", "0.3")])
+    def test_stored_decomposition_takes_no_solve_flags(self, artifacts, tmp_path, capsys, flag):
+        out = tmp_path / "probs.csv"
+        argv = ("probabilities", "--decomposition-in", artifacts["decomposition"], "--out", str(out))
+        assert _run(*argv, *flag) == EXIT_IO
+        captured = capsys.readouterr()
+        assert f"{flag[0]} does not apply to --decomposition-in" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_incomplete_counts_fail_validation(self, artifacts, tmp_path):
         counts_path = tmp_path / "short.csv"
         counts_path.write_text("a,b,c,d,e,probability\n0,0,0,0,0,0.5\n")

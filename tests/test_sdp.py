@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import (
     definite_mixture,
+    half_definite,
     random_channel,
     random_fixed_direction,
     rotated,
@@ -182,6 +184,45 @@ class TestEngine:
         assert back["converged"] is True
 
 
+class TestRebalance:
+    """rho doubles when r exceeds 2 s, halves when s exceeds 2 r, within
+    1e-5 <= rho <= 1e5, at every CHECKPOINT-th iteration."""
+
+    @staticmethod
+    def _factor(r, s, rho=1.0):
+        stub = SimpleNamespace(split=(r, s), rho=rho, BALANCE=sdp._Admm.BALANCE)
+        return sdp._Admm._rebalance(stub)
+
+    def test_moves_just_past_the_band(self):
+        s = 1e-3
+        assert self._factor(np.nextafter(2 * s, np.inf), s) == 2.0
+        assert self._factor(s, np.nextafter(2 * s, np.inf)) == 0.5
+
+    @pytest.mark.parametrize("r, s", [(2e-3, 1e-3), (1e-3, 2e-3), (1e-3, 1e-3), (1.5e-3, 1e-3)])
+    def test_holds_inside_the_band(self, r, s):
+        assert self._factor(r, s) == 1.0
+
+    def test_holds_at_the_rho_limits(self):
+        assert self._factor(1.0, 1e-3, rho=1e5) == 1.0
+        assert self._factor(1e-3, 1.0, rho=1e-5) == 1.0
+        assert self._factor(1.0, 1e-3, rho=1e-5) == 2.0
+        assert self._factor(1e-3, 1.0, rho=1e5) == 0.5
+
+    def test_checked_every_checkpoint(self, qtf, monkeypatch):
+        seen = []
+        rebalance = sdp._Admm._rebalance
+
+        def recording(admm):
+            seen.append(admm.iterations)
+            return rebalance(admm)
+
+        monkeypatch.setattr(sdp._Admm, "_rebalance", recording)
+        admm = sdp._Admm(_iterated_program(qtf, "value", 0.0))
+        admm.run(0.0, 4 * sdp.CHECKPOINT)
+        # an evaluation the safeguard drops skips the check
+        assert seen and all(it % sdp.CHECKPOINT == 0 for it in seen)
+
+
 class TestMaxRobustness:
     def test_indefinite_setup_value(self, solved):
         report, witness = solved
@@ -280,11 +321,13 @@ class TestMaxRobustness:
             report, _ = solve_max_robustness(mixed)
             assert report.lower <= (1 - q) * base + _GAP_TOL
 
-    def test_iteration_budget(self, solved, solved_restricted, admm_runs):
-        # Anderson memory 12: 48 and 203 iterations, the validate floor 44 and
-        # the game cap 40; at memory 5 75, 410, 127 and 177; with twin
-        # subspace blocks 163 and 536, before the exact dual cone 206 and
-        # 495, plain ADMM 738 and 1,267
+    def test_iteration_budget(self, qtf, solved, solved_restricted, admm_runs):
+        # rho balanced within 2x every 50 iterations: 48 and 201 iterations,
+        # the validate floor 44, the game cap 40 and the half-definite
+        # mixture 891; within 10x every 25 iterations 48, 203, 44, 40 and
+        # 1,694.  Anderson memory 5 took 75, 410, 127 and 177; twin subspace
+        # blocks 163 and 536; before the exact dual cone 206 and 495; plain
+        # ADMM 738 and 1,267
         assert solved[0].iterations <= 60
         assert solved_restricted[0].iterations <= 250
         admm_runs.clear()
@@ -294,6 +337,9 @@ class TestMaxRobustness:
         floor, cap = (run.iterations for run in admm_runs)
         assert floor <= 60
         assert cap <= 50
+        report, _ = solve_max_robustness(half_definite(np.random.default_rng(2), qtf))
+        assert report.converged
+        assert report.iterations <= 1000
 
     def test_strict_feasibility_probes(self, qtf):
         s = subspace_project(qtf, ConeId.GENERAL)
@@ -432,6 +478,17 @@ class TestArithmetic:
         direction = admm._project_affine(w) - x
         inner = np.vdot(v - x, direction).real
         assert abs(inner) <= 1e-10 * np.linalg.norm(v) * np.linalg.norm(direction)
+
+    @pytest.mark.parametrize("program", ["witness", "restricted-witness", "value", "game-cap"])
+    def test_row_classes_match_unique_columns(self, qtf, program):
+        prog = _iterated_program(qtf, program, 0.0)
+        every = np.ones(prog.n * prog.n, dtype=bool)
+        held = np.array([every if row.support is None else row.support.ravel() for row in prog.matrix_rows])
+        patterns, labels = sdp._row_classes(held)
+        expected, inverse = np.unique(held.T, axis=0, return_inverse=True)
+        assert len(expected) > 1
+        assert np.array_equal(patterns, expected)
+        assert np.array_equal(labels, inverse.ravel())
 
 
 def _projection_by_coordinates(prog, names, v):
