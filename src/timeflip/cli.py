@@ -170,19 +170,26 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_probabilities(args: argparse.Namespace) -> int:
-    if args.decomposition_in:
-        # both shape the solve that a stored decomposition replaces
-        for flag, given in (("--restricted", args.restricted), ("--tol", args.tol is not None)):
-            if given:
-                return _fail(f"{flag} does not apply to --decomposition-in: "
-                             f"the stored decomposition is used as it is", EXIT_IO)
+    needs_setup = not (args.decomposition_in and args.counts_in)
+    stored = "to --decomposition-in: the stored decomposition is used as it is"
+    resampling = "without --shots: only the resampling uses it"
+    for flag, given, reason in (
+        ("--restricted", args.decomposition_in and args.restricted, stored),
+        ("--tol", args.decomposition_in and args.tol is not None, stored),
+        ("--setup", not needs_setup and args.setup is not None,
+         "to --decomposition-in with --counts-in: no setup is read"),
+        ("--repetitions", args.shots is None and args.repetitions is not None, resampling),
+        ("--seed", args.shots is None and args.seed is not None, resampling),
+    ):
+        if given:
+            return _fail(f"{flag} does not apply {reason}", EXIT_IO)
+    name = args.setup or "qtf"
     try:
-        needs_setup = not (args.decomposition_in and args.counts_in)
-        setup = _load_setup_arg(args.setup) if needs_setup else None
+        setup = _load_setup_arg(name) if needs_setup else None
         if args.decomposition_in:
             terms = load_decomposition(args.decomposition_in)
         else:
-            if args.restricted and (status := _check_restricted(args.setup, setup)) is not None:
+            if args.restricted and (status := _check_restricted(name, setup)) is not None:
                 return status
             report, witness = solve_max_robustness(
                 setup, restricted=args.restricted, **_tol_kwargs(args.tol))
@@ -216,7 +223,7 @@ def cmd_probabilities(args: argparse.Namespace) -> int:
     if args.shots is not None:
         mean, spread = poisson_resample(
             terms, probs, shots=int(args.shots),
-            repetitions=args.repetitions, seed=args.seed)
+            repetitions=args.repetitions or 100, seed=args.seed or 0)
         print(f"resampled-mean {_fmt(mean)}")
         print(f"resampled-stddev {_fmt(spread)}")
     return EXIT_OK
@@ -227,6 +234,9 @@ def cmd_probabilities(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_game(args: argparse.Namespace) -> int:
+    if args.pmax_direction is not None and not args.pmax_sdp:
+        return _fail("--pmax-direction does not apply without --pmax-sdp", EXIT_IO)
+    direction = args.pmax_direction or "convex-hull"
     try:
         if args.pairs:
             pairs = tuple(load_gate_pairs(args.pairs))
@@ -249,10 +259,10 @@ def cmd_game(args: argparse.Namespace) -> int:
 
     if args.pmax_sdp:
         try:
-            value = compute_pmax_fixed_direction(pairs, args.pmax_direction)
+            value = compute_pmax_fixed_direction(pairs, direction)
         except ValueError as exc:
             return _fail(str(exc), EXIT_FAIL)
-        print(f"pmax-{args.pmax_direction} {_fmt(value)}")
+        print(f"pmax-{direction} {_fmt(value)}")
     return EXIT_OK
 
 
@@ -314,6 +324,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     modes = [bool(args.setup), bool(args.witness), bool(args.gate_table)]
     if sum(modes) != 1:
         return _fail("choose exactly one of --setup, --witness, --gate-table", EXIT_IO)
+    if args.convention and not args.gate_table:
+        return _fail("--convention does not apply without --gate-table", EXIT_IO)
     try:
         if args.setup:
             status, payload = _validate_setup(args)
@@ -359,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prob = sub.add_parser("probabilities",
                           help="ideal or resampled event probabilities")
-    prob.add_argument("--setup", default="qtf")
+    prob.add_argument("--setup", help="'qtf' or a setup JSON file (default: qtf)")
     prob.add_argument("--restricted", action="store_true")
     prob.add_argument("--decomposition-in",
                       help="reuse a stored decomposition instead of solving")
@@ -368,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     prob.add_argument("--out", help="write the probability table as CSV")
     prob.add_argument("--shots", type=float, default=None,
                       help="Poisson-resample with this many shots per setting")
-    prob.add_argument("--repetitions", type=int, default=100)
-    prob.add_argument("--seed", type=int, default=0)
+    prob.add_argument("--repetitions", type=int, help="with --shots (default: 100)")
+    prob.add_argument("--seed", type=int, help="with --shots (default: 0)")
     prob.add_argument("--tol", type=float, default=None)
     prob.set_defaults(func=cmd_probabilities)
 
@@ -380,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     game.add_argument("--pmax-sdp", action="store_true",
                       help="also compute the fixed-direction success bound")
     game.add_argument("--pmax-direction", choices=PMAX_DIRECTIONS,
-                      default="convex-hull")
+                      help="with --pmax-sdp (default: convex-hull)")
     game.set_defaults(func=cmd_game)
 
     val = sub.add_parser("validate", help="membership and certificate checks")

@@ -10,7 +10,7 @@ which carries the trace.  A consensus ADMM iteration holds the k blocks of a
 program as (k, n, n) stacks and alternates an exact affine projection (per
 class of coordinates where the same rows hold, a precomputed k x k operator
 on the block index plus an offset; the largest class's operator applied to
-the raw entries, the few other coordinates corrected through their basis
+the raw entries, the other coordinates corrected through their basis
 matrices) with the cone projections (one stacked eigendecomposition clips
 every positive semidefinite block; subspace blocks apply their
 projectors).  The iteration is run as a fixed-point map on one
@@ -53,6 +53,7 @@ from .supermaps import (
     SpanMask,
     basis_coords,
     basis_matrices,
+    basis_rows,
     check_setup,
     identity_coordinate,
 )
@@ -253,16 +254,12 @@ class _Admm:
     is masked.  The operator M of the largest class acts on the block index
     only, so it commutes with the change of basis: the step applies M to the
     raw entries and adds the whole offset as a raw stack, then corrects each
-    of the m other coordinates by (M_c - M) of its value, through their basis
-    matrices E (one real m x n^2 product each way, per real and imaginary
-    plane).  That costs about m n^2 per block; when m is n^2 / 8 or more (238
-    of 1,024 on the game cap, 63 on the witness program) the step takes the
-    round trip through every coordinate instead.  Memory decides that, not
-    time: on the game cap both steps take the same time, but E and the unit
-    stack it is built from grow as m n^2 and would raise the peak memory of
-    a `game --pmax-sdp` run measurably.  The cone step clips every positive
-    semidefinite block with one stacked eigendecomposition and applies each
-    subspace block's projector.
+    of the m other coordinates (63 of 1,024 on the witness program, 238 on
+    the game cap) by (M_c - M) of its value, through their basis matrices E
+    (`supermaps.basis_rows`; one real m x n^2 product each way, per real and
+    imaginary plane).  The cone step clips every positive semidefinite block
+    with one stacked eigendecomposition and applies each subspace block's
+    projector.
 
     The state is one stack, the Douglas-Rachford variable w.  One evaluation
     of the map T projects z = P_K(w), takes the scaled multipliers u = w - z
@@ -367,26 +364,20 @@ class _Admm:
         cone, and at a fixed point they solve the dual program."""
         return dict(zip(self.names, -self.rho * self.u))
 
-    def _coords(self, v: np.ndarray) -> np.ndarray:
-        """The coordinates of a stack (its raw entries when no row is
-        masked), as a new contiguous array."""
-        return v.copy() if self.layout is None else np.ascontiguousarray(basis_coords(self.layout, v))
-
     def _prepare_affine(self) -> None:
         prog, k, n = self.prog, len(self.names), self.prog.n
         rows = prog.matrix_rows
         masked = any(row.support is not None for row in rows)
         if masked and prog.layout is None:
             raise ValueError(f"{prog.name}: a row with a support needs the program's layout")
-        self.layout = prog.layout if masked else None
-        # without rows the projection is the identity, taken on the raw path
-        self.round_trip = None
+        layout = prog.layout if masked else None
         self._main, self._offset = None, np.zeros((k, n, n), dtype=self.dtype)
         self._basis, self._corrections = None, []
-        if not rows:
+        if not rows:  # the projection is the identity
             return
         a = np.array([[row.coeffs.get(name, 0.0) for name in self.names] for row in rows])
-        rhs = self._coords(np.array([self._cast(np.asarray(row.rhs)) for row in rows]))
+        rhs = np.array([self._cast(np.asarray(row.rhs)) for row in rows])
+        rhs = rhs if layout is None else basis_coords(layout, rhs)
         coords = rhs.shape[1:]  # of one matrix: a pair of axes per wire, or (n, n)
         rhs = rhs.reshape(len(rows), -1)
         # which rows hold at each coordinate; a class is one pattern of them,
@@ -410,42 +401,24 @@ class _Admm:
         main = int(np.argmax(np.bincount(labels)))
         order = np.argsort(labels, kind="stable")
         minority = order[labels[order] != main]  # grouped by class
-        if 8 * len(minority) >= n * n:
-            # their basis matrices would cost memory, not save time (see the
-            # class docstring)
-            self.round_trip = []
-            for j, pattern in enumerate(patterns):
-                if pattern.any():
-                    where = np.flatnonzero(labels == j)
-                    self.round_trip.append((where, ops[j], offset[:, where]))
-            return
         self._main = ops[main] if patterns[main].any() else None
         offset = offset.reshape(k, *coords)
-        self._offset = offset if self.layout is None else basis_matrices(self.layout, offset)
+        self._offset = offset if layout is None else basis_matrices(layout, offset)
         if len(minority):
             # E: the basis matrices of those coordinates, as flat rows
-            units = np.zeros((len(minority), n * n))
-            units[np.arange(len(minority)), minority] = 1.0
-            self._basis = basis_matrices(self.layout, units.reshape(-1, *coords)).reshape(len(minority), -1)
+            self._basis = basis_rows(layout, minority)
             cuts = [0, *(np.flatnonzero(np.diff(labels[minority])) + 1), len(minority)]
             self._corrections = [
                 (slice(lo, hi), ops[labels[minority[lo]]] - ops[main]) for lo, hi in zip(cuts, cuts[1:])
             ]
 
     def _project_affine(self, v: np.ndarray) -> np.ndarray:
-        k = len(v)
-        if self.round_trip is not None:
-            c = self._coords(v)
-            flat = c.reshape(k, -1)
-            for idx, op, offset in self.round_trip:
-                flat[:, idx] = op @ flat[:, idx] + offset
-            return basis_matrices(self.layout, c)
-        flat = v.reshape(k, -1)
+        flat = v.reshape(len(v), -1)
         out = (v if self._main is None else (self._main @ flat).reshape(v.shape)) + self._offset
         if self._basis is not None:
             # E stays real: a complex stack goes as its real and imaginary planes
             planes = flat if self.dtype is float else np.concatenate((flat.real, flat.imag))
-            picked = (planes @ self._basis.T).reshape(-1, k, len(self._basis))
+            picked = (planes @ self._basis.T).reshape(-1, len(v), len(self._basis))
             for idx, op in self._corrections:
                 picked[..., idx] = op @ picked[..., idx]
             fix = (picked.reshape(planes.shape[0], -1) @ self._basis).reshape(-1, *v.shape)

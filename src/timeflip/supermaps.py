@@ -213,6 +213,20 @@ def basis_matrices(layout: SystemLayout, coords: np.ndarray) -> np.ndarray:
     return t.reshape((-1, *_pair_shape(dims))).transpose(unpairs).reshape(lead + (n, n))
 
 
+def basis_rows(layout: SystemLayout, coordinates: np.ndarray) -> np.ndarray:
+    """`basis_matrices` of the unit coordinates at the given flat indices, as
+    real (m, n*n) rows: the Kronecker product of one `_wire_change` row per
+    wire, taken wire by wire, so the last product is the only (m, n*n) array."""
+    m, dims = len(coordinates), layout.dims
+    rows = np.ones((m, 1, 1))
+    for d, index in zip(dims, np.unravel_index(coordinates, [d * d for d in dims])):
+        if d > 1:  # a dimension-one wire's factor is 1
+            factor = _wire_change(d)[index].reshape(m, 1, d, 1, d)
+            rows = (rows[:, :, None, :, None] * factor).reshape(m, rows.shape[1] * d, -1)
+    rows += 0.0  # the -0.0 of products become the +0.0 a matrix product gives
+    return rows.reshape(m, -1)
+
+
 def identity_coordinate(layout: SystemLayout) -> np.ndarray:
     """Mask of the one coordinate that is the identity on every wire: the
     coordinate of a matrix there is its trace over sqrt(n)."""

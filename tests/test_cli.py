@@ -412,6 +412,30 @@ class TestBadInput:
         assert f"error: {flag} must be" in captured.err
         assert "estimate" not in captured.out
 
+    @pytest.mark.parametrize("argv, flag, reason", [
+        (("probabilities", "--repetitions", "5"), "--repetitions", "without --shots"),
+        (("probabilities", "--seed", "3"), "--seed", "without --shots"),
+        (("probabilities", "--setup", "missing.json"), "--setup", "to --decomposition-in with --counts-in"),
+        (("game", "--pmax-direction", "forward-only"), "--pmax-direction", "without --pmax-sdp"),
+        (("validate", "--setup", "qtf", "--convention", "retarder+/angle+"), "--convention",
+         "without --gate-table"),
+    ], ids=["repetitions", "seed", "setup", "pmax-direction", "convention"])
+    def test_flag_that_does_not_apply_is_an_io_error(self, artifacts, tmp_path, capsys, argv, flag, reason):
+        # without the check, each run succeeds and ignores the flag
+        if argv[0] == "probabilities":
+            argv += ("--decomposition-in", artifacts["decomposition"])
+        if flag == "--setup":
+            counts = tmp_path / "counts.csv"
+            stored = ("probabilities", "--decomposition-in", artifacts["decomposition"])
+            assert _run(*stored, "--out", str(counts)) == EXIT_OK
+            argv += ("--counts-in", str(counts))
+            capsys.readouterr()
+        out = tmp_path / "out"
+        assert _run(*argv, "--out", str(out)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert f"error: {flag} does not apply {reason}" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_inf_witness_is_an_io_error(self, tmp_path, capsys):
         from timeflip.witness import WIRE_LABELS
 

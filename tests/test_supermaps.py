@@ -30,6 +30,8 @@ from timeflip.supermaps import (
     SetupOperator,
     SlotSpec,
     apply_supermap,
+    basis_matrices,
+    basis_rows,
     check_multipartite,
     check_setup,
     definite_split,
@@ -469,6 +471,20 @@ def test_masks_match_the_trace_and_replace_definition(case):
         setup = SetupOperator(op, roles)
         for cone in (ConeId.GENERAL, ConeId.FORWARD, ConeId.BACKWARD):
             assert_residuals(check_setup(setup, cone).residuals, residuals(_SPAN_KINDS[cone]))
+
+
+@pytest.mark.parametrize("dims", [(2,) * 5, (2, 3, 2), (1, 2, 1, 2, 2)])
+def test_basis_rows_are_the_basis_matrices_of_unit_coordinates(dims):
+    layout = SystemLayout(tuple((f"w{k}", d) for k, d in enumerate(dims)))
+    n = layout.total_dim
+    units = np.eye(n * n).reshape(n * n, *(d for d in dims for _ in range(2)))
+    expected = basis_matrices(layout, units).reshape(n * n, n * n)
+    rows = basis_rows(layout, np.arange(n * n))
+    assert np.array_equal(rows, expected)
+    # bit for bit, the sign of every zero included
+    assert np.array_equal(np.signbit(rows), np.signbit(expected))
+    picked = np.array([n * n - 1, 0, 5])
+    assert np.array_equal(basis_rows(layout, picked), expected[picked])
 
 
 class TestSpanProperties:
