@@ -4,8 +4,9 @@ direction-discrimination game, and validation reports.
 Exit status: 0 on success, 1 on a validation or solver failure, 2 on an I/O
 or parse problem, out-of-range numeric inputs included.  All file outputs
 are written atomically and identical configurations produce byte-identical
-files; printed values carry ten significant digits.  The TIMEFLIP_TOL environment variable overrides the
-default tolerance wherever --tol is not given explicitly.
+files; printed values carry ten significant digits.  The TIMEFLIP_TOL
+environment variable overrides the default tolerance of validate wherever
+--tol is not given explicitly.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def _check_numbers(args: argparse.Namespace) -> None:
         value = getattr(args, attr, None)
         if value is not None and not valid(value):
             raise ValueError(f"{flag} must be {rule}, got {value}")
-    _env_tol()
+    if "tol" in vars(args):
+        _env_tol()
 
 
 def _tol_kwargs(flag_value: float | None) -> dict:
@@ -139,8 +141,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     if args.restricted and (status := _check_restricted(args.setup, setup)) is not None:
         return status
 
-    report, witness = solve_max_robustness(
-        setup, max_iter=args.max_iter, restricted=args.restricted, **_tol_kwargs(args.tol))
+    report, witness = solve_max_robustness(setup, max_iter=args.max_iter, restricted=args.restricted)
 
     payload = report.as_dict()
     payload["command"] = "robustness"
@@ -175,7 +176,6 @@ def cmd_probabilities(args: argparse.Namespace) -> int:
     resampling = "without --shots: only the resampling uses it"
     for flag, given, reason in (
         ("--restricted", args.decomposition_in and args.restricted, stored),
-        ("--tol", args.decomposition_in and args.tol is not None, stored),
         ("--setup", not needs_setup and args.setup is not None,
          "to --decomposition-in with --counts-in: no setup is read"),
         ("--repetitions", args.shots is None and args.repetitions is not None, resampling),
@@ -191,8 +191,7 @@ def cmd_probabilities(args: argparse.Namespace) -> int:
         else:
             if args.restricted and (status := _check_restricted(name, setup)) is not None:
                 return status
-            report, witness = solve_max_robustness(
-                setup, restricted=args.restricted, **_tol_kwargs(args.tol))
+            report, witness = solve_max_robustness(setup, restricted=args.restricted)
             if not report.converged:
                 return _fail_uncertified(report)
             terms = decompose_witness(witness, restricted=args.restricted)
@@ -359,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="'qtf' or a setup JSON file (default: qtf)")
     rob.add_argument("--restricted", action="store_true",
                      help="confine the witness to the accessible subspace")
-    rob.add_argument("--tol", type=float, default=None)
     rob.add_argument("--max-iter", type=int, default=MAX_ITER,
                      help="splitting iterations of the one run per certified pair, "
                           "rejected accelerated steps included")
@@ -382,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="Poisson-resample with this many shots per setting")
     prob.add_argument("--repetitions", type=int, help="with --shots (default: 100)")
     prob.add_argument("--seed", type=int, help="with --shots (default: 0)")
-    prob.add_argument("--tol", type=float, default=None)
     prob.set_defaults(func=cmd_probabilities)
 
     game = sub.add_parser("game", help="play the direction-discrimination game")

@@ -30,9 +30,10 @@ variables (each min-side program names its blocks' sources in `slack_map`).
 Every CHECKPOINT iterations both points are polished, so by weak duality the
 min side's value is a certified `upper` bound on the shared optimum and the
 max side's a certified `lower` bound.  The run stops at the first checkpoint
-where the split residuals are within the tolerance and the gap within the gap
-tolerance (or where a caller's own decision rule holds), and gives up early
-when the gap has stopped falling; every solve returns one `SolveReport`
+where that certified gap is within the gap tolerance (or where a caller's own
+decision rule holds): the split residuals only say how close the iterate is,
+and the polished bracket already says how close the values are.  It gives up
+early when the gap has stopped falling; every solve returns one `SolveReport`
 holding the bracket.
 """
 
@@ -47,7 +48,6 @@ import numpy as np
 from .supermaps import (
     ROLE_GLOBAL_INPUT,
     ROLE_GLOBAL_OUTPUT,
-    ROLE_SLOT_OUTPUT,
     ConeId,
     SetupOperator,
     SpanMask,
@@ -144,10 +144,11 @@ class SolveReport:
     both, and `gap` is their difference.  A lone program fills only its own
     side (`upper` for a min program, `lower` for a max program) and leaves
     the other at +inf or -inf, so it never claims a finite gap.  `converged`
-    means the split residuals are at most the tolerance and, for a pair, also
-    that the gap is at most the gap tolerance (or that the caller's decision
-    rule held, for a pair run with one).  `iterations` counts every
-    evaluation of the splitting map, rejected extrapolations included.
+    means, for a pair, that the gap is at most the gap tolerance (or that the
+    caller's decision rule held, for a pair run with one), and for a lone
+    program that the split residuals are at most RESIDUAL_TOL.  `iterations`
+    counts every evaluation of the splitting map, rejected extrapolations
+    included.
     `extras` holds the polished points, `upper_point` and `lower_point`
     (block name -> matrix), next to the polish diagnostics and whatever the
     driver adds.
@@ -618,7 +619,6 @@ def solve(prog: ConicProgram) -> SolveReport:
 def _solve_pair(
     min_prog: ConicProgram,
     max_prog: ConicProgram,
-    tol: float,
     gap_tol: float,
     max_iter: int,
     done: Callable[[float, float], bool] | None = None,
@@ -630,12 +630,13 @@ def _solve_pair(
     `min_prog.slack_map` are polished into exactly feasible points of their
     own sides: the min side's value is the certified `upper` bound on the
     optimum, the max side's the certified `lower` bound.  A checkpoint also
-    comes early when both split residuals first drop to tol.  The run stops
-    converged at the first checkpoint where both split residuals are <= tol
-    and the gap is <= gap_tol, or, when `done` is given, where
-    done(upper, lower) holds instead.  It stops unconverged at max_iter, or
-    when the gap is above gap_tol and the least gap seen has fallen by less
-    than STALL_DROP over the last STALL_WINDOW iterations.
+    comes early when both split residuals first drop to RESIDUAL_TOL (a game
+    cap closes its gap there, at 40 iterations).  The run stops converged at
+    the first checkpoint where the gap is <= gap_tol, or, when `done` is
+    given, where done(upper, lower) holds instead; the split residuals need
+    not be small then.  It stops unconverged at max_iter, or when the gap is
+    above gap_tol and the least gap seen has fallen by less than STALL_DROP
+    over the last STALL_WINDOW iterations.
 
     The report holds the last checkpoint's bounds, both polished points and
     both sides' polish diagnostics in `extras`, and both sides' residuals
@@ -643,7 +644,7 @@ def _solve_pair(
     """
     admm = _Admm(max_prog)
     best: list[tuple[int, float]] = []  # (iterations, least gap so far) per checkpoint
-    stop_tol = tol
+    stop_tol = RESIDUAL_TOL
     while True:
         checkpoint = (admm.iterations // CHECKPOINT + 1) * CHECKPOINT
         admm.run(stop_tol, min(checkpoint, max_iter) - admm.iterations)
@@ -652,16 +653,15 @@ def _solve_pair(
         point = {name: sign * slacks[src] for name, (src, sign) in min_prog.slack_map.items()}
         v_min, sol_min, ex_min = min_prog.polish(point, point)
         gap = v_min - v_max
-        met = admm.met(tol)
-        converged = done(v_min, v_max) if done is not None else met and gap <= gap_tol
+        converged = done(v_min, v_max) if done is not None else gap <= gap_tol
         if converged or admm.iterations >= max_iter:
             break
         best.append((admm.iterations, min(gap, best[-1][1]) if best else gap))
         before = [least for it, least in best if it <= admm.iterations - STALL_WINDOW]
         if gap > gap_tol and before and best[-1][1] > (1 - STALL_DROP) * before[-1]:
             break
-        # once the residuals are met, only the gap decides: run whole chunks
-        stop_tol = 0.0 if met else tol
+        # once the residuals have reached RESIDUAL_TOL, run whole chunks
+        stop_tol = 0.0 if admm.met(RESIDUAL_TOL) else RESIDUAL_TOL
     split = admm.split
     # the run's primal residual is the min side's dual residual, and back
     res_min = _side_residuals(min_prog, sol_min, split[::-1])
@@ -687,10 +687,8 @@ class _SlotGeometry:
     (checked by the caller)."""
 
     def __init__(self, setup: SetupOperator):
-        self.setup = setup
-        layout = setup.op.layout
-        self.layout = layout
-        self.n = layout.total_dim
+        self.layout = setup.op.layout
+        self.n = self.layout.total_dim
         self.dd = setup.trace_target
         self.eye = np.eye(self.n, dtype=complex)
         self.general, self.forward, self.backward = (
@@ -699,8 +697,6 @@ class _SlotGeometry:
         # the setup matrix re-projected onto its span, so the polish identities
         # close to floating-point accuracy
         self.s_mat = _sym(self.general.project(setup.op.matrix))
-        out_positions = layout.positions(setup.labels(ROLE_SLOT_OUTPUT))
-        self.tau_out = lambda m: trace_and_replace_matrix(m, layout.dims, out_positions)
 
 
 def _complement(mask: SpanMask) -> Callable:
@@ -739,11 +735,13 @@ def _robustness_primal(geom: _SlotGeometry) -> ConicProgram:
     """min Tr(T)/dd over general-cone noise T such that S + T splits into a
     forward plus a backward part F + B; the min side of the robustness pair.
 
-    The polish projects T, F and B onto their spans, moves the split
-    residual into F and B along the slot-output trace-and-replace, and
-    repairs positivity along the identity.  The restricted pair uses this
-    program for the reduced setup E*(S) (`_restricted_reduction`), its polish
-    first applying E* to the witness run's slacks."""
+    The polish projects F and B onto their spans and sets T = F + B - S,
+    which lies in the general span with them, so the whole split residual
+    goes into T and every row holds to rounding.  It then repairs positivity
+    along the identity, a member of every span: T gains the bump, F and B
+    half of it each.  The restricted pair uses this program for the reduced
+    setup E*(S) (`_restricted_reduction`), its polish first applying E* to
+    the witness run's slacks."""
     n, dd, eye, s = geom.n, geom.dd, geom.eye, geom.s_mat
     zero = np.zeros((n, n), dtype=complex)
     rows = (
@@ -754,13 +752,9 @@ def _robustness_primal(geom: _SlotGeometry) -> ConicProgram:
     )
 
     def polish(xs, zs):
-        t = _sym(geom.general.project(zs["T"]))
         f = _sym(geom.forward.project(zs["F"]))
         b = _sym(geom.backward.project(zs["B"]))
-        delta = s - (f + b - t)
-        d_f = geom.tau_out(delta)
-        f = f + d_f
-        b = b + (delta - d_f)
+        t = _sym(f + b - s)
         # positivity repair along the identity, a member of every span
         bump = max(2 * _psd_shortfall(f), 2 * _psd_shortfall(b), _psd_shortfall(t)) * (1 + 1e-9)
         t = t + bump * eye
@@ -931,7 +925,6 @@ def _restricted_reduction(setup: SetupOperator) -> tuple[SetupOperator, Callable
 
 def solve_max_robustness(
     setup: SetupOperator,
-    tol: float = RESIDUAL_TOL,
     max_iter: int = MAX_ITER,
     restricted: bool = False,
 ) -> tuple[SolveReport, HermitianOperator]:
@@ -941,8 +934,10 @@ def solve_max_robustness(
     Returns the pair report and the optimal witness.  The report's `lower`
     is a certified lower bound on the robustness (it equals the witness
     expectation of the returned witness), `upper` a certified upper bound
-    (the trace of an exactly feasible noise), and `gap` their difference;
-    the run stops converged once the gap is at most GAP_TOL.
+    (the trace of an exactly feasible noise, the split residual taken into
+    it), and `gap` their difference; the run stops converged at the first
+    checkpoint where the gap is at most GAP_TOL, however large the split
+    residuals still are, and `max_iter` caps its iterations.
     extras["certificate"] is the witness's splitting certificate
     (W_fwd, W_bwd), whose identities `witness.certificate_residuals` checks:
     W_d = W - P_d is orthogonal to the span of direction d and P_d is
@@ -976,7 +971,7 @@ def solve_max_robustness(
         primal = replace(reduced_primal, name="robustness-restricted:primal", polish=polish)
     else:
         primal, dual = _robustness_primal(geom), _robustness_dual(geom, None)
-    report = _solve_pair(primal, dual, tol, GAP_TOL, max_iter)
+    report = _solve_pair(primal, dual, GAP_TOL, max_iter)
     point = report.extras["lower_point"]
     witness = HermitianOperator(geom.layout, point["W"])
     report.extras["certificate"] = tuple(
@@ -1084,11 +1079,12 @@ def solve_cone_value(
     maximum from above and `lower` is attained by an exactly feasible
     mixture (reported in extras["parts"]).  extras["complements"] holds the
     bound side's complement part Z_d of each span.  The run ends converged
-    at the first checkpoint where the split residuals are at most
-    RESIDUAL_TOL and the gap at most gap_tol, or, when `done(upper, lower)`
-    is given, where that holds instead."""
+    at the first checkpoint where the certified gap is at most gap_tol, or,
+    when `done(upper, lower)` is given, where that holds instead; a
+    checkpoint comes early when the split residuals first reach
+    RESIDUAL_TOL."""
     bound_prog, value_prog = cone_value_programs(target, spans, trace_target)
-    report = _solve_pair(bound_prog, value_prog, RESIDUAL_TOL, gap_tol, MAX_ITER, done)
+    report = _solve_pair(bound_prog, value_prog, gap_tol, MAX_ITER, done)
     point = report.extras["lower_point"]
     report.extras["parts"] = {name: HermitianOperator(bound_prog.layout, point[name]) for name in spans}
     return report

@@ -221,8 +221,11 @@ def basis_rows(layout: SystemLayout, coordinates: np.ndarray) -> np.ndarray:
     rows = np.ones((m, 1, 1))
     for d, index in zip(dims, np.unravel_index(coordinates, [d * d for d in dims])):
         if d > 1:  # a dimension-one wire's factor is 1
-            factor = _wire_change(d)[index].reshape(m, 1, d, 1, d)
-            rows = (rows[:, :, None, :, None] * factor).reshape(m, rows.shape[1] * d, -1)
+            factor = _wire_change(d)[index].reshape(m, d, d)
+            out = np.empty((m, rows.shape[1], d, rows.shape[2], d))
+            for a, b in np.ndindex(d, d):  # out[:, i, a, j, b] = rows[:, i, j] factor[:, a, b]
+                np.multiply(rows, factor[:, a, b, None, None], out=out[:, :, a, :, b])
+            rows = out.reshape(m, out.shape[1] * d, -1)
     rows += 0.0  # the -0.0 of products become the +0.0 a matrix product gives
     return rows.reshape(m, -1)
 

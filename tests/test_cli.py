@@ -188,7 +188,7 @@ class TestProbabilities:
         assert values["estimate"] == pytest.approx(
             artifacts["parsed"]["robustness"], abs=1e-6)
 
-    @pytest.mark.parametrize("flag", [("--restricted",), ("--tol", "0.3")])
+    @pytest.mark.parametrize("flag", [("--restricted",)])
     def test_stored_decomposition_takes_no_solve_flags(self, artifacts, tmp_path, capsys, flag):
         out = tmp_path / "probs.csv"
         argv = ("probabilities", "--decomposition-in", artifacts["decomposition"], "--out", str(out))
@@ -501,8 +501,8 @@ class TestConfig:
             assert "TIMEFLIP_TOL" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
-        (("robustness", "--tol", "nan"), "--tol"),
-        (("robustness", "--tol", "-1"), "--tol"),
+        (("validate", "--witness", "w.json", "--tol", "nan"), "--tol"),
+        (("validate", "--setup", "qtf", "--tol", "-1"), "--tol"),
         (("validate", "--setup", "qtf", "--tol", "inf"), "--tol"),
         (("robustness", "--max-iter", "0"), "--max-iter"),
         (("probabilities", "--shots", "0.5"), "--shots"),
@@ -512,6 +512,18 @@ class TestConfig:
     def test_out_of_range_number_is_a_parse_error(self, capsys, argv, flag):
         assert _run(*argv) == EXIT_IO
         assert f"error: {flag} must be" in capsys.readouterr().err
+
+    def test_solve_commands_take_no_tolerance(self, monkeypatch, capsys):
+        # a certified pair stops on its gap, so no tolerance shapes the solve
+        for command in ("robustness", "probabilities"):
+            with pytest.raises(SystemExit) as exc:
+                _run(command, "--tol", "1e-6")
+            assert exc.value.code == EXIT_IO
+            assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
+        # nor does the tolerance variable, which only validate reads
+        monkeypatch.setenv("TIMEFLIP_TOL", "not-a-number")
+        assert _run("robustness", "--max-iter", "10") == EXIT_FAIL
+        assert "solver did not certify" in capsys.readouterr().err
 
     def test_tolerance_env_is_honored(self, monkeypatch, capsys):
         monkeypatch.setenv("TIMEFLIP_TOL", "1e-6")
@@ -575,3 +587,25 @@ class TestConfig:
         for path in (first, second):
             assert _run("validate", "--setup", "qtf", "--out", str(path)) == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
+
+
+def _readme_examples() -> dict[str, list[str]]:
+    """README's command-line examples: the arguments of each `$ timeflip`
+    line of a fenced block, mapped to the output lines under it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^\$ timeflip (.+)\n((?:(?!\$ |```).+\n)*)", readme, re.M)
+    return {args: shown.splitlines() for args, shown in blocks}
+
+
+class TestReadme:
+    @pytest.mark.parametrize("command", [
+        "robustness --setup qtf",
+        "robustness --setup qtf --restricted",
+        "probabilities --shots 1e7 --repetitions 100 --seed 0",
+        "game --pmax-sdp",
+        "validate --setup qtf",
+    ])
+    def test_example_prints_what_readme_shows(self, capsys, command):
+        shown = _readme_examples()[command]
+        assert _run(*command.split()) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == shown

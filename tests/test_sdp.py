@@ -322,12 +322,13 @@ class TestMaxRobustness:
             assert report.lower <= (1 - q) * base + _GAP_TOL
 
     def test_iteration_budget(self, qtf, solved, solved_restricted, admm_runs):
-        # rho balanced within 2x every 50 iterations: 48 and 201 iterations,
-        # the validate floor 44, the game cap 40 and the half-definite
-        # mixture 891; within 10x every 25 iterations 48, 203, 44, 40 and
-        # 1,694.  Anderson memory 5 took 75, 410, 127 and 177; twin subspace
-        # blocks 163 and 536; before the exact dual cone 206 and 495; plain
-        # ADMM 738 and 1,267
+        # stopped on the certified gap: 48 and 150 iterations, the validate
+        # floor 44, the game cap 40 and the half-definite mixture 450; when
+        # the split residuals also had to reach 1e-6, 48, 201, 44, 40 and
+        # 891; with rho balanced within 10x every 25 iterations 48, 203, 44,
+        # 40 and 1,694.  Anderson memory 5 took 75, 410, 127 and 177; twin
+        # subspace blocks 163 and 536; before the exact dual cone 206 and
+        # 495; plain ADMM 738 and 1,267
         assert solved[0].iterations <= 60
         assert solved_restricted[0].iterations <= 250
         admm_runs.clear()
@@ -619,6 +620,19 @@ class TestPositivityRepair:
                 if blk.kind == "psd":
                     assert np.linalg.eigvalsh(polished[blk.name])[0] >= 0.0, (blk.name, extra)
 
+    def test_noise_polish_on_a_complex_definite_mixture(self, qtf):
+        # the noise polish sets T = F + B - S from the projected F and B, so
+        # every row holds to rounding on complex data too, and the bump along
+        # the identity leaves T, F and B positive semidefinite
+        mix = definite_mixture(np.random.default_rng(17), qtf)
+        assert not sdp._conjugation_invariant(sdp._robustness_dual(sdp._SlotGeometry(mix), None))
+        report, _ = solve_max_robustness(mix)
+        rows = {k: v for k, v in report.residuals.items() if k.startswith("primal:row:")}
+        assert len(rows) == 4
+        assert max(rows.values()) <= 1e-12, rows
+        for name in ("T", "F", "B"):
+            assert np.linalg.eigvalsh(report.extras["upper_point"][name])[0] >= 0.0, name
+
 
 def _lift(x, setup):
     """I_B_it (x) X (x) I_B_ot/2 in the setup's layout order, for X on the
@@ -697,14 +711,30 @@ class TestStopRule:
         assert report.iterations <= 2000
         assert report.lower <= report.upper
 
-    def test_safeguard_holds_on_a_degenerate_floor(self, qtf, solved_restricted):
-        # the restricted witness's definite floor is exactly 0
-        _, witness = solved_restricted
+    def test_stop_waits_on_the_gap_only(self, solved_restricted):
+        # the restricted pair certifies its gap at 150 iterations, while its
+        # split residuals are still near 1e-5
+        report, _ = solved_restricted
+        assert report.converged and report.gap <= sdp.GAP_TOL
+        split = (report.residuals["dual:split:primal"], report.residuals["dual:split:dual"])
+        assert max(split) > sdp.RESIDUAL_TOL
+
+    def test_safeguard_holds_on_a_degenerate_floor(self, qtf):
+        # the restricted witness of exactly 201 iterations, polished,
+        # certifies 0.1715724353; its definite floor is 2.9e-7, next to 0.
+        # It is built without the pair's stop rule, which would move it: the
+        # witness of the 150-iteration stop has a floor of 9.8e-6, where s
+        # ends at 1.3e-5
+        dual = sdp._robustness_dual(sdp._SlotGeometry(qtf), restricted_witness_projector(qtf))
+        run = sdp._Admm(dual)
+        run.run(0.0, 201)
+        value, point, _ = dual.polish(run.xs, run.zs)
+        assert value == pytest.approx(0.1715724353, abs=1e-10)
         spans = {
             "forward": SpanMask.of_setup(qtf, ConeId.FORWARD_SPAN),
             "backward": SpanMask.of_setup(qtf, ConeId.BACKWARD_SPAN),
         }
-        _, value_prog = sdp.cone_value_programs(-witness.matrix, spans, qtf.trace_target)
+        _, value_prog = sdp.cone_value_programs(-point["W"], spans, qtf.trace_target)
         admm = sdp._Admm(value_prog)
         admm.run(0.0, 5000)
         assert admm.iterations == 5000

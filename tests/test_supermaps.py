@@ -19,6 +19,7 @@ from helpers import (
     random_hermitian,
     random_hermitian_operator,
 )
+from timeflip import supermaps
 from timeflip.channels import KrausChannel, input_output_inversion, kraus_to_choi
 from timeflip.game import GAME_SLOTS, game_layout
 from timeflip.supermaps import (
@@ -485,6 +486,25 @@ def test_basis_rows_are_the_basis_matrices_of_unit_coordinates(dims):
     assert np.array_equal(np.signbit(rows), np.signbit(expected))
     picked = np.array([n * n - 1, 0, 5])
     assert np.array_equal(basis_rows(layout, picked), expected[picked])
+
+
+@pytest.mark.parametrize("dims", [(2,) * 5, (2, 3, 2), (1, 2, 1, 2, 2)])
+def test_basis_rows_match_the_broadcast_product(dims):
+    # the rows are written one (a, b) plane of each wire's factor at a time;
+    # the one broadcast product over all five axes gives the same bits
+    layout = SystemLayout(tuple((f"w{k}", d) for k, d in enumerate(dims)))
+    n = layout.total_dim
+    picked = np.random.default_rng(3).permutation(n * n)[: n * n // 3]
+    m = len(picked)
+    expected = np.ones((m, 1, 1))
+    for d, index in zip(dims, np.unravel_index(picked, [d * d for d in dims])):
+        if d > 1:
+            factor = supermaps._wire_change(d)[index].reshape(m, 1, d, 1, d)
+            expected = (expected[:, :, None, :, None] * factor).reshape(m, expected.shape[1] * d, -1)
+    expected = expected.reshape(m, -1) + 0.0
+    rows = basis_rows(layout, picked)
+    assert np.array_equal(rows, expected)
+    assert np.array_equal(np.signbit(rows), np.signbit(expected))
 
 
 class TestSpanProperties:
