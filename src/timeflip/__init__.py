@@ -18,7 +18,6 @@ del _var
 
 from .channels import (
     KrausChannel,
-    choi_to_kraus,
     input_output_inversion,
     is_bistochastic,
     kraus_to_choi,
@@ -51,16 +50,13 @@ from .supermaps import (
 from .tensor_core import (
     HermitianOperator,
     Ket,
-    Norms,
     SystemLayout,
     double_ket,
     hs_inner,
     identity,
-    norms,
     partial_trace,
     partial_transpose,
     permute_factors,
-    psd_project,
     qubits,
     tensor_product,
     trace_and_replace,
@@ -85,7 +81,6 @@ __all__ = [
     "HermitianOperator",
     "Ket",
     "KrausChannel",
-    "Norms",
     "ProbabilityRecord",
     "SetupOperator",
     "SlotSpec",
@@ -98,7 +93,6 @@ __all__ = [
     "builtin_gate_table",
     "check_multipartite",
     "check_setup",
-    "choi_to_kraus",
     "compute_pmax_fixed_direction",
     "decompose_witness",
     "definite_split",
@@ -110,13 +104,11 @@ __all__ = [
     "input_output_inversion",
     "is_bistochastic",
     "kraus_to_choi",
-    "norms",
     "partial_trace",
     "partial_transpose",
     "permute_factors",
     "play_game",
     "poisson_resample",
-    "psd_project",
     "qtf_choi",
     "qtf_plus_control",
     "qtf_strategy",

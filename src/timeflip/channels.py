@@ -3,8 +3,6 @@ transpose-based input-output inversion."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor_core import HermitianOperator, SystemLayout
@@ -13,14 +11,12 @@ TP_TOL = 1e-9
 
 
 class KrausChannel:
-    """A completely positive map given by a finite family of Kraus operators.
+    """A quantum channel given by a finite family of Kraus operators.
 
-    Trace preservation (sum K^dag K = I) is enforced at construction unless
-    `require_trace_preserving=False`, which admits subnormalized instrument
-    branches.
+    Trace preservation (sum K^dag K = I) is checked at construction.
     """
 
-    def __init__(self, kraus, require_trace_preserving: bool = True):
+    def __init__(self, kraus):
         kraus = [np.array(k, dtype=complex) for k in kraus]
         if not kraus:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -32,18 +28,14 @@ class KrausChannel:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.kraus = tuple(kraus)
-        if require_trace_preserving:
-            gram = sum(k.conj().T @ k for k in kraus)
-            deviation = float(np.max(np.abs(gram - np.eye(in_dim))))
-            if deviation > TP_TOL:
-                raise ValueError(f"channel is not trace-preserving (deviation {deviation:.3e})")
+        gram = sum(k.conj().T @ k for k in kraus)
+        deviation = float(np.max(np.abs(gram - np.eye(in_dim))))
+        if deviation > TP_TOL:
+            raise ValueError(f"channel is not trace-preserving (deviation {deviation:.3e})")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
         return sum(k @ rho @ k.conj().T for k in self.kraus)
-
-    def __len__(self) -> int:
-        return len(self.kraus)
 
 
 def kraus_to_choi(ch: KrausChannel, labels: tuple[str, str] = ("in", "out")) -> HermitianOperator:
@@ -56,32 +48,13 @@ def kraus_to_choi(ch: KrausChannel, labels: tuple[str, str] = ("in", "out")) -> 
     return HermitianOperator(layout, choi)
 
 
-def choi_to_kraus(c: HermitianOperator, atol: float = 1e-9,
-                  require_trace_preserving: bool = True) -> KrausChannel:
-    """Kraus operators from scaled eigenvectors of a (two-factor) Choi matrix."""
-    if len(c.layout.factors) != 2:
-        raise ValueError("choi_to_kraus expects a two-factor (input, output) layout")
-    in_dim, out_dim = c.layout.dims
-    vals, vecs = np.linalg.eigh(c.matrix)
-    if vals[0] < -atol:
-        raise ValueError(f"Choi matrix has a negative eigenvalue {vals[0]:.3e}")
-    cutoff = max(atol, 1e-12 * max(1.0, float(vals[-1])))
-    kraus = [
-        np.sqrt(val) * vecs[:, idx].reshape(in_dim, out_dim).T
-        for idx, val in enumerate(vals)
-        if val > cutoff
-    ]
-    return KrausChannel(kraus, require_trace_preserving=require_trace_preserving)
-
-
-def is_bistochastic(ch: KrausChannel, tol: float = TP_TOL) -> bool:
-    """True iff the channel is both trace-preserving and unital within tol."""
+def is_bistochastic(ch: KrausChannel) -> bool:
+    """True iff the channel is unital within TP_TOL; every KrausChannel is
+    already trace-preserving within it."""
     if ch.in_dim != ch.out_dim:
         raise ValueError(f"bistochasticity needs in_dim == out_dim, got {ch.in_dim} != {ch.out_dim}")
-    eye = np.eye(ch.in_dim)
-    tp = max(float(np.max(np.abs(sum(k.conj().T @ k for k in ch.kraus) - eye))), 0.0)
-    unital = max(float(np.max(np.abs(sum(k @ k.conj().T for k in ch.kraus) - eye))), 0.0)
-    return tp <= tol and unital <= tol
+    unital = float(np.max(np.abs(sum(k @ k.conj().T for k in ch.kraus) - np.eye(ch.in_dim))))
+    return unital <= TP_TOL
 
 
 def input_output_inversion(ch: KrausChannel) -> KrausChannel:
@@ -91,60 +64,3 @@ def input_output_inversion(ch: KrausChannel) -> KrausChannel:
     if not is_bistochastic(ch):
         raise ValueError("input-output inversion is defined for bistochastic channels only")
     return KrausChannel([k.T for k in ch.kraus])
-
-
-@dataclass(frozen=True)
-class BistochasticInstrument:
-    """Outcome branches whose sum is a bistochastic channel."""
-
-    outcomes: tuple[KrausChannel, ...]
-
-    def __post_init__(self):
-        total = self.sum_channel()
-        if not is_bistochastic(total):
-            raise ValueError("instrument branches do not sum to a bistochastic channel")
-
-    def sum_channel(self) -> KrausChannel:
-        kraus = [k for branch in self.outcomes for k in branch.kraus]
-        return KrausChannel(kraus)
-
-
-def measure_and_reprepare(v_basis, w_basis) -> BistochasticInstrument:
-    """Measure in the basis {|v_i>} and reprepare the matching |w_i>."""
-    v_basis = [np.asarray(v, dtype=complex).reshape(-1) for v in v_basis]
-    w_basis = [np.asarray(w, dtype=complex).reshape(-1) for w in w_basis]
-    for name, basis in (("v", v_basis), ("w", w_basis)):
-        gram = np.array([[np.vdot(a, b) for b in basis] for a in basis])
-        if np.max(np.abs(gram - np.eye(len(basis)))) > 1e-10:
-            raise ValueError(f"{name}_basis is not orthonormal")
-    if len(v_basis) != len(w_basis):
-        raise ValueError("bases must have the same number of elements")
-    branches = tuple(
-        KrausChannel([np.outer(w, v.conj())], require_trace_preserving=False)
-        for v, w in zip(v_basis, w_basis)
-    )
-    return BistochasticInstrument(branches)
-
-
-# -- channel file format -------------------------------------------------------
-
-
-def channel_to_dict(ch: KrausChannel) -> dict:
-    return {
-        "in_dim": ch.in_dim,
-        "out_dim": ch.out_dim,
-        "kraus": [{"re": k.real.tolist(), "im": k.imag.tolist()} for k in ch.kraus],
-    }
-
-
-def channel_from_dict(obj: dict) -> KrausChannel:
-    try:
-        kraus = [np.array(k["re"], dtype=float) + 1j * np.array(k["im"], dtype=float)
-                 for k in obj["kraus"]]
-        in_dim, out_dim = int(obj["in_dim"]), int(obj["out_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed channel record: {exc}") from exc
-    ch = KrausChannel(kraus)
-    if (ch.in_dim, ch.out_dim) != (in_dim, out_dim):
-        raise ValueError("declared channel dimensions do not match the Kraus matrices")
-    return ch

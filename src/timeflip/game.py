@@ -48,6 +48,22 @@ _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+_RT2 = math.sqrt(2.0)
+# the ten gates of the built-in sets: name, matrix and (QWP1, HWP, QWP2)
+# waveplate angles in degrees
+_BUILTIN_GATES = (
+    ("I", _ID, (0.0, 0.0, 0.0)),
+    ("X", _X, (0.0, 45.0, 0.0)),
+    ("Y", _Y, (90.0, 45.0, 0.0)),
+    ("Z", _Z, (90.0, 0.0, 0.0)),
+    ("U1", (_X - _Y) / _RT2, (45.0, 67.5, 135.0)),
+    ("V1", (_X + _Y) / _RT2, (135.0, 67.5, 45.0)),
+    ("U2", (_Z - _Y) / _RT2, (0.0, 22.5, 90.0)),
+    ("V2", (_Z + _Y) / _RT2, (90.0, 22.5, 0.0)),
+    ("U3", (_ID - 1.0j * _Y) / _RT2, (22.5, 135.0, 67.5)),
+    ("V3", (_ID + 1.0j * _Y) / _RT2, (67.5, 135.0, 22.5)),
+)
+
 _PLUS_KET = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 _MINUS_KET = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 _PORT_PROJECTORS = (np.outer(_PLUS_KET, _PLUS_KET.conj()),
@@ -114,13 +130,7 @@ def builtin_gate_sets() -> tuple[tuple[GatePair, ...], tuple[GatePair, ...]]:
     V2 = (Z + Y)/sqrt(2), U3 = (I - iY)/sqrt(2), V3 = (I + iY)/sqrt(2),
     each appearing in both slot orders.
     """
-    rt = math.sqrt(2.0)
-    named = {
-        "I": _ID, "X": _X, "Y": _Y, "Z": _Z,
-        "U1": (_X - _Y) / rt, "V1": (_X + _Y) / rt,
-        "U2": (_Z - _Y) / rt, "V2": (_Z + _Y) / rt,
-        "U3": (_ID - 1.0j * _Y) / rt, "V3": (_ID + 1.0j * _Y) / rt,
-    }
+    named = {name: matrix for name, matrix, _ in _BUILTIN_GATES}
 
     def pick(*keys):
         return [((a, named[a]), (b, named[b])) for a, b in keys]
@@ -392,20 +402,7 @@ class GateTableRow:
 @lru_cache(maxsize=1)
 def builtin_gate_table() -> tuple[GateTableRow, ...]:
     """Waveplate angle assignments for the ten gates of the built-in sets."""
-    rt = math.sqrt(2.0)
-    rows = [
-        ("I", _ID, (0.0, 0.0, 0.0)),
-        ("X", _X, (0.0, 45.0, 0.0)),
-        ("Y", _Y, (90.0, 45.0, 0.0)),
-        ("Z", _Z, (90.0, 0.0, 0.0)),
-        ("U1", (_X - _Y) / rt, (45.0, 67.5, 135.0)),
-        ("V1", (_X + _Y) / rt, (135.0, 67.5, 45.0)),
-        ("U2", (_Z - _Y) / rt, (0.0, 22.5, 90.0)),
-        ("V2", (_Z + _Y) / rt, (90.0, 22.5, 0.0)),
-        ("U3", (_ID - 1.0j * _Y) / rt, (22.5, 135.0, 67.5)),
-        ("V3", (_ID + 1.0j * _Y) / rt, (67.5, 135.0, 22.5)),
-    ]
-    return tuple(GateTableRow(name, mat, angles) for name, mat, angles in rows)
+    return tuple(GateTableRow(name, mat, angles) for name, mat, angles in _BUILTIN_GATES)
 
 
 WAVEPLATE_CONVENTIONS = ("retarder+/angle+", "retarder+/angle-",
@@ -576,13 +573,3 @@ def save_game_report(path: str, records: Sequence[GameRecord]) -> None:
                          "1" if rec.correct else "0"])
     atomic_write_text(path, buffer.getvalue())
 
-
-def load_game_report(path: str) -> list[GameRecord]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != _GAME_HEADER:
-            raise ValueError(f"unrecognized game report header: {header}")
-        return [GameRecord(pair=row[0], tag=row[1], p_port0=float(row[2]),
-                           p_port1=float(row[3]), correct=row[4] == "1")
-                for row in reader]

@@ -269,11 +269,12 @@ class _Admm:
     residuals come from that one evaluation: r is the distance of the cone
     point z from the affine set, and s is rho times the part of x - z along
     the affine set, which is the distance of the slacks -rho u (exact
-    dual-cone points) from their own affine set.  rho starts at RHO, and
-    every CHECKPOINT iterations it is doubled when r exceeds BALANCE times s
-    and halved when s exceeds BALANCE times r (residual balancing, Boyd et
-    al., Found. Trends Mach. Learn. 3, 2011, section 3.4.1, with a band of 2
-    where they use 10), within 1e-5 <= rho <= 1e5.
+    dual-cone points) from their own affine set.  rho starts at RHO, and at
+    the first accepted evaluation at or past each multiple of CHECKPOINT it
+    is doubled when r exceeds BALANCE times s and halved when s exceeds
+    BALANCE times r (residual balancing, Boyd et al., Found. Trends Mach.
+    Learn. 3, 2011, section 3.4.1, with a band of 2 where they use 10),
+    within 1e-5 <= rho <= 1e5.
 
     Type-II Anderson acceleration (Walker and Ni, SIAM J. Numer. Anal. 49,
     2011) extrapolates from the last MEMORY differences of T and of the
@@ -314,6 +315,7 @@ class _Admm:
         self.rho = self.RHO
         self.x = self.z = self.u = self._stack({})
         self.iterations = 0
+        self._balance_at = CHECKPOINT  # the iteration of the next rebalance
         self._shift = self.cost / self.rho
         self._d_norm, self._split = np.inf, (np.inf, np.inf)
         self._prepare_affine()
@@ -467,7 +469,11 @@ class _Admm:
         if self._f is not None:
             self._remember(f, g)
         self._f, self._g, self._g_norm = f, g, self.ALPHA * d_norm
-        factor = self._rebalance() if self.iterations % CHECKPOINT == 0 else 1.0
+        factor = 1.0
+        if self.iterations >= self._balance_at:
+            # the safeguard may drop the evaluation on the multiple itself
+            self._balance_at = (self.iterations // CHECKPOINT + 1) * CHECKPOINT
+            factor = self._rebalance()
         if factor != 1.0:
             # T changes with rho: evaluate the plain step next, its
             # multipliers rescaled like the current ones, with a fresh memory

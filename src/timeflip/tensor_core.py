@@ -1,7 +1,7 @@
 """Complex tensor algebra over labeled multi-qubit layouts.
 
-Products, partial traces, trace-and-replace maps, double-ket embeddings,
-Hermitian eigendecomposition and PSD projection.  Everything here is a pure
+Products, partial traces, trace-and-replace maps, partial transposes,
+double-ket embeddings and the operator file format.  Everything here is a pure
 function over immutable values; a single basis convention (row-major composite
 indices, first layout factor most significant) is used throughout.
 """
@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -298,30 +298,6 @@ def double_ket(m: np.ndarray, labels: tuple[str, str] = ("in", "out")) -> Ket:
     n = m.shape[0]
     layout = SystemLayout(((labels[0], n), (labels[1], n)))
     return Ket(layout, m.T.reshape(-1))
-
-
-def psd_project(op: HermitianOperator) -> HermitianOperator:
-    """Frobenius-nearest positive semidefinite operator (eigenvalue clipping)."""
-    try:
-        vals, vecs = np.linalg.eigh(op.matrix)
-    except np.linalg.LinAlgError as exc:
-        scale = float(np.max(np.abs(op.matrix)))
-        raise ValueError(f"eigendecomposition failed (max entry magnitude {scale:.3e})") from exc
-    clipped = np.clip(vals, 0.0, None)
-    return HermitianOperator(op.layout, (vecs * clipped) @ vecs.conj().T)
-
-
-class Norms(NamedTuple):
-    hilbert_schmidt: float
-    operator_norm: float
-    trace_norm: float
-
-
-def norms(op: HermitianOperator) -> Norms:
-    """Hilbert-Schmidt, operator (max singular value) and trace norms."""
-    vals = np.abs(np.linalg.eigvalsh(op.matrix))
-    return Norms(float(np.sqrt(np.sum(vals**2))), float(np.max(vals)) if vals.size else 0.0,
-                 float(np.sum(vals)))
 
 
 def hs_inner(a: HermitianOperator | np.ndarray, b: HermitianOperator | np.ndarray) -> float:

@@ -80,6 +80,16 @@ def _require_experiment_layout(layout: SystemLayout, what: str) -> None:
 # -- domain types ----------------------------------------------------------------
 
 
+def _state_indices(indices) -> tuple[int, ...]:
+    """The indices of a full (5) or restricted (3) event as ints in 0..3."""
+    idx = tuple(int(i) for i in indices)
+    if len(idx) not in (5, 3):
+        raise ValueError(f"expected 5 (full) or 3 (restricted) indices, got {len(idx)}")
+    if any(i < 0 or i > 3 for i in idx):
+        raise ValueError(f"state indices must lie in 0..3, got {idx}")
+    return idx
+
+
 @dataclass(frozen=True)
 class DecompositionTerm:
     """One product-projector term of a witness expansion.
@@ -93,11 +103,7 @@ class DecompositionTerm:
     coeff: float
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) not in (5, 3):
-            raise ValueError(f"expected 5 (full) or 3 (restricted) indices, got {len(idx)}")
-        if any(i < 0 or i > 3 for i in idx):
-            raise ValueError(f"state indices must lie in 0..3, got {idx}")
+        idx = _state_indices(self.indices)
         coeff = float(self.coeff)
         if not np.isfinite(coeff):
             raise ValueError(f"non-finite coeff {coeff!r} for term {idx}")
@@ -119,11 +125,7 @@ class ProbabilityRecord:
     shots: int | None = None
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) not in (5, 3):
-            raise ValueError(f"expected 5 (full) or 3 (restricted) indices, got {len(idx)}")
-        if any(i < 0 or i > 3 for i in idx):
-            raise ValueError(f"state indices must lie in 0..3, got {idx}")
+        idx = _state_indices(self.indices)
         p = float(self.probability)
         if not np.isfinite(p):
             raise ValueError(f"non-finite probability {p!r} for event {idx}")

@@ -16,24 +16,17 @@ from helpers import (
     random_unitary,
 )
 from timeflip.channels import (
-    BistochasticInstrument,
     KrausChannel,
-    channel_from_dict,
-    channel_to_dict,
-    choi_to_kraus,
     input_output_inversion,
     is_bistochastic,
     kraus_to_choi,
-    measure_and_reprepare,
 )
-from timeflip.tensor_core import double_ket, partial_trace, permute_factors
+from timeflip.tensor_core import double_ket, permute_factors
 
 
 def test_kraus_channel_validates_trace_preservation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not trace-preserving"):
         KrausChannel([np.array([[1.0, 0.0], [0.0, 0.5]])])
-    # subnormalized branches are allowed when explicitly requested
-    KrausChannel([np.array([[1.0, 0.0], [0.0, 0.0]])], require_trace_preserving=False)
 
 
 def test_kraus_to_choi_identity_and_z():
@@ -50,37 +43,13 @@ def test_kraus_to_choi_depolarizing():
     assert np.allclose(choi.matrix, np.eye(4) / 2)
 
 
-def test_choi_to_kraus_roundtrip_and_rank():
-    single = choi_to_kraus(kraus_to_choi(KrausChannel([PAULI_I])))
-    assert len(single) == 1
-    assert np.allclose(np.abs(np.trace(single.kraus[0])), 2.0)  # identity up to phase
-
-    z_channel = choi_to_kraus(kraus_to_choi(KrausChannel([PAULI_Z])))
-    assert len(z_channel) == 1
-
-    depol = choi_to_kraus(
-        kraus_to_choi(KrausChannel([p / 2 for p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)]))
-    )
-    assert len(depol) == 4
-    for k in depol.kraus:
-        assert np.trace(k.conj().T @ k).real == pytest.approx(0.5)
-
-
-def test_choi_to_kraus_rejects_negative_choi():
-    from timeflip.tensor_core import HermitianOperator, qubits
-
-    bad = HermitianOperator(qubits("in", "out"), np.diag([1.0, 1.0, 1.0, -0.5]))
-    with pytest.raises(ValueError):
-        choi_to_kraus(bad, require_trace_preserving=False)
-
-
 def test_is_bistochastic_examples():
     assert is_bistochastic(KrausChannel([PAULI_X]))
-    readout = measure_and_reprepare(
-        [np.array([1, 0]), np.array([0, 1])],
-        [np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)],
+    # measure in the Z basis and reprepare |+> or |->
+    readout = KrausChannel(
+        [np.array([[1, 0], [1, 0]]) / np.sqrt(2), np.array([[0, 1], [0, -1]]) / np.sqrt(2)]
     )
-    assert is_bistochastic(readout.sum_channel())
+    assert is_bistochastic(readout)
     damping = KrausChannel(
         [np.array([[1, 0], [0, 0]], dtype=complex), np.array([[0, 1], [0, 0]], dtype=complex)]
     )
@@ -112,42 +81,6 @@ def test_inversion_is_factor_swap_at_choi_level():
         assert np.allclose(inverted.matrix, swapped.matrix, atol=1e-12)
 
 
-def test_measure_and_reprepare_examples():
-    z_basis = [np.array([1, 0]), np.array([0, 1])]
-    dephasing = measure_and_reprepare(z_basis, z_basis)
-    rho = np.array([[0.5, 0.4], [0.4, 0.5]])
-    assert np.allclose(dephasing.sum_channel().apply(rho), np.diag([0.5, 0.5]))
-
-    plus_basis = [np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)]
-    swap_basis = measure_and_reprepare(z_basis, plus_basis)
-    out = swap_basis.sum_channel().apply(np.diag([1.0, 0.0]))
-    assert np.allclose(out, np.outer(plus_basis[0], plus_basis[0].conj()))
-
-    branch_choi = kraus_to_choi(dephasing.outcomes[0], labels=("in", "out"))
-    assert np.allclose(branch_choi.matrix, np.diag([1.0, 0, 0, 0]))
-
-    with pytest.raises(ValueError):
-        measure_and_reprepare(z_basis, [np.array([1, 0]), np.array([1, 1])])
-
-
-def test_instrument_requires_bistochastic_sum():
-    half = KrausChannel([np.array([[1, 0], [0, 0]], dtype=complex)],
-                        require_trace_preserving=False)
-    with pytest.raises(ValueError):
-        BistochasticInstrument((half,))
-
-
-def test_channel_json_roundtrip():
-    rng = np.random.default_rng(5)
-    ch = random_bistochastic_channel(rng)
-    again = channel_from_dict(channel_to_dict(ch))
-    assert np.allclose(kraus_to_choi(again).matrix, kraus_to_choi(ch).matrix)
-    bad = channel_to_dict(ch)
-    bad["in_dim"] = 3
-    with pytest.raises(ValueError):
-        channel_from_dict(bad)
-
-
 class TestChannelProperties:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -175,25 +108,3 @@ class TestChannelProperties:
         inv_a = kraus_to_choi(input_output_inversion(ch))
         inv_b = kraus_to_choi(input_output_inversion(remixed))
         assert np.allclose(inv_a.matrix, inv_b.matrix, atol=1e-10)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_instrument_branch_chois_sum_to_double_marginal_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        v = _random_basis(rng)
-        w = _random_basis(rng)
-        instrument = measure_and_reprepare(v, w)
-        total = sum(
-            kraus_to_choi(branch, labels=("in", "out")).matrix
-            for branch in instrument.outcomes
-        )
-        from timeflip.tensor_core import HermitianOperator, qubits
-
-        total_op = HermitianOperator(qubits("in", "out"), total)
-        assert np.allclose(partial_trace(total_op, {"in"}).matrix, np.eye(2), atol=1e-10)
-        assert np.allclose(partial_trace(total_op, {"out"}).matrix, np.eye(2), atol=1e-10)
-
-
-def _random_basis(rng):
-    u = random_unitary(rng, 2)
-    return [u[:, 0], u[:, 1]]

@@ -48,7 +48,7 @@ from timeflip.tensor_core import (
     tensor_product,
     trace_and_replace,
 )
-from timeflip.witness import validate_witness
+from timeflip.witness import _span_masks as witness_span_masks, validate_witness
 
 _GAP_TOL = 1e-4
 _VALUE_TOL = 5e-3
@@ -186,7 +186,8 @@ class TestEngine:
 
 class TestRebalance:
     """rho doubles when r exceeds 2 s, halves when s exceeds 2 r, within
-    1e-5 <= rho <= 1e5, at every CHECKPOINT-th iteration."""
+    1e-5 <= rho <= 1e5, once per CHECKPOINT iterations: at the first accepted
+    evaluation at or past each multiple."""
 
     @staticmethod
     def _factor(r, s, rho=1.0):
@@ -208,7 +209,9 @@ class TestRebalance:
         assert self._factor(1.0, 1e-3, rho=1e-5) == 2.0
         assert self._factor(1e-3, 1.0, rho=1e5) == 0.5
 
-    def test_checked_every_checkpoint(self, qtf, monkeypatch):
+    @pytest.fixture
+    def consulted(self, monkeypatch):
+        """The iterations at which `_rebalance` is consulted, in order."""
         seen = []
         rebalance = sdp._Admm._rebalance
 
@@ -217,10 +220,22 @@ class TestRebalance:
             return rebalance(admm)
 
         monkeypatch.setattr(sdp._Admm, "_rebalance", recording)
+        return seen
+
+    def test_checked_every_checkpoint(self, qtf, consulted):
         admm = sdp._Admm(_iterated_program(qtf, "value", 0.0))
         admm.run(0.0, 4 * sdp.CHECKPOINT)
-        # an evaluation the safeguard drops skips the check
-        assert seen and all(it % sdp.CHECKPOINT == 0 for it in seen)
+        assert consulted == [sdp.CHECKPOINT * k for k in range(1, 5)]
+
+    def test_checked_once_per_window_past_dropped_checkpoints(self, solved_restricted, consulted):
+        # the definite floor of the restricted witness: the safeguard drops
+        # the evaluations at 100, 150 and 400, so the check falls on the next
+        # accepted one
+        _, w = solved_restricted
+        prog = sdp.cone_value_programs(-w.matrix, witness_span_masks(), 4.0)[1]
+        sdp._Admm(prog).run(0.0, 9 * sdp.CHECKPOINT + sdp.CHECKPOINT // 2)
+        assert [it // sdp.CHECKPOINT for it in consulted] == list(range(1, 10))
+        assert consulted[1] % sdp.CHECKPOINT != 0
 
 
 class TestMaxRobustness:

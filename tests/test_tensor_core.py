@@ -12,7 +12,6 @@ from helpers import (
     PAULI_Z,
     oracle_partial_trace,
     oracle_trace_and_replace,
-    random_hermitian,
     random_hermitian_operator,
 )
 from timeflip.tensor_core import (
@@ -23,13 +22,11 @@ from timeflip.tensor_core import (
     double_ket,
     hs_inner,
     identity,
-    norms,
     operator_from_dict,
     operator_to_dict,
     partial_trace,
     partial_transpose,
     permute_factors,
-    psd_project,
     qubits,
     tensor_product,
     trace_and_replace,
@@ -156,22 +153,6 @@ def test_double_ket_transpose_is_factor_swap():
     assert np.allclose(swapped.amplitudes, direct.amplitudes)
 
 
-def test_psd_project_examples():
-    lay = SystemLayout((("a", 4),))
-    d = HermitianOperator(lay, np.diag([3.0, -1.0, 0.5, -2.0]))
-    assert np.allclose(psd_project(d).matrix, np.diag([3.0, 0.0, 0.5, 0.0]))
-    z = HermitianOperator(SystemLayout((("a", 2),)), PAULI_Z)
-    assert np.allclose(psd_project(z).matrix, np.diag([1.0, 0.0]))
-
-
-def test_norms_examples():
-    four = identity(SystemLayout((("a", 4),)))
-    assert norms(four) == pytest.approx((2.0, 1.0, 4.0))
-    z = HermitianOperator(qubits("a"), PAULI_Z)
-    hs, op, tr = norms(z)
-    assert (hs, op, tr) == pytest.approx((np.sqrt(2), 1.0, 2.0))
-
-
 def test_partial_transpose_is_involution_and_matches_full_transpose():
     rng = np.random.default_rng(5)
     lay = qubits("a", "b")
@@ -236,26 +217,6 @@ class TestProperties:
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         dk = double_ket(m, labels=("u", "v"))
         assert abs(dk.norm() ** 2 - np.trace(m.conj().T @ m).real) < _TOL * 100
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_psd_project_floor_and_fixed_point(self, seed):
-        rng = np.random.default_rng(seed)
-        lay = qubits("p", "q")
-        op = random_hermitian_operator(rng, lay)
-        proj = psd_project(op)
-        assert np.linalg.eigvalsh(proj.matrix)[0] >= -1e-10
-        again = psd_project(proj)
-        assert np.allclose(again.matrix, proj.matrix, atol=1e-12)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_norm_ordering(self, seed):
-        rng = np.random.default_rng(seed)
-        op = HermitianOperator(qubits("p", "q"), random_hermitian(rng, 4))
-        hs, opn, trn = norms(op)
-        assert opn <= hs + 1e-12
-        assert hs <= trn + 1e-12
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
