@@ -2,11 +2,11 @@
 direction-discrimination game, and validation reports.
 
 Exit status: 0 on success, 1 on a validation or solver failure, 2 on an I/O
-or parse problem, out-of-range numeric inputs included.  All file outputs
-are written atomically and identical configurations produce byte-identical
-files; printed values carry ten significant digits.  The TIMEFLIP_TOL
-environment variable overrides the default tolerance of validate wherever
---tol is not given explicitly.
+or parse problem, bad numbers and flags that do not apply included.  All
+file outputs are written atomically and identical configurations produce
+byte-identical files; printed values carry ten significant digits.  The
+TIMEFLIP_TOL environment variable overrides the default tolerance of
+validate wherever --tol is not given explicitly.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .witness import (
     load_decomposition,
     load_probabilities,
     poisson_resample,
+    require_experiment_layout,
     save_decomposition,
     save_probabilities,
     validate_witness,
@@ -57,7 +58,8 @@ _NUMBER_RULES = (
     ("tol", "--tol", lambda v: isfinite(v) and v > 0, "finite and > 0"),
     ("max_iter", "--max-iter", lambda v: v >= 1, ">= 1"),
     # numpy's Poisson sampler rejects a mean above about 9.2e18
-    ("shots", "--shots", lambda v: 1 <= v <= 1e18, "between 1 and 1e18"),
+    ("shots", "--shots", lambda v: 1 <= v <= 1e18 and v.is_integer(),
+     "a whole number between 1 and 1e18"),
     ("repetitions", "--repetitions", lambda v: v >= 2, ">= 2"),
     ("seed", "--seed", lambda v: v >= 0, ">= 0"),
 )
@@ -115,13 +117,18 @@ def _load_setup_arg(name: str) -> SetupOperator:
     return load_setup(name)
 
 
-def _check_restricted(name: str, setup: SetupOperator) -> int | None:
-    """Exit status for a --restricted run on a setup the restricted witness
-    form does not fit, None when it fits."""
-    try:
-        restricted_witness_projector(setup)
-    except ValueError as exc:
-        return _fail(f"--restricted does not apply to setup {name!r}: {exc}", EXIT_IO)
+def _check_fit(name: str, setup: SetupOperator, flags: Sequence[str]) -> int | None:
+    """Exit status for the first given flag the setup does not fit, None when
+    all fit: --restricted needs the restricted witness form, any other flag
+    the five-qubit layout of witness decompositions and probabilities."""
+    for flag in flags:
+        try:
+            if flag == "--restricted":
+                restricted_witness_projector(setup)
+            else:
+                require_experiment_layout(setup.op.layout, "the setup")
+        except ValueError as exc:
+            return _fail(f"{flag} does not apply to setup {name!r}: {exc}", EXIT_IO)
     return None
 
 
@@ -138,7 +145,9 @@ def cmd_robustness(args: argparse.Namespace) -> int:
         setup = _load_setup_arg(args.setup)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"cannot load setup {args.setup!r}: {exc}", EXIT_IO)
-    if args.restricted and (status := _check_restricted(args.setup, setup)) is not None:
+    flags = [flag for flag, given in (("--restricted", args.restricted),
+                                      ("--decomposition-out", args.decomposition_out)) if given]
+    if (status := _check_fit(args.setup, setup, flags)) is not None:
         return status
 
     report, witness = solve_max_robustness(setup, max_iter=args.max_iter, restricted=args.restricted)
@@ -186,11 +195,13 @@ def cmd_probabilities(args: argparse.Namespace) -> int:
     name = args.setup or "qtf"
     try:
         setup = _load_setup_arg(name) if needs_setup else None
+        flags = [flag for flag, given in (("--restricted", args.restricted),
+                                          ("--setup", needs_setup)) if given]
+        if (status := _check_fit(name, setup, flags)) is not None:
+            return status
         if args.decomposition_in:
             terms = load_decomposition(args.decomposition_in)
         else:
-            if args.restricted and (status := _check_restricted(name, setup)) is not None:
-                return status
             report, witness = solve_max_robustness(setup, restricted=args.restricted)
             if not report.converged:
                 return _fail_uncertified(report)
@@ -221,7 +232,7 @@ def cmd_probabilities(args: argparse.Namespace) -> int:
     print(f"estimate {_fmt(estimate)}")
     if args.shots is not None:
         mean, spread = poisson_resample(
-            terms, probs, shots=int(args.shots),
+            terms, probs, shots=args.shots,
             repetitions=args.repetitions or 100, seed=args.seed or 0)
         print(f"resampled-mean {_fmt(mean)}")
         print(f"resampled-stddev {_fmt(spread)}")

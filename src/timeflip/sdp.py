@@ -30,10 +30,10 @@ variables (each min-side program names its blocks' sources in `slack_map`).
 Every CHECKPOINT iterations both points are polished, so by weak duality the
 min side's value is a certified `upper` bound on the shared optimum and the
 max side's a certified `lower` bound.  The run stops at the first checkpoint
-where that certified gap is within the gap tolerance (or where a caller's own
-decision rule holds): the split residuals only say how close the iterate is,
-and the polished bracket already says how close the values are.  It gives up
-early when the gap has stopped falling; every solve returns one `SolveReport`
+where one stop rule on that bracket holds, by default a certified gap within
+GAP_TOL: the split residuals only say how close the iterate is, and the
+polished bracket already says how close the values are.  It gives up early
+when the gap has stopped falling; every solve returns one `SolveReport`
 holding the bracket.
 """
 
@@ -144,11 +144,10 @@ class SolveReport:
     both, and `gap` is their difference.  A lone program fills only its own
     side (`upper` for a min program, `lower` for a max program) and leaves
     the other at +inf or -inf, so it never claims a finite gap.  `converged`
-    means, for a pair, that the gap is at most the gap tolerance (or that the
-    caller's decision rule held, for a pair run with one), and for a lone
-    program that the split residuals are at most RESIDUAL_TOL.  `iterations`
-    counts every evaluation of the splitting map, rejected extrapolations
-    included.
+    means, for a pair, that its stop rule held on the bracket (by default a
+    gap of at most GAP_TOL), and for a lone program that the split residuals
+    are at most RESIDUAL_TOL.  `iterations` counts every evaluation of the
+    splitting map, rejected extrapolations included.
     `extras` holds the polished points, `upper_point` and `lower_point`
     (block name -> matrix), next to the polish diagnostics and whatever the
     driver adds.
@@ -190,8 +189,15 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 def _psd_clip(m: np.ndarray) -> np.ndarray:
     """Nearest positive semidefinite matrices to a (k, n, n) stack, by one
-    stacked eigendecomposition."""
-    vals, vecs = np.linalg.eigh(_sym(m))
+    stacked eigendecomposition; where LAPACK's `eigh` fails to converge, of
+    H m H, with the eigenvectors H v, for the reflection H = I - 2 J/n (J all ones)."""
+    sym = _sym(m)
+    try:
+        vals, vecs = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError:
+        h = np.eye(sym.shape[-1]) - 2.0 / sym.shape[-1]
+        vals, vecs = np.linalg.eigh(h @ sym @ h)
+        vecs = h @ vecs
     return (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ _herm(vecs)
 
 
@@ -622,12 +628,15 @@ def solve(prog: ConicProgram) -> SolveReport:
     )
 
 
+def _gap_closed(upper: float, lower: float) -> bool:
+    return upper - lower <= GAP_TOL
+
+
 def _solve_pair(
     min_prog: ConicProgram,
     max_prog: ConicProgram,
-    gap_tol: float,
     max_iter: int,
-    done: Callable[[float, float], bool] | None = None,
+    done: Callable[[float, float], bool] = _gap_closed,
 ) -> SolveReport:
     """Certify a matched (min, max) pair with one splitting run, on the max
     side, checkpointed every CHECKPOINT iterations.
@@ -638,11 +647,11 @@ def _solve_pair(
     optimum, the max side's the certified `lower` bound.  A checkpoint also
     comes early when both split residuals first drop to RESIDUAL_TOL (a game
     cap closes its gap there, at 40 iterations).  The run stops converged at
-    the first checkpoint where the gap is <= gap_tol, or, when `done` is
-    given, where done(upper, lower) holds instead; the split residuals need
-    not be small then.  It stops unconverged at max_iter, or when the gap is
-    above gap_tol and the least gap seen has fallen by less than STALL_DROP
-    over the last STALL_WINDOW iterations.
+    the first checkpoint where done(upper, lower) holds, by default where the
+    gap is <= GAP_TOL; the split residuals need not be small then.  It stops
+    unconverged at max_iter, or when done does not hold and the least gap
+    seen has fallen by less than STALL_DROP over the last STALL_WINDOW
+    iterations.
 
     The report holds the last checkpoint's bounds, both polished points and
     both sides' polish diagnostics in `extras`, and both sides' residuals
@@ -659,12 +668,12 @@ def _solve_pair(
         point = {name: sign * slacks[src] for name, (src, sign) in min_prog.slack_map.items()}
         v_min, sol_min, ex_min = min_prog.polish(point, point)
         gap = v_min - v_max
-        converged = done(v_min, v_max) if done is not None else gap <= gap_tol
+        converged = done(v_min, v_max)
         if converged or admm.iterations >= max_iter:
             break
         best.append((admm.iterations, min(gap, best[-1][1]) if best else gap))
         before = [least for it, least in best if it <= admm.iterations - STALL_WINDOW]
-        if gap > gap_tol and before and best[-1][1] > (1 - STALL_DROP) * before[-1]:
+        if before and best[-1][1] > (1 - STALL_DROP) * before[-1]:
             break
         # once the residuals have reached RESIDUAL_TOL, run whole chunks
         stop_tol = 0.0 if admm.met(RESIDUAL_TOL) else RESIDUAL_TOL
@@ -977,7 +986,7 @@ def solve_max_robustness(
         primal = replace(reduced_primal, name="robustness-restricted:primal", polish=polish)
     else:
         primal, dual = _robustness_primal(geom), _robustness_dual(geom, None)
-    report = _solve_pair(primal, dual, GAP_TOL, max_iter)
+    report = _solve_pair(primal, dual, max_iter)
     point = report.extras["lower_point"]
     witness = HermitianOperator(geom.layout, point["W"])
     report.extras["certificate"] = tuple(
@@ -1077,20 +1086,18 @@ def solve_cone_value(
     target: np.ndarray,
     spans: Mapping[str, SpanMask],
     trace_target: float,
-    gap_tol: float = GAP_TOL,
-    done: Callable[[float, float], bool] | None = None,
+    done: Callable[[float, float], bool] = _gap_closed,
 ) -> SolveReport:
     """Certified maximum of <target, .> over trace-normalized mixtures of the
     named cones, each given by the mask of its span: `upper` bounds the
     maximum from above and `lower` is attained by an exactly feasible
     mixture (reported in extras["parts"]).  extras["complements"] holds the
     bound side's complement part Z_d of each span.  The run ends converged
-    at the first checkpoint where the certified gap is at most gap_tol, or,
-    when `done(upper, lower)` is given, where that holds instead; a
-    checkpoint comes early when the split residuals first reach
-    RESIDUAL_TOL."""
+    at the first checkpoint where done(upper, lower) holds, by default where
+    the certified gap is at most GAP_TOL; a checkpoint comes early when the
+    split residuals first reach RESIDUAL_TOL."""
     bound_prog, value_prog = cone_value_programs(target, spans, trace_target)
-    report = _solve_pair(bound_prog, value_prog, gap_tol, MAX_ITER, done)
+    report = _solve_pair(bound_prog, value_prog, MAX_ITER, done)
     point = report.extras["lower_point"]
     report.extras["parts"] = {name: HermitianOperator(bound_prog.layout, point[name]) for name in spans}
     return report

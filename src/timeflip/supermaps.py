@@ -28,6 +28,7 @@ import numpy as np
 from .channels import KrausChannel, kraus_to_choi
 from .tensor_core import (
     HermitianOperator,
+    Ket,
     SystemLayout,
     atomic_write_text,
     basis_ket,
@@ -482,37 +483,18 @@ def qtf_choi() -> SetupOperator:
 
 
 def qtf_plus_control() -> SetupOperator:
-    """The direction flip with the control input fixed in the balanced
-    superposition and the control output kept as a global output wire.
+    """The direction flip `qtf_choi` with its control input B_ic fed the
+    balanced superposition |+>, linked in by `link_product`; the control
+    output B_oc stays a global output wire.
 
     Rank-one on five qubits (A_I, A_O, B_it, B_ot, B_oc), trace 4.  This is
     the setup whose distance from the definite-direction cone the robustness
     programs measure.
     """
-    order = ("A_I", "A_O", "B_it", "B_ot", "B_oc")
-    fwd = tensor_product(
-        [
-            double_ket(_I2, ("A_I", "B_it")),
-            double_ket(_I2, ("A_O", "B_ot")),
-            basis_ket(qubits("B_oc"), 0),
-        ]
-    )
-    bwd = tensor_product(
-        [
-            double_ket(_I2, ("A_O", "B_it")),
-            double_ket(_I2, ("A_I", "B_ot")),
-            basis_ket(qubits("B_oc"), 1),
-        ]
-    )
-    v = (permute_factors(fwd, order) + permute_factors(bwd, order)) * (1 / sqrt(2))
-    roles = {
-        "A_I": ROLE_SLOT_INPUT,
-        "A_O": ROLE_SLOT_OUTPUT,
-        "B_it": ROLE_GLOBAL_INPUT,
-        "B_ot": ROLE_GLOBAL_OUTPUT,
-        "B_oc": ROLE_GLOBAL_OUTPUT,
-    }
-    return SetupOperator(v.outer(), roles)
+    flip = qtf_choi()
+    plus = Ket(qubits("B_ic"), np.array([1.0, 1.0]) / sqrt(2.0)).outer()
+    roles = {lab: role for lab, role in flip.roles.items() if lab != "B_ic"}
+    return SetupOperator(link_product(plus, flip.op, over={"B_ic"}), roles)
 
 
 # -- supermap application --------------------------------------------------------

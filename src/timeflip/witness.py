@@ -69,7 +69,8 @@ def _span_masks() -> dict[str, SpanMask]:
     }
 
 
-def _require_experiment_layout(layout: SystemLayout, what: str) -> None:
+def require_experiment_layout(layout: SystemLayout, what: str) -> None:
+    """Raise ValueError, naming `what`, unless the layout is `experiment_layout()`."""
     if tuple(layout.labels) != WIRE_LABELS or tuple(layout.dims) != (2,) * 5:
         raise ValueError(
             f"{what} must live on the five-qubit layout {WIRE_LABELS}, "
@@ -198,11 +199,11 @@ def validate_witness(op: HermitianOperator, tol: float = GAP_TOL) -> WitnessRepo
     Certifies a lower bound on min Tr(W S') over trace-normalized definite
     setups S', that is over mixtures of setups in the exact forward and
     backward cones (uniform global input and normalization included);
-    validity means the bound is >= -tol.  The floor pair runs
-    until it has decided the certificate question: the certified minimum is
-    at least -dd * CERTIFICATE_TOL (a certificate exists), a definite setup
-    attains less than -tol (the witness is invalid), or the gap is at most
-    dd * CERTIFICATE_TOL (no certificate exists to that tolerance).
+    validity means the bound is >= -tol.  The floor pair's one stop rule
+    is that it has decided the certificate question: the certified minimum
+    is at least -dd * CERTIFICATE_TOL (a certificate exists), a definite
+    setup attains less than -tol (the witness is invalid), or the gap is at
+    most dd * CERTIFICATE_TOL (no certificate exists to that tolerance).
     The bound side's polished point of that pair, N = nu*I and Q_d =
     nu*I + W - Z_d PSD with Z_d in the complement of each direction's span
     (the polish reports the Z_d in extras["complements"]), is the dual point
@@ -211,15 +212,13 @@ def validate_witness(op: HermitianOperator, tol: float = GAP_TOL) -> WitnessRepo
     witness gets that certificate when it meets every identity of
     `certificate_residuals` within CERTIFICATE_TOL.
     """
-    _require_experiment_layout(op.layout, "a witness")
+    require_experiment_layout(op.layout, "a witness")
     margin = _TRACE * CERTIFICATE_TOL
 
     def decided(upper: float, lower: float) -> bool:
         return upper <= margin or lower > tol or upper - lower <= margin
 
-    floor = solve_cone_value(
-        -op.matrix, _span_masks(), trace_target=_TRACE, gap_tol=margin, done=decided
-    )
+    floor = solve_cone_value(-op.matrix, _span_masks(), trace_target=_TRACE, done=decided)
     min_value = -floor.upper
     attained = -floor.lower
     valid = bool(min_value >= -tol)
@@ -303,7 +302,7 @@ def decompose_witness(op: HermitianOperator, restricted: bool = False) -> list[D
     zeros.  In restricted mode the basis only spans operators of the pinned
     B_it / traced B_ot form, and an operator outside that span is rejected.
     """
-    _require_experiment_layout(op.layout, "a witness")
+    require_experiment_layout(op.layout, "a witness")
     mat = op.matrix
     arity = 3 if restricted else 5
     coeffs = _solve_gram(_pairings(mat, arity), bool(restricted))
@@ -331,7 +330,7 @@ def born_probabilities(
     product operator (the transposed preparation-and-measurement projector),
     looked up in the pairings of every term of its arity.
     """
-    _require_experiment_layout(s.op.layout, "the setup")
+    require_experiment_layout(s.op.layout, "the setup")
     tables = {n: _pairings(s.op.matrix, n) for n in {len(term.indices) for term in terms}}
     return [
         ProbabilityRecord(term.indices, float(tables[len(term.indices)][term.indices]))
@@ -377,8 +376,8 @@ def poisson_resample(
     sample mean and standard deviation over repetitions are returned.
     Deterministic per seed; repetitions use independently spawned generators.
     """
-    if int(shots) <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
+    if not float(shots).is_integer() or shots < 1:
+        raise ValueError(f"shots must be a positive whole number, got {shots}")
     if int(repetitions) < 2:
         raise ValueError(f"need at least two repetitions for a spread, got {repetitions}")
     coeffs, values = _aligned_contributions(terms, probs)

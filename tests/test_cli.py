@@ -13,11 +13,17 @@ import numpy as np
 import pytest
 
 import timeflip
-from helpers import half_definite, shifted_robustness_primal
+from helpers import half_definite, random_channel, shifted_robustness_primal
 from timeflip import cli, sdp
 from timeflip.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from timeflip.game import builtin_gate_sets, gate_pair_to_dict, save_gate_pairs
-from timeflip.supermaps import SetupOperator, qtf_plus_control, save_setup, setup_to_dict
+from timeflip.supermaps import (
+    SetupOperator,
+    qtf_plus_control,
+    save_setup,
+    sequential_setup,
+    setup_to_dict,
+)
 from timeflip.tensor_core import (
     HermitianOperator,
     SystemLayout,
@@ -401,6 +407,31 @@ class TestBadInput:
             assert f"--restricted does not apply to setup {str(path)!r}" in err, command
             assert "B_it" in err and "B_ot" in err, command
 
+    @pytest.mark.parametrize("command, flag, outs", [
+        ("robustness", "--decomposition-out", ("--out", "--witness-out", "--decomposition-out")),
+        ("probabilities", "--setup", ("--out",)),
+    ], ids=["robustness", "probabilities"])
+    def test_experiment_flag_off_the_layout_exits_before_solving(
+        self, tmp_path, capsys, monkeypatch, command, flag, outs
+    ):
+        # before the check, robustness solved, wrote --out and --witness-out
+        # and exited 1 on the decomposition; probabilities solved, then exited 2
+        def solver_must_not_run(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(cli, "solve_max_robustness", solver_must_not_run)
+        # a valid setup on four wires (A_I, A_O, B_I, B_O), not the five of the experiment
+        rng = np.random.default_rng(7)
+        setup = str(tmp_path / "sequential.json")
+        save_setup(setup, sequential_setup(random_channel(rng, 2, 4), random_channel(rng, 4, 2), 2))
+        paths = [tmp_path / f"out{k}" for k in range(len(outs))]
+        argv = [arg for option, path in zip(outs, paths) for arg in (option, str(path))]
+        assert _run(command, "--setup", setup, *argv) == EXIT_IO
+        captured = capsys.readouterr()
+        assert f"error: {flag} does not apply to setup {setup!r}" in captured.err
+        assert "five-qubit layout" in captured.err
+        assert captured.out == "" and not any(path.exists() for path in paths)
+
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--shots", "1e30")])
     def test_resampling_number_out_of_range_exits_before_any_work(
         self, artifacts, capsys, flag, value
@@ -508,6 +539,7 @@ class TestConfig:
         (("probabilities", "--shots", "0.5"), "--shots"),
         (("probabilities", "--shots", "nan"), "--shots"),
         (("probabilities", "--repetitions", "1"), "--repetitions"),
+        (("probabilities", "--shots", "2.5"), "--shots"),
     ])
     def test_out_of_range_number_is_a_parse_error(self, capsys, argv, flag):
         assert _run(*argv) == EXIT_IO

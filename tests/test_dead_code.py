@@ -1,9 +1,9 @@
-"""Guard against dead public code.
+"""Guard against dead code.
 
-Every top-level public function or class of `src/timeflip` must be referred
-to by the package's own code outside its definition (`__init__.py` excluded:
-an export is not a caller), or by the benchmark in `perfbench/`, or be listed
-in KEEP with the reason it stays.
+Every top-level function or class of `src/timeflip`, public or private, must
+be referred to by the package's own code outside its definition
+(`__init__.py` excluded: an export is not a caller), or by the benchmark in
+`perfbench/`, or be listed in KEEP with the reason it stays.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ BENCHMARK = ROOT / "perfbench"
 KEEP = (
     ("channels.input_output_inversion",
      "acceptance criterion 7: the inversion equals the flip supermap on bistochastic channels"),
-    ("supermaps.qtf_choi", "acceptance criterion 7: the flip supermap as a Choi operator"),
     ("supermaps.apply_supermap", "acceptance criterion 7: applies the flip supermap to a channel"),
     ("supermaps.definite_split", "acceptance criterion 6: splits a span element into definite parts"),
     ("supermaps.random_span_element", "acceptance criterion 6: its random inputs"),
@@ -57,7 +56,7 @@ def _referred(nodes) -> set[str]:
 
 
 def _dead(keep: set[str]) -> set[str]:
-    """module.name of every public top-level definition that no live code
+    """module.name of every top-level function or class that no live code
     refers to.  Live code is the package outside the dead definitions, the
     kept definitions included, and the benchmark; a definition only dead
     code calls is dead too, so the search repeats until nothing changes."""
@@ -68,17 +67,17 @@ def _dead(keep: set[str]) -> set[str]:
     ]
     benchmark = _referred(ast.parse(path.read_text(encoding="utf-8"))
                           for path in sorted(BENCHMARK.glob("*.py")))
-    public = {
+    defined = {
         f"{module}.{node.name}": node
         for module, node, _ in statements
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and f"{module}.{node.name}" not in keep and node.name not in benchmark
     }
     dead: set[str] = set()
     while True:
-        gone = {id(public[name]) for name in dead}
+        gone = {id(defined[name]) for name in dead}
         found = {
-            name for name, node in public.items()
+            name for name, node in defined.items()
             if not any(node.name in refs for _, other, refs in statements
                        if other is not node and id(other) not in gone)
         }
@@ -87,7 +86,7 @@ def _dead(keep: set[str]) -> set[str]:
         dead = found
 
 
-def test_every_public_definition_has_a_caller():
+def test_every_definition_has_a_caller():
     assert sorted(_dead({name for name, _ in KEEP})) == []
 
 

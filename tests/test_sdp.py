@@ -13,6 +13,7 @@ from helpers import (
     half_definite,
     random_channel,
     random_fixed_direction,
+    random_hermitian,
     rotated,
     shifted_robustness_primal,
 )
@@ -103,6 +104,27 @@ _SOLVED = {
 
 
 class TestEngine:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_psd_clip_survives_an_eigh_failure(self, monkeypatch, dtype):
+        # LAPACK's eigh can fail to converge on a finite block; the clip then
+        # decomposes the stack conjugated by a fixed reflection instead
+        rng = np.random.default_rng(3)
+        stack = np.stack([random_hermitian(rng, 8) for _ in range(3)])
+        stack = np.real(stack) if dtype is float else stack
+        expected = sdp._psd_clip(stack)
+        eigh, calls = np.linalg.eigh, []
+
+        def fails_once(a, *args, **kwargs):
+            calls.append(a)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", fails_once)
+        clipped = sdp._psd_clip(stack)
+        assert len(calls) == 2 and clipped.dtype == stack.dtype
+        np.testing.assert_allclose(clipped, expected, atol=1e-12)
+
     def test_trivial_shifted_positivity_program(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))

@@ -385,6 +385,8 @@ class TestPoissonResampler:
         probs = [ProbabilityRecord((0, 0, 0, 0, 0), 0.5)]
         with pytest.raises(ValueError, match="shots"):
             poisson_resample(terms, probs, shots=0)
+        with pytest.raises(ValueError, match="whole number"):
+            poisson_resample(terms, probs, shots=2.5)
         with pytest.raises(ValueError, match="repetitions"):
             poisson_resample(terms, probs, shots=100, repetitions=1)
 
