@@ -29,12 +29,14 @@ s_k = -rho * u_k, lie in the dual cone of each block and are the min side's
 variables (each min-side program names its blocks' sources in `slack_map`).
 Every CHECKPOINT iterations both points are polished, so by weak duality the
 min side's value is a certified `upper` bound on the shared optimum and the
-max side's a certified `lower` bound.  The run stops at the first checkpoint
-where one stop rule on that bracket holds, by default a certified gap within
-GAP_TOL: the split residuals only say how close the iterate is, and the
-polished bracket already says how close the values are.  It gives up early
-when the gap has stopped falling; every solve returns one `SolveReport`
-holding the bracket.
+max side's a certified `lower` bound.  The noise side's polish repairs
+positivity along the span-projected negative parts of its blocks before it
+falls back on the identity, which costs more trace.  The run stops at the
+first checkpoint where one stop rule on that bracket holds, by default a
+certified gap within GAP_TOL: the split residuals only say how close the
+iterate is, and the polished bracket already says how close the values are.
+It gives up early when the gap has stopped falling; every solve returns one
+`SolveReport` holding the bracket.
 """
 
 from __future__ import annotations
@@ -752,9 +754,16 @@ def _robustness_primal(geom: _SlotGeometry) -> ConicProgram:
 
     The polish projects F and B onto their spans and sets T = F + B - S,
     which lies in the general span with them, so the whole split residual
-    goes into T and every row holds to rounding.  It then repairs positivity
-    along the identity, a member of every span: T gains the bump, F and B
-    half of it each.  The restricted pair uses this program for the reduced
+    goes into T and every row holds to rounding.  It then repairs
+    positivity, keeping T = F + B - S.  First along negative parts, which
+    cost their trace: T's, projected onto the general span and split by
+    coordinates between F (those the forward span keeps) and B (the rest,
+    which the backward span keeps), then F's and B's own, projected onto
+    their spans.  Then along the identity, a member of every span, which
+    costs n per unit: T gains the bump, F and B half of it each.  The
+    diagnostics "negative_part_trace" and "positivity_bump" are the trace
+    the first step added to T and the multiple of the identity the second
+    added.  The restricted pair uses this program for the reduced
     setup E*(S) (`_restricted_reduction`), its polish first applying E* to
     the witness run's slacks."""
     n, dd, eye, s = geom.n, geom.dd, geom.eye, geom.s_mat
@@ -769,14 +778,24 @@ def _robustness_primal(geom: _SlotGeometry) -> ConicProgram:
     def polish(xs, zs):
         f = _sym(geom.forward.project(zs["F"]))
         b = _sym(geom.backward.project(zs["B"]))
+        t0 = f + b - s
+        # T's negative part (the PSD clip of -T) projected onto the general
+        # span, split by coordinates: the general span keeps exactly those
+        # the forward or the backward span keeps
+        d = geom.general.project(_psd_clip(-t0))
+        d_f = geom.forward.project(d)
+        f, b = f + d_f, b + d - d_f
+        f = _sym(f + geom.forward.project(_psd_clip(-f)))
+        b = _sym(b + geom.backward.project(_psd_clip(-b)))
         t = _sym(f + b - s)
+        added = float(np.trace(t - t0).real)
         # positivity repair along the identity, a member of every span
         bump = max(2 * _psd_shortfall(f), 2 * _psd_shortfall(b), _psd_shortfall(t)) * (1 + 1e-9)
         t = t + bump * eye
         f = f + bump / 2 * eye
         b = b + bump / 2 * eye
         value = float(np.trace(t).real) / dd
-        return value, {"T": t, "F": f, "B": b}, {"positivity_bump": bump}
+        return value, {"T": t, "F": f, "B": b}, {"negative_part_trace": added, "positivity_bump": bump}
 
     return ConicProgram(
         name="robustness:primal",

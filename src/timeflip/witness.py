@@ -118,7 +118,8 @@ class DecompositionTerm:
 
 @dataclass(frozen=True)
 class ProbabilityRecord:
-    """An event probability, optionally backed by raw counts."""
+    """An event probability, optionally backed by raw counts: whole numbers,
+    with 0 <= counts <= shots."""
 
     indices: tuple[int, ...]
     probability: float
@@ -134,16 +135,25 @@ class ProbabilityRecord:
             raise ValueError(f"probability {p!r} outside [0, 1]")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "probability", min(max(p, 0.0), 1.0))
+        if self.shots is not None:
+            shots = _whole_number(self.shots, "shots")
+            if shots <= 0:
+                raise ValueError(f"shots must be positive, got {self.shots}")
+            object.__setattr__(self, "shots", shots)
         if self.counts is not None:
             if self.shots is None:
                 raise ValueError("counts need an accompanying shot number")
-            if int(self.counts) < 0:
-                raise ValueError(f"counts must be nonnegative, got {self.counts}")
-            object.__setattr__(self, "counts", int(self.counts))
-        if self.shots is not None:
-            if int(self.shots) <= 0:
-                raise ValueError(f"shots must be positive, got {self.shots}")
-            object.__setattr__(self, "shots", int(self.shots))
+            counts = _whole_number(self.counts, "counts")
+            if not 0 <= counts <= self.shots:
+                raise ValueError(f"counts must lie between 0 and the {self.shots} shots, got {self.counts}")
+            object.__setattr__(self, "counts", counts)
+
+
+def _whole_number(value, name: str) -> int:
+    """A count as an int; a value with a fractional part, or not finite, is an error."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def certificate_residuals(
@@ -376,14 +386,15 @@ def poisson_resample(
     sample mean and standard deviation over repetitions are returned.
     Deterministic per seed; repetitions use independently spawned generators.
     """
-    if not float(shots).is_integer() or shots < 1:
+    if _whole_number(shots, "shots") < 1:
         raise ValueError(f"shots must be a positive whole number, got {shots}")
-    if int(repetitions) < 2:
+    repetitions = _whole_number(repetitions, "repetitions")
+    if repetitions < 2:
         raise ValueError(f"need at least two repetitions for a spread, got {repetitions}")
     coeffs, values = _aligned_contributions(terms, probs)
     expected = values * float(shots)
-    estimates = np.empty(int(repetitions))
-    for rep in range(int(repetitions)):
+    estimates = np.empty(repetitions)
+    for rep in range(repetitions):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
         frequencies = rng.poisson(expected) / float(shots)
         estimates[rep] = -(frequencies @ coeffs)

@@ -137,6 +137,16 @@ class TestDomainTypes:
         rec = ProbabilityRecord((0, 0, 0, 0, 0), 0.5, counts=10, shots=20)
         assert (rec.counts, rec.shots) == (10, 20)
 
+    @pytest.mark.parametrize("counts, shots", [(10.9, 20), (10, 20.7)])
+    def test_counts_and_shots_are_whole_numbers(self, counts, shots):
+        with pytest.raises(ValueError, match="whole number"):
+            ProbabilityRecord((0, 0, 0, 0, 0), 0.5, counts=counts, shots=shots)
+
+    def test_counts_cannot_exceed_shots(self):
+        with pytest.raises(ValueError, match="counts must lie"):
+            ProbabilityRecord((0, 0, 0, 0, 0), 0.5, counts=30, shots=20)
+        assert ProbabilityRecord((0, 0, 0, 0, 0), 1.0, counts=20, shots=20).counts == 20
+
     def test_witness_layout_enforced(self):
         wrong = identity(qubits("A_I", "A_O", "B_it", "B_ot", "B_x"))
         for check in (validate_witness, decompose_witness):
@@ -389,6 +399,12 @@ class TestPoissonResampler:
             poisson_resample(terms, probs, shots=2.5)
         with pytest.raises(ValueError, match="repetitions"):
             poisson_resample(terms, probs, shots=100, repetitions=1)
+
+    def test_repetitions_are_a_whole_number(self):
+        terms = [DecompositionTerm((0, 0, 0, 0, 0), 1.0)]
+        probs = [ProbabilityRecord((0, 0, 0, 0, 0), 0.5)]
+        with pytest.raises(ValueError, match="repetitions must be a whole number"):
+            poisson_resample(terms, probs, shots=100, repetitions=2.9)
 
     def test_z_scores_of_published_values(self):
         assert z_score(0.345, 0.005) >= 69.0
