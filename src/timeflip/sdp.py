@@ -27,20 +27,23 @@ when its point was polished.  A matched (min, max) pair is certified by one
 splitting run, on the max side: the scaled multipliers of that run,
 s_k = -rho * u_k, lie in the dual cone of each block and are the min side's
 variables (each min-side program names its blocks' sources in `slack_map`).
-Every CHECKPOINT iterations both points are polished, so by weak duality the
-min side's value is a certified `upper` bound on the shared optimum and the
-max side's a certified `lower` bound.  The noise side's polish repairs
-positivity along the span-projected negative parts of its blocks before it
-falls back on the identity, which costs more trace.  The run stops at the
-first checkpoint where one stop rule on that bracket holds, by default a
-certified gap within GAP_TOL: the split residuals only say how close the
-iterate is, and the polished bracket already says how close the values are.
-It gives up early when the gap has stopped falling; every solve returns one
-`SolveReport` holding the bracket.
+At every checkpoint both points are polished, so by weak duality the min
+side's value is a certified `upper` bound on the shared optimum and the max
+side's a certified `lower` bound.  Checkpoints come every CHECKPOINT
+iterations until the gap has fallen between two of them; the next then goes
+where the gap, falling on at that rate, reaches GAP_TOL.  The noise side's
+polish repairs positivity along the span-projected negative parts of its
+blocks before it falls back on the identity, which costs more trace.  The
+run stops at the first checkpoint where one stop rule on that bracket holds,
+by default a certified gap within GAP_TOL: the split residuals only say how
+close the iterate is, and the polished bracket already says how close the
+values are.  It gives up early when the gap has stopped falling; every solve
+returns one `SolveReport` holding the bracket.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable, Mapping, Sequence
@@ -70,9 +73,10 @@ from .tensor_core import (
 RESIDUAL_TOL = 1e-6
 GAP_TOL = 1e-4
 MAX_ITER = 50000
-# a certified pair polishes both sides every CHECKPOINT iterations, and gives
-# up when its least gap fell by less than STALL_DROP over STALL_WINDOW; a
-# splitting run rebalances rho at the same iterations
+# a certified pair polishes both sides at most CHECKPOINT iterations apart
+# (at least CHECKPOINT // 5 where its gap's rate predicts the close), and
+# gives up when its least gap fell by less than STALL_DROP over STALL_WINDOW;
+# a splitting run rebalances rho every CHECKPOINT iterations
 CHECKPOINT = 50
 STALL_WINDOW = 1000
 STALL_DROP = 0.01
@@ -223,14 +227,14 @@ def _conjugation_invariant(prog: ConicProgram) -> bool:
     data = [*prog.objective.values(), *(row.rhs for row in prog.matrix_rows)]
     if any(np.any(np.imag(m)) for m in data):
         return False
+    projectors = [blk.project for blk in prog.blocks if blk.kind == "sub"]
+    if not projectors:
+        # without a subspace block nothing needs the probe, nor numpy.random
+        return True
     g = np.random.default_rng(0).standard_normal((prog.n, prog.n))
     probe = g + g.T
     bound = 1e-12 * np.linalg.norm(probe)
-    return all(
-        np.linalg.norm(np.imag(blk.project(probe))) <= bound
-        for blk in prog.blocks
-        if blk.kind == "sub"
-    )
+    return all(np.linalg.norm(np.imag(project(probe))) <= bound for project in projectors)
 
 
 # -- the splitting engine ----------------------------------------------------------
@@ -634,6 +638,23 @@ def _gap_closed(upper: float, lower: float) -> bool:
     return upper - lower <= GAP_TOL
 
 
+def _next_checkpoint(best: Sequence[tuple[int, float]]) -> int:
+    """The iteration of a certified pair's next checkpoint, given the
+    (iterations, least gap so far) of the checkpoints before it.
+
+    When the least gap is above GAP_TOL and fell since the checkpoint before,
+    it is where the gap, falling on at the rate observed between the two,
+    reaches GAP_TOL, kept CHECKPOINT // 5 to CHECKPOINT iterations ahead.
+    Otherwise (no rate yet, a flat gap, or one a custom stop rule runs past
+    GAP_TOL) it is the next multiple of CHECKPOINT."""
+    it, least = best[-1] if best else (0, np.inf)
+    if len(best) > 1 and GAP_TOL < least < best[-2][1]:
+        rate = math.log(best[-2][1] / least) / (it - best[-2][0])
+        ahead = math.ceil(math.log(least / GAP_TOL) / rate)
+        return it + min(max(ahead, CHECKPOINT // 5), CHECKPOINT)
+    return (it // CHECKPOINT + 1) * CHECKPOINT
+
+
 def _solve_pair(
     min_prog: ConicProgram,
     max_prog: ConicProgram,
@@ -641,7 +662,8 @@ def _solve_pair(
     done: Callable[[float, float], bool] = _gap_closed,
 ) -> SolveReport:
     """Certify a matched (min, max) pair with one splitting run, on the max
-    side, checkpointed every CHECKPOINT iterations.
+    side, checkpointed where `_next_checkpoint` places it: every CHECKPOINT
+    iterations, or where the gap's rate of fall says it reaches GAP_TOL.
 
     At each checkpoint the max side's iterate and its slacks mapped by
     `min_prog.slack_map` are polished into exactly feasible points of their
@@ -663,8 +685,7 @@ def _solve_pair(
     best: list[tuple[int, float]] = []  # (iterations, least gap so far) per checkpoint
     stop_tol = RESIDUAL_TOL
     while True:
-        checkpoint = (admm.iterations // CHECKPOINT + 1) * CHECKPOINT
-        admm.run(stop_tol, min(checkpoint, max_iter) - admm.iterations)
+        admm.run(stop_tol, min(_next_checkpoint(best), max_iter) - admm.iterations)
         v_max, sol_max, ex_max = max_prog.polish(admm.xs, admm.zs)
         slacks = admm.slacks
         point = {name: sign * slacks[src] for name, (src, sign) in min_prog.slack_map.items()}
@@ -970,8 +991,9 @@ def solve_max_robustness(
     expectation of the returned witness), `upper` a certified upper bound
     (the trace of an exactly feasible noise, the split residual taken into
     it), and `gap` their difference; the run stops converged at the first
-    checkpoint where the gap is at most GAP_TOL, however large the split
-    residuals still are, and `max_iter` caps its iterations.
+    checkpoint (`_next_checkpoint`) where the gap is at most GAP_TOL,
+    however large the split residuals still are, and `max_iter` caps its
+    iterations.
     extras["certificate"] is the witness's splitting certificate
     (W_fwd, W_bwd), whose identities `witness.certificate_residuals` checks:
     W_d = W - P_d is orthogonal to the span of direction d and P_d is
@@ -1112,9 +1134,10 @@ def solve_cone_value(
     maximum from above and `lower` is attained by an exactly feasible
     mixture (reported in extras["parts"]).  extras["complements"] holds the
     bound side's complement part Z_d of each span.  The run ends converged
-    at the first checkpoint where done(upper, lower) holds, by default where
-    the certified gap is at most GAP_TOL; a checkpoint comes early when the
-    split residuals first reach RESIDUAL_TOL."""
+    at the first checkpoint (`_next_checkpoint`) where done(upper, lower)
+    holds, by default where the certified gap is at most GAP_TOL; a
+    checkpoint comes early when the split residuals first reach
+    RESIDUAL_TOL."""
     bound_prog, value_prog = cone_value_programs(target, spans, trace_target)
     report = _solve_pair(bound_prog, value_prog, MAX_ITER, done)
     point = report.extras["lower_point"]

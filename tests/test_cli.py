@@ -572,6 +572,24 @@ class TestConfig:
         )
         assert out.stdout.strip() == "False"
 
+    def test_real_solves_do_not_load_numpy_random(self):
+        # numpy loads numpy.random lazily, and with it secrets, hashlib and
+        # libcrypto: about 5 MB of memory that only the restricted witness
+        # program's conjugation probe and resampling need
+        src = str(Path(timeflip.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import sys\n"
+            "from timeflip import game, sdp, supermaps\n"
+            "sdp.solve_max_robustness(supermaps.qtf_plus_control())\n"
+            "plus, minus = game.builtin_gate_sets()\n"
+            "game.compute_pmax_fixed_direction(plus + minus, 'convex-hull')\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
+
     def test_benchmark_tracer_finds_every_name_it_wraps(self):
         # perfbench/spans.py wraps package functions by name; a renamed or
         # deleted one breaks its traced runs

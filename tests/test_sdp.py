@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -249,12 +250,13 @@ class TestRebalance:
         admm.run(0.0, 4 * sdp.CHECKPOINT)
         assert consulted == [sdp.CHECKPOINT * k for k in range(1, 5)]
 
-    def test_checked_once_per_window_past_dropped_checkpoints(self, solved_restricted, consulted):
-        # the definite floor of the restricted witness: the safeguard drops
-        # the evaluations at 100, 150 and 400, so the check falls on the next
-        # accepted one
-        _, w = solved_restricted
-        prog = sdp.cone_value_programs(-w.matrix, witness_span_masks(), 4.0)[1]
+    def test_checked_once_per_window_past_dropped_checkpoints(self, qtf, consulted):
+        # the definite floor of the restricted witness of 150 iterations: the
+        # safeguard drops the evaluations at 100, 150 and 400, so the check
+        # falls on the next accepted one
+        _, w = _restricted_witness(qtf, 150)
+        consulted.clear()
+        prog = sdp.cone_value_programs(-w, witness_span_masks(), 4.0)[1]
         sdp._Admm(prog).run(0.0, 9 * sdp.CHECKPOINT + sdp.CHECKPOINT // 2)
         assert [it // sdp.CHECKPOINT for it in consulted] == list(range(1, 10))
         assert consulted[1] % sdp.CHECKPOINT != 0
@@ -359,16 +361,18 @@ class TestMaxRobustness:
             assert report.lower <= (1 - q) * base + _GAP_TOL
 
     def test_iteration_budget(self, qtf, solved, solved_restricted, admm_runs):
-        # stopped on the certified gap: 48 and 150 iterations, the validate
-        # floor 44, the game cap 40 and the half-definite mixture 250; with
-        # the noise polish repairing along the identity alone, 48, 150, 44,
-        # 40 and 450; when the split residuals also had to reach 1e-6, 48,
-        # 201, 44, 40 and 891; with rho balanced within 10x every 25
-        # iterations 48, 203, 44, 40 and 1,694.  Anderson memory 5 took 75,
-        # 410, 127 and 177; twin subspace blocks 163 and 536; before the
-        # exact dual cone 206 and 495; plain ADMM 738 and 1,267
+        # checkpointed where the gap's rate says it closes: 48 and 127
+        # iterations, the validate floor 44, the game cap 40 and the
+        # half-definite mixture 245; with checkpoints every 50 iterations
+        # only, 48, 150, 44, 40 and 250; with the noise polish repairing
+        # along the identity alone, 48, 150, 44, 40 and 450; when the split
+        # residuals also had to reach 1e-6, 48, 201, 44, 40 and 891; with rho
+        # balanced within 10x every 25 iterations 48, 203, 44, 40 and
+        # 1,694.  Anderson memory 5 took 75, 410, 127 and 177; twin subspace
+        # blocks 163 and 536; before the exact dual cone 206 and 495; plain
+        # ADMM 738 and 1,267
         assert solved[0].iterations <= 60
-        assert solved_restricted[0].iterations <= 250
+        assert solved_restricted[0].iterations <= 135
         admm_runs.clear()
         validate_witness(solved[1])
         plus, minus = game.builtin_gate_sets()
@@ -378,7 +382,7 @@ class TestMaxRobustness:
         assert cap <= 50
         report, _ = solve_max_robustness(half_definite(np.random.default_rng(2), qtf))
         assert report.converged
-        assert report.iterations <= 300
+        assert report.iterations <= 280
 
     def test_strict_feasibility_probes(self, qtf):
         s = subspace_project(qtf, ConeId.GENERAL)
@@ -433,6 +437,16 @@ def _guard_program() -> ConicProgram:
         objective={"X": -sx},
         layout=layout,
     )
+
+
+def _restricted_witness(qtf, iterations):
+    """The restricted witness program run for exactly `iterations`, without
+    the pair's stop rule, then polished: the certified value and the witness."""
+    dual = sdp._robustness_dual(sdp._SlotGeometry(qtf), restricted_witness_projector(qtf))
+    run = sdp._Admm(dual)
+    run.run(0.0, iterations)
+    value, point, _ = dual.polish(run.xs, run.zs)
+    return value, point["W"]
 
 
 def _definite_spans(qtf):
@@ -775,29 +789,94 @@ class TestStopRule:
         assert report.lower <= report.upper
 
     def test_stop_waits_on_the_gap_only(self, solved_restricted):
-        # the restricted pair certifies its gap at 150 iterations, while its
-        # split residuals are still near 1e-5
+        # the restricted pair certifies its gap at 127 iterations, while its
+        # split residuals are still 2.9e-5 and 2.0e-5
         report, _ = solved_restricted
         assert report.converged and report.gap <= sdp.GAP_TOL
         split = (report.residuals["dual:split:primal"], report.residuals["dual:split:dual"])
         assert max(split) > sdp.RESIDUAL_TOL
 
+    @pytest.fixture
+    def polished(self, monkeypatch, admm_runs):
+        """The iterations at which a robustness pair polishes its noise side,
+        whose value gains shift(k) at the k-th polish."""
+        spy = SimpleNamespace(iterations=[], shift=lambda k: 0.0)
+        build = sdp._robustness_primal
+
+        def spying(geom):
+            prog = build(geom)
+
+            def polish(xs, zs):
+                spy.iterations.append(admm_runs[-1].iterations)
+                value, point, extras = prog.polish(xs, zs)
+                return value + spy.shift(len(spy.iterations)), point, extras
+
+            return dataclasses.replace(prog, polish=polish)
+
+        monkeypatch.setattr(sdp, "_robustness_primal", spying)
+        return spy
+
+    def test_checkpoints_follow_a_falling_gap(self, qtf, polished):
+        # 50, 100, 150, then 192, 220 and 245 on the rate of the last two
+        report, _ = solve_max_robustness(half_definite(np.random.default_rng(2), qtf))
+        assert report.converged and polished.iterations[-1] == report.iterations
+        steps = np.diff(polished.iterations)
+        assert all(sdp.CHECKPOINT // 5 <= step <= sdp.CHECKPOINT for step in steps)
+        assert any(it % sdp.CHECKPOINT for it in polished.iterations)
+
+    def test_rising_gap_keeps_the_grid(self, qtf, polished):
+        # the residuals first reach RESIDUAL_TOL at 48, then the grid
+        polished.shift = lambda k: 0.05 * k
+        report, _ = solve_max_robustness(qtf, max_iter=300)
+        assert not report.converged
+        assert polished.iterations == [48, *range(50, 301, sdp.CHECKPOINT)]
+
+    @pytest.mark.parametrize("shift", [0.0, -1.0])
+    def test_closed_gap_keeps_the_grid(self, qtf, polished, shift):
+        # a stop rule that never holds runs on past a gap <= GAP_TOL (shift
+        # 0) or <= 0 (shift -1), where the gap's rate has no log
+        polished.shift = lambda k: shift
+        geom = sdp._SlotGeometry(qtf)
+        primal, dual = sdp._robustness_primal(geom), sdp._robustness_dual(geom, None)
+        report = sdp._solve_pair(primal, dual, 200, done=lambda upper, lower: False)
+        assert not report.converged and report.iterations == 200
+        assert polished.iterations == [48, *range(50, 201, sdp.CHECKPOINT)]
+
+    @pytest.mark.parametrize("best, expected", [
+        ([], 50),
+        ([(50, 1e-2)], 100),
+        # a flat least gap (a rising gap keeps its least), or a closed one:
+        # the next multiple
+        ([(50, 1e-2), (100, 1e-2)], 150),
+        ([(50, 1e-2), (60, 1e-5)], 100),
+        ([(50, 0.0), (100, 0.0)], 150),
+        ([(50, -1.0), (100, -1.0)], 150),
+        # halving every 50 iterations: 1e-4 is 50 ahead of 2e-4, 100 of 4e-4
+        ([(100, 4e-4), (150, 2e-4)], 200),
+        ([(50, 8e-4), (100, 4e-4)], 150),
+        # falling 20-fold over 50: 5-fold in 50 ln 5 / ln 20 = 26.9
+        ([(50, 1e-2), (100, 5e-4)], 127),
+        # kept CHECKPOINT // 5 ahead when the close is nearer
+        ([(50, 1e-2), (100, 1.01e-4)], 110),
+        ([(48, 1e-2), (50, 1.5e-4)], 60),
+    ])
+    def test_next_checkpoint(self, best, expected):
+        assert sdp._next_checkpoint(best) == expected
+
     def test_safeguard_holds_on_a_degenerate_floor(self, qtf):
         # the restricted witness of exactly 201 iterations, polished,
         # certifies 0.1715724353; its definite floor is 2.9e-7, next to 0.
         # It is built without the pair's stop rule, which would move it: the
-        # witness of the 150-iteration stop has a floor of 9.8e-6, where s
-        # ends at 1.3e-5
-        dual = sdp._robustness_dual(sdp._SlotGeometry(qtf), restricted_witness_projector(qtf))
-        run = sdp._Admm(dual)
-        run.run(0.0, 201)
-        value, point, _ = dual.polish(run.xs, run.zs)
+        # witness of the 127-iteration stop has a floor of 1.7e-5, where s
+        # ends at 3.4e-15, and that of the 150-iteration stop (checkpoints
+        # every 50 iterations) a floor of 9.8e-6, where s ends at 1.3e-5
+        value, w = _restricted_witness(qtf, 201)
         assert value == pytest.approx(0.1715724353, abs=1e-10)
         spans = {
             "forward": SpanMask.of_setup(qtf, ConeId.FORWARD_SPAN),
             "backward": SpanMask.of_setup(qtf, ConeId.BACKWARD_SPAN),
         }
-        _, value_prog = sdp.cone_value_programs(-point["W"], spans, qtf.trace_target)
+        _, value_prog = sdp.cone_value_programs(-w, spans, qtf.trace_target)
         admm = sdp._Admm(value_prog)
         admm.run(0.0, 5000)
         assert admm.iterations == 5000
