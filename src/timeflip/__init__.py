@@ -30,9 +30,7 @@ from .game import (
     game_witness,
     play_game,
     qtf_strategy,
-    qtf_strategy_operator,
     switch_strategy,
-    switch_strategy_operator,
     verify_gate_table,
 )
 from .sdp import ConicProgram, SolveReport, solve, solve_cone_value, solve_max_robustness
@@ -54,7 +52,6 @@ from .tensor_core import (
     double_ket,
     hs_inner,
     identity,
-    partial_trace,
     partial_transpose,
     permute_factors,
     qubits,
@@ -104,7 +101,6 @@ __all__ = [
     "input_output_inversion",
     "is_bistochastic",
     "kraus_to_choi",
-    "partial_trace",
     "partial_transpose",
     "permute_factors",
     "play_game",
@@ -112,13 +108,11 @@ __all__ = [
     "qtf_choi",
     "qtf_plus_control",
     "qtf_strategy",
-    "qtf_strategy_operator",
     "qubits",
     "solve",
     "solve_cone_value",
     "solve_max_robustness",
     "switch_strategy",
-    "switch_strategy_operator",
     "tensor_product",
     "trace_and_replace",
     "validate_witness",

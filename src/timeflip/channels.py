@@ -33,10 +33,6 @@ class KrausChannel:
         if deviation > TP_TOL:
             raise ValueError(f"channel is not trace-preserving (deviation {deviation:.3e})")
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        return sum(k @ rho @ k.conj().T for k in self.kraus)
-
 
 def kraus_to_choi(ch: KrausChannel, labels: tuple[str, str] = ("in", "out")) -> HermitianOperator:
     """Choi matrix sum_i |K_i>><<K_i| on the (input, output) layout."""

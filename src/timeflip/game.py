@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -229,68 +229,6 @@ def switch_strategy(pair: GatePair) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The same strategies as operators on the game wires.
-# ---------------------------------------------------------------------------
-
-def _strategy_operator(column_map: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                       effects: Sequence[np.ndarray]) -> HermitianOperator:
-    """Assemble a strategy operator from its action on gate matrix units.
-
-    ``column_map(u, v)`` is the (unnormalized) circuit output vector as a
-    function of the two gate matrices; it must be linear in the entries of
-    each.  ``effects`` are the two answer POVM elements on that output space.
-    The result S satisfies  p(answer o) = Tr[(Choi(U) (x) Choi(V) (x) P_o)^T S]
-    for every gate pair, with the answer re-encoded as |+>/|-> on the C_O wire.
-    """
-    columns = []
-    for j in range(2):
-        for i in range(2):
-            e_u = np.zeros((2, 2), dtype=complex)
-            e_u[i, j] = 1.0
-            for l in range(2):
-                for k in range(2):
-                    e_v = np.zeros((2, 2), dtype=complex)
-                    e_v[k, l] = 1.0
-                    columns.append(column_map(e_u, e_v))
-    tmat = np.array(columns, dtype=complex).T  # output dim x 16
-    blocks = np.zeros((32, 32), dtype=complex)
-    for effect, port in zip(effects, _PORT_PROJECTORS):
-        gram = tmat.conj().T @ effect @ tmat
-        blocks += np.kron(gram, port)
-    return HermitianOperator(game_layout(), blocks.T)
-
-
-def qtf_strategy_operator(target_state=(1.0, 0.0)) -> HermitianOperator:
-    """Operator form of `qtf_strategy` on the five game wires."""
-    psi = _as_state(target_state, 2, "target_state")
-
-    def column(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        fwd = u @ v.T @ psi
-        bwd = u.T @ v @ psi
-        return (np.kron(fwd, np.array([1.0, 0.0])) +
-                np.kron(bwd, np.array([0.0, 1.0]))) / math.sqrt(2.0)
-
-    eye2 = np.eye(2)
-    effects = [np.kron(eye2, port) for port in _PORT_PROJECTORS]
-    return _strategy_operator(column, effects)
-
-
-def switch_strategy_operator() -> HermitianOperator:
-    """Operator form of `switch_strategy` on the five game wires."""
-
-    def column(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        sym_vec, anti_vec = _switch_branches(u, v)
-        return np.kron(sym_vec, _PLUS_KET) + np.kron(anti_vec, _MINUS_KET)
-
-    proj = _symmetric_projector()
-    comp = np.eye(4) - proj
-    plus_p, minus_p = _PORT_PROJECTORS
-    effect_plus = np.kron(proj, plus_p) + np.kron(comp, minus_p)
-    effects = [effect_plus, np.eye(8) - effect_plus]
-    return _strategy_operator(column, effects)
-
-
-# ---------------------------------------------------------------------------
 # Payoff operators, the game witness, and the fixed-direction bound.
 # ---------------------------------------------------------------------------
 
@@ -370,14 +308,6 @@ def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str,
     if not report.converged:
         raise ValueError(f"fixed-direction bound did not certify: gap {report.gap:.3e}")
     return min(1.0, float(report.upper))
-
-
-def strategy_success(strategy_op: HermitianOperator, pairs: Sequence[GatePair],
-                     weights=None) -> float:
-    """Average success of a strategy operator, via the payoff contraction."""
-    m_plus, m_minus = success_effects(pairs, weights)
-    combined = m_plus.matrix + m_minus.matrix
-    return float(np.trace(combined @ strategy_op.matrix).real)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +410,6 @@ def gate_table_survey() -> dict[str, GateTableReport]:
 # File formats.
 # ---------------------------------------------------------------------------
 
-def gate_pair_to_dict(pair: GatePair) -> dict:
-    return {
-        "name": pair.name,
-        "tag": pair.tag,
-        "u": {"re": pair.u.real.tolist(), "im": pair.u.imag.tolist()},
-        "v": {"re": pair.v.real.tolist(), "im": pair.v.imag.tolist()},
-    }
-
-
 def _gate_from_dict(obj: dict, key: str, label: str) -> np.ndarray:
     # each part is checked on its own: re + 1j * im would broadcast a
     # misshapen part and turn an infinite one into nan with a warning
@@ -509,10 +430,6 @@ def gate_pair_from_dict(obj: dict) -> GatePair:
         return GatePair(u, v, obj["tag"], name=name)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed gate-pair record: {exc}") from exc
-
-
-def save_gate_pairs(path: str, pairs: Sequence[GatePair]) -> None:
-    atomic_write_text(path, json.dumps([gate_pair_to_dict(p) for p in pairs], indent=2))
 
 
 def load_gate_pairs(path: str) -> list[GatePair]:

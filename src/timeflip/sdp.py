@@ -121,10 +121,10 @@ class ConicProgram:
     `objective` holds the true objective operators: the value of a point is
     sum_k <objective_k, x_k>, minimized or maximized per `sense`.  `layout`,
     needed when a row has a support, gives the coordinates it masks.
-    `polish`, when present, maps the final iterates to an exactly feasible
-    point and its certified value.  `slack_map`, on the min side of a pair,
-    builds that side's point from the max side's run: block -> (max-side
-    block, sign), the block being sign times the slack of the max-side block.
+    `polish`, when present, maps the final cone-side iterate (block name ->
+    matrix) to an exactly feasible point and its certified value.
+    `slack_map`, on the min side of a pair, builds that side's point from
+    the max side's run: block -> the max-side block whose slack it is.
     """
 
     name: str
@@ -134,7 +134,7 @@ class ConicProgram:
     objective: Mapping[str, np.ndarray]
     sense: str = "min"
     polish: Callable | None = None
-    slack_map: Mapping[str, tuple[str, float]] = field(default_factory=dict)
+    slack_map: Mapping[str, str] = field(default_factory=dict)
     layout: SystemLayout | None = None
 
     def value_at(self, xs: Mapping[str, np.ndarray]) -> float:
@@ -365,12 +365,8 @@ class _Admm:
         return out
 
     @property
-    def xs(self) -> dict[str, np.ndarray]:
-        """The blocks of x as name -> matrix views; zs does the same for z."""
-        return dict(zip(self.names, self.x))
-
-    @property
     def zs(self) -> dict[str, np.ndarray]:
+        """The blocks of z as name -> matrix views."""
         return dict(zip(self.names, self.z))
 
     @property
@@ -471,7 +467,8 @@ class _Admm:
             self._next, self._extrapolated = self._f, False
             self._forget()
             return
-        # polishes read blocks of x and z as views; nothing may write into them
+        # polishes read blocks of z as views and `split` reads x later;
+        # nothing may write into them
         x.flags.writeable = z.flags.writeable = False
         self.x, self.z, self.u = x, z, u
         self._d_norm, self._split = d_norm, None
@@ -619,7 +616,7 @@ def solve(prog: ConicProgram) -> SolveReport:
     admm = _Admm(prog)
     admm.run(RESIDUAL_TOL, MAX_ITER)
     if prog.polish is not None:
-        value, point, extras = prog.polish(admm.xs, admm.zs)
+        value, point, extras = prog.polish(admm.zs)
     else:
         value, point, extras = prog.value_at(admm.zs), admm.zs, {}
     side = "upper" if prog.sense == "min" else "lower"
@@ -686,10 +683,10 @@ def _solve_pair(
     stop_tol = RESIDUAL_TOL
     while True:
         admm.run(stop_tol, min(_next_checkpoint(best), max_iter) - admm.iterations)
-        v_max, sol_max, ex_max = max_prog.polish(admm.xs, admm.zs)
+        v_max, sol_max, ex_max = max_prog.polish(admm.zs)
         slacks = admm.slacks
-        point = {name: sign * slacks[src] for name, (src, sign) in min_prog.slack_map.items()}
-        v_min, sol_min, ex_min = min_prog.polish(point, point)
+        point = {name: slacks[src] for name, src in min_prog.slack_map.items()}
+        v_min, sol_min, ex_min = min_prog.polish(point)
         gap = v_min - v_max
         converged = done(v_min, v_max)
         if converged or admm.iterations >= max_iter:
@@ -796,7 +793,7 @@ def _robustness_primal(geom: _SlotGeometry) -> ConicProgram:
         MatrixRow("definite-split", {"F": 1.0, "B": 1.0, "T": -1.0}, s),
     )
 
-    def polish(xs, zs):
+    def polish(zs):
         f = _sym(geom.forward.project(zs["F"]))
         b = _sym(geom.backward.project(zs["B"]))
         t0 = f + b - s
@@ -827,7 +824,7 @@ def _robustness_primal(geom: _SlotGeometry) -> ConicProgram:
         sense="min",
         polish=polish,
         # T, F and B are the slacks of the witness program's Q, P_fwd and P_bwd
-        slack_map={"T": ("Q", 1.0), "F": ("P_fwd", 1.0), "B": ("P_bwd", 1.0)},
+        slack_map={"T": "Q", "F": "P_fwd", "B": "P_bwd"},
         layout=geom.layout,
     )
 
@@ -865,7 +862,7 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
         w0 = eye / (2 * dd)
         interior = {"W": w0, "P_fwd": w0, "P_bwd": w0, "Q": eye / dd - w0}
 
-    def polish(xs, zs):
+    def polish(zs):
         w = _sym(witness_subspace(zs["W"])) if restricted else _sym(zs["W"])
         w_fwd = _sym(c_fwd(w - zs["P_fwd"]))
         w_bwd = _sym(c_bwd(w - zs["P_bwd"]))
@@ -1020,9 +1017,8 @@ def solve_max_robustness(
         reduced, restrict = _restricted_reduction(setup)
         reduced_primal = _robustness_primal(_SlotGeometry(reduced))
 
-        def polish(xs, zs):
-            point = {name: restrict(m) for name, m in zs.items()}
-            return reduced_primal.polish(point, point)
+        def polish(zs):
+            return reduced_primal.polish({name: restrict(m) for name, m in zs.items()})
 
         primal = replace(reduced_primal, name="robustness-restricted:primal", polish=polish)
     else:
@@ -1071,7 +1067,7 @@ def cone_value_programs(
     white = (dd / (n * len(names))) * eye
     interior = dict.fromkeys(names, white)
 
-    def polish_value(xs, zs):
+    def polish_value(zs):
         parts = {name: _sym(spans[name].project(zs[name])) for name in names}
         total = sum(float(np.trace(m).real) for m in parts.values())
         if total <= dd * 1e-6:
@@ -1100,7 +1096,7 @@ def cone_value_programs(
         for name in names
     ]
 
-    def polish_bound(xs, zs):
+    def polish_bound(zs):
         zmats = {name: _sym(complements[name](-target - zs[f"Q_{name}"])) for name in names}
         nu = max(-_lmin(-target - zmats[name]) for name in names)
         nu += abs(nu) * 1e-12
@@ -1117,7 +1113,7 @@ def cone_value_programs(
         objective={"N": (dd / n) * eye},
         sense="min",
         polish=polish_bound,
-        slack_map={f"Q_{name}": (name, 1.0) for name in names},
+        slack_map={f"Q_{name}": name for name in names},
         layout=layout,
     )
     return bound_prog, value_prog

@@ -329,13 +329,6 @@ def setup_span_projector(setup: SetupOperator, which: ConeId) -> Callable[[np.nd
     return SpanMask.of_setup(setup, which).project
 
 
-def subspace_project(setup: SetupOperator, which: ConeId) -> HermitianOperator:
-    """Project the setup operator onto the named span; membership holds when
-    the projection leaves it unchanged (Hilbert-Schmidt residual below tol)."""
-    mat = setup_span_projector(setup, which)(setup.op.matrix)
-    return HermitianOperator(setup.op.layout, mat)
-
-
 # -- membership reports ---------------------------------------------------------
 
 
@@ -367,7 +360,7 @@ def check_setup(setup: SetupOperator, cone: ConeId, tol: float = MEMBERSHIP_TOL)
             "problem; use the sdp module's robustness programs"
         )
     if cone not in (ConeId.FORWARD, ConeId.BACKWARD, ConeId.GENERAL):
-        raise ValueError(f"check_setup expects a cone id, got {cone}; use subspace_project for spans")
+        raise ValueError(f"check_setup expects a cone id, got {cone}; use SpanMask.of_setup for spans")
     gin, gout = setup.labels(ROLE_GLOBAL_INPUT), setup.labels(ROLE_GLOBAL_OUTPUT)
     report = check_multipartite(setup.op, [setup.slot()], gin, gout, tol)
     residuals = dict(report.residuals["general"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -68,14 +69,6 @@ class SystemLayout:
     def positions(self, labels: Iterable[str]) -> tuple[int, ...]:
         return tuple(sorted(self.position(lab) for lab in set(labels)))
 
-    def subset(self, labels: Iterable[str]) -> "SystemLayout":
-        """Sub-layout containing `labels`, keeping the original factor order."""
-        keep = set(labels)
-        unknown = keep - set(self.labels)
-        if unknown:
-            raise KeyError(f"unknown labels {sorted(unknown)}")
-        return SystemLayout(tuple(f for f in self.factors if f[0] in keep))
-
 
 def qubits(*labels: str) -> SystemLayout:
     """Layout of two-dimensional factors with the given labels."""
@@ -119,8 +112,10 @@ class HermitianOperator:
         return HermitianOperator(self.layout, -self.matrix)
 
     def __mul__(self, scalar: float) -> "HermitianOperator":
-        if isinstance(scalar, complex) and scalar.imag != 0:
-            raise TypeError("scaling by a non-real number breaks Hermiticity")
+        if isinstance(scalar, (complex, np.complexfloating)):
+            if scalar.imag != 0:
+                raise TypeError("scaling by a non-real number breaks Hermiticity")
+            scalar = scalar.real
         return HermitianOperator(self.layout, self.matrix * float(scalar))
 
     __rmul__ = __mul__
@@ -230,17 +225,6 @@ def partial_transpose_matrix(mat: np.ndarray, dims: Sequence[int], positions: Se
 # -- labeled operations -------------------------------------------------------
 
 
-def partial_trace(op: HermitianOperator, kept: Iterable[str]) -> HermitianOperator:
-    """Partial trace keeping only the factors in `kept` (original order)."""
-    keep = set(kept)
-    unknown = keep - set(op.layout.labels)
-    if unknown:
-        raise KeyError(f"unknown labels {sorted(unknown)}")
-    traced = [k for k, (lab, _) in enumerate(op.layout.factors) if lab not in keep]
-    mat = partial_trace_matrix(op.matrix, op.layout.dims, traced)
-    return HermitianOperator(op.layout.subset(keep), mat)
-
-
 def trace_and_replace(op: HermitianOperator, replaced: Iterable[str]) -> HermitianOperator:
     r"""The map S -> Tr_X(S) \otimes I_X/d_X with X re-inserted in place."""
     positions = op.layout.positions(replaced)
@@ -345,12 +329,21 @@ def operator_from_dict(obj: dict) -> HermitianOperator:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write a file via a temporary sibling and an atomic rename."""
+    """Write a file via a temporary sibling and an atomic rename.  The file
+    gets the mode `open(path, "w")` would leave: the existing file's, else
+    0o666 less the umask (the temporary file itself is owner-only)."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

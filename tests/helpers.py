@@ -3,13 +3,25 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import reduce
 from math import prod
+from typing import Callable, Sequence
 
 import numpy as np
 
 from timeflip import sdp
 from timeflip.channels import KrausChannel
+from timeflip.game import (
+    _MINUS_KET,
+    _PLUS_KET,
+    _PORT_PROJECTORS,
+    GatePair,
+    _as_state,
+    _switch_branches,
+    _symmetric_projector,
+    game_layout,
+)
 from timeflip.supermaps import ConeId, SetupOperator, sequential_setup
 from timeflip.tensor_core import HermitianOperator, SystemLayout, tensor_product
 
@@ -60,6 +72,78 @@ def oracle_trace_and_replace(mat, dims, replaced_positions):
             c = flat_index([col[k] for k in kept], red_dims)
             out[flat_index(row, dims), flat_index(col, dims)] = reduced[r, c] / scale
     return out
+
+
+# The game's two superposition strategies as operators on the five game wires:
+# the reference that `qtf_strategy`, `switch_strategy`, `success_effects` and
+# `game_witness` are checked against.
+
+def _strategy_operator(column_map: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                       effects: Sequence[np.ndarray]) -> HermitianOperator:
+    """Assemble a strategy operator from its action on gate matrix units.
+
+    ``column_map(u, v)`` is the (unnormalized) circuit output vector as a
+    function of the two gate matrices; it must be linear in the entries of
+    each.  ``effects`` are the two answer POVM elements on that output space.
+    The result S satisfies  p(answer o) = Tr[(Choi(U) (x) Choi(V) (x) P_o)^T S]
+    for every gate pair, with the answer re-encoded as |+>/|-> on the C_O wire.
+    """
+    columns = []
+    for j in range(2):
+        for i in range(2):
+            e_u = np.zeros((2, 2), dtype=complex)
+            e_u[i, j] = 1.0
+            for l in range(2):
+                for k in range(2):
+                    e_v = np.zeros((2, 2), dtype=complex)
+                    e_v[k, l] = 1.0
+                    columns.append(column_map(e_u, e_v))
+    tmat = np.array(columns, dtype=complex).T  # output dim x 16
+    blocks = np.zeros((32, 32), dtype=complex)
+    for effect, port in zip(effects, _PORT_PROJECTORS):
+        gram = tmat.conj().T @ effect @ tmat
+        blocks += np.kron(gram, port)
+    return HermitianOperator(game_layout(), blocks.T)
+
+
+def qtf_strategy_operator(target_state=(1.0, 0.0)) -> HermitianOperator:
+    """Operator form of `qtf_strategy` on the five game wires."""
+    psi = _as_state(target_state, 2, "target_state")
+
+    def column(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        fwd = u @ v.T @ psi
+        bwd = u.T @ v @ psi
+        return (np.kron(fwd, np.array([1.0, 0.0])) +
+                np.kron(bwd, np.array([0.0, 1.0]))) / math.sqrt(2.0)
+
+    eye2 = np.eye(2)
+    effects = [np.kron(eye2, port) for port in _PORT_PROJECTORS]
+    return _strategy_operator(column, effects)
+
+
+def switch_strategy_operator() -> HermitianOperator:
+    """Operator form of `switch_strategy` on the five game wires."""
+
+    def column(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        sym_vec, anti_vec = _switch_branches(u, v)
+        return np.kron(sym_vec, _PLUS_KET) + np.kron(anti_vec, _MINUS_KET)
+
+    proj = _symmetric_projector()
+    comp = np.eye(4) - proj
+    plus_p, minus_p = _PORT_PROJECTORS
+    effect_plus = np.kron(proj, plus_p) + np.kron(comp, minus_p)
+    effects = [effect_plus, np.eye(8) - effect_plus]
+    return _strategy_operator(column, effects)
+
+
+def gate_pair_to_dict(pair: GatePair) -> dict:
+    """One record of the gate-pair file format that `game.load_gate_pairs` reads."""
+    return {
+        "name": pair.name,
+        "tag": pair.tag,
+        "u": {"re": pair.u.real.tolist(), "im": pair.u.imag.tolist()},
+        "v": {"re": pair.v.real.tolist(), "im": pair.v.imag.tolist()},
+    }
 
 
 # The experiment's preparation/measurement states |0>, |1>, |+> and |+i>.
@@ -183,8 +267,8 @@ def shifted_robustness_primal(shift: float):
     def build(geom):
         prog = original(geom)
 
-        def polish(xs, zs):
-            value, point, extras = prog.polish(xs, zs)
+        def polish(zs):
+            value, point, extras = prog.polish(zs)
             return value + shift, point, extras
 
         return dataclasses.replace(prog, polish=polish)

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import timeflip
-from helpers import half_definite, random_channel, shifted_robustness_primal
+from helpers import gate_pair_to_dict, half_definite, random_channel, shifted_robustness_primal
 from timeflip import cli, sdp
 from timeflip.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
-from timeflip.game import builtin_gate_sets, gate_pair_to_dict, save_gate_pairs
+from timeflip.game import builtin_gate_sets
 from timeflip.supermaps import (
     SetupOperator,
     qtf_plus_control,
@@ -228,9 +228,9 @@ class TestGame:
 
     def test_pair_file_roundtrip(self, tmp_path, capsys):
         plus, minus = builtin_gate_sets()
-        path = str(tmp_path / "pairs.json")
-        save_gate_pairs(path, plus[:2] + minus[:2])
-        assert _run("game", "--pairs", path) == EXIT_OK
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps([gate_pair_to_dict(p) for p in plus[:2] + minus[:2]]))
+        assert _run("game", "--pairs", str(path)) == EXIT_OK
         assert "correct 4/4" in capsys.readouterr().out
 
     def test_fixed_direction_bound_appended(self, capsys):

@@ -1,9 +1,10 @@
 """Guard against dead code.
 
-Every top-level function or class of `src/timeflip`, public or private, must
-be referred to by the package's own code outside its definition
-(`__init__.py` excluded: an export is not a caller), or by the benchmark in
-`perfbench/`, or be listed in KEEP with the reason it stays.
+Every top-level function or class of `src/timeflip`, public or private, and
+every non-dunder method or property of a top-level class, must be referred to
+by the package's own code outside its definition (`__init__.py` excluded: an
+export is not a caller), or by the benchmark in `perfbench/`, or be listed in
+KEEP with the reason it stays.
 """
 
 from __future__ import annotations
@@ -24,18 +25,6 @@ KEEP = (
     ("supermaps.random_span_element", "acceptance criterion 6: its random inputs"),
     ("witness.z_score", "acceptance criterion 9: the significance arithmetic"),
     ("game.game_witness", "README: the game witness and its p_max reading"),
-    ("game.qtf_strategy_operator",
-     "oracle for tests of kept code: the game witness and the payoff operators"),
-    ("game.switch_strategy_operator",
-     "oracle for tests of kept code: the game witness and the payoff operators"),
-    ("game.strategy_success",
-     "oracle for tests of kept code: how the tests score the two strategy operators"),
-    ("game.save_gate_pairs",
-     "oracle for tests of kept code: writes the gate-pair files that load_gate_pairs and game --pairs read"),
-    ("supermaps.subspace_project",
-     "oracle for tests of kept code: the span projection the solver and witness tests compare with"),
-    ("tensor_core.partial_trace",
-     "oracle for tests of kept code: the marginals of link_product and apply_supermap"),
 )
 
 
@@ -55,31 +44,53 @@ def _referred(nodes) -> set[str]:
     return out
 
 
+def _units():
+    """(owners, refs) for each unit of package code: a top-level statement,
+    or in a top-level class each non-dunder method apart from the rest of
+    the class.  `owners` holds the module.name of the top-level definition
+    and the module.Class.method of the method the unit belongs to; `refs`
+    is what the unit refers to."""
+    units = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                units.append((frozenset(), _referred([node])))
+                continue
+            owner = f"{path.stem}.{node.name}"
+            rest = [node]
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)
+                           and not (m.name.startswith("__") and m.name.endswith("__"))]
+                units += [(frozenset({owner, f"{owner}.{m.name}"}), _referred([m])) for m in methods]
+                rest = [*node.decorator_list, *node.bases, *node.keywords,
+                        *(m for m in node.body if m not in methods)]
+            units.append((frozenset({owner}), _referred(rest)))
+    return units
+
+
 def _dead(keep: set[str]) -> set[str]:
-    """module.name of every top-level function or class that no live code
+    """The qualified name of every top-level function or class, and of every
+    non-dunder method or property of a top-level class, that no live code
     refers to.  Live code is the package outside the dead definitions, the
-    kept definitions included, and the benchmark; a definition only dead
-    code calls is dead too, so the search repeats until nothing changes."""
-    statements = [
-        (path.stem, node, _referred([node]))
-        for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-    ]
+    kept definitions included, and the benchmark; a definition's own code
+    does not keep it alive, and a definition only dead code calls is dead
+    too, so the search repeats until nothing changes."""
+    units = _units()
     benchmark = _referred(ast.parse(path.read_text(encoding="utf-8"))
                           for path in sorted(BENCHMARK.glob("*.py")))
     defined = {
-        f"{module}.{node.name}": node
-        for module, node, _ in statements
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and f"{module}.{node.name}" not in keep and node.name not in benchmark
+        name: name.rsplit(".", 1)[1]
+        for name in {name for owners, _ in units for name in owners} - keep
+        if name.rsplit(".", 1)[1] not in benchmark
     }
     dead: set[str] = set()
     while True:
-        gone = {id(defined[name]) for name in dead}
         found = {
-            name for name, node in defined.items()
-            if not any(node.name in refs for _, other, refs in statements
-                       if other is not node and id(other) not in gone)
+            name for name, short in defined.items()
+            if not any(short in refs for owners, refs in units
+                       if name not in owners and not owners & dead)
         }
         if found == dead:
             return dead

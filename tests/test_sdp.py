@@ -29,6 +29,8 @@ from timeflip.sdp import (
     solve_max_robustness,
 )
 from timeflip.supermaps import (
+    ROLE_SLOT_INPUT,
+    ROLE_SLOT_OUTPUT,
     ConeId,
     SetupOperator,
     SpanMask,
@@ -38,7 +40,6 @@ from timeflip.supermaps import (
     qtf_plus_control,
     sequential_setup,
     setup_span_projector,
-    subspace_project,
 )
 from timeflip.tensor_core import (
     HermitianOperator,
@@ -64,7 +65,7 @@ def _random_general_setup(rng, template):
     n = layout.total_dim
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     raw = SetupOperator(HermitianOperator(layout, g @ g.conj().T / n), template.roles)
-    m = subspace_project(raw, ConeId.GENERAL).matrix
+    m = SpanMask.of_setup(raw, ConeId.GENERAL).project(raw.op.matrix)
     floor = -min(min_eigenvalue(m), 0.0)
     m = m + 1.01 * floor * np.eye(n)
     m *= template.trace_target / np.trace(m).real
@@ -274,7 +275,7 @@ class TestMaxRobustness:
 
     def test_witness_matches_reported_value(self, qtf, solved):
         report, witness = solved
-        s = subspace_project(qtf, ConeId.GENERAL).matrix
+        s = SpanMask.of_setup(qtf, ConeId.GENERAL).project(qtf.op.matrix)
         assert abs(-hs_inner(witness.matrix, s) - report.lower) <= 1e-9
 
     def test_certificate_structure(self, qtf, solved):
@@ -385,11 +386,11 @@ class TestMaxRobustness:
         assert report.iterations <= 280
 
     def test_strict_feasibility_probes(self, qtf):
-        s = subspace_project(qtf, ConeId.GENERAL)
+        s = SpanMask.of_setup(qtf, ConeId.GENERAL).project(qtf.op.matrix)
         lam0 = 2 * qtf.trace_target + 1
         eye_op = HermitianOperator(qtf.op.layout, np.eye(qtf.op.layout.total_dim))
         noise = lam0 * eye_op.matrix
-        shifted = s.matrix + noise
+        shifted = s + noise
         tau = trace_and_replace(HermitianOperator(qtf.op.layout, shifted), ("A_O",)).matrix
         fwd_half = lam0 / 2 * eye_op.matrix + (tau - noise / 2)
         bwd_half = lam0 / 2 * eye_op.matrix + (shifted - tau)
@@ -397,7 +398,7 @@ class TestMaxRobustness:
         assert min_eigenvalue(fwd_half) > 0
         assert min_eigenvalue(bwd_half) > 0
         w0 = eye_op.matrix / (2 * qtf.trace_target)
-        assert abs(hs_inner(w0, s.matrix) - 0.5) <= 1e-12
+        assert abs(hs_inner(w0, s) - 0.5) <= 1e-12
         assert min_eigenvalue(eye_op.matrix / qtf.trace_target - w0) > 0
 
 
@@ -445,7 +446,7 @@ def _restricted_witness(qtf, iterations):
     dual = sdp._robustness_dual(sdp._SlotGeometry(qtf), restricted_witness_projector(qtf))
     run = sdp._Admm(dual)
     run.run(0.0, iterations)
-    value, point, _ = dual.polish(run.xs, run.zs)
+    value, point, _ = dual.polish(run.zs)
     return value, point["W"]
 
 
@@ -471,7 +472,7 @@ def _iterated_program(qtf, program, phase):
         }
         target = u @ (m_plus.matrix + m_minus.matrix) @ u.conj().T
         return sdp.cone_value_programs(target, spans, 4.0)[1]
-    s = u @ subspace_project(qtf, ConeId.GENERAL).matrix @ u.conj().T
+    s = u @ SpanMask.of_setup(qtf, ConeId.GENERAL).project(qtf.op.matrix) @ u.conj().T
     if program == "value":
         return sdp.cone_value_programs(s, _definite_spans(qtf), qtf.trace_target)[1]
     setup = SetupOperator(HermitianOperator(qtf.op.layout, s), qtf.roles)
@@ -561,6 +562,19 @@ def _projection_by_coordinates(prog, names, v):
     return basis_matrices(prog.layout, flat.reshape(coords.shape))
 
 
+def _flipped(setup):
+    """The setup with the roles of its slot's input and output exchanged."""
+    swap = {ROLE_SLOT_INPUT: ROLE_SLOT_OUTPUT, ROLE_SLOT_OUTPUT: ROLE_SLOT_INPUT}
+    return SetupOperator(setup.op, {label: swap.get(role, role) for label, role in setup.roles.items()})
+
+
+def _half_random(qtf, seed):
+    """qtf mixed half and half with a random element of the general cone."""
+    general = _random_general_setup(np.random.default_rng(seed), qtf)
+    mixed = (qtf.op.matrix + general.op.matrix) / 2
+    return SetupOperator(HermitianOperator(qtf.op.layout, mixed), qtf.roles)
+
+
 def _same_robustness(a, b):
     # both brackets hold the optimum, so their lower bounds differ by at
     # most the wider gap
@@ -590,18 +604,45 @@ class TestInvariance:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bounds_ordered_on_random_setups(self, qtf, seed):
-        general = _random_general_setup(np.random.default_rng(seed), qtf)
-        mixed = (qtf.op.matrix + general.op.matrix) / 2
-        setup = SetupOperator(HermitianOperator(qtf.op.layout, mixed), qtf.roles)
-        report, _ = solve_max_robustness(setup, max_iter=300)
+        report, _ = solve_max_robustness(_half_random(qtf, seed), max_iter=300)
         assert 0.0 <= report.lower <= report.upper + 1e-6
+
+    def test_flip_exchanges_the_direction_spans(self, qtf):
+        flipped = _flipped(qtf)
+        for cone, image in ((ConeId.FORWARD, ConeId.BACKWARD), (ConeId.BACKWARD, ConeId.FORWARD)):
+            assert np.array_equal(SpanMask.of_setup(flipped, cone).keep, SpanMask.of_setup(qtf, image).keep)
+
+    @pytest.mark.parametrize("case", ["qtf", "restricted"])
+    def test_flip_keeps_the_pair_and_swaps_the_certificate(self, qtf, request, case):
+        # exchanging the slot's input and output exchanges the forward and
+        # backward spans, so the pair is the same program with its two
+        # directions swapped: the same bounds and witness, W_fwd and W_bwd
+        # trading places.  The restricted form pins only the global wires
+        # B_it and B_ot, so it is invariant too
+        report, witness = request.getfixturevalue(_SOLVED[case])
+        flipped, flipped_witness = solve_max_robustness(_flipped(qtf), restricted=case == "restricted")
+        assert abs(flipped.lower - report.lower) <= 1e-12
+        assert abs(flipped.upper - report.upper) <= 1e-12
+        assert np.max(np.abs(flipped_witness.matrix - witness.matrix)) <= 1e-12
+        for mine, theirs in zip(flipped.extras["certificate"], report.extras["certificate"][::-1]):
+            assert np.max(np.abs(mine.matrix - theirs.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_flip_on_random_setups(self, qtf, seed):
+        # on dense complex data the two runs part by rounding, so the values
+        # agree to the certified gap; seed 0 stops unconverged at 300
+        # iterations both ways
+        setup = _half_random(qtf, seed)
+        report, _ = solve_max_robustness(setup, max_iter=300)
+        flipped, _ = solve_max_robustness(_flipped(setup), max_iter=300)
+        _same_robustness(flipped, report)
 
 
 _PAIR_DRIVERS = {
     "full": lambda qtf: solve_max_robustness(qtf)[0],
     "restricted": lambda qtf: solve_max_robustness(qtf, restricted=True)[0],
     "cone-value": lambda qtf: solve_cone_value(
-        subspace_project(qtf, ConeId.GENERAL).matrix / qtf.trace_target,
+        SpanMask.of_setup(qtf, ConeId.GENERAL).project(qtf.op.matrix) / qtf.trace_target,
         _definite_spans(qtf),
         qtf.trace_target,
     ),
@@ -669,7 +710,7 @@ class TestPositivityRepair:
         eye = np.eye(geom.n)
         for extra in np.linspace(-1e-15, 1e-15, 101):
             zs = {name: m - (least + extra) * eye if name in moved else m for name, m in point.items()}
-            _, polished, _ = prog.polish(zs, zs)
+            _, polished, _ = prog.polish(zs)
             for blk in prog.blocks:
                 if blk.kind == "psd":
                     assert np.linalg.eigvalsh(polished[blk.name])[0] >= 0.0, (blk.name, extra)
@@ -691,7 +732,7 @@ class TestPositivityRepair:
         g = np.random.default_rng(5).standard_normal((geom.n, geom.n))
         dent = 1e-3 * g @ g.T / geom.n
         zs = {**point, "F": point["F"] - dent, "B": point["B"] - dent}
-        value, _, extras = prog.polish(zs, zs)
+        value, _, extras = prog.polish(zs)
         start = np.trace(geom.forward.project(zs["F"]) + geom.backward.project(zs["B"]) - geom.s_mat).real
         added, bump = extras["negative_part_trace"], extras["positivity_bump"]
         assert added > 0.0 and bump > 0.0
@@ -715,7 +756,8 @@ def _lift(x, setup):
     """I_B_it (x) X (x) I_B_ot/2 in the setup's layout order, for X on the
     reduced layout, where B_it and B_ot have dimension one."""
     layout = setup.op.layout
-    core = HermitianOperator(layout.subset(set(layout.labels) - {"B_it", "B_ot"}), x)
+    kept = SystemLayout(tuple(f for f in layout.factors if f[0] not in {"B_it", "B_ot"}))
+    core = HermitianOperator(kept, x)
     pinned = HermitianOperator(qubits("B_it"), np.eye(2))
     traced = HermitianOperator(qubits("B_ot"), np.eye(2) / 2)
     return permute_factors(tensor_product([core, pinned, traced]), layout.labels).matrix
@@ -754,17 +796,17 @@ class TestConeValue:
     def test_general_cone_self_overlap_is_purity(self, qtf):
         # the maximizer of <S/dd, .> over the general cone is S itself, with
         # value Tr(S^2)/dd = dd for a rank-one setup of trace dd
-        s = subspace_project(qtf, ConeId.GENERAL)
         geom_spans = {"general": SpanMask.of_setup(qtf, ConeId.GENERAL)}
-        report = solve_cone_value(s.matrix / qtf.trace_target, geom_spans, qtf.trace_target)
+        s = geom_spans["general"].project(qtf.op.matrix)
+        report = solve_cone_value(s / qtf.trace_target, geom_spans, qtf.trace_target)
         assert report.converged
         assert abs(report.upper - qtf.trace_target) <= 1e-4
         assert abs(report.lower - qtf.trace_target) <= 1e-4
 
     def test_definite_value_stays_below_general(self, qtf):
-        s = subspace_project(qtf, ConeId.GENERAL)
+        s = SpanMask.of_setup(qtf, ConeId.GENERAL).project(qtf.op.matrix)
         spans = _definite_spans(qtf)
-        report = solve_cone_value(s.matrix / qtf.trace_target, spans, qtf.trace_target)
+        report = solve_cone_value(s / qtf.trace_target, spans, qtf.trace_target)
         assert report.converged
         assert report.upper < qtf.trace_target - 0.5
         parts = report.extras["parts"]
@@ -806,9 +848,9 @@ class TestStopRule:
         def spying(geom):
             prog = build(geom)
 
-            def polish(xs, zs):
+            def polish(zs):
                 spy.iterations.append(admm_runs[-1].iterations)
-                value, point, extras = prog.polish(xs, zs)
+                value, point, extras = prog.polish(zs)
                 return value + spy.shift(len(spy.iterations)), point, extras
 
             return dataclasses.replace(prog, polish=polish)

@@ -30,6 +30,7 @@ from timeflip.supermaps import (
     ConeId,
     SetupOperator,
     SlotSpec,
+    SpanMask,
     apply_supermap,
     basis_matrices,
     basis_rows,
@@ -45,7 +46,6 @@ from timeflip.supermaps import (
     setup_span_projector,
     setup_to_dict,
     span_projector,
-    subspace_project,
 )
 from timeflip.tensor_core import (
     HermitianOperator,
@@ -54,7 +54,7 @@ from timeflip.tensor_core import (
     hs_inner,
     identity,
     min_eigenvalue,
-    partial_trace,
+    partial_trace_matrix,
     qubits,
     split_factor,
     tensor_product,
@@ -91,7 +91,8 @@ def _random_comb(rng, direction=ConeId.FORWARD, mem=2) -> SetupOperator:
 
 
 def _projection_residual(setup: SetupOperator, which: ConeId) -> float:
-    return float(np.linalg.norm(setup.op.matrix - subspace_project(setup, which).matrix))
+    m = setup.op.matrix
+    return float(np.linalg.norm(m - SpanMask.of_setup(setup, which).project(m)))
 
 
 def test_setup_operator_validates_roles():
@@ -127,9 +128,11 @@ def test_qtf_choi_control_states_select_direction():
     out = apply_supermap(qtf_choi(), kraus_to_choi(ch))
     for k, expected in ((0, ch), (1, input_output_inversion(ch))):
         plug = basis_ket(qubits("B_ic"), k).outer()
-        reduced = partial_trace(link_product(plug, out, over={"B_ic"}), kept={"B_it", "B_ot"})
+        linked = link_product(plug, out, over={"B_ic"})
+        traced = linked.layout.positions(set(linked.layout.labels) - {"B_it", "B_ot"})
+        reduced = partial_trace_matrix(linked.matrix, linked.layout.dims, traced)
         target = kraus_to_choi(expected, labels=("B_it", "B_ot"))
-        assert np.allclose(reduced.matrix, target.matrix, atol=1e-12)
+        assert np.allclose(reduced, target.matrix, atol=1e-12)
 
 
 def test_qtf_choi_matches_controlled_kraus_form():
@@ -261,8 +264,9 @@ def test_apply_supermap_output_is_channel_normalized():
         ch = random_bistochastic_channel(rng)
         out = apply_supermap(setup, kraus_to_choi(ch))
         gin = setup.labels(ROLE_GLOBAL_INPUT)
-        marginal = partial_trace(out, kept=set(gin))
-        assert np.allclose(marginal.matrix, np.eye(marginal.layout.total_dim), atol=1e-10)
+        traced = out.layout.positions(set(out.layout.labels) - set(gin))
+        marginal = partial_trace_matrix(out.matrix, out.layout.dims, traced)
+        assert np.allclose(marginal, np.eye(len(marginal)), atol=1e-10)
 
 
 def test_apply_supermap_rejects_bad_device_shapes():

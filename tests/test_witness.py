@@ -17,7 +17,6 @@ from timeflip.supermaps import (
     SetupOperator,
     SpanMask,
     qtf_plus_control,
-    subspace_project,
 )
 from timeflip.tensor_core import (
     HermitianOperator,
@@ -67,7 +66,7 @@ def _random_general_setup(rng, template):
     n = layout.total_dim
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     raw = SetupOperator(HermitianOperator(layout, g @ g.conj().T / n), template.roles)
-    m = subspace_project(raw, ConeId.GENERAL).matrix
+    m = SpanMask.of_setup(raw, ConeId.GENERAL).project(raw.op.matrix)
     floor = -min(min_eigenvalue(m), 0.0)
     m = m + 1.01 * floor * np.eye(n)
     m *= template.trace_target / np.trace(m).real
