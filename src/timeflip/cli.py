@@ -7,6 +7,11 @@ file outputs are written atomically and identical configurations produce
 byte-identical files; printed values carry ten significant digits.  The
 TIMEFLIP_TOL environment variable overrides the default tolerance of
 validate wherever --tol is not given explicitly.
+
+Each command imports the modules it runs when it starts, so parsing loads
+no numpy and no command loads a module it does not use.  A command that
+solves imports the solver first: compiling it before any operator exists
+keeps the peak memory lower.
 """
 
 from __future__ import annotations
@@ -16,36 +21,10 @@ import json
 import os
 import sys
 from math import isfinite
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .game import (
-    GAME_STRATEGIES,
-    PMAX_DIRECTIONS,
-    TABLE_TOL,
-    WAVEPLATE_CONVENTIONS,
-    builtin_gate_sets,
-    compute_pmax_fixed_direction,
-    gate_table_survey,
-    load_gate_pairs,
-    play_game,
-    save_game_report,
-    verify_gate_table,
-)
-from .sdp import MAX_ITER, restricted_witness_projector, solve_max_robustness
-from .supermaps import ConeId, SetupOperator, check_setup, load_setup, qtf_plus_control
-from .tensor_core import atomic_write_text, load_operator, save_operator
-from .witness import (
-    born_probabilities,
-    decompose_witness,
-    estimate_robustness,
-    load_decomposition,
-    load_probabilities,
-    poisson_resample,
-    require_experiment_layout,
-    save_decomposition,
-    save_probabilities,
-    validate_witness,
-)
+if TYPE_CHECKING:
+    from .supermaps import SetupOperator
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -111,7 +90,17 @@ def _fail_uncertified(report) -> int:
         f"worst residual {worst[0]} = {worst[1]:.3e}", EXIT_FAIL)
 
 
+def _choice_error(flag: str, value: str | None, choices: Sequence[str]) -> str | None:
+    """The message for a flag value outside its choices, None when the value
+    is one of them or the flag was not given."""
+    if value is None or value in choices:
+        return None
+    return f"{flag} must be one of {', '.join(choices)}, got {value!r}"
+
+
 def _load_setup_arg(name: str) -> SetupOperator:
+    from .supermaps import load_setup, qtf_plus_control
+
     if name == "qtf":
         return qtf_plus_control()
     return load_setup(name)
@@ -124,8 +113,12 @@ def _check_fit(name: str, setup: SetupOperator, flags: Sequence[str]) -> int | N
     for flag in flags:
         try:
             if flag == "--restricted":
+                from .sdp import restricted_witness_projector
+
                 restricted_witness_projector(setup)
             else:
+                from .witness import require_experiment_layout
+
                 require_experiment_layout(setup.op.layout, "the setup")
         except ValueError as exc:
             return _fail(f"{flag} does not apply to setup {name!r}: {exc}", EXIT_IO)
@@ -133,6 +126,8 @@ def _check_fit(name: str, setup: SetupOperator, flags: Sequence[str]) -> int | N
 
 
 def _write_json(path: str, payload: dict) -> None:
+    from .tensor_core import atomic_write_text
+
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
@@ -141,6 +136,9 @@ def _write_json(path: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_robustness(args: argparse.Namespace) -> int:
+    from .sdp import MAX_ITER, solve_max_robustness
+    from .tensor_core import save_operator
+
     try:
         setup = _load_setup_arg(args.setup)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -150,7 +148,8 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     if (status := _check_fit(args.setup, setup, flags)) is not None:
         return status
 
-    report, witness = solve_max_robustness(setup, max_iter=args.max_iter, restricted=args.restricted)
+    max_iter = MAX_ITER if args.max_iter is None else args.max_iter
+    report, witness = solve_max_robustness(setup, max_iter=max_iter, restricted=args.restricted)
 
     payload = report.as_dict()
     payload["command"] = "robustness"
@@ -163,6 +162,8 @@ def cmd_robustness(args: argparse.Namespace) -> int:
         if args.witness_out:
             save_operator(args.witness_out, witness)
         if args.decomposition_out:
+            from .witness import decompose_witness, save_decomposition
+
             terms = decompose_witness(witness, restricted=args.restricted)
             save_decomposition(args.decomposition_out, terms)
     except OSError as exc:
@@ -180,6 +181,18 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_probabilities(args: argparse.Namespace) -> int:
+    if not args.decomposition_in:
+        from . import sdp  # the solver first
+    from .witness import (
+        born_probabilities,
+        decompose_witness,
+        estimate_robustness,
+        load_decomposition,
+        load_probabilities,
+        poisson_resample,
+        save_probabilities,
+    )
+
     needs_setup = not (args.decomposition_in and args.counts_in)
     stored = "to --decomposition-in: the stored decomposition is used as it is"
     resampling = "without --shots: only the resampling uses it"
@@ -202,7 +215,7 @@ def cmd_probabilities(args: argparse.Namespace) -> int:
         if args.decomposition_in:
             terms = load_decomposition(args.decomposition_in)
         else:
-            report, witness = solve_max_robustness(setup, restricted=args.restricted)
+            report, witness = sdp.solve_max_robustness(setup, restricted=args.restricted)
             if not report.converged:
                 return _fail_uncertified(report)
             terms = decompose_witness(witness, restricted=args.restricted)
@@ -244,8 +257,24 @@ def cmd_probabilities(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_game(args: argparse.Namespace) -> int:
+    if args.pmax_sdp:
+        from . import sdp  # noqa: F401  (the solver first)
+    from .game import (
+        GAME_STRATEGIES,
+        PMAX_DIRECTIONS,
+        builtin_gate_sets,
+        compute_pmax_fixed_direction,
+        load_gate_pairs,
+        play_game,
+        save_game_report,
+    )
+
     if args.pmax_direction is not None and not args.pmax_sdp:
         return _fail("--pmax-direction does not apply without --pmax-sdp", EXIT_IO)
+    for flag, value, choices in (("--strategy", args.strategy, GAME_STRATEGIES),
+                                 ("--pmax-direction", args.pmax_direction, PMAX_DIRECTIONS)):
+        if message := _choice_error(flag, value, choices):
+            return _fail(message, EXIT_IO)
     direction = args.pmax_direction or "convex-hull"
     try:
         if args.pairs:
@@ -293,6 +322,8 @@ def _setup_report_dict(report) -> dict:
 
 
 def _validate_setup(args: argparse.Namespace) -> tuple[int, dict]:
+    from .supermaps import ConeId, check_setup
+
     setup = _load_setup_arg(args.setup)
     payload = {}
     for cone in (ConeId.GENERAL, ConeId.FORWARD, ConeId.BACKWARD):
@@ -304,6 +335,10 @@ def _validate_setup(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _validate_witness(args: argparse.Namespace) -> tuple[int, dict]:
+    from . import sdp  # noqa: F401  (the solver first)
+    from .tensor_core import load_operator
+    from .witness import validate_witness
+
     op = load_operator(args.witness)
     report = validate_witness(op, **_tol_kwargs(args.tol))
     print(f"witness {'valid' if report.valid else 'invalid'}")
@@ -313,6 +348,10 @@ def _validate_witness(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _validate_gate_table(args: argparse.Namespace) -> tuple[int, dict]:
+    from .game import TABLE_TOL, WAVEPLATE_CONVENTIONS, gate_table_survey, verify_gate_table
+
+    if message := _choice_error("--convention", args.convention, WAVEPLATE_CONVENTIONS):
+        raise ValueError(message)
     if args.tol is not None:
         raise ValueError(f"--tol does not apply to --gate-table: a row passes "
                          f"within the fixed distance {TABLE_TOL:g} of its gate")
@@ -334,7 +373,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     modes = [bool(args.setup), bool(args.witness), bool(args.gate_table)]
     if sum(modes) != 1:
         return _fail("choose exactly one of --setup, --witness, --gate-table", EXIT_IO)
-    if args.convention and not args.gate_table:
+    if args.convention is not None and not args.gate_table:
         return _fail("--convention does not apply without --gate-table", EXIT_IO)
     try:
         if args.setup:
@@ -369,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="'qtf' or a setup JSON file (default: qtf)")
     rob.add_argument("--restricted", action="store_true",
                      help="confine the witness to the accessible subspace")
-    rob.add_argument("--max-iter", type=int, default=MAX_ITER,
+    rob.add_argument("--max-iter", type=int, default=None,
                      help="splitting iterations of the one run per certified pair, "
                           "rejected accelerated steps included")
     rob.add_argument("--out", help="write the solve report as JSON")
@@ -395,12 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     game = sub.add_parser("game", help="play the direction-discrimination game")
     game.add_argument("--pairs", help="gate-pair JSON file (default: built-in sets)")
-    game.add_argument("--strategy", choices=GAME_STRATEGIES, default="qtf")
+    game.add_argument("--strategy", default="qtf", help="qtf or switch (default: qtf)")
     game.add_argument("--out", help="write the per-pair report as CSV")
     game.add_argument("--pmax-sdp", action="store_true",
                       help="also compute the fixed-direction success bound")
-    game.add_argument("--pmax-direction", choices=PMAX_DIRECTIONS,
-                      help="with --pmax-sdp (default: convex-hull)")
+    game.add_argument("--pmax-direction",
+                      help="forward-only, backward-only or convex-hull, with --pmax-sdp "
+                           "(default: convex-hull)")
     game.set_defaults(func=cmd_game)
 
     val = sub.add_parser("validate", help="membership and certificate checks")
@@ -408,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--witness", help="witness operator JSON file")
     val.add_argument("--gate-table", action="store_true",
                      help="check the built-in waveplate table")
-    val.add_argument("--convention", choices=WAVEPLATE_CONVENTIONS, default=None)
+    val.add_argument("--convention",
+                     help="with --gate-table, one waveplate convention (default: all)")
     val.add_argument("--tol", type=float, default=None)
     val.add_argument("--out", help="write the aggregated report as JSON")
     val.set_defaults(func=cmd_validate)

@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channels import KrausChannel, kraus_to_choi
-from .sdp import solve_cone_value
 from .supermaps import ConeId, SlotSpec, SpanMask
 from .tensor_core import HermitianOperator, SystemLayout, atomic_write_text, qubits
 
@@ -294,6 +293,8 @@ def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str,
     additionally allows mixing the two.  The value is the semidefinite upper
     bound on  Tr[(M_plus + M_minus) S]  over that class, clipped at 1.
     """
+    from .sdp import solve_cone_value
+
     if direction not in PMAX_DIRECTIONS:
         raise ValueError(f"direction must be one of {PMAX_DIRECTIONS}, got {direction!r}")
     m_plus, m_minus = success_effects(pairs, weights)

@@ -14,14 +14,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .sdp import GAP_TOL, solve_cone_value
 from .supermaps import ConeId, SetupOperator, SlotSpec, SpanMask
 from .tensor_core import (
     HermitianOperator,
@@ -203,17 +201,18 @@ class WitnessReport:
 # -- validation ------------------------------------------------------------------
 
 
-def validate_witness(op: HermitianOperator, tol: float = GAP_TOL) -> WitnessReport:
+def validate_witness(op: HermitianOperator, tol: float | None = None) -> WitnessReport:
     """Check witness validity against the definite-direction cone.
 
     Certifies a lower bound on min Tr(W S') over trace-normalized definite
     setups S', that is over mixtures of setups in the exact forward and
     backward cones (uniform global input and normalization included);
-    validity means the bound is >= -tol.  The floor pair's one stop rule
-    is that it has decided the certificate question: the certified minimum
-    is at least -dd * CERTIFICATE_TOL (a certificate exists), a definite
-    setup attains less than -tol (the witness is invalid), or the gap is at
-    most dd * CERTIFICATE_TOL (no certificate exists to that tolerance).
+    validity means the bound is >= -tol, with tol sdp.GAP_TOL by default.
+    The floor pair's one stop rule is that it has decided the certificate
+    question: the certified minimum is at least -dd * CERTIFICATE_TOL (a
+    certificate exists), a definite setup attains less than -tol (the
+    witness is invalid), or the gap is at most dd * CERTIFICATE_TOL (no
+    certificate exists to that tolerance).
     The bound side's polished point of that pair, N = nu*I and Q_d =
     nu*I + W - Z_d PSD with Z_d in the complement of each direction's span
     (the polish reports the Z_d in extras["complements"]), is the dual point
@@ -222,7 +221,11 @@ def validate_witness(op: HermitianOperator, tol: float = GAP_TOL) -> WitnessRepo
     witness gets that certificate when it meets every identity of
     `certificate_residuals` within CERTIFICATE_TOL.
     """
+    from .sdp import GAP_TOL, solve_cone_value
+
     require_experiment_layout(op.layout, "a witness")
+    if tol is None:
+        tol = GAP_TOL
     margin = _TRACE * CERTIFICATE_TOL
 
     def decided(upper: float, lower: float) -> bool:
@@ -404,6 +407,8 @@ def poisson_resample(
 def z_score(value: float, sigma: float) -> float:
     """Significance of a value against its standard deviation, in exact
     decimal arithmetic so published figures reproduce without float drift."""
+    from fractions import Fraction
+
     spread = Fraction(str(sigma))
     if spread <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")

@@ -22,8 +22,8 @@ from timeflip.game import (
     _symmetric_projector,
     game_layout,
 )
-from timeflip.supermaps import ConeId, SetupOperator, sequential_setup
-from timeflip.tensor_core import HermitianOperator, SystemLayout, tensor_product
+from timeflip.supermaps import ConeId, SetupOperator, SpanMask, sequential_setup
+from timeflip.tensor_core import HermitianOperator, SystemLayout, min_eigenvalue, tensor_product
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -226,6 +226,21 @@ def random_fixed_direction(rng, direction, layout) -> SetupOperator:
     roles = dict(comb.roles)
     roles[layout.labels[4]] = "global-output"
     return SetupOperator(tensor_product([comb.op, state]), roles)
+
+
+def random_general_setup(rng, template) -> SetupOperator:
+    """A generic trace-normalized element of the general cone: project a random
+    positive operator onto the span, then float it back to positivity with
+    uniform noise."""
+    layout = template.op.layout
+    n = layout.total_dim
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    raw = SetupOperator(HermitianOperator(layout, g @ g.conj().T / n), template.roles)
+    m = SpanMask.of_setup(raw, ConeId.GENERAL).project(raw.op.matrix)
+    floor = -min(min_eigenvalue(m), 0.0)
+    m = m + 1.01 * floor * np.eye(n)
+    m *= template.trace_target / np.trace(m).real
+    return SetupOperator(HermitianOperator(layout, m), template.roles)
 
 
 def definite_mixture(rng, template) -> SetupOperator:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file outputs, determinism."""
 
+import ast
 import functools
 import json
 import os
@@ -39,6 +40,16 @@ _VALUE_TOL = 5e-3
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _python(script: str, *argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter with the package's source first
+    on its path, and return the finished process."""
+    src = str(Path(timeflip.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def _stdout_values(capsys):
@@ -126,8 +137,8 @@ class TestRobustness:
 
 class TestProbabilities:
     def test_uncertified_solve_fails(self, monkeypatch, capsys):
-        capped = functools.partial(cli.solve_max_robustness, max_iter=10)
-        monkeypatch.setattr(cli, "solve_max_robustness", capped)
+        capped = functools.partial(sdp.solve_max_robustness, max_iter=10)
+        monkeypatch.setattr(sdp, "solve_max_robustness", capped)
         assert _run("probabilities", "--setup", "qtf") == EXIT_FAIL
         captured = capsys.readouterr()
         assert "estimate" not in captured.out
@@ -419,7 +430,7 @@ class TestBadInput:
         def solver_must_not_run(*args, **kwargs):
             raise AssertionError("the solver ran")
 
-        monkeypatch.setattr(cli, "solve_max_robustness", solver_must_not_run)
+        monkeypatch.setattr(sdp, "solve_max_robustness", solver_must_not_run)
         # a valid setup on four wires (A_I, A_O, B_I, B_O), not the five of the experiment
         rng = np.random.default_rng(7)
         setup = str(tmp_path / "sequential.json")
@@ -545,6 +556,21 @@ class TestConfig:
         assert _run(*argv) == EXIT_IO
         assert f"error: {flag} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("game", "--strategy", "superposed", "--out", "{out}"), "--strategy"),
+        (("game", "--pmax-sdp", "--pmax-direction", "sideways", "--out", "{out}"),
+         "--pmax-direction"),
+        (("validate", "--gate-table", "--convention", "retarder0/angle+", "--out", "{out}"),
+         "--convention"),
+    ], ids=["strategy", "pmax-direction", "convention"])
+    def test_unknown_choice_is_a_parse_error(self, tmp_path, capsys, argv, flag):
+        # the command checks the value against its module's choices before any work
+        out = tmp_path / "out"
+        assert _run(*(arg.format(out=out) for arg in argv)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert f"error: {flag} must be one of " in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_solve_commands_take_no_tolerance(self, monkeypatch, capsys):
         # a certified pair stops on its gap, so no tolerance shapes the solve
         for command in ("robustness", "probabilities"):
@@ -563,60 +589,98 @@ class TestConfig:
         assert "general pass" in capsys.readouterr().out
 
     def test_import_does_not_load_scipy(self):
-        src = str(Path(timeflip.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        out = subprocess.run(
-            [sys.executable, "-c", "import timeflip.cli, sys; print('scipy' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
-        )
-        assert out.stdout.strip() == "False"
+        out = _python("import timeflip.cli, sys; print('scipy' in sys.modules)")
+        assert out.stdout.strip() == "False", out.stderr
 
     def test_real_solves_do_not_load_numpy_random(self):
         # numpy loads numpy.random lazily, and with it secrets, hashlib and
-        # libcrypto: about 5 MB of memory that only the restricted witness
-        # program's conjugation probe and resampling need
-        src = str(Path(timeflip.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # libcrypto: about 5 MB of memory that only the resampling needs
         script = (
             "import sys\n"
             "from timeflip import game, sdp, supermaps\n"
             "sdp.solve_max_robustness(supermaps.qtf_plus_control())\n"
+            "sdp.solve_max_robustness(supermaps.qtf_plus_control(), restricted=True)\n"
             "plus, minus = game.builtin_gate_sets()\n"
             "game.compute_pmax_fixed_direction(plus + minus, 'convex-hull')\n"
             "print('numpy.random' in sys.modules)\n"
         )
-        out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-                             capture_output=True, text=True, check=True, timeout=120)
-        assert out.stdout.strip() == "False"
+        out = _python(script)
+        assert out.stdout.strip() == "False", out.stderr
+
+    # Each command line of the benchmark (perfbench/run.py) with its inputs,
+    # and the package modules it loads besides timeflip and timeflip.cli.
+    # Every command that runs one loads numpy and the three modules below
+    # the solver; the bare import loads nothing more.
+    @pytest.mark.parametrize("argv, modules", [
+        ((), ()),
+        (("robustness", "--setup", "qtf", "--out", "{out}/rob.json",
+          "--witness-out", "{out}/witness.json", "--decomposition-out", "{out}/dec.csv"),
+         ("sdp", "witness")),
+        (("robustness", "--setup", "qtf", "--restricted", "--out", "{out}/rrob.json",
+          "--decomposition-out", "{out}/rdec.csv"), ("sdp", "witness")),
+        (("probabilities", "--decomposition-in", "{decomposition}", "--shots", "1e7",
+          "--repetitions", "100", "--seed", "1", "--out", "{out}/probs.csv"), ("witness",)),
+        (("validate", "--witness", "{witness}", "--out", "{out}/val.json"), ("sdp", "witness")),
+        (("game", "--strategy", "qtf", "--out", "{out}/game-qtf.csv"), ("game",)),
+        (("game", "--strategy", "switch", "--out", "{out}/game-switch.csv"), ("game",)),
+        (("game", "--pmax-sdp"), ("game", "sdp")),
+        (("robustness", "--setup", "{setup}", "--max-iter", "4000", "--out", "{out}/noisy.json"),
+         ("sdp",)),
+    ], ids=["import", "robustness", "robustness-restricted", "probabilities", "validate",
+            "game-qtf", "game-switch", "game-pmax", "robustness-setup-file"])
+    def test_command_loads_only_the_modules_it_runs(self, artifacts, tmp_path, argv, modules):
+        # a small setup file: a sequential setup on four wires
+        rng = np.random.default_rng(7)
+        setup = str(tmp_path / "sequential.json")
+        save_setup(setup, sequential_setup(random_channel(rng, 2, 4), random_channel(rng, 4, 2), 2))
+        paths = dict(artifacts, setup=setup, out=str(tmp_path))
+        script = (
+            "import json, sys\n"
+            "from timeflip import cli\n"
+            "status = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+            "names = [m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'timeflip']\n"
+            "print(json.dumps([status, sorted(names)]))\n"
+        )
+        out = _python(script, *(arg.format(**paths) for arg in argv))
+        status, loaded = json.loads(out.stdout.splitlines()[-1])
+        assert status == EXIT_OK, out.stderr
+        expected = {"timeflip", "timeflip.cli"}
+        if argv:
+            expected |= {"numpy", "timeflip.channels", "timeflip.supermaps", "timeflip.tensor_core"}
+        assert set(loaded) == expected | {f"timeflip.{name}" for name in modules}
+
+    def test_every_exported_name_resolves(self):
+        assert len(set(timeflip.__all__)) == len(timeflip.__all__)
+        for name in timeflip.__all__:
+            assert getattr(timeflip, name).__name__ == name
+        assert set(timeflip.__all__) <= set(dir(timeflip))
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            getattr(timeflip, "nonexistent")
 
     def test_benchmark_tracer_finds_every_name_it_wraps(self):
         # perfbench/spans.py wraps package functions by name; a renamed or
         # deleted one breaks its traced runs
-        src = Path(timeflip.__file__).resolve().parents[1]
-        tracer_dir = src.parent / "perfbench"
-        path = os.pathsep.join(filter(None, [str(src), str(tracer_dir), os.environ.get("PYTHONPATH")]))
-        script = "import timeflip.cli, spans; spans.install(spans.Tracer('x'))"
-        out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-                             capture_output=True, text=True, timeout=120)
+        tracer_dir = Path(timeflip.__file__).resolve().parents[2] / "perfbench"
+        path = os.pathsep.join(filter(None, [str(tracer_dir), os.environ.get("PYTHONPATH")]))
+        out = _python("import timeflip.cli, spans; spans.install(spans.Tracer('x'))",
+                      env=dict(os.environ, PYTHONPATH=path))
         assert out.returncode == 0, out.stderr
 
     @pytest.mark.parametrize("user_value", [None, "2"])
     def test_blas_threads_default_to_one(self, user_value):
         names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        src = str(Path(timeflip.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items() if k not in names}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         if user_value is not None:
             env["OPENBLAS_NUM_THREADS"] = user_value
+        # `import timeflip` loads no numpy; the solver module loads it after
+        # the package has set the default
         script = (
-            "import os, timeflip\n"
+            "import os, timeflip, timeflip.sdp\n"
             f"print(*(os.environ[name] for name in {names!r}))\n"
             "tasks = '/proc/self/task'\n"
             "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else 0)\n"
         )
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, check=True, timeout=120)
+        out = _python(script, env=env)
         values, threads = out.stdout.splitlines()
         assert values == f"{user_value or 1} 1 1"
         if user_value is None:
@@ -639,11 +703,14 @@ class TestConfig:
         assert first.read_bytes() == second.read_bytes()
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_examples() -> dict[str, list[str]]:
     """README's command-line examples: the arguments of each `$ timeflip`
     line of a fenced block, mapped to the output lines under it."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^\$ timeflip (.+)\n((?:(?!\$ |```).+\n)*)", readme, re.M)
+    blocks = re.findall(r"^\$ timeflip (.+)\n((?:(?!\$ |```).+\n)*)", _readme(), re.M)
     return {args: shown.splitlines() for args, shown in blocks}
 
 
@@ -659,3 +726,20 @@ class TestReadme:
         shown = _readme_examples()[command]
         assert _run(*command.split()) == EXIT_OK
         assert capsys.readouterr().out.splitlines() == shown
+
+    def test_python_quick_start_prints_what_readme_shows(self):
+        # a fresh interpreter reads every name through the package's lazy exports
+        code = re.search(r"^## Quick start\n\n```python\n(.*?)^```", _readme(), re.S | re.M).group(1)
+        out = _python(code)
+        assert out.returncode == 0, out.stderr
+        # the comment after each print shows its value, rounded, or says what it equals
+        shown = [line.split("#", 1)[1].strip().split("  ")[0]
+                 for line in code.splitlines() if line.startswith("print(")]
+        printed = out.stdout.splitlines()
+        assert len(printed) == len(shown)
+        for comment, line in zip(shown, printed):
+            try:
+                value = ast.literal_eval(comment)
+            except (SyntaxError, ValueError):
+                continue  # a description, such as "equals report.lower"
+            assert ast.literal_eval(line) == pytest.approx(value, abs=_VALUE_TOL), comment

@@ -14,6 +14,7 @@ from helpers import (
     half_definite,
     random_channel,
     random_fixed_direction,
+    random_general_setup,
     random_hermitian,
     rotated,
     shifted_robustness_primal,
@@ -55,21 +56,6 @@ from timeflip.witness import _span_masks as witness_span_masks, validate_witness
 
 _GAP_TOL = 1e-4
 _VALUE_TOL = 5e-3
-
-
-def _random_general_setup(rng, template):
-    """A generic trace-normalized element of the general cone: project a random
-    positive operator onto the span, then float it back to positivity with
-    uniform noise."""
-    layout = template.op.layout
-    n = layout.total_dim
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    raw = SetupOperator(HermitianOperator(layout, g @ g.conj().T / n), template.roles)
-    m = SpanMask.of_setup(raw, ConeId.GENERAL).project(raw.op.matrix)
-    floor = -min(min_eigenvalue(m), 0.0)
-    m = m + 1.01 * floor * np.eye(n)
-    m *= template.trace_target / np.trace(m).real
-    return SetupOperator(HermitianOperator(layout, m), template.roles)
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +299,7 @@ class TestMaxRobustness:
         _, witness = solved
         rng = np.random.default_rng(23)
         for _ in range(20):
-            probe = _random_general_setup(rng, qtf)
+            probe = random_general_setup(rng, qtf)
             assert hs_inner(witness.matrix, probe.op.matrix) <= 1.0 + 1e-6
 
     def test_restricted_value(self, solved_restricted):
@@ -570,7 +556,7 @@ def _flipped(setup):
 
 def _half_random(qtf, seed):
     """qtf mixed half and half with a random element of the general cone."""
-    general = _random_general_setup(np.random.default_rng(seed), qtf)
+    general = random_general_setup(np.random.default_rng(seed), qtf)
     mixed = (qtf.op.matrix + general.op.matrix) / 2
     return SetupOperator(HermitianOperator(qtf.op.layout, mixed), qtf.roles)
 

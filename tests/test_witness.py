@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import half_definite, oracle_term, random_hermitian_operator, rotated
+from helpers import (
+    half_definite,
+    oracle_term,
+    random_general_setup,
+    random_hermitian_operator,
+    rotated,
+)
 from timeflip.sdp import solve_cone_value, solve_max_robustness
 from timeflip.supermaps import (
     ConeId,
@@ -24,7 +30,6 @@ from timeflip.tensor_core import (
     double_ket,
     hs_inner,
     identity,
-    min_eigenvalue,
     permute_factors,
     qubits,
     relabel,
@@ -59,18 +64,6 @@ def _rebuild(terms):
         if term.coeff != 0.0:
             total += term.coeff * oracle_term(term.indices)
     return total
-
-
-def _random_general_setup(rng, template):
-    layout = template.op.layout
-    n = layout.total_dim
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    raw = SetupOperator(HermitianOperator(layout, g @ g.conj().T / n), template.roles)
-    m = SpanMask.of_setup(raw, ConeId.GENERAL).project(raw.op.matrix)
-    floor = -min(min_eigenvalue(m), 0.0)
-    m = m + 1.01 * floor * np.eye(n)
-    m *= template.trace_target / np.trace(m).real
-    return SetupOperator(HermitianOperator(layout, m), template.roles)
 
 
 def _identity_channel_branch(direction):
@@ -263,7 +256,7 @@ class TestBornProbabilities:
         # Z state on A_O; together with Z measurements on B_ot and B_oc its
         # eight events must exhaust every valid general setup
         rng = np.random.default_rng(21)
-        setups = [qtf, _random_general_setup(rng, qtf), _random_general_setup(rng, qtf)]
+        setups = [qtf, random_general_setup(rng, qtf), random_general_setup(rng, qtf)]
         for setup in setups:
             for a in range(4):
                 for pairing in ((0, 1), (1, 0)):
@@ -277,7 +270,7 @@ class TestBornProbabilities:
                     assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_every_term_matches_the_oracle(self, qtf):
-        setup = _random_general_setup(np.random.default_rng(5), qtf)
+        setup = random_general_setup(np.random.default_rng(5), qtf)
         full = [DecompositionTerm(idx, 1.0) for idx in product(range(4), repeat=5)]
         restricted = [DecompositionTerm(idx, 1.0) for idx in product(range(4), repeat=3)]
         mixed = restricted[::5] + full[::9] + restricted[2::5]
@@ -364,7 +357,7 @@ class TestEstimatorProperties:
     def test_estimate_equals_pairing(self, seed):
         rng = np.random.default_rng(seed)
         w = random_hermitian_operator(rng, experiment_layout())
-        setup = _random_general_setup(rng, qtf_plus_control())
+        setup = random_general_setup(rng, qtf_plus_control())
         terms = decompose_witness(w)
         estimate = estimate_robustness(terms, born_probabilities(setup, terms))
         assert estimate == pytest.approx(-hs_inner(w, setup.op), abs=_TOL)
