@@ -4,9 +4,7 @@ direction-discrimination game, and validation reports.
 Exit status: 0 on success, 1 on a validation or solver failure, 2 on an I/O
 or parse problem, bad numbers and flags that do not apply included.  All
 file outputs are written atomically and identical configurations produce
-byte-identical files; printed values carry ten significant digits.  The
-TIMEFLIP_TOL environment variable overrides the default tolerance of
-validate wherever --tol is not given explicitly.
+byte-identical files; printed values carry ten significant digits.
 
 Each command imports the modules it runs when it starts, so parsing loads
 no numpy and no command loads a module it does not use.  A command that
@@ -18,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import isfinite
 from typing import TYPE_CHECKING, Sequence
@@ -29,8 +26,6 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_IO = 2
-
-TOL_ENV_VAR = "TIMEFLIP_TOL"
 
 # numeric inputs checked before any work: (attribute, flag, valid, rule)
 _NUMBER_RULES = (
@@ -48,34 +43,11 @@ def _fmt(value: float) -> str:
     return f"{value:.9e}"
 
 
-def _env_tol() -> float | None:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{TOL_ENV_VAR} must be a number, got {raw!r}") from exc
-    if not (isfinite(value) and value > 0):
-        raise ValueError(f"{TOL_ENV_VAR} must be finite and > 0, got {raw!r}")
-    return value
-
-
 def _check_numbers(args: argparse.Namespace) -> None:
     for attr, flag, valid, rule in _NUMBER_RULES:
         value = getattr(args, attr, None)
         if value is not None and not valid(value):
             raise ValueError(f"{flag} must be {rule}, got {value}")
-    if "tol" in vars(args):
-        _env_tol()
-
-
-def _tol_kwargs(flag_value: float | None) -> dict:
-    """Tolerance keyword for callees whose own default should otherwise win."""
-    if flag_value is not None:
-        return {"tol": flag_value}
-    env = _env_tol()
-    return {"tol": env} if env is not None else {}
 
 
 def _fail(message: str, code: int) -> int:
@@ -322,12 +294,16 @@ def _setup_report_dict(report) -> dict:
 
 
 def _validate_setup(args: argparse.Namespace) -> tuple[int, dict]:
-    from .supermaps import ConeId, check_setup
+    from .supermaps import MEMBERSHIP_TOL, ConeId, check_setup
 
-    setup = _load_setup_arg(args.setup)
+    try:
+        setup = _load_setup_arg(args.setup)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load setup {args.setup!r}: {exc}") from exc
+    tol = MEMBERSHIP_TOL if args.tol is None else args.tol
     payload = {}
     for cone in (ConeId.GENERAL, ConeId.FORWARD, ConeId.BACKWARD):
-        report = check_setup(setup, cone, **_tol_kwargs(args.tol))
+        report = check_setup(setup, cone, tol)
         payload[cone.value] = _setup_report_dict(report)
         print(f"{cone.value} {'pass' if report.passed else 'fail'}")
     status = EXIT_OK if payload[ConeId.GENERAL.value]["passed"] else EXIT_FAIL
@@ -339,8 +315,11 @@ def _validate_witness(args: argparse.Namespace) -> tuple[int, dict]:
     from .tensor_core import load_operator
     from .witness import validate_witness
 
-    op = load_operator(args.witness)
-    report = validate_witness(op, **_tol_kwargs(args.tol))
+    try:
+        op = load_operator(args.witness)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load witness {args.witness!r}: {exc}") from exc
+    report = validate_witness(op, tol=args.tol)
     print(f"witness {'valid' if report.valid else 'invalid'}")
     print(f"min-definite {_fmt(report.min_definite_value)}")
     print(f"certificate {'ok' if report.certificate_ok else 'absent'}")

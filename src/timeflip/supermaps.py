@@ -638,8 +638,8 @@ def setup_to_dict(setup: SetupOperator) -> dict:
 
 
 def setup_from_dict(obj: dict) -> SetupOperator:
-    if "roles" not in obj:
-        raise ValueError("setup record is missing the 'roles' mapping")
+    if not isinstance(obj, dict) or "roles" not in obj:
+        raise ValueError("setup record is not an object with a 'roles' mapping")
     return SetupOperator(operator_from_dict(obj), obj["roles"])
 
 

@@ -372,7 +372,7 @@ def estimate_robustness(
 ) -> float:
     """Robustness estimate -sum(p * coeff) over the contributing terms."""
     coeffs, values = _aligned_contributions(terms, probs)
-    return float(-(values @ coeffs))
+    return float(0.0 - values @ coeffs)  # not -(...): that negates an empty sum to -0.0
 
 
 def poisson_resample(

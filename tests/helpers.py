@@ -289,3 +289,34 @@ def shifted_robustness_primal(shift: float):
         return dataclasses.replace(prog, polish=polish)
 
     return build
+
+
+def exactly_positive_definite(block: np.ndarray) -> bool:
+    """Whether a real symmetric float block is positive definite in exact
+    arithmetic.  Every float is a dyadic rational, so one power of two scales
+    the block exactly to integers; fraction-free (Bareiss) elimination then
+    keeps each pivot an integer, the leading principal minor of its order,
+    and the block is positive definite if and only if every pivot is
+    positive (Sylvester's criterion).  A complex block is accepted when its
+    imaginary part is exactly zero."""
+    block = np.asarray(block)
+    if np.iscomplexobj(block):
+        if np.any(block.imag):
+            raise ValueError("the block has a nonzero imaginary part")
+        block = block.real
+    if block.ndim != 2 or not np.array_equal(block, block.T):
+        raise ValueError("the block is not exactly symmetric")
+    ratios = [[x.as_integer_ratio() for x in row] for row in block.tolist()]
+    scale = max(den for row in ratios for _, den in row)
+    m = [[num * (scale // den) for num, den in row] for row in ratios]
+    previous = 1
+    for k, row_k in enumerate(m):
+        pivot = row_k[k]
+        if pivot <= 0:
+            return False
+        for row_i in m[k + 1:]:
+            factor = row_i[k]
+            for j in range(k + 1, len(m)):
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // previous
+        previous = pivot
+    return True

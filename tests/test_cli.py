@@ -144,6 +144,13 @@ class TestProbabilities:
         assert "estimate" not in captured.out
         assert re.search(r"solver did not certify: gap \S+, worst residual", captured.err)
 
+    def test_empty_decomposition_prints_positive_zero(self, tmp_path, capsys):
+        # what robustness --decomposition-out writes for a definite setup
+        path = tmp_path / "decomposition.csv"
+        path.write_text("a,b,c,d,e,coeff\n")
+        assert _run("probabilities", "--decomposition-in", str(path)) == EXIT_OK
+        assert capsys.readouterr().out == "estimate 0.000000000e+00\n"
+
     def test_forward_identity_term_shows_one_half(self, artifacts, tmp_path):
         out = str(tmp_path / "probs.csv")
         status = _run("probabilities", "--decomposition-in",
@@ -344,7 +351,7 @@ class TestValidate:
         assert status == EXIT_FAIL
         assert "fail" in capsys.readouterr().out
 
-    def test_gate_table_takes_no_tol(self, tmp_path, capsys, monkeypatch):
+    def test_gate_table_takes_no_tol(self, tmp_path, capsys):
         args = ("validate", "--gate-table", "--convention", "retarder+/angle-")
         assert _run(*args) == EXIT_FAIL
         assert "retarder+/angle- fail worst 2.000000000e+00" in capsys.readouterr().out
@@ -353,8 +360,6 @@ class TestValidate:
         captured = capsys.readouterr()
         assert "--tol does not apply to --gate-table" in captured.err
         assert captured.out == "" and not out.exists()
-        # the tolerance variable leaves the fixed row distance alone
-        monkeypatch.setenv("TIMEFLIP_TOL", "10")
         assert _run(*args, "--out", str(out)) == EXIT_FAIL
         assert json.loads(out.read_text())["retarder+/angle-"]["tol"] == 1e-8
 
@@ -391,6 +396,19 @@ class TestBadInput:
         path.write_text(json.dumps(record))
         assert _run(*argv, "--setup", str(path)) == EXIT_IO
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--setup", "--witness"])
+    @pytest.mark.parametrize("content", [None, "{not json", "{}", "3"],
+                             ids=["missing", "not-json", "no-fields", "not-an-object"])
+    def test_validate_names_the_input_it_cannot_load(self, tmp_path, capsys, flag, content):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "report.json"
+        assert _run("validate", flag, str(path), "--out", str(out)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot load {flag[2:]} {str(path)!r}: ")
+        assert captured.out == "" and not out.exists()
 
     def test_restricted_needs_a_qubit_global_input(self, tmp_path, capsys):
         layout = SystemLayout((("G", 3), ("A_I", 2), ("A_O", 2), ("Go", 2)))
@@ -536,12 +554,6 @@ class TestBadInput:
 
 
 class TestConfig:
-    def test_bogus_tolerance_env_is_a_parse_error(self, monkeypatch, capsys):
-        for raw in ("not-a-number", "nan", "inf", "-1", "0"):
-            monkeypatch.setenv("TIMEFLIP_TOL", raw)
-            assert _run("validate", "--setup", "qtf") == EXIT_IO
-            assert "TIMEFLIP_TOL" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv, flag", [
         (("validate", "--witness", "w.json", "--tol", "nan"), "--tol"),
         (("validate", "--setup", "qtf", "--tol", "-1"), "--tol"),
@@ -571,22 +583,22 @@ class TestConfig:
         assert f"error: {flag} must be one of " in captured.err
         assert captured.out == "" and not out.exists()
 
-    def test_solve_commands_take_no_tolerance(self, monkeypatch, capsys):
+    def test_solve_commands_take_no_tolerance(self, capsys):
         # a certified pair stops on its gap, so no tolerance shapes the solve
         for command in ("robustness", "probabilities"):
             with pytest.raises(SystemExit) as exc:
                 _run(command, "--tol", "1e-6")
             assert exc.value.code == EXIT_IO
             assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
-        # nor does the tolerance variable, which only validate reads
-        monkeypatch.setenv("TIMEFLIP_TOL", "not-a-number")
-        assert _run("robustness", "--max-iter", "10") == EXIT_FAIL
-        assert "solver did not certify" in capsys.readouterr().err
 
-    def test_tolerance_env_is_honored(self, monkeypatch, capsys):
-        monkeypatch.setenv("TIMEFLIP_TOL", "1e-6")
-        assert _run("validate", "--setup", "qtf") == EXIT_OK
-        assert "general pass" in capsys.readouterr().out
+    def test_validate_reads_its_tolerance_from_the_flag_alone(self, tmp_path, monkeypatch, capsys):
+        # no environment variable sets a tolerance, not even a malformed one
+        monkeypatch.setenv("TIMEFLIP_TOL", "not-a-number")
+        out = tmp_path / "setup.json"
+        for flag, tol in (((), 1e-9), (("--tol", "1e-6"), 1e-6)):
+            assert _run("validate", "--setup", "qtf", *flag, "--out", str(out)) == EXIT_OK
+            assert capsys.readouterr().out == "general pass\nforward fail\nbackward fail\n"
+            assert {report["tol"] for report in json.loads(out.read_text()).values()} == {tol}
 
     def test_import_does_not_load_scipy(self):
         out = _python("import timeflip.cli, sys; print('scipy' in sys.modules)")

@@ -253,6 +253,15 @@ class TestFixedDirectionBound:
         assert value < 1.0
         assert value >= 13.0 / 21.0 - 1e-9
 
+    def test_builtin_ensemble_caps(self, pairs):
+        # uniform over the 21 pairs, and class-balanced: half the weight on
+        # the 13 plus pairs and half on the 8 minus pairs
+        plus, minus = builtin_gate_sets()
+        balanced = [0.5 / len(plus)] * len(plus) + [0.5 / len(minus)] * len(minus)
+        for weights, cap in ((None, 0.91975), (balanced, 0.93245)):
+            value = compute_pmax_fixed_direction(pairs, "convex-hull", weights)
+            assert value == pytest.approx(cap, abs=1e-4)
+
     def test_unknown_direction_rejected(self, pairs):
         with pytest.raises(ValueError, match="direction"):
             compute_pmax_fixed_direction(pairs, "sideways")

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     definite_mixture,
+    exactly_positive_definite,
     half_definite,
     random_channel,
     random_fixed_direction,
@@ -465,6 +466,26 @@ def _iterated_program(qtf, program, phase):
     restricted = program == "restricted-witness"
     subspace = restricted_witness_projector(setup) if restricted else None
     return sdp._robustness_dual(sdp._SlotGeometry(setup), subspace)
+
+
+class TestExactPositivity:
+    def test_polished_slacks_are_exactly_positive_definite(self, solved):
+        # least eigenvalues about 1.9e-7, 1.9e-7 and 8.4e-9 in floating point
+        point = solved[0].extras["lower_point"]
+        for name in ("P_fwd", "P_bwd", "Q"):
+            assert exactly_positive_definite(point[name]), name
+
+    def test_rounding_level_negative_eigenvalue_is_not_positive_definite(self):
+        # G G^T is exactly positive semidefinite and singular, so shifting its
+        # diagonal by +-2^-44 (exact at these magnitudes) puts its least
+        # eigenvalue at exactly +-2^-44, about the size of eigvalsh's error here
+        g = np.random.default_rng(0).integers(-3, 4, size=(32, 31)).astype(float)
+        gram = g @ g.T
+        shift = 2.0 ** -44 * np.eye(32)
+        for sign, definite in ((1.0, True), (-1.0, False)):
+            block = gram + sign * shift
+            assert np.array_equal(block - gram, sign * shift)
+            assert exactly_positive_definite(block) is definite
 
 
 class TestArithmetic:
