@@ -728,7 +728,7 @@ class _SlotGeometry:
         self.dd = setup.trace_target
         self.eye = np.eye(self.n, dtype=complex)
         self.general, self.forward, self.backward = (
-            SpanMask.of_setup(setup, cone) for cone in (ConeId.GENERAL, ConeId.FORWARD, ConeId.BACKWARD)
+            SpanMask.of_setup(setup, cone) for cone in ConeId
         )
         # the setup matrix re-projected onto its span, so the polish identities
         # close to floating-point accuracy
@@ -1004,11 +1004,11 @@ def solve_max_robustness(
     (`_restricted_reduction`), polished from E* of the witness run's slacks,
     and extras["upper_point"] lives on the reduced layout.
     """
-    check = check_setup(setup, ConeId.GENERAL, tol=1e-6)
-    if not check.passed:
+    check = check_setup(setup, tol=1e-6)
+    if not check.passed["general"]:
         raise ValueError(
             "setup is not a valid general-direction operator "
-            f"(min eig {check.min_eigenvalue:.2e}, residuals {check.residuals})"
+            f"(min eig {check.min_eigenvalue:.2e}, residuals {check.residuals['general']})"
         )
     geom = _SlotGeometry(setup)
     if restricted:

@@ -7,10 +7,10 @@ pair facing the rest of the world (global input / global output).  Validity is
 a set of linear conditions, each a product of trace-and-replace maps; all of
 them are diagonal in one product operator basis, so every condition and every
 span is a 0/1 support mask over that basis.  The same masks produce the
-subspace projectors used by the conic solver and the single-slot and
-multi-slot membership reports; the module also builds the coherently
-controlled direction-flip setup and applies supermaps via the link
-contraction.
+subspace projectors used by the conic solver and the one membership report,
+which answers the general, forward and backward cones together; the module
+also builds the coherently controlled direction-flip setup and applies
+supermaps via the link contraction.
 """
 
 from __future__ import annotations
@@ -58,17 +58,11 @@ ROLES = (ROLE_SLOT_INPUT, ROLE_SLOT_OUTPUT, ROLE_GLOBAL_INPUT, ROLE_GLOBAL_OUTPU
 
 
 class ConeId(Enum):
-    """Cones of setup operators, plus the linear spans that cut them out."""
+    """Cones of setup operators; a `SpanMask` cuts out each one's affine span."""
 
+    GENERAL = "general"
     FORWARD = "forward"
     BACKWARD = "backward"
-    DEFINITE = "definite"
-    GENERAL = "general"
-    # linear subspaces (membership is a residual test, no positivity involved)
-    UNIFORM_GLOBAL_INPUT = "uniform-global-input"
-    GENERAL_SPAN = "general-span"
-    FORWARD_SPAN = "forward-span"
-    BACKWARD_SPAN = "backward-span"
 
 
 @dataclass(frozen=True)
@@ -151,10 +145,6 @@ class SetupOperator:
 
 # the condition kinds each span imposes
 _SPAN_KINDS = {
-    ConeId.UNIFORM_GLOBAL_INPUT: ("uniform-global-input",),
-    ConeId.GENERAL_SPAN: ("normalization",),
-    ConeId.FORWARD_SPAN: ("forward",),
-    ConeId.BACKWARD_SPAN: ("backward",),
     ConeId.GENERAL: ("uniform-global-input", "normalization"),
     ConeId.FORWARD: ("uniform-global-input", "normalization", "forward"),
     ConeId.BACKWARD: ("uniform-global-input", "normalization", "backward"),
@@ -261,8 +251,6 @@ class SpanMask:
         global_out: Sequence[str],
         which: ConeId,
     ):
-        if which not in _SPAN_KINDS:
-            raise ValueError(f"{which} does not name a linear span")
         self.layout = layout
         shape = _pair_shape(layout.dims)
         index = np.indices(shape)
@@ -334,46 +322,9 @@ def setup_span_projector(setup: SetupOperator, which: ConeId) -> Callable[[np.nd
 
 @dataclass(frozen=True)
 class SetupReport:
-    """Residuals of every linear condition, plus positivity and trace data."""
-
-    cone: ConeId
-    trace: float
-    trace_target: float
-    min_eigenvalue: float
-    residuals: dict[str, float]
-    tol: float
-    passed: bool
-
-
-def check_setup(setup: SetupOperator, cone: ConeId, tol: float = MEMBERSHIP_TOL) -> SetupReport:
-    """Test membership of a single-slot setup in the named cone.
-
-    GENERAL checks the uniform-global-input and normalization conditions plus
-    positivity and the trace value; FORWARD / BACKWARD add the corresponding
-    stricter per-slot conditions.  DEFINITE (a convex hull, not an
-    intersection) cannot be certified by residuals and is handled by the
-    robustness programs in the sdp module.
-    """
-    if cone is ConeId.DEFINITE:
-        raise ValueError(
-            "membership in the definite-direction cone is a conic decomposition "
-            "problem; use the sdp module's robustness programs"
-        )
-    if cone not in (ConeId.FORWARD, ConeId.BACKWARD, ConeId.GENERAL):
-        raise ValueError(f"check_setup expects a cone id, got {cone}; use SpanMask.of_setup for spans")
-    gin, gout = setup.labels(ROLE_GLOBAL_INPUT), setup.labels(ROLE_GLOBAL_OUTPUT)
-    report = check_multipartite(setup.op, [setup.slot()], gin, gout, tol)
-    residuals = dict(report.residuals["general"])
-    if cone is not ConeId.GENERAL:
-        residuals.update(report.residuals[cone.value])
-    passed = report.passed[cone.value]
-    return SetupReport(cone, report.trace, report.trace_target, report.min_eigenvalue, residuals, tol, passed)
-
-
-@dataclass(frozen=True)
-class MultipartiteReport:
-    """Like SetupReport, for several slots: the general condition set plus the
-    stricter all-forward and all-backward sets, reported side by side."""
+    """Validity of a setup in the general, forward and backward cones:
+    positivity and trace data, and per cone name the residual of every
+    linear condition of that cone's span and the verdict."""
 
     trace: float
     trace_target: float
@@ -383,20 +334,29 @@ class MultipartiteReport:
     passed: dict[str, bool]
 
 
+def check_setup(setup: SetupOperator, tol: float = MEMBERSHIP_TOL) -> SetupReport:
+    """`check_multipartite` of a single-slot setup, its wires found by role."""
+    gin, gout = setup.labels(ROLE_GLOBAL_INPUT), setup.labels(ROLE_GLOBAL_OUTPUT)
+    return check_multipartite(setup.op, [setup.slot()], gin, gout, tol)
+
+
 def check_multipartite(
     op: HermitianOperator,
     slots: Sequence[SlotSpec],
     global_in: Sequence[str] = (),
     global_out: Sequence[str] = (),
     tol: float = MEMBERSHIP_TOL,
-) -> MultipartiteReport:
+) -> SetupReport:
     """Validity report for a setup with N device slots.
 
-    The general set imposes, for every non-empty subset of slots, the
-    condition that removes both wires of the chosen slots; "forward" and "backward" are
-    the stricter single-direction sets (their residuals come on top of the
-    general ones).  Dimension-one wire groups make conditions vacuous, so a
-    trivial global input is simply omitted.
+    The general cone imposes uniform global input and, for every non-empty
+    subset of slots, the condition that removes both wires of the chosen
+    slots, plus positivity and the trace value; the forward and backward
+    cones add the stricter single-direction conditions.  Membership in the
+    definite-direction cone (a convex hull, not an intersection) is a conic
+    decomposition problem left to the sdp module's robustness programs.
+    Dimension-one wire groups make conditions vacuous, so a trivial global
+    input is simply omitted.
     """
     layout = op.layout
     slots = [s if isinstance(s, SlotSpec) else SlotSpec(*s) for s in slots]
@@ -411,26 +371,16 @@ def check_multipartite(
         if _group_dim(layout, s.input) != _group_dim(layout, s.output):
             raise ValueError(f"slot {k + 1} input and output dimensions differ")
 
-    general, forward, backward = (
-        SpanMask(layout, slots, global_in, global_out, which).residuals(op.matrix)
-        for which in (ConeId.GENERAL, ConeId.FORWARD_SPAN, ConeId.BACKWARD_SPAN)
-    )
-
+    residuals = {
+        cone.value: SpanMask(layout, slots, global_in, global_out, cone).residuals(op.matrix)
+        for cone in ConeId
+    }
     trace = op.trace
     target = float(_group_dim(layout, global_in) * prod(_group_dim(layout, s.input) for s in slots))
     min_eig = min_eigenvalue(op)
-    ok_general = (
-        all(r <= tol for r in general.values())
-        and min_eig >= -tol
-        and abs(trace - target) <= tol * max(1.0, abs(target))
-    )
-    passed = {
-        "general": ok_general,
-        "forward": ok_general and all(r <= tol for r in forward.values()),
-        "backward": ok_general and all(r <= tol for r in backward.values()),
-    }
-    residuals = {"general": general, "forward": forward, "backward": backward}
-    return MultipartiteReport(trace, target, min_eig, residuals, tol, passed)
+    in_cone = min_eig >= -tol and abs(trace - target) <= tol * max(1.0, abs(target))
+    passed = {cone: in_cone and all(r <= tol for r in res.values()) for cone, res in residuals.items()}
+    return SetupReport(trace, target, min_eig, residuals, tol, passed)
 
 
 # -- the coherently controlled direction flip -----------------------------------
@@ -609,23 +559,6 @@ def definite_split(setup: SetupOperator) -> tuple[HermitianOperator, HermitianOp
     half = 0.5 * identity(op.layout)
     fwd_part = trace_and_replace(op, setup.labels(ROLE_SLOT_OUTPUT))
     return half + fwd_part, half + (op - fwd_part)
-
-
-def random_span_element(
-    setup: SetupOperator, rng: np.random.Generator, hs_norm: float = 0.5
-) -> SetupOperator:
-    """Random Hermitian element of general-span with uniform global input,
-    scaled to the requested Hilbert-Schmidt norm (Gaussian entries, projected)."""
-    n = setup.op.layout.total_dim
-    project = setup_span_projector(setup, ConeId.GENERAL)
-    while True:
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        mat = project((g + g.conj().T) / 2)
-        scale = float(np.linalg.norm(mat))
-        if scale > 1e-9:
-            break
-    op = HermitianOperator(setup.op.layout, mat * (hs_norm / scale))
-    return SetupOperator(op, setup.roles)
 
 
 # -- setup file format -------------------------------------------------------------

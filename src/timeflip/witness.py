@@ -117,7 +117,8 @@ class DecompositionTerm:
 @dataclass(frozen=True)
 class ProbabilityRecord:
     """An event probability, optionally backed by raw counts: whole numbers,
-    with 0 <= counts <= shots."""
+    with 0 <= counts <= shots, and the probability within half a count of
+    counts / shots."""
 
     indices: tuple[int, ...]
     probability: float
@@ -144,6 +145,11 @@ class ProbabilityRecord:
             counts = _whole_number(self.counts, "counts")
             if not 0 <= counts <= self.shots:
                 raise ValueError(f"counts must lie between 0 and the {self.shots} shots, got {self.counts}")
+            if abs(self.probability - counts / self.shots) > 0.5 / self.shots + PROBABILITY_TOL:
+                raise ValueError(
+                    f"probability {p!r} is more than half a count from {counts} counts "
+                    f"of {self.shots} shots"
+                )
             object.__setattr__(self, "counts", counts)
 
 
@@ -294,17 +300,15 @@ def _combine(coeffs: np.ndarray, arity: int) -> np.ndarray:
     return out.transpose(tuple(range(0, 10, 2)) + tuple(range(1, 10, 2))).reshape(32, 32)
 
 
-def _solve_gram(pairings: np.ndarray, restricted: bool) -> np.ndarray:
-    """Solve the design's Gram system, the Kronecker power of the one-wire
-    Gram Tr(P_i P_j) (times 2 in restricted mode, where the pinned B_it
-    projector contributes trace 1 and the B_ot identity trace 2), one wire
-    axis at a time."""
-    gram = np.array([[np.real(np.trace(pi @ pj)) for pj in _PROJECTORS] for pi in _PROJECTORS])
-    g_inv = np.linalg.inv(gram)
-    coeffs = pairings.reshape((4,) * (3 if restricted else 5))
-    for axis in range(coeffs.ndim):
-        coeffs = np.moveaxis(np.tensordot(g_inv, coeffs, axes=(1, axis)), 0, axis)
-    return coeffs.reshape(-1) / (2.0 if restricted else 1.0)
+def _solve_gram(pairings: np.ndarray, arity: int) -> np.ndarray:
+    """Solve the design's Gram system, the Kronecker product over the wires
+    of each factor stack's Gram Tr(F_i F_j), one wire axis at a time."""
+    stacks, order = _DESIGNS[arity]
+    coeffs = pairings.reshape([len(stacks[wire]) for wire in order])
+    for axis, wire in enumerate(order):
+        gram = np.array([[np.real(np.trace(fi @ fj)) for fj in stacks[wire]] for fi in stacks[wire]])
+        coeffs = np.moveaxis(np.tensordot(np.linalg.inv(gram), coeffs, axes=(1, axis)), 0, axis)
+    return coeffs.reshape(-1)
 
 
 def decompose_witness(op: HermitianOperator, restricted: bool = False) -> list[DecompositionTerm]:
@@ -318,7 +322,7 @@ def decompose_witness(op: HermitianOperator, restricted: bool = False) -> list[D
     require_experiment_layout(op.layout, "a witness")
     mat = op.matrix
     arity = 3 if restricted else 5
-    coeffs = _solve_gram(_pairings(mat, arity), bool(restricted))
+    coeffs = _solve_gram(_pairings(mat, arity), arity)
     coeffs[np.abs(coeffs) < ZERO_COEFF_TOL] = 0.0
     residual = float(np.linalg.norm(mat - _combine(coeffs, arity)))
     if residual > RECONSTRUCTION_TOL:
@@ -547,5 +551,8 @@ def load_probabilities(path: str) -> list[ProbabilityRecord]:
             raise ValueError(
                 f"row {indices} in {path} has neither a probability nor counts with shots"
             )
-        records.append(ProbabilityRecord(indices, probability, counts=counts, shots=shots))
+        try:
+            records.append(ProbabilityRecord(indices, probability, counts=counts, shots=shots))
+        except ValueError as exc:
+            raise ValueError(f"row {number} of {path}: {exc}") from None
     return list(_by_indices(records, "event").values())

@@ -228,6 +228,24 @@ def random_fixed_direction(rng, direction, layout) -> SetupOperator:
     return SetupOperator(tensor_product([comb.op, state]), roles)
 
 
+def random_span_element(
+    setup: SetupOperator, rng: np.random.Generator, hs_norm: float = 0.5
+) -> SetupOperator:
+    """Random Hermitian element of the general span (uniform global input
+    included), scaled to the requested Hilbert-Schmidt norm (Gaussian
+    entries, projected)."""
+    n = setup.op.layout.total_dim
+    project = SpanMask.of_setup(setup, ConeId.GENERAL).project
+    while True:
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        mat = project((g + g.conj().T) / 2)
+        scale = float(np.linalg.norm(mat))
+        if scale > 1e-9:
+            break
+    op = HermitianOperator(setup.op.layout, mat * (hs_norm / scale))
+    return SetupOperator(op, setup.roles)
+
+
 def random_general_setup(rng, template) -> SetupOperator:
     """A generic trace-normalized element of the general cone: project a random
     positive operator onto the span, then float it back to positivity with

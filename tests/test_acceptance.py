@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import definite_mixture, oracle_term, random_bistochastic_channel
+from helpers import definite_mixture, oracle_term, random_bistochastic_channel, random_span_element
 from timeflip.channels import input_output_inversion, kraus_to_choi, KrausChannel
 from timeflip.cli import EXIT_OK, main as cli_main
 from timeflip.game import TAG_PLUS, builtin_gate_sets, qtf_strategy, switch_strategy
@@ -21,7 +21,6 @@ from timeflip.supermaps import (
     definite_split,
     qtf_choi,
     qtf_plus_control,
-    random_span_element,
 )
 from timeflip.tensor_core import (
     HermitianOperator,

@@ -221,6 +221,19 @@ class TestProbabilities:
         assert f"{flag[0]} does not apply to --decomposition-in" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_probability_off_its_counts_is_an_io_error(self, tmp_path, capsys):
+        # a counts row is replayed as counted: a probability column more than
+        # half a count from counts / shots names the file and the row
+        decomposition = tmp_path / "decomposition.csv"
+        decomposition.write_text("a,b,c,d,e,coeff\n0,0,0,0,0,1.0\n")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("a,b,c,d,e,probability,counts,shots\n0,0,0,0,0,0.9,1,100\n")
+        assert _run("probabilities", "--decomposition-in", str(decomposition),
+                    "--counts-in", str(counts)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert f"row 2 of {counts}: probability 0.9 is more than half a count" in captured.err
+        assert captured.out == ""
+
     def test_incomplete_counts_fail_validation(self, artifacts, tmp_path):
         counts_path = tmp_path / "short.csv"
         counts_path.write_text("a,b,c,d,e,probability\n0,0,0,0,0,0.5\n")
@@ -738,6 +751,19 @@ class TestReadme:
         shown = _readme_examples()[command]
         assert _run(*command.split()) == EXIT_OK
         assert capsys.readouterr().out.splitlines() == shown
+
+    def test_validate_witness_example(self, artifacts, capsys):
+        # the README's witness.json is what `robustness --witness-out` writes
+        shown = _readme_examples()["validate --witness witness.json"]
+        assert _run("validate", "--witness", artifacts["witness"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == shown
+
+    def test_validate_gate_table_example(self, capsys):
+        # the README shows the first lines of the survey, then "..."
+        shown = _readme_examples()["validate --gate-table"]
+        assert shown[-1] == "..."
+        assert _run("validate", "--gate-table") == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[: len(shown) - 1] == shown[:-1]
 
     def test_python_quick_start_prints_what_readme_shows(self):
         # a fresh interpreter reads every name through the package's lazy exports

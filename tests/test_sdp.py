@@ -922,8 +922,8 @@ class TestStopRule:
         value, w = _restricted_witness(qtf, 201)
         assert value == pytest.approx(0.1715724353, abs=1e-10)
         spans = {
-            "forward": SpanMask.of_setup(qtf, ConeId.FORWARD_SPAN),
-            "backward": SpanMask.of_setup(qtf, ConeId.BACKWARD_SPAN),
+            "forward": SpanMask.of_setup(qtf, ConeId.FORWARD),
+            "backward": SpanMask.of_setup(qtf, ConeId.BACKWARD),
         }
         _, value_prog = sdp.cone_value_programs(-w, spans, qtf.trace_target)
         admm = sdp._Admm(value_prog)

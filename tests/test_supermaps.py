@@ -18,6 +18,7 @@ from helpers import (
     random_channel,
     random_hermitian,
     random_hermitian_operator,
+    random_span_element,
 )
 from timeflip import supermaps
 from timeflip.channels import KrausChannel, input_output_inversion, kraus_to_choi
@@ -40,7 +41,6 @@ from timeflip.supermaps import (
     link_product,
     qtf_choi,
     qtf_plus_control,
-    random_span_element,
     sequential_setup,
     setup_from_dict,
     setup_span_projector,
@@ -116,10 +116,10 @@ def test_qtf_choi_is_rank_one_with_trace_eight():
     assert s.op.trace == pytest.approx(8.0)
     eigs = np.linalg.eigvalsh(s.op.matrix)
     assert np.sum(eigs > 1e-9) == 1
-    report = check_setup(s, ConeId.GENERAL, tol=1e-10)
-    assert report.passed
+    report = check_setup(s, tol=1e-10)
+    assert report.passed["general"]
     assert report.trace_target == pytest.approx(8.0)
-    assert all(r <= 1e-10 for r in report.residuals.values())
+    assert all(r <= 1e-10 for r in report.residuals["general"].values())
 
 
 def test_qtf_choi_control_states_select_direction():
@@ -157,12 +157,10 @@ def test_qtf_plus_control_passes_general_only():
     s = qtf_plus_control()
     assert s.op.trace == pytest.approx(4.0)
     assert np.sum(np.linalg.eigvalsh(s.op.matrix) > 1e-9) == 1
-    assert check_setup(s, ConeId.GENERAL, tol=1e-10).passed
-    fwd = check_setup(s, ConeId.FORWARD)
-    bwd = check_setup(s, ConeId.BACKWARD)
-    assert not fwd.passed and not bwd.passed
-    assert fwd.residuals["forward[1]"] > 1e-2
-    assert bwd.residuals["backward[1]"] > 1e-2
+    report = check_setup(s, tol=1e-10)
+    assert report.passed == {"general": True, "forward": False, "backward": False}
+    assert report.residuals["forward"]["forward[1]"] > 1e-2
+    assert report.residuals["backward"]["backward[1]"] > 1e-2
 
 
 def test_qtf_plus_control_on_identity_prepares_balanced_control():
@@ -186,33 +184,15 @@ def test_qtf_plus_control_on_y_flips_control_parity():
 
 def test_subspace_projection_residuals_for_the_flip():
     s = qtf_plus_control()
-    assert _projection_residual(s, ConeId.UNIFORM_GLOBAL_INPUT) <= 1e-10
-    assert _projection_residual(s, ConeId.GENERAL_SPAN) <= 1e-10
     assert _projection_residual(s, ConeId.GENERAL) <= 1e-10
-    assert _projection_residual(s, ConeId.FORWARD_SPAN) > 1e-2
-    assert _projection_residual(s, ConeId.BACKWARD_SPAN) > 1e-2
+    assert _projection_residual(s, ConeId.FORWARD) > 1e-2
+    assert _projection_residual(s, ConeId.BACKWARD) > 1e-2
 
 
 def test_identity_lies_in_every_span():
     s = SetupOperator(identity(_plain_layout()), _PLAIN_ROLES)
-    for which in (
-        ConeId.UNIFORM_GLOBAL_INPUT,
-        ConeId.GENERAL_SPAN,
-        ConeId.FORWARD_SPAN,
-        ConeId.BACKWARD_SPAN,
-        ConeId.FORWARD,
-        ConeId.BACKWARD,
-        ConeId.GENERAL,
-    ):
+    for which in ConeId:
         assert _projection_residual(s, which) <= 1e-12
-
-
-def test_check_setup_rejects_definite_and_span_ids():
-    s = qtf_plus_control()
-    with pytest.raises(ValueError):
-        check_setup(s, ConeId.DEFINITE)
-    with pytest.raises(ValueError):
-        check_setup(s, ConeId.FORWARD_SPAN)
 
 
 def test_prepare_and_return_setup_is_forward():
@@ -220,7 +200,7 @@ def test_prepare_and_return_setup_is_forward():
     prepare = KrausChannel([np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])])
     forward_out = KrausChannel([PAULI_I])
     s = sequential_setup(prepare, forward_out, 2)
-    assert check_setup(s, ConeId.FORWARD).passed
+    assert check_setup(s).passed["forward"]
     out = apply_supermap(s, kraus_to_choi(KrausChannel([PAULI_Y])))
     prepared = np.zeros((2, 2), dtype=complex)
     prepared[1, 1] = 1.0  # Y|0><0|Y^dag
@@ -232,13 +212,10 @@ def test_random_combs_pass_their_direction_only():
     rng = np.random.default_rng(7)
     fwd = _random_comb(rng, ConeId.FORWARD)
     bwd = _random_comb(rng, ConeId.BACKWARD)
-    assert check_setup(fwd, ConeId.FORWARD).passed
-    assert not check_setup(fwd, ConeId.BACKWARD).passed
-    assert check_setup(bwd, ConeId.BACKWARD).passed
-    assert not check_setup(bwd, ConeId.FORWARD).passed
+    assert check_setup(fwd).passed == {"general": True, "forward": True, "backward": False}
+    assert check_setup(bwd).passed == {"general": True, "forward": False, "backward": True}
     mix = SetupOperator(0.5 * fwd.op + 0.5 * bwd.op, _PLAIN_ROLES)
-    assert check_setup(mix, ConeId.GENERAL).passed
-    assert not check_setup(mix, ConeId.FORWARD).passed
+    assert check_setup(mix).passed == {"general": True, "forward": False, "backward": False}
 
 
 def test_apply_supermap_is_bilinear():
@@ -345,18 +322,6 @@ def test_multipartite_product_of_forward_combs():
     }
 
 
-def test_multipartite_single_slot_matches_check_setup():
-    s = qtf_plus_control()
-    report = check_multipartite(
-        s.op, slots=[s.slot()], global_in=("B_it",), global_out=("B_ot", "B_oc")
-    )
-    general = check_setup(s, ConeId.GENERAL)
-    assert report.residuals["general"] == general.residuals
-    forward = check_setup(s, ConeId.FORWARD)
-    assert report.residuals["forward"]["forward[1]"] == forward.residuals["forward[1]"]
-    assert report.passed["general"] and not report.passed["forward"]
-
-
 def test_multipartite_validates_partition_and_slot_dims():
     op = identity(_plain_layout())
     with pytest.raises(ValueError):
@@ -379,17 +344,6 @@ def test_setup_json_roundtrip():
 
 
 # -- the span masks against the trace-and-replace definition -------------------
-
-_SPAN_KINDS = {
-    ConeId.UNIFORM_GLOBAL_INPUT: ("uniform",),
-    ConeId.GENERAL_SPAN: ("normalization",),
-    ConeId.FORWARD_SPAN: ("forward",),
-    ConeId.BACKWARD_SPAN: ("backward",),
-    ConeId.GENERAL: ("uniform", "normalization"),
-    ConeId.FORWARD: ("uniform", "normalization", "forward"),
-    ConeId.BACKWARD: ("uniform", "normalization", "backward"),
-}
-
 
 def _span_case(name):
     """(layout, slots, global input, global output, roles or None)."""
@@ -456,26 +410,20 @@ def test_masks_match_the_trace_and_replace_definition(case):
         assert list(got) == list(expected)
         assert all(abs(got[name] - expected[name]) <= 1e-12 for name in expected)
 
-    for which, names in _SPAN_KINDS.items():
+    op = HermitianOperator(layout, h)
+    report = check_multipartite(op, slots, global_in, global_out)
+    for cone in ConeId:
+        # the general conditions, and those of the cone's direction
+        names = ("uniform", "normalization") + (() if cone is ConeId.GENERAL else (cone.value,))
         expected = h
         for kind in names:
             for _, groups, always in kinds[kind]:
                 expected = expected - _oracle_condition(expected, layout, groups, always)
-        got = span_projector(layout, slots, global_in, global_out, which)(h)
+        got = span_projector(layout, slots, global_in, global_out, cone)(h)
         assert np.linalg.norm(got - expected) <= 1e-12
-
-    op = HermitianOperator(layout, h)
-    report = check_multipartite(op, slots, global_in, global_out)
-    for part, names in (
-        ("general", _SPAN_KINDS[ConeId.GENERAL]),
-        ("forward", ("forward",)),
-        ("backward", ("backward",)),
-    ):
-        assert_residuals(report.residuals[part], residuals(names))
+        assert_residuals(report.residuals[cone.value], residuals(names))
     if roles is not None:
-        setup = SetupOperator(op, roles)
-        for cone in (ConeId.GENERAL, ConeId.FORWARD, ConeId.BACKWARD):
-            assert_residuals(check_setup(setup, cone).residuals, residuals(_SPAN_KINDS[cone]))
+        assert check_setup(SetupOperator(op, roles)) == report
 
 
 @pytest.mark.parametrize("dims", [(2,) * 5, (2, 3, 2), (1, 2, 1, 2, 2)])
@@ -523,14 +471,7 @@ class TestSpanProperties:
             n = lay.total_dim
             h1 = random_hermitian(rng, n)
             h2 = random_hermitian(rng, n)
-            for which in (
-                ConeId.UNIFORM_GLOBAL_INPUT,
-                ConeId.GENERAL_SPAN,
-                ConeId.FORWARD_SPAN,
-                ConeId.BACKWARD_SPAN,
-                ConeId.FORWARD,
-                ConeId.GENERAL,
-            ):
+            for which in ConeId:
                 project = span_projector(lay, slots, global_in, global_out, which)
                 p1 = project(h1)
                 assert np.linalg.norm(project(p1) - p1) <= 1e-10
@@ -554,7 +495,6 @@ class TestSpanProperties:
         rng = np.random.default_rng(seed)
         template = SetupOperator(identity(_plain_layout()), _PLAIN_ROLES)
         s = random_span_element(template, rng, hs_norm=1.0)
-        project_fwd = setup_span_projector(template, ConeId.FORWARD)
-        project_uni = setup_span_projector(template, ConeId.UNIFORM_GLOBAL_INPUT)
-        fwd = project_fwd(s.op.matrix)
-        assert np.linalg.norm(fwd - project_uni(fwd)) <= 1e-10
+        fwd = setup_span_projector(template, ConeId.FORWARD)(s.op.matrix)
+        general = SpanMask.of_setup(template, ConeId.GENERAL)
+        assert general.residuals(fwd)["uniform-global-input"] <= 1e-10

@@ -134,6 +134,13 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="whole number"):
             ProbabilityRecord((0, 0, 0, 0, 0), 0.5, counts=counts, shots=shots)
 
+    def test_probability_lies_within_half_a_count(self):
+        # 1 count of 100 shots: 0.015 is half a count away, 0.9 is not
+        assert ProbabilityRecord((0, 0, 0, 0, 0), 0.015, counts=1, shots=100).counts == 1
+        for p in (0.9, 0.016):
+            with pytest.raises(ValueError, match="more than half a count"):
+                ProbabilityRecord((0, 0, 0, 0, 0), p, counts=1, shots=100)
+
     def test_counts_cannot_exceed_shots(self):
         with pytest.raises(ValueError, match="counts must lie"):
             ProbabilityRecord((0, 0, 0, 0, 0), 0.5, counts=30, shots=20)
