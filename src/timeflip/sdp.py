@@ -11,15 +11,17 @@ program as (k, n, n) stacks and alternates an exact affine projection (per
 class of coordinates where the same rows hold, a precomputed k x k operator
 on the block index plus an offset; the largest class's operator applied to
 the raw entries, the other coordinates corrected through their basis
-matrices) with the cone projections (one stacked eigendecomposition clips
-every positive semidefinite block; subspace blocks apply their
-projectors).  The iteration is run as a fixed-point map on one
-stack, with safeguarded type-II Anderson acceleration: an extrapolated point
-whose fixed-point residual exceeds the last accepted point's is dropped for
-the plain step.  A program invariant under complex conjugation runs in real
-float64 arithmetic, any other in complex: from the zero start the complex
-iterates of an invariant program stay real symmetric, so the choice changes
-the cost of an iteration, not the iteration.
+matrices, or through the change of basis of the whole stack when they are
+more than DENSE_SHARE of all) with the cone projections (one stacked
+eigendecomposition clips every positive semidefinite block; subspace
+blocks apply their projectors).  The iteration is run as a fixed-point map
+on one stack, with safeguarded type-II Anderson acceleration: an
+extrapolated point whose fixed-point residual exceeds the last accepted
+point's is dropped for the plain step.  A program invariant under complex
+conjugation runs in real float64 arithmetic, any other in complex: from the
+zero start the complex iterates of an invariant program stay real
+symmetric, so the choice changes the cost of an iteration, not the
+iteration.
 
 Every program built here carries a polish step that converts an approximate
 point into an *exactly feasible* point of its own side; a bound is certified
@@ -80,6 +82,16 @@ MAX_ITER = 50000
 CHECKPOINT = 50
 STALL_WINDOW = 1000
 STALL_DROP = 0.01
+# the affine step corrects the m coordinates outside its main class through
+# their basis matrices, dense (m, n^2) rows, while m <= DENSE_SHARE * n^2, and
+# through the change of basis of the whole stack above that.  Measured with
+# n = 32 on one CPU, per real step: the witness programs (m = 63 and 64, four
+# blocks) take 62 us with the rows and 231 us with the transforms (138 and
+# 398 us complex), the convex-hull game cap (238, two blocks) 182 and 174 us,
+# the forward-only cap (169, one block) 66 and 123 us.  Above the share the
+# rows' memory decides: their m n^2 floats (1.9 MB at 238) are the largest
+# array of a `game --pmax-sdp` run and take 1.2-2.3 ms to build
+DENSE_SHARE = 1 / 8
 
 
 # -- program description -------------------------------------------------------
@@ -268,12 +280,15 @@ class _Admm:
     is masked.  The operator M of the largest class acts on the block index
     only, so it commutes with the change of basis: the step applies M to the
     raw entries and adds the whole offset as a raw stack, then corrects each
-    of the m other coordinates (63 of 1,024 on the witness program, 238 on
-    the game cap) by (M_c - M) of its value, through their basis matrices E
-    (`supermaps.basis_rows`; one real m x n^2 product each way, per real and
-    imaginary plane).  The cone step clips every positive semidefinite block
-    with one stacked eigendecomposition and applies each subspace block's
-    projector.
+    of the m other coordinates by (M_c - M) of its value.  Up to DENSE_SHARE
+    of the n^2 coordinates (63 of 1,024 on the witness program) the
+    correction goes through their basis matrices E (`supermaps.basis_rows`;
+    one real m x n^2 product each way, per real and imaginary plane); above
+    it (238 on the game cap) through the change of basis of the whole stack
+    (`supermaps.basis_coords` and `basis_matrices`), whose cost does not
+    grow with m, and E is not built.  The cone step clips every positive
+    semidefinite block with one stacked eigendecomposition and applies each
+    subspace block's projector.
 
     The state is one stack, the Douglas-Rachford variable w.  One evaluation
     of the map T projects z = P_K(w), takes the scaled multipliers u = w - z
@@ -417,8 +432,10 @@ class _Admm:
         offset = offset.reshape(k, *coords)
         self._offset = offset if layout is None else basis_matrices(layout, offset)
         if len(minority):
-            # E: the basis matrices of those coordinates, as flat rows
-            self._basis = basis_rows(layout, minority)
+            self._minority = minority
+            if len(minority) <= DENSE_SHARE * n * n:
+                # E: the basis matrices of those coordinates, as flat rows
+                self._basis = basis_rows(layout, minority)
             cuts = [0, *(np.flatnonzero(np.diff(labels[minority])) + 1), len(minority)]
             self._corrections = [
                 (slice(lo, hi), ops[labels[minority[lo]]] - ops[main]) for lo, hi in zip(cuts, cuts[1:])
@@ -427,13 +444,25 @@ class _Admm:
     def _project_affine(self, v: np.ndarray) -> np.ndarray:
         flat = v.reshape(len(v), -1)
         out = (v if self._main is None else (self._main @ flat).reshape(v.shape)) + self._offset
-        if self._basis is not None:
-            # E stays real: a complex stack goes as its real and imaginary planes
+        if self._corrections:
+            # the change of basis is real: a complex stack goes as its real
+            # and imaginary planes
             planes = flat if self.dtype is float else np.concatenate((flat.real, flat.imag))
-            picked = (planes @ self._basis.T).reshape(-1, len(v), len(self._basis))
+            if self._basis is None:  # through the change of basis of the whole stack
+                coords = basis_coords(self.prog.layout, planes.reshape(-1, *v.shape[1:]))
+                picked = coords.reshape(len(planes), -1)[:, self._minority]
+            else:  # through the basis matrices E
+                picked = planes @ self._basis.T
+            by_block = picked.reshape(-1, len(v), picked.shape[-1])  # a view
             for idx, op in self._corrections:
-                picked[..., idx] = op @ picked[..., idx]
-            fix = (picked.reshape(planes.shape[0], -1) @ self._basis).reshape(-1, *v.shape)
+                by_block[..., idx] = op @ by_block[..., idx]
+            if self._basis is None:
+                fixed = np.zeros((len(planes), v[0].size))
+                fixed[:, self._minority] = picked
+                fix = basis_matrices(self.prog.layout, fixed.reshape(coords.shape))
+            else:
+                fix = picked @ self._basis
+            fix = fix.reshape(-1, *v.shape)
             if self.dtype is float:
                 out += fix[0]
             else:
@@ -870,7 +899,7 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
         z = _sym(c_gen(eye / dd - w - zs["Q"]))
         point = {"W": w, "P_fwd": w - w_fwd, "P_bwd": w - w_bwd, "Q": eye / dd - w - z}
         mixed, gamma = _mix_to_psd(point, interior, ("P_fwd", "P_bwd", "Q"))
-        value = -hs_inner(s, mixed["W"])
+        value = 0.0 - hs_inner(s, mixed["W"])  # not -(...): W = 0 would give -0.0
         if value < 0.0:
             # W = 0 is always feasible with value 0; never report below it
             mixed = {name: zero.copy() for name in point}

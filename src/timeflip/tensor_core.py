@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,13 +34,17 @@ class SystemLayout:
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        factors = tuple((str(lab), int(dim)) for lab, dim in self.factors)
+        for lab, dim in self.factors:
+            if not isinstance(lab, str):
+                raise ValueError(f"layout label {lab!r} is not a string")
+            # a bool is an int to Python, and int(2.7) is 2: both are refused
+            whole = isinstance(dim, Real) and not isinstance(dim, bool) and float(dim).is_integer()
+            if not whole or dim < 1:
+                raise ValueError(f"'dims' entry {dim!r} of factor {lab!r} is not a positive whole number")
+        factors = tuple((lab, int(dim)) for lab, dim in self.factors)
         labels = [lab for lab, _ in factors]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate labels in layout: {labels}")
-        for lab, dim in factors:
-            if dim < 1:
-                raise ValueError(f"factor {lab!r} has non-positive dimension {dim}")
         object.__setattr__(self, "factors", factors)
 
     @property
@@ -321,6 +326,10 @@ def operator_from_dict(obj: dict) -> HermitianOperator:
         matrix = parts["re"] + 1j * parts["im"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed operator record: {exc}") from exc
+    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        raise ValueError(f"'labels' is not a list of strings: {labels!r}")
+    if not isinstance(dims, list):
+        raise ValueError(f"'dims' is not a list: {dims!r}")
     if len(labels) != len(dims):
         raise ValueError("labels and dims have different lengths")
     layout = SystemLayout(tuple(zip(labels, dims)))

@@ -238,8 +238,9 @@ def validate_witness(op: HermitianOperator, tol: float | None = None) -> Witness
         return upper <= margin or lower > tol or upper - lower <= margin
 
     floor = solve_cone_value(-op.matrix, _span_masks(), trace_target=_TRACE, done=decided)
-    min_value = -floor.upper
-    attained = -floor.lower
+    # not -(...): a zero bound would give -0.0
+    min_value = 0.0 - floor.upper
+    attained = 0.0 - floor.lower
     valid = bool(min_value >= -tol)
     residuals: dict[str, float] = {"definite-floor-gap": float(floor.gap)}
 

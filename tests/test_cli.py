@@ -121,6 +121,35 @@ class TestRobustness:
         assert gap > 1e-4
         assert re.search(r"worst residual (primal|dual):[\w:-]+ = \d", captured.err)
 
+    @pytest.mark.parametrize("argv", [
+        ("robustness", "--setup", "qtf", "--max-iter", "1"),
+        ("validate", "--witness", "zero"),
+    ], ids=["robustness-one-iteration", "validate-zero-witness"])
+    def test_no_certified_value_is_negative_zero(self, tmp_path, capsys, argv):
+        # after one iteration the polished witness is W = 0, and the zero
+        # witness's definite floor is 0: each value is a negated zero
+        if argv[-1] == "zero":
+            from timeflip.witness import WIRE_LABELS
+
+            path = str(tmp_path / "zero.json")
+            save_operator(path, HermitianOperator(qubits(*WIRE_LABELS), np.zeros((32, 32))))
+            argv = argv[:-1] + (path,)
+        out = tmp_path / "out.json"
+        _run(*argv, "--out", str(out))
+        printed = [v for v in _stdout_values(capsys).values() if isinstance(v, float)]
+        written = []
+
+        def collect(node):
+            if isinstance(node, dict):
+                for value in node.values():
+                    collect(value)
+            elif isinstance(node, float):
+                written.append(node)
+
+        collect(json.loads(out.read_text()))
+        assert 0.0 in printed and 0.0 in written
+        assert all(np.copysign(1.0, v) > 0 for v in printed + written if v == 0.0)
+
     def test_flat_gap_exits_early(self, tmp_path, capsys, monkeypatch):
         # the min side's polish adds 0.05 to its bound: the gap cannot close
         monkeypatch.setattr(sdp, "_robustness_primal", shifted_robustness_primal(0.05))
@@ -396,7 +425,42 @@ _SETUP_CORRUPTIONS = (
 )
 
 
+# (id, corruption of an operator record, the message naming the field)
+_LAYOUT_CORRUPTIONS = (
+    ("fractional-dim", lambda r: r["dims"].__setitem__(0, 2.7),
+     "'dims' entry 2.7 of factor 'A_I' is not a positive whole number"),
+    ("bool-dim", lambda r: r["dims"].__setitem__(0, True),
+     "'dims' entry True of factor 'A_I' is not a positive whole number"),
+    ("string-labels", lambda r: r.__setitem__("labels", "ABCDE"),
+     "'labels' is not a list of strings: 'ABCDE'"),
+)
+
+
 class TestBadInput:
+    @pytest.mark.parametrize("kind", ["setup", "witness"])
+    @pytest.mark.parametrize("corrupt, message", [
+        pytest.param(corrupt, message, id=name) for name, corrupt, message in _LAYOUT_CORRUPTIONS
+    ])
+    def test_malformed_layout_is_an_io_error(self, tmp_path, capsys, kind, corrupt, message):
+        # int() would truncate 2.7 and read true as 1, and zip() would split
+        # a label string into characters: each would load as five wires
+        if kind == "setup":
+            record, argvs = setup_to_dict(qtf_plus_control()), [("robustness",), ("validate",)]
+        else:
+            from timeflip.witness import WIRE_LABELS
+
+            record = operator_to_dict(HermitianOperator(qubits(*WIRE_LABELS), np.eye(32) / 32))
+            argvs = [("validate",)]
+        corrupt(record)
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(record))
+        for argv in argvs:
+            assert _run(*argv, f"--{kind}", str(path)) == EXIT_IO, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: cannot load {kind} {str(path)!r}: "), argv
+            assert message in captured.err, argv
+            assert captured.out == "", argv
+
     @pytest.mark.parametrize("argv, corrupt, message", [
         pytest.param(argv, corrupt, message, id=f"{prefix}argv{k}")
         for prefix, corrupt, message in _SETUP_CORRUPTIONS

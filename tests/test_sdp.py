@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from helpers import (
     rotated,
     shifted_robustness_primal,
 )
-from timeflip import game, sdp
+from timeflip import game, sdp, witness
 from timeflip.sdp import (
     Block,
     ConicProgram,
@@ -444,21 +445,27 @@ def _definite_spans(qtf):
     }
 
 
+def _game_cap(direction, u=np.eye(32)):
+    """The value program of `game --pmax-sdp` for one strategy class, its
+    payoff conjugated by u."""
+    plus, minus = game.builtin_gate_sets()
+    m_plus, m_minus = game.success_effects(plus + minus)
+    cones = {"forward-only": ("forward",), "backward-only": ("backward",)}.get(direction, ("forward", "backward"))
+    spans = {
+        name: SpanMask(game.game_layout(), game.GAME_SLOTS, (), ("C_O",), ConeId[name.upper()])
+        for name in cones
+    }
+    target = u @ (m_plus.matrix + m_minus.matrix) @ u.conj().T
+    return sdp.cone_value_programs(target, spans, 4.0)[1]
+
+
 def _iterated_program(qtf, program, phase):
     """An iterated program on qtf conjugated by a phase on its last wire:
     the witness program, full or restricted, or the definite value program;
     or the game cap's value program, its payoff conjugated the same way."""
     u = np.kron(np.eye(16), np.diag([1.0, np.exp(1j * phase)]))
     if program == "game-cap":
-        plus, minus = game.builtin_gate_sets()
-        m_plus, m_minus = game.success_effects(plus + minus)
-        layout = game.game_layout()
-        spans = {
-            name: SpanMask(layout, game.GAME_SLOTS, (), ("C_O",), cone)
-            for name, cone in (("forward", ConeId.FORWARD), ("backward", ConeId.BACKWARD))
-        }
-        target = u @ (m_plus.matrix + m_minus.matrix) @ u.conj().T
-        return sdp.cone_value_programs(target, spans, 4.0)[1]
+        return _game_cap("convex-hull", u)
     s = u @ SpanMask.of_setup(qtf, ConeId.GENERAL).project(qtf.op.matrix) @ u.conj().T
     if program == "value":
         return sdp.cone_value_programs(s, _definite_spans(qtf), qtf.trace_target)[1]
@@ -536,6 +543,60 @@ class TestArithmetic:
         direction = admm._project_affine(w) - x
         inner = np.vdot(v - x, direction).real
         assert abs(inner) <= 1e-10 * np.linalg.norm(v) * np.linalg.norm(direction)
+
+    @pytest.mark.parametrize("phase", [0.0, 0.4])
+    @pytest.mark.parametrize("program", ["witness", "game-cap"])
+    def test_correction_forms_agree(self, qtf, monkeypatch, program, phase):
+        # the minority coordinates corrected through their dense basis rows
+        # and through the change of basis of the whole stack
+        prog = _iterated_program(qtf, program, phase)
+        runs = {}
+        for form, share in (("rows", 1.0), ("change-of-basis", 0.0)):
+            monkeypatch.setattr(sdp, "DENSE_SHARE", share)
+            runs[form] = sdp._Admm(prog)
+        assert runs["rows"]._basis is not None and runs["change-of-basis"]._basis is None
+        admm = runs["rows"]
+        assert admm.dtype is (float if phase == 0.0 else complex)
+        rng = np.random.default_rng(11)
+        v = rng.normal(size=admm.x.shape).astype(admm.dtype)
+        if admm.dtype is complex:
+            v = v + 1j * rng.normal(size=admm.x.shape)
+        x = {form: run._project_affine(v) for form, run in runs.items()}
+        assert np.max(np.abs(x["rows"] - x["change-of-basis"])) <= 1e-12
+        for form, point in x.items():
+            residuals = sdp._feasibility_residuals(prog, dict(zip(admm.names, point)))
+            for name, res in residuals.items():
+                if name.startswith("row:"):
+                    assert res <= 1e-12, (form, name)
+
+    @pytest.mark.parametrize("program", ["convex-hull", "forward-only", "backward-only", "witness",
+                                         "restricted-witness", "validate-floor"])
+    def test_correction_form_follows_the_size(self, qtf, program):
+        # the game caps correct 238 and 169 of their 1,024 coordinates
+        # through the change of basis and never hold an m x n^2 array; the
+        # witness programs (63) and the validate floor (64) keep the rows
+        if program in game.PMAX_DIRECTIONS:
+            prog = _game_cap(program)
+        elif program == "validate-floor":
+            prog = sdp.cone_value_programs(-qtf.op.matrix, witness._span_masks(), witness._TRACE)[1]
+        else:
+            prog = _iterated_program(qtf, program, 0.0)
+        tracemalloc.start()
+        try:
+            admm = sdp._Admm(prog)
+            for _ in range(60):
+                admm.step()
+            admm.split
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m, n = len(admm._minority), prog.n
+        assert m == {"convex-hull": 238, "forward-only": 169, "backward-only": 169,
+                     "validate-floor": 64}.get(program, 63)
+        cap = program in game.PMAX_DIRECTIONS
+        assert (admm._basis is None) == cap
+        if cap:
+            assert peak < m * n * n * 8  # bytes of E in float64
 
     @pytest.mark.parametrize("program", ["witness", "restricted-witness", "value", "game-cap"])
     def test_row_classes_match_unique_columns(self, qtf, program):
