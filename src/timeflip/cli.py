@@ -85,9 +85,9 @@ def _check_fit(name: str, setup: SetupOperator, flags: Sequence[str]) -> int | N
     for flag in flags:
         try:
             if flag == "--restricted":
-                from .sdp import restricted_witness_projector
+                from .sdp import restricted_reduction
 
-                restricted_witness_projector(setup)
+                restricted_reduction(setup)
             else:
                 from .witness import require_experiment_layout
 

@@ -68,8 +68,6 @@ from .tensor_core import (
     HermitianOperator,
     SystemLayout,
     hs_inner,
-    partial_trace_matrix,
-    trace_and_replace_matrix,
 )
 
 RESIDUAL_TOL = 1e-6
@@ -281,14 +279,13 @@ class _Admm:
     only, so it commutes with the change of basis: the step applies M to the
     raw entries and adds the whole offset as a raw stack, then corrects each
     of the m other coordinates by (M_c - M) of its value.  Up to DENSE_SHARE
-    of the n^2 coordinates (63 of 1,024 on the witness program) the
-    correction goes through their basis matrices E (`supermaps.basis_rows`;
-    one real m x n^2 product each way, per real and imaginary plane); above
-    it (238 on the game cap) through the change of basis of the whole stack
-    (`supermaps.basis_coords` and `basis_matrices`), whose cost does not
-    grow with m, and E is not built.  The cone step clips every positive
-    semidefinite block with one stacked eigendecomposition and applies each
-    subspace block's projector.
+    of the n^2 coordinates the correction goes through their basis matrices
+    (`supermaps.basis_rows`; one real m x n^2 product each way, per real and
+    imaginary plane); above it through the change of basis of the whole
+    stack (`supermaps.basis_coords` and `basis_matrices`), whose cost does
+    not grow with m, and the rows are not built (timings at DENSE_SHARE).
+    The cone step clips every positive semidefinite block with one stacked
+    eigendecomposition and applies each subspace block's projector.
 
     The state is one stack, the Douglas-Rachford variable w.  One evaluation
     of the map T projects z = P_K(w), takes the scaled multipliers u = w - z
@@ -434,7 +431,7 @@ class _Admm:
         if len(minority):
             self._minority = minority
             if len(minority) <= DENSE_SHARE * n * n:
-                # E: the basis matrices of those coordinates, as flat rows
+                # the basis matrices of those coordinates, as flat rows
                 self._basis = basis_rows(layout, minority)
             cuts = [0, *(np.flatnonzero(np.diff(labels[minority])) + 1), len(minority)]
             self._corrections = [
@@ -451,7 +448,7 @@ class _Admm:
             if self._basis is None:  # through the change of basis of the whole stack
                 coords = basis_coords(self.prog.layout, planes.reshape(-1, *v.shape[1:]))
                 picked = coords.reshape(len(planes), -1)[:, self._minority]
-            else:  # through the basis matrices E
+            else:  # through the basis matrices
                 picked = planes @ self._basis.T
             by_block = picked.reshape(-1, len(v), picked.shape[-1])  # a view
             for idx, op in self._corrections:
@@ -812,7 +809,7 @@ def _robustness_primal(geom: _SlotGeometry) -> ConicProgram:
     diagnostics "negative_part_trace" and "positivity_bump" are the trace
     the first step added to T and the multiple of the identity the second
     added.  The restricted pair uses this program for the reduced
-    setup E*(S) (`_restricted_reduction`), its polish first applying E* to
+    setup E*(S) (`restricted_reduction`), its polish first applying E* to
     the witness run's slacks."""
     n, dd, eye, s = geom.n, geom.dd, geom.eye, geom.s_mat
     zero = np.zeros((n, n), dtype=complex)
@@ -887,7 +884,7 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
     )
 
     if restricted:
-        interior = _restricted_dual_interior(geom)
+        interior = _restricted_dual_interior(geom, witness_subspace)
     else:
         w0 = eye / (2 * dd)
         interior = {"W": w0, "P_fwd": w0, "P_bwd": w0, "Q": eye / dd - w0}
@@ -920,13 +917,15 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
     )
 
 
-def _restricted_dual_interior(geom: _SlotGeometry) -> dict[str, np.ndarray]:
+def _restricted_dual_interior(geom: _SlotGeometry, project: Callable) -> dict[str, np.ndarray]:
     """A strictly feasible witness of the restricted form, recentered inside
     both direction cones by a traceless component on the global input (one
-    qubit, as `restricted_witness_projector` has checked).  That component is
+    qubit, as `restricted_reduction` has checked).  That component is
     orthogonal to the uniform-global-input span, which contains both
-    direction spans, so it serves as either direction's complement part."""
-    p0_full, dd = _pin(geom.layout), geom.dd
+    direction spans, so it serves as either direction's complement part.
+    `project` is the restricted form's projector E E*/d_ot; it takes the
+    identity to P0 = |0><0| on B_it, the identity on every other wire."""
+    p0_full, dd = project(np.eye(geom.n)), geom.dd
     w = p0_full / (2 * dd)
     w_dir = (2 * p0_full - geom.eye) / (4 * dd)
     # margins: P_fwd = P_bwd = I/(4 dd); Q = I/dd - P0/(2 dd) has least
@@ -936,22 +935,28 @@ def _restricted_dual_interior(geom: _SlotGeometry) -> dict[str, np.ndarray]:
 
 # -- restricted-witness machinery -----------------------------------------------------
 
-# the wires the restricted witness pins to |0> and replaces by the uniform state
+# the wires the restricted witness pins to |0> and sums over
 _PINNED, _TRACED = "B_it", "B_ot"
 
 
-def _pin(layout: SystemLayout) -> np.ndarray:
-    """|0><0| on the pinned wire, the identity on every other."""
-    mats = [np.diag([1.0, 0.0]) if lab == _PINNED else np.eye(layout.dim(lab)) for lab in layout.labels]
-    return reduce(np.kron, mats)
+def restricted_reduction(setup: SetupOperator) -> tuple[SetupOperator, Callable, Callable, Callable]:
+    """The experimentally accessible witness form of a setup: B_it prepared
+    in |0>, B_ot summed over, everything else free.  Returns the reduced
+    setup E*(S), the reduction E*(X) = <0|_B_it Tr_B_ot(X) |0>_B_it, its
+    adjoint E(Y) = |0><0|_B_it (x) Y (x) I_B_ot, and the orthogonal
+    projector E E*/d_ot onto the restricted witnesses, all on raw matrices;
+    d_ot is the dimension of B_ot, and E* E = d_ot.  The wires are found by
+    label, as in the restricted decomposition of the witness module; without
+    a one-qubit global input B_it and a global-output wire B_ot it raises
+    ValueError.
 
-
-def restricted_witness_projector(setup: SetupOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """Projector onto the experimentally accessible witness form: the target
-    input B_it pinned to the first basis state and the target output B_ot
-    uniform, everything else free.  The wires are found by label, as in the
-    restricted decomposition of the witness module, so a reordering of the
-    layout does not change them."""
+    The reduced layout keeps every wire in place, B_it and B_ot at dimension
+    one (so B_ot still carries the global-output role when no other wire
+    does).  E* maps the general, forward and backward cones onto those of
+    the reduced setup, and the embedding X -> I_B_it (x) X (x) I_B_ot/d_ot
+    maps them back with Tr(X)/dd unchanged, while E* vanishes on the
+    complement of the restricted witnesses.  So the restricted noise program
+    is the full noise program of E*(S)."""
     layout = setup.op.layout
     if (
         setup.labels(ROLE_GLOBAL_INPUT) != (_PINNED,)
@@ -962,44 +967,32 @@ def restricted_witness_projector(setup: SetupOperator) -> Callable[[np.ndarray],
             f"the restricted witness form needs one qubit global input {_PINNED} "
             f"and the global output wire {_TRACED}"
         )
-    pin = _pin(layout)
-    replaced = layout.positions((_TRACED,))
-    dims = layout.dims
-
-    def project(m: np.ndarray) -> np.ndarray:
-        return trace_and_replace_matrix(pin @ m @ pin, dims, replaced)
-
-    return project
-
-
-def _restricted_reduction(setup: SetupOperator) -> tuple[SetupOperator, Callable[[np.ndarray], np.ndarray]]:
-    """The reduced setup E*(S) of a setup the restricted witness form fits,
-    and the map E*(X) = <0|_B_it Tr_B_ot(X) |0>_B_it on raw matrices.
-
-    The reduced layout keeps every wire in place, B_it and B_ot at dimension
-    one (so B_ot still carries the global-output role when no other wire
-    does).  E* maps the general, forward and backward cones onto those of the
-    reduced setup, and the lift X -> I_B_it (x) X (x) I_B_ot/2 maps them back
-    with Tr(X)/dd unchanged, while E* vanishes on the complement of the
-    restricted witness subspace.  So the restricted noise program is the
-    full noise program of E*(S)."""
-    layout = setup.op.layout
-    dims = layout.dims
-    traced = layout.position(_TRACED)
-    kept = [d for k, d in enumerate(dims) if k != traced]
-    pinned = layout.position(_PINNED) - (traced < layout.position(_PINNED))
-    pin = tuple(0 if k == pinned else slice(None) for k in range(len(kept))) * 2
     reduced = SystemLayout(
         tuple((lab, 1 if lab in (_PINNED, _TRACED) else d) for lab, d in layout.factors)
     )
-    n = reduced.total_dim
+    shape, n, full = layout.dims * 2, reduced.total_dim, layout.total_dim
+    # the B_it = 0 block at each diagonal index of B_ot: E* sums them, E
+    # writes Y into each
+    blocks = [
+        tuple(0 if lab == _PINNED else j if lab == _TRACED else slice(None) for lab in layout.labels) * 2
+        for j in range(layout.dim(_TRACED))
+    ]
 
     def restrict(m: np.ndarray) -> np.ndarray:
-        t = partial_trace_matrix(m, dims, (traced,)).reshape(kept * 2)
-        return t[pin].reshape(n, n)
+        t = m.reshape(shape)
+        return reduce(np.add, (t[block] for block in blocks)).reshape(n, n)
+
+    def adjoint(y: np.ndarray) -> np.ndarray:
+        out = np.zeros(shape, dtype=y.dtype)
+        for block in blocks:
+            out[block] = y.reshape(out[block].shape)
+        return out.reshape(full, full)
+
+    def project(m: np.ndarray) -> np.ndarray:
+        return adjoint(restrict(m) * (1 / len(blocks)))
 
     op = HermitianOperator(reduced, restrict(setup.op.matrix))
-    return SetupOperator(op, setup.roles), restrict
+    return SetupOperator(op, setup.roles), restrict, adjoint, project
 
 
 # -- the public drivers ---------------------------------------------------------------
@@ -1028,10 +1021,11 @@ def solve_max_robustness(
     extras["lower_point"].
 
     `restricted` confines the witness to the experimentally accessible
-    subspace (`restricted_witness_projector`).  The upper bound then comes
-    from the full noise program of the reduced setup E*(S)
-    (`_restricted_reduction`), polished from E* of the witness run's slacks,
-    and extras["upper_point"] lives on the reduced layout.
+    subspace, the image of the projector E E*/d_ot built from the reduction
+    E* and its adjoint E (`restricted_reduction`).  The upper bound then comes
+    from the full noise program of the reduced setup E*(S), polished from E*
+    of the witness run's slacks, and extras["upper_point"] lives on the
+    reduced layout.
     """
     check = check_setup(setup, tol=1e-6)
     if not check.passed["general"]:
@@ -1041,10 +1035,10 @@ def solve_max_robustness(
         )
     geom = _SlotGeometry(setup)
     if restricted:
-        dual = _robustness_dual(geom, restricted_witness_projector(setup))
-        # the reduced setup is not checked again: E* sums two compressions,
-        # so its least eigenvalue may reach twice the tolerance above
-        reduced, restrict = _restricted_reduction(setup)
+        reduced, restrict, _, project = restricted_reduction(setup)
+        dual = _robustness_dual(geom, project)
+        # the reduced setup is not checked again: E* sums d_ot compressions,
+        # so its least eigenvalue may reach d_ot times the tolerance above
         reduced_primal = _robustness_primal(_SlotGeometry(reduced))
 
         def polish(zs):

@@ -210,12 +210,9 @@ def basis_rows(layout: SystemLayout, coordinates: np.ndarray) -> np.ndarray:
     wire, taken wire by wire, so the last product is the only (m, n*n) array.
 
     The solver's affine step builds these rows only while m is at most
-    `sdp.DENSE_SHARE` (1/8) of n*n: there, on 32 x 32 blocks, a step through
-    them takes a quarter to a third of the time of `basis_coords` and
-    `basis_matrices` on the whole stack (62 against 231 us on the witness
-    program, m = 63), while above it they cost about as much time as the
-    transforms (182 against 174 us on the game cap, m = 238) and m n^2
-    floats of memory."""
+    `sdp.DENSE_SHARE` of n*n, and above it goes through `basis_coords` and
+    `basis_matrices` of the whole stack; the constant's comment gives the
+    timings behind the share."""
     m, dims = len(coordinates), layout.dims
     rows = np.ones((m, 1, 1))
     for d, index in zip(dims, np.unravel_index(coordinates, [d * d for d in dims])):
@@ -581,6 +578,8 @@ def setup_to_dict(setup: SetupOperator) -> dict:
 def setup_from_dict(obj: dict) -> SetupOperator:
     if not isinstance(obj, dict) or "roles" not in obj:
         raise ValueError("setup record is not an object with a 'roles' mapping")
+    if not isinstance(obj["roles"], dict):
+        raise ValueError(f"'roles' is not an object of label: role pairs: {obj['roles']!r}")
     return SetupOperator(operator_from_dict(obj), obj["roles"])
 
 

@@ -474,7 +474,7 @@ def _read_csv(path: str, what: str):
         if header[: len(columns)] == columns:
             break
     else:
-        raise ValueError(f"unrecognized {what} header {header}")
+        raise ValueError(f"unrecognized {what} header {header} in {path}")
     numbered = []
     for number, row in enumerate(rows[1:], start=2):
         if not row:
@@ -502,7 +502,7 @@ def _field(path: str, number: int, row: dict, column: str, kind: type):
 def load_decomposition(path: str) -> list[DecompositionTerm]:
     header, arity, rows = _read_csv(path, "decomposition")
     if header[arity:] != ("coeff",):
-        raise ValueError(f"unrecognized decomposition header {header}")
+        raise ValueError(f"unrecognized decomposition header {header} in {path}")
     terms = [
         DecompositionTerm(
             tuple(_field(path, number, row, column, int) for column in header[:arity]),
@@ -539,6 +539,13 @@ def load_probabilities(path: str) -> list[ProbabilityRecord]:
     """Read probability records; raw-count rows (counts, shots and no
     probability column) are converted to frequencies."""
     header, arity, rows = _read_csv(path, "probability")
+    columns = set(header[arity:])
+    if (len(columns) < len(header) - arity or not columns <= {"probability", "counts", "shots"}
+            or "probability" not in columns and not {"counts", "shots"} <= columns):
+        raise ValueError(
+            f"unrecognized probability header {header} in {path}: after the index columns come "
+            "probability, counts and shots, each at most once, with probability or both others"
+        )
     records = []
     for number, row in rows:
         indices = tuple(_field(path, number, row, column, int) for column in header[:arity])
@@ -549,9 +556,7 @@ def load_probabilities(path: str) -> list[ProbabilityRecord]:
         elif counts is not None and shots is not None:
             probability = counts / shots
         else:
-            raise ValueError(
-                f"row {indices} in {path} has neither a probability nor counts with shots"
-            )
+            raise ValueError(f"row {number} of {path} has neither a probability nor counts with shots")
         try:
             records.append(ProbabilityRecord(indices, probability, counts=counts, shots=shots))
         except ValueError as exc:

@@ -23,7 +23,13 @@ from timeflip.game import (
     game_layout,
 )
 from timeflip.supermaps import ConeId, SetupOperator, SpanMask, sequential_setup
-from timeflip.tensor_core import HermitianOperator, SystemLayout, min_eigenvalue, tensor_product
+from timeflip.tensor_core import (
+    HermitianOperator,
+    SystemLayout,
+    min_eigenvalue,
+    tensor_product,
+    trace_and_replace_matrix,
+)
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -289,6 +295,34 @@ def rotated(setup) -> SetupOperator:
     return SetupOperator(
         HermitianOperator(setup.op.layout, u @ setup.op.matrix @ u.conj().T), setup.roles
     )
+
+
+def restricted_projector(setup) -> Callable[[np.ndarray], np.ndarray]:
+    """E E*/d_ot, the orthogonal projector onto the restricted witness form,
+    as `sdp.restricted_reduction` returns it."""
+    return sdp.restricted_reduction(setup)[3]
+
+
+def qutrit_target_output(setup) -> SetupOperator:
+    """The setup with B_ot embedded in a qutrit by the isometry |0> -> |0>,
+    |1> -> |1>: a post-processing of the global output, so every cone keeps
+    its members, and the restricted witnesses, which sum B_ot over, see the
+    same setup."""
+    layout = setup.op.layout
+    v = np.eye(3)[:, :2]
+    k = reduce(np.kron, [v if lab == "B_ot" else np.eye(d) for lab, d in layout.factors])
+    wider = SystemLayout(tuple((lab, 3 if lab == "B_ot" else d) for lab, d in layout.factors))
+    return SetupOperator(HermitianOperator(wider, k @ setup.op.matrix @ k.conj().T), setup.roles)
+
+
+def pin_and_trace_projector(setup) -> Callable[[np.ndarray], np.ndarray]:
+    """The restricted witness projector in its pin-and-trace form, the
+    reference for E E*/d_ot: |0><0| on B_it applied on both sides, then B_ot
+    traced out and replaced by I/d_ot."""
+    layout = setup.op.layout
+    pin = reduce(np.kron, [np.diag([1.0, 0.0]) if lab == "B_it" else np.eye(d) for lab, d in layout.factors])
+    replaced = layout.positions(("B_ot",))
+    return lambda m: trace_and_replace_matrix(pin @ m @ pin, layout.dims, replaced)
 
 
 def shifted_robustness_primal(shift: float):

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 import timeflip
-from helpers import gate_pair_to_dict, half_definite, random_channel, shifted_robustness_primal
+from helpers import (
+    gate_pair_to_dict,
+    half_definite,
+    qutrit_target_output,
+    random_channel,
+    shifted_robustness_primal,
+)
 from timeflip import cli, sdp
 from timeflip.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from timeflip.game import builtin_gate_sets
@@ -108,8 +114,23 @@ class TestRobustness:
         assert len(terms) == 794
         assert all(term.coeff != 0.0 for term in terms)
 
-    def test_restricted_headline_value(self, capsys):
-        assert _run("robustness", "--restricted") == EXIT_OK
+    def test_restricted_headline_value(self, tmp_path, capsys):
+        decomposition = str(tmp_path / "restricted.csv")
+        assert _run("robustness", "--restricted", "--decomposition-out", decomposition) == EXIT_OK
+        values = _stdout_values(capsys)
+        assert values["robustness"] == pytest.approx(0.1716, abs=_VALUE_TOL)
+        assert values["gap"] <= 1e-4
+        # the restricted witness costs at most 59 experiment settings
+        terms = load_decomposition(decomposition)
+        assert len(terms) <= 59
+        assert all(len(term.indices) == 3 and term.coeff != 0.0 for term in terms)
+
+    def test_restricted_value_with_a_qutrit_target_output(self, tmp_path, capsys):
+        # summing a qutrit B_ot over normalizes by 3, not 2; the restricted
+        # witness cannot tell qtf from this embedding of it
+        path = str(tmp_path / "setup.json")
+        save_setup(path, qutrit_target_output(qtf_plus_control()))
+        assert _run("robustness", "--setup", path, "--restricted") == EXIT_OK
         values = _stdout_values(capsys)
         assert values["robustness"] == pytest.approx(0.1716, abs=_VALUE_TOL)
         assert values["gap"] <= 1e-4
@@ -486,6 +507,40 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot load {flag[2:]} {str(path)!r}: ")
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("roles", [5, None, "B_it", [["A_I", "slot-input"]]],
+                             ids=["number", "null", "string", "pair-list"])
+    def test_setup_roles_must_be_an_object(self, tmp_path, capsys, roles):
+        # dict() would raise TypeError on a number and quietly accept a list
+        # of pairs
+        record = setup_to_dict(qtf_plus_control())
+        record["roles"] = roles
+        path = tmp_path / "setup.json"
+        path.write_text(json.dumps(record))
+        for command in ("validate", "robustness"):
+            assert _run(command, "--setup", str(path)) == EXIT_IO, command
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: cannot load setup {str(path)!r}: "), command
+            assert "'roles' is not an object" in captured.err, command
+            assert captured.out == "", command
+
+    @pytest.mark.parametrize("header, row", [
+        ("b,c,e,probability,shots_typo", "0,0,0,0.5,7"),
+        ("b,c,e,probability,probability", "0,0,0,0.5,0.5"),
+        ("b,c,e,counts", "0,0,0,7"),
+        ("b,c,e", "0,0,0"),
+    ], ids=["unknown-column", "repeated-column", "counts-without-shots", "no-value-column"])
+    def test_probability_header_is_checked_once(self, tmp_path, capsys, header, row):
+        decomposition = tmp_path / "decomposition.csv"
+        decomposition.write_text("b,c,e,coeff\n0,0,0,1.0\n")
+        counts = tmp_path / "typo.csv"
+        counts.write_text(f"{header}\n{row}\n")
+        assert _run("probabilities", "--decomposition-in", str(decomposition),
+                    "--counts-in", str(counts)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot obtain probabilities: unrecognized probability header")
+        assert f"{tuple(header.split(','))} in {counts}" in captured.err
+        assert captured.out == ""
 
     def test_restricted_needs_a_qubit_global_input(self, tmp_path, capsys):
         layout = SystemLayout((("G", 3), ("A_I", 2), ("A_O", 2), ("Go", 2)))

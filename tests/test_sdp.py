@@ -17,7 +17,10 @@ from helpers import (
     random_channel,
     random_fixed_direction,
     random_general_setup,
+    pin_and_trace_projector,
+    qutrit_target_output,
     random_hermitian,
+    restricted_projector,
     rotated,
     shifted_robustness_primal,
 )
@@ -26,7 +29,6 @@ from timeflip.sdp import (
     Block,
     ConicProgram,
     MatrixRow,
-    restricted_witness_projector,
     solve,
     solve_cone_value,
     solve_max_robustness,
@@ -313,7 +315,7 @@ class TestMaxRobustness:
 
     def test_restricted_witness_in_subspace(self, qtf, solved_restricted):
         _, witness = solved_restricted
-        project = restricted_witness_projector(qtf)
+        project = restricted_projector(qtf)
         assert np.linalg.norm(witness.matrix - project(witness.matrix)) <= 1e-9
 
     @pytest.mark.parametrize("restricted", [False, True])
@@ -431,7 +433,7 @@ def _guard_program() -> ConicProgram:
 def _restricted_witness(qtf, iterations):
     """The restricted witness program run for exactly `iterations`, without
     the pair's stop rule, then polished: the certified value and the witness."""
-    dual = sdp._robustness_dual(sdp._SlotGeometry(qtf), restricted_witness_projector(qtf))
+    dual = sdp._robustness_dual(sdp._SlotGeometry(qtf), restricted_projector(qtf))
     run = sdp._Admm(dual)
     run.run(0.0, iterations)
     value, point, _ = dual.polish(run.zs)
@@ -471,7 +473,7 @@ def _iterated_program(qtf, program, phase):
         return sdp.cone_value_programs(s, _definite_spans(qtf), qtf.trace_target)[1]
     setup = SetupOperator(HermitianOperator(qtf.op.layout, s), qtf.roles)
     restricted = program == "restricted-witness"
-    subspace = restricted_witness_projector(setup) if restricted else None
+    subspace = restricted_projector(setup) if restricted else None
     return sdp._robustness_dual(sdp._SlotGeometry(setup), subspace)
 
 
@@ -734,7 +736,7 @@ class TestOneRunPerPair:
         report, _ = request.getfixturevalue(_SOLVED[case])
         if case.startswith("restricted"):
             # the restricted min side is the noise program of the reduced setup
-            setup = sdp._restricted_reduction(setup)[0]
+            setup = sdp.restricted_reduction(setup)[0]
         prog = sdp._robustness_primal(sdp._SlotGeometry(setup))
         point = report.extras["upper_point"]
         assert set(point) == {blk.name for blk in prog.blocks}
@@ -788,7 +790,7 @@ class TestPositivityRepair:
         # the noise polish splits its repair of T by coordinates, F taking
         # those the forward span keeps and B the rest; B's share lies in the
         # backward span because the general span keeps no other coordinate
-        setup = qtf if case == "full" else sdp._restricted_reduction(qtf)[0]
+        setup = qtf if case == "full" else sdp.restricted_reduction(qtf)[0]
         geom = sdp._SlotGeometry(setup)
         assert np.array_equal(geom.general.keep, geom.forward.keep | geom.backward.keep)
 
@@ -820,7 +822,7 @@ class TestPositivityRepair:
             assert np.linalg.eigvalsh(report.extras["upper_point"][name])[0] >= 0.0, name
 
 
-def _lift(x, setup):
+def _embed(x, setup):
     """I_B_it (x) X (x) I_B_ot/2 in the setup's layout order, for X on the
     reduced layout, where B_it and B_ot have dimension one."""
     layout = setup.op.layout
@@ -836,14 +838,14 @@ class TestRestrictedReduction:
     def test_lifted_noise_is_feasible_at_full_size(self, qtf, request, case):
         setup = rotated(qtf) if case.endswith("rotated") else qtf
         report, _ = request.getfixturevalue(_SOLVED[case])
-        point = {name: _lift(m, setup) for name, m in report.extras["upper_point"].items()}
+        point = {name: _embed(m, setup) for name, m in report.extras["upper_point"].items()}
         t, f, b = point["T"], point["F"], point["B"]
         for m, cone in ((t, ConeId.GENERAL), (f, ConeId.FORWARD), (b, ConeId.BACKWARD)):
             assert np.linalg.norm(m - SpanMask.of_setup(setup, cone).project(m)) <= 1e-9, cone
             assert min_eigenvalue(m) >= 0.0, cone
         # S + T splits into F + B up to a part the restricted witness cannot see
         shift = f + b - t - setup.op.matrix
-        assert np.linalg.norm(restricted_witness_projector(setup)(shift)) <= 1e-9
+        assert np.linalg.norm(restricted_projector(setup)(shift)) <= 1e-9
         assert np.trace(t).real / setup.trace_target == pytest.approx(report.upper, abs=1e-12)
 
     def test_target_output_may_be_the_only_global_output(self):
@@ -853,11 +855,59 @@ class TestRestrictedReduction:
         pre, post = random_channel(rng, 2, 4), random_channel(rng, 4, 2)
         labels = ("A_I", "A_O", "B_it", "B_ot")
         setup = sequential_setup(pre, post, 2, ConeId.FORWARD, labels=labels)
-        reduced, _ = sdp._restricted_reduction(setup)
+        reduced = sdp.restricted_reduction(setup)[0]
         assert reduced.op.layout.factors == (("A_I", 2), ("A_O", 2), ("B_it", 1), ("B_ot", 1))
         report, _ = solve_max_robustness(setup, restricted=True)
         assert report.converged
         assert report.upper <= _GAP_TOL
+
+    @pytest.mark.parametrize("d_ot", [2, 3])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_reduction_of_the_adjoint_is_d_ot_times_the_identity(self, qtf, kind, d_ot):
+        # E* E = Tr(I_B_ot) = d_ot on the reduced layout, exactly: E writes Y
+        # into d_ot blocks and E* adds them
+        setup = qtf if d_ot == 2 else qutrit_target_output(qtf)
+        reduced, restrict, adjoint, _ = sdp.restricted_reduction(setup)
+        n = reduced.op.layout.total_dim
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            y = random_hermitian(rng, n) if kind == "complex" else rng.standard_normal((n, n))
+            assert adjoint(y).dtype == y.dtype
+            assert np.array_equal(restrict(adjoint(y)), d_ot * y)
+
+    @pytest.mark.parametrize("d_ot", [2, 3])
+    def test_projector_is_orthogonal_and_keeps_p0(self, qtf, d_ot):
+        setup = qtf if d_ot == 2 else qutrit_target_output(qtf)
+        project, n = restricted_projector(setup), setup.op.layout.total_dim
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            a, b = random_hermitian(rng, n), rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for x in (a, b):
+                assert np.max(np.abs(project(project(x)) - project(x))) <= 1e-15
+            assert np.vdot(a, project(b)) == pytest.approx(np.vdot(project(a), b), abs=1e-12)
+        # the identity goes to |0><0| on B_it, the identity on every other wire
+        p0 = np.kron(np.eye(4), np.kron(np.diag([1.0, 0.0]), np.eye(n // 8)))
+        assert np.array_equal(project(np.eye(n)), p0)
+
+    @pytest.mark.parametrize("order", ["layout", "reordered", "qutrit-target-output"])
+    def test_projector_matches_the_pin_and_trace_form_bit_for_bit(self, qtf, order):
+        # the restricted form finds B_it and B_ot by label, so a reordered
+        # layout projects the same way; sign bits of zeros included, and with
+        # a qutrit B_ot too
+        setup = qutrit_target_output(qtf) if order == "qutrit-target-output" else qtf
+        if order == "reordered":
+            labels = ("B_ot", "A_O", "B_oc", "B_it", "A_I")
+            setup = SetupOperator(permute_factors(qtf.op, labels), qtf.roles)
+        project, reference = restricted_projector(setup), pin_and_trace_projector(setup)
+        n = setup.op.layout.total_dim
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            m = rng.standard_normal((n, n))
+            c = m + 1j * rng.standard_normal((n, n))
+            for x in (m, c, m + m.T, c + c.conj().T):
+                got, want = project(x), reference(x)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestConeValue:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from itertools import product
 
@@ -572,10 +573,20 @@ class TestCsvInterfaces:
         assert records[0].probability == pytest.approx(0.794)
         assert (records[0].counts, records[0].shots) == (794, 1000)
 
+    def test_row_without_a_value_names_its_number(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("b,c,e,counts,shots\n0,0,0,794,1000\n0,0,1,,1000\n")
+        with pytest.raises(ValueError, match=re.escape(f"row 3 of {path} has neither")):
+            load_probabilities(str(path))
+
     def test_unrecognized_headers_raise(self, tmp_path):
+        # each header error names the header and the file
         path = tmp_path / "bad.csv"
         path.write_text("x,y,z\n1,2,3\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match=re.escape(f"header ('x', 'y', 'z') in {path}")):
             load_decomposition(str(path))
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match=re.escape(f"header ('x', 'y', 'z') in {path}")):
             load_probabilities(str(path))
+        path.write_text("b,c,e,coef\n1,2,3,0.5\n")
+        with pytest.raises(ValueError, match=re.escape(f"header ('b', 'c', 'e', 'coef') in {path}")):
+            load_decomposition(str(path))
