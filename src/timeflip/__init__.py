@@ -32,7 +32,7 @@ _EXPORTS = {
         "supermaps": ("ConeId", "SetupOperator", "SlotSpec", "apply_supermap",
                       "check_multipartite", "check_setup", "definite_split", "qtf_choi",
                       "qtf_plus_control"),
-        "tensor_core": ("HermitianOperator", "Ket", "SystemLayout", "double_ket", "hs_inner",
+        "tensor_core": ("HermitianOperator", "SystemLayout", "double_ket", "hs_inner",
                         "identity", "partial_transpose", "permute_factors", "qubits",
                         "tensor_product", "trace_and_replace"),
         "witness": ("DecompositionTerm", "ProbabilityRecord", "WitnessReport",

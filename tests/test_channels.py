@@ -12,7 +12,9 @@ from helpers import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    projector,
     random_bistochastic_channel,
+    random_channel,
     random_unitary,
 )
 from timeflip.channels import (
@@ -29,11 +31,25 @@ def test_kraus_channel_validates_trace_preservation():
         KrausChannel([np.array([[1.0, 0.0], [0.0, 0.5]])])
 
 
+def test_kraus_channel_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match=r"non-finite Kraus operator 1 entry \(nan\+0j\) at \[1, 0\]"):
+        KrausChannel([PAULI_I / np.sqrt(2), np.array([[0, 0], [np.nan, 1]]) / np.sqrt(2)])
+
+
+def test_kraus_to_choi_is_the_sum_of_double_ket_projectors():
+    # a rectangular channel from a qubit into a ququart: each (4, 2) Kraus
+    # operator's double ket lives on (in, out) = (2, 4)
+    ch = random_channel(np.random.default_rng(4), 2, 4)
+    choi = kraus_to_choi(ch)
+    assert choi.layout.dims == (2, 4)
+    assert np.allclose(choi.matrix, sum(projector(double_ket(k)) for k in ch.kraus), atol=1e-14)
+
+
 def test_kraus_to_choi_identity_and_z():
     identity_choi = kraus_to_choi(KrausChannel([PAULI_I]))
-    assert np.allclose(identity_choi.matrix, double_ket(np.eye(2)).outer().matrix)
+    assert np.allclose(identity_choi.matrix, projector(double_ket(np.eye(2))))
     z_choi = kraus_to_choi(KrausChannel([PAULI_Z]))
-    assert np.allclose(z_choi.matrix, double_ket(PAULI_Z).outer().matrix)
+    assert np.allclose(z_choi.matrix, projector(double_ket(PAULI_Z)))
     assert identity_choi.trace == pytest.approx(2.0)
 
 

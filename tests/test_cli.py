@@ -15,6 +15,8 @@ import pytest
 
 import timeflip
 from helpers import (
+    QTF_ROBUSTNESS,
+    QTF_ROBUSTNESS_RESTRICTED,
     gate_pair_to_dict,
     half_definite,
     qutrit_target_output,
@@ -100,7 +102,7 @@ class TestRobustness:
         assert report["command"] == "robustness"
         assert report["robustness"] == report["lower"]
         assert report["converged"] is True
-        assert report["robustness"] == pytest.approx(0.4007, abs=_VALUE_TOL)
+        assert report["lower"] <= QTF_ROBUSTNESS <= report["upper"]
         assert report["gap"] <= 1e-4
 
     def test_stdout_reports_value(self, artifacts, capsys):
@@ -114,26 +116,29 @@ class TestRobustness:
         assert len(terms) == 794
         assert all(term.coeff != 0.0 for term in terms)
 
-    def test_restricted_headline_value(self, tmp_path, capsys):
+    def test_restricted_headline_value(self, tmp_path):
         decomposition = str(tmp_path / "restricted.csv")
-        assert _run("robustness", "--restricted", "--decomposition-out", decomposition) == EXIT_OK
-        values = _stdout_values(capsys)
-        assert values["robustness"] == pytest.approx(0.1716, abs=_VALUE_TOL)
-        assert values["gap"] <= 1e-4
+        out = tmp_path / "report.json"
+        assert _run("robustness", "--restricted", "--decomposition-out", decomposition,
+                    "--out", str(out)) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["lower"] <= QTF_ROBUSTNESS_RESTRICTED <= report["upper"]
+        assert report["gap"] <= 1e-4
         # the restricted witness costs at most 59 experiment settings
         terms = load_decomposition(decomposition)
         assert len(terms) <= 59
         assert all(len(term.indices) == 3 and term.coeff != 0.0 for term in terms)
 
-    def test_restricted_value_with_a_qutrit_target_output(self, tmp_path, capsys):
+    def test_restricted_value_with_a_qutrit_target_output(self, tmp_path):
         # summing a qutrit B_ot over normalizes by 3, not 2; the restricted
         # witness cannot tell qtf from this embedding of it
         path = str(tmp_path / "setup.json")
         save_setup(path, qutrit_target_output(qtf_plus_control()))
-        assert _run("robustness", "--setup", path, "--restricted") == EXIT_OK
-        values = _stdout_values(capsys)
-        assert values["robustness"] == pytest.approx(0.1716, abs=_VALUE_TOL)
-        assert values["gap"] <= 1e-4
+        out = tmp_path / "report.json"
+        assert _run("robustness", "--setup", path, "--restricted", "--out", str(out)) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["lower"] <= QTF_ROBUSTNESS_RESTRICTED <= report["upper"]
+        assert report["gap"] <= 1e-4
 
     def test_iteration_cap_fails_naming_the_worst_residual(self, capsys):
         assert _run("robustness", "--setup", "qtf", "--max-iter", "10") == EXIT_FAIL

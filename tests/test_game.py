@@ -143,7 +143,7 @@ class TestSwitchStrategy:
         for pair in pairs:
             sym = double_ket(pair.u @ pair.v.T + pair.v.T @ pair.u)
             anti = double_ket(pair.u @ pair.v.T - pair.v.T @ pair.u)
-            assert abs(np.vdot(sym.amplitudes, anti.amplitudes)) <= _TOL
+            assert abs(np.vdot(sym, anti)) <= _TOL
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -155,8 +155,8 @@ class TestSwitchStrategy:
         assert np.allclose(proj.conj().T, proj, atol=1e-14)
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        symmetrized = double_ket((a + a.T) / 2.0).amplitudes
-        assert np.allclose(proj @ double_ket(a).amplitudes, symmetrized, atol=1e-12)
+        symmetrized = double_ket((a + a.T) / 2.0)
+        assert np.allclose(proj @ double_ket(a), symmetrized, atol=1e-12)
 
     def test_broken_pair_fails_normalization(self):
         fake = types.SimpleNamespace(u=_I, v=0.5 * _I, tag=TAG_PLUS)

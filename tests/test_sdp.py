@@ -5,12 +5,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import tracemalloc
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import (
+    QTF_ROBUSTNESS,
+    QTF_ROBUSTNESS_RESTRICTED,
     definite_mixture,
     exactly_positive_definite,
     half_definite,
@@ -20,6 +23,7 @@ from helpers import (
     pin_and_trace_projector,
     qutrit_target_output,
     random_hermitian,
+    random_unitary,
     restricted_projector,
     rotated,
     shifted_robustness_primal,
@@ -59,7 +63,6 @@ from timeflip.tensor_core import (
 from timeflip.witness import _span_masks as witness_span_masks, validate_witness
 
 _GAP_TOL = 1e-4
-_VALUE_TOL = 5e-3
 
 
 @pytest.fixture(scope="module")
@@ -258,8 +261,7 @@ class TestMaxRobustness:
         report, witness = solved
         assert report.converged
         assert report.gap <= _GAP_TOL
-        assert abs(report.lower - 0.4007) <= _VALUE_TOL
-        assert abs(report.upper - 0.4007) <= _VALUE_TOL
+        assert report.lower <= QTF_ROBUSTNESS <= report.upper
         # the certified lower bound is the witness expectation itself
         assert report.lower >= 0.0
 
@@ -310,7 +312,7 @@ class TestMaxRobustness:
         report, witness = solved_restricted
         assert report.converged
         assert report.gap <= _GAP_TOL
-        assert abs(report.lower - 0.1716) <= _VALUE_TOL
+        assert report.lower <= QTF_ROBUSTNESS_RESTRICTED <= report.upper
         assert report.extras["restricted"] is True
 
     def test_restricted_witness_in_subspace(self, qtf, solved_restricted):
@@ -645,6 +647,10 @@ def _half_random(qtf, seed):
     return SetupOperator(HermitianOperator(qtf.op.layout, mixed), qtf.roles)
 
 
+def _closed_form(restricted):
+    return QTF_ROBUSTNESS_RESTRICTED if restricted else QTF_ROBUSTNESS
+
+
 def _same_robustness(a, b):
     # both brackets hold the optimum, so their lower bounds differ by at
     # most the wider gap
@@ -660,6 +666,7 @@ class TestInvariance:
         )
         report, _ = solve_max_robustness(conjugated)
         _same_robustness(report, solved_rotated[0])
+        assert report.lower <= QTF_ROBUSTNESS <= report.upper
 
     def test_global_output_wires_reordered(self, qtf, solved, solved_restricted):
         order = ("A_I", "A_O", "B_it", "B_oc", "B_ot")
@@ -667,10 +674,31 @@ class TestInvariance:
         assert swapped.op.layout.labels == order
         report, _ = solve_max_robustness(swapped)
         _same_robustness(report, solved[0])
+        assert report.lower <= QTF_ROBUSTNESS <= report.upper
         # the restricted form pins B_it and traces B_ot by label, wherever
         # the layout puts them
         report, _ = solve_max_robustness(swapped, restricted=True)
         _same_robustness(report, solved_restricted[0])
+        assert report.lower <= QTF_ROBUSTNESS_RESTRICTED <= report.upper
+
+    @pytest.mark.parametrize("case", sorted(_SOLVED))
+    def test_every_solved_bracket_contains_the_closed_form(self, request, case):
+        report, _ = request.getfixturevalue(_SOLVED[case])
+        assert report.converged
+        assert report.lower <= _closed_form(case.startswith("restricted")) <= report.upper
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_local_unitaries_on_the_global_wires(self, qtf, restricted):
+        # unitaries on the global wires keep every span and the PSD cone, so
+        # the full value stays.  The restricted witness prepares |0> on B_it,
+        # so there the B_it unitary is diagonal: it keeps |0><0|
+        rng = np.random.default_rng(29)
+        u_it = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2))) if restricted else random_unitary(rng, 2)
+        u = np.kron(np.eye(4), reduce(np.kron, [u_it, random_unitary(rng, 2), random_unitary(rng, 2)]))
+        setup = SetupOperator(HermitianOperator(qtf.op.layout, u @ qtf.op.matrix @ u.conj().T), qtf.roles)
+        report, _ = solve_max_robustness(setup, restricted=restricted)
+        assert report.converged
+        assert report.lower <= _closed_form(restricted) <= report.upper
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bounds_ordered_on_random_setups(self, qtf, seed):
@@ -693,6 +721,7 @@ class TestInvariance:
         flipped, flipped_witness = solve_max_robustness(_flipped(qtf), restricted=case == "restricted")
         assert abs(flipped.lower - report.lower) <= 1e-12
         assert abs(flipped.upper - report.upper) <= 1e-12
+        assert flipped.lower <= _closed_form(case == "restricted") <= flipped.upper
         assert np.max(np.abs(flipped_witness.matrix - witness.matrix)) <= 1e-12
         for mine, theirs in zip(flipped.extras["certificate"], report.extras["certificate"][::-1]):
             assert np.max(np.abs(mine.matrix - theirs.matrix)) <= 1e-12

@@ -14,6 +14,7 @@ from helpers import (
     PAULI_I,
     PAULI_Y,
     oracle_trace_and_replace,
+    projector,
     random_bistochastic_channel,
     random_channel,
     random_hermitian,
@@ -50,7 +51,6 @@ from timeflip.supermaps import (
 from timeflip.tensor_core import (
     HermitianOperator,
     SystemLayout,
-    basis_ket,
     hs_inner,
     identity,
     min_eigenvalue,
@@ -127,7 +127,7 @@ def test_qtf_choi_control_states_select_direction():
     ch = random_bistochastic_channel(rng)
     out = apply_supermap(qtf_choi(), kraus_to_choi(ch))
     for k, expected in ((0, ch), (1, input_output_inversion(ch))):
-        plug = basis_ket(qubits("B_ic"), k).outer()
+        plug = HermitianOperator(qubits("B_ic"), projector(np.eye(2)[k]))
         linked = link_product(plug, out, over={"B_ic"})
         traced = linked.layout.positions(set(linked.layout.labels) - {"B_it", "B_ot"})
         reduced = partial_trace_matrix(linked.matrix, linked.layout.dims, traced)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import (
     half_definite,
     oracle_term,
+    projector,
     random_general_setup,
     random_hermitian_operator,
     rotated,
@@ -27,7 +28,6 @@ from timeflip.supermaps import (
 )
 from timeflip.tensor_core import (
     HermitianOperator,
-    basis_ket,
     double_ket,
     hs_inner,
     identity,
@@ -69,21 +69,16 @@ def _rebuild(terms):
 
 def _identity_channel_branch(direction):
     """The forward (control |0>) or backward (control |1>) branch of the flip."""
-    order = WIRE_LABELS
     if direction == "forward":
         pairs = (("A_I", "B_it"), ("A_O", "B_ot"))
         control = 0
     else:
         pairs = (("A_O", "B_it"), ("A_I", "B_ot"))
         control = 1
-    vec = tensor_product(
-        [
-            double_ket(np.eye(2, dtype=complex), pairs[0]),
-            double_ket(np.eye(2, dtype=complex), pairs[1]),
-            basis_ket(qubits("B_oc"), control),
-        ]
-    )
-    return SetupOperator(permute_factors(vec, order).outer(), qtf_plus_control().roles)
+    eye = np.eye(2)
+    vec = np.kron(np.kron(double_ket(eye), double_ket(eye)), eye[control])
+    op = HermitianOperator(qubits(*pairs[0], *pairs[1], "B_oc"), projector(vec))
+    return SetupOperator(permute_factors(op, WIRE_LABELS), qtf_plus_control().roles)
 
 
 @pytest.fixture(scope="module")
