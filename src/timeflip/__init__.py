@@ -4,7 +4,8 @@ Layered as: tensor_core (labeled tensor algebra), channels (Kraus/Choi forms
 and the input-output inversion), supermaps (setup cones and the coherently
 controlled time-direction setup), sdp (conic solver and robustness programs),
 witness (decomposition, Born probabilities, resampling), game (two-gate
-direction-guessing game), cli (command-line front end).
+direction-guessing game), waveplates (the built-in gates' waveplate angles),
+cli (command-line front end).
 """
 
 import importlib
@@ -24,9 +25,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "channels": ("KrausChannel", "input_output_inversion", "is_bistochastic", "kraus_to_choi"),
-        "game": ("GatePair", "builtin_gate_sets", "builtin_gate_table",
-                 "compute_pmax_fixed_direction", "game_witness", "play_game", "qtf_strategy",
-                 "switch_strategy", "verify_gate_table"),
+        "game": ("GatePair", "builtin_gate_sets", "compute_pmax_fixed_direction",
+                 "game_witness", "play_game", "qtf_strategy", "switch_strategy"),
         "sdp": ("ConicProgram", "SolveReport", "solve", "solve_cone_value",
                 "solve_max_robustness"),
         "supermaps": ("ConeId", "SetupOperator", "SlotSpec", "apply_supermap",
@@ -38,6 +38,7 @@ _EXPORTS = {
         "witness": ("DecompositionTerm", "ProbabilityRecord", "WitnessReport",
                     "born_probabilities", "decompose_witness", "estimate_robustness",
                     "poisson_resample", "validate_witness", "z_score"),
+        "waveplates": ("builtin_gate_table", "verify_gate_table"),
     }.items()
     for name in names
 }

@@ -323,7 +323,7 @@ def _validate_witness(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _validate_gate_table(args: argparse.Namespace) -> tuple[int, dict]:
-    from .game import TABLE_TOL, WAVEPLATE_CONVENTIONS, gate_table_survey, verify_gate_table
+    from .waveplates import TABLE_TOL, WAVEPLATE_CONVENTIONS, gate_table_survey, verify_gate_table
 
     if message := _choice_error("--convention", args.convention, WAVEPLATE_CONVENTIONS):
         raise ValueError(message)

@@ -17,13 +17,14 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, kraus_to_choi
-from .supermaps import ConeId, SlotSpec, SpanMask
 from .tensor_core import HermitianOperator, SystemLayout, atomic_write_text, double_ket, qubits
+
+if TYPE_CHECKING:
+    from .supermaps import SlotSpec
 
 TAG_PLUS = "plus"
 TAG_MINUS = "minus"
@@ -33,11 +34,9 @@ UNITARY_TOL = 1e-10
 TAG_TOL = 1e-10
 STATE_NORM_TOL = 1e-10
 WEIGHT_TOL = 1e-9
-TABLE_TOL = 1e-8
 CERTAINTY_TOL = 1e-9
 
 GAME_WIRE_LABELS = ("A_I", "A_O", "B_I", "B_O", "C_O")
-GAME_SLOTS = (SlotSpec(("A_I",), ("A_O",)), SlotSpec(("B_I",), ("B_O",)))
 
 PMAX_DIRECTIONS = ("forward-only", "backward-only", "convex-hull")
 GAME_STRATEGIES = ("qtf", "switch")
@@ -48,20 +47,19 @@ _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _RT2 = math.sqrt(2.0)
-# the ten gates of the built-in sets: name, matrix and (QWP1, HWP, QWP2)
-# waveplate angles in degrees
-_BUILTIN_GATES = (
-    ("I", _ID, (0.0, 0.0, 0.0)),
-    ("X", _X, (0.0, 45.0, 0.0)),
-    ("Y", _Y, (90.0, 45.0, 0.0)),
-    ("Z", _Z, (90.0, 0.0, 0.0)),
-    ("U1", (_X - _Y) / _RT2, (45.0, 67.5, 135.0)),
-    ("V1", (_X + _Y) / _RT2, (135.0, 67.5, 45.0)),
-    ("U2", (_Z - _Y) / _RT2, (0.0, 22.5, 90.0)),
-    ("V2", (_Z + _Y) / _RT2, (90.0, 22.5, 0.0)),
-    ("U3", (_ID - 1.0j * _Y) / _RT2, (22.5, 135.0, 67.5)),
-    ("V3", (_ID + 1.0j * _Y) / _RT2, (67.5, 135.0, 22.5)),
-)
+# the ten gates of the built-in sets, by name
+_BUILTIN_GATES = {
+    "I": _ID,
+    "X": _X,
+    "Y": _Y,
+    "Z": _Z,
+    "U1": (_X - _Y) / _RT2,
+    "V1": (_X + _Y) / _RT2,
+    "U2": (_Z - _Y) / _RT2,
+    "V2": (_Z + _Y) / _RT2,
+    "U3": (_ID - 1.0j * _Y) / _RT2,
+    "V3": (_ID + 1.0j * _Y) / _RT2,
+}
 
 _PLUS_KET = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 _MINUS_KET = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
@@ -73,6 +71,14 @@ _PORT_PROJECTORS = (np.outer(_PLUS_KET, _PLUS_KET.conj()),
 def game_layout() -> SystemLayout:
     """Five qubit wires: one in/out pair per gate slot plus the answer wire."""
     return qubits(*GAME_WIRE_LABELS)
+
+
+@lru_cache(maxsize=1)
+def game_slots() -> tuple[SlotSpec, SlotSpec]:
+    """The two gate slots, A_I -> A_O and B_I -> B_O."""
+    from .supermaps import SlotSpec
+
+    return SlotSpec(("A_I",), ("A_O",)), SlotSpec(("B_I",), ("B_O",))
 
 
 def _as_gate(matrix, what: str) -> np.ndarray:
@@ -129,10 +135,8 @@ def builtin_gate_sets() -> tuple[tuple[GatePair, ...], tuple[GatePair, ...]]:
     V2 = (Z + Y)/sqrt(2), U3 = (I - iY)/sqrt(2), V3 = (I + iY)/sqrt(2),
     each appearing in both slot orders.
     """
-    named = {name: matrix for name, matrix, _ in _BUILTIN_GATES}
-
     def pick(*keys):
-        return [((a, named[a]), (b, named[b])) for a, b in keys]
+        return [((a, _BUILTIN_GATES[a]), (b, _BUILTIN_GATES[b])) for a, b in keys]
 
     plus = _named_pairs(pick(
         ("I", "I"), ("I", "X"), ("I", "Z"),
@@ -239,6 +243,8 @@ def _normalized_weights(pairs: Sequence[GatePair], weights) -> np.ndarray:
 
 
 def _gate_choi(mat: np.ndarray) -> np.ndarray:
+    from .channels import KrausChannel, kraus_to_choi
+
     return kraus_to_choi(KrausChannel([mat])).matrix
 
 
@@ -288,6 +294,7 @@ def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str,
     bound on  Tr[(M_plus + M_minus) S]  over that class, clipped at 1.
     """
     from .sdp import solve_cone_value
+    from .supermaps import ConeId, SpanMask
 
     if direction not in PMAX_DIRECTIONS:
         raise ValueError(f"direction must be one of {PMAX_DIRECTIONS}, got {direction!r}")
@@ -296,109 +303,13 @@ def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str,
     layout = game_layout()
     spans: dict[str, SpanMask] = {}
     if direction in ("forward-only", "convex-hull"):
-        spans["forward"] = SpanMask(layout, GAME_SLOTS, (), ("C_O",), ConeId.FORWARD)
+        spans["forward"] = SpanMask(layout, game_slots(), (), ("C_O",), ConeId.FORWARD)
     if direction in ("backward-only", "convex-hull"):
-        spans["backward"] = SpanMask(layout, GAME_SLOTS, (), ("C_O",), ConeId.BACKWARD)
+        spans["backward"] = SpanMask(layout, game_slots(), (), ("C_O",), ConeId.BACKWARD)
     report = solve_cone_value(target, spans, trace_target=4.0)
     if not report.converged:
         raise ValueError(f"fixed-direction bound did not certify: gap {report.gap:.3e}")
     return min(1.0, float(report.upper))
-
-
-# ---------------------------------------------------------------------------
-# Waveplate decompositions of the built-in gates.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GateTableRow:
-    """A named gate with its (QWP1, HWP, QWP2) waveplate angles in degrees."""
-
-    name: str
-    matrix: np.ndarray
-    angles: tuple[float, float, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_gate(self.matrix, f"gate {self.name!r}"))
-        if len(self.angles) != 3:
-            raise ValueError("angles must be a (qwp1, hwp, qwp2) triple")
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-
-
-@lru_cache(maxsize=1)
-def builtin_gate_table() -> tuple[GateTableRow, ...]:
-    """Waveplate angle assignments for the ten gates of the built-in sets."""
-    return tuple(GateTableRow(name, mat, angles) for name, mat, angles in _BUILTIN_GATES)
-
-
-WAVEPLATE_CONVENTIONS = ("retarder+/angle+", "retarder+/angle-",
-                         "retarder-/angle+", "retarder-/angle-")
-
-
-def _waveplate(theta_deg: float, retardance: complex, convention: str) -> np.ndarray:
-    """Jones matrix of a waveplate whose fast axis sits at the given angle."""
-    retard_sign, angle_sign = convention.split("/")
-    phase = retardance if retard_sign == "retarder+" else np.conj(retardance)
-    theta = math.radians(theta_deg) * (1.0 if angle_sign == "angle+" else -1.0)
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, -s], [s, c]], dtype=complex)
-    return rot @ np.diag([1.0, phase]).astype(complex) @ rot.T
-
-
-def _phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min over phases of ||e^{i phi} a - b|| in Frobenius norm."""
-    overlap = np.trace(a.conj().T @ b)
-    phase = overlap / abs(overlap) if abs(overlap) > 0.0 else 1.0
-    return float(np.linalg.norm(phase * a - b))
-
-
-@dataclass(frozen=True)
-class GateTableReport:
-    """Per-gate distances between table angles and target matrices."""
-
-    convention: str
-    distances: Mapping[str, float]
-    passed_rows: Mapping[str, bool]
-    all_passed: bool
-    tol: float
-
-    def as_dict(self) -> dict:
-        return {
-            "convention": self.convention,
-            "distances": dict(self.distances),
-            "passed_rows": dict(self.passed_rows),
-            "all_passed": self.all_passed,
-            "tol": self.tol,
-        }
-
-
-def verify_gate_table(convention: str) -> GateTableReport:
-    """Check the built-in waveplate table under one sign convention.
-
-    Each row's QWP-HWP-QWP stack is composed in beam order (QWP1 acts first)
-    and compared to the named gate up to a global phase.  The four selectable
-    conventions flip the retarder phase sign and/or the rotation sense of the
-    axis angle; the report is informative, recording which rows reproduce
-    their gates under the chosen reading, a row within TABLE_TOL of its gate.
-    """
-    if convention not in WAVEPLATE_CONVENTIONS:
-        raise ValueError(
-            f"convention must be one of {WAVEPLATE_CONVENTIONS}, got {convention!r}")
-    distances: dict[str, float] = {}
-    passed: dict[str, bool] = {}
-    for row in builtin_gate_table():
-        q1, h, q2 = row.angles
-        composed = (_waveplate(q2, 1.0j, convention)
-                    @ _waveplate(h, -1.0, convention)
-                    @ _waveplate(q1, 1.0j, convention))
-        dist = _phase_distance(composed, row.matrix)
-        distances[row.name] = dist
-        passed[row.name] = dist <= TABLE_TOL
-    return GateTableReport(convention, distances, passed, all(passed.values()), TABLE_TOL)
-
-
-def gate_table_survey() -> dict[str, GateTableReport]:
-    """Run `verify_gate_table` under all four conventions."""
-    return {conv: verify_gate_table(conv) for conv in WAVEPLATE_CONVENTIONS}
 
 
 # ---------------------------------------------------------------------------

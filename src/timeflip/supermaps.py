@@ -21,11 +21,10 @@ from enum import Enum
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import prod, sqrt
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, kraus_to_choi
 from .tensor_core import (
     HermitianOperator,
     SystemLayout,
@@ -43,6 +42,9 @@ from .tensor_core import (
     tensor_product,
     trace_and_replace,
 )
+
+if TYPE_CHECKING:
+    from .channels import KrausChannel
 
 # Absolute tolerance for linear-condition residuals on trace-normalized setups.
 MEMBERSHIP_TOL = 1e-9
@@ -506,6 +508,8 @@ def sequential_setup(
     BACKWARD routes through the device in the opposite sense, feeding its
     output wire instead.
     """
+    from .channels import kraus_to_choi
+
     if direction not in (ConeId.FORWARD, ConeId.BACKWARD):
         raise ValueError(f"direction must be FORWARD or BACKWARD, got {direction}")
     slot_in, slot_out, g_in, g_out = labels

@@ -503,13 +503,14 @@ def load_decomposition(path: str) -> list[DecompositionTerm]:
     header, arity, rows = _read_csv(path, "decomposition")
     if header[arity:] != ("coeff",):
         raise ValueError(f"unrecognized decomposition header {header} in {path}")
-    terms = [
-        DecompositionTerm(
-            tuple(_field(path, number, row, column, int) for column in header[:arity]),
-            _field(path, number, row, "coeff", float),
-        )
-        for number, row in rows
-    ]
+    terms = []
+    for number, row in rows:
+        indices = tuple(_field(path, number, row, column, int) for column in header[:arity])
+        coeff = _field(path, number, row, "coeff", float)
+        try:
+            terms.append(DecompositionTerm(indices, coeff))
+        except ValueError as exc:
+            raise ValueError(f"row {number} of {path}: {exc}") from None
     return list(_by_indices(terms, "term").values())
 
 

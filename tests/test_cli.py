@@ -673,8 +673,12 @@ class TestBadInput:
         ("0,0,x,0,0,0.5\n", None, "decomposition.csv: column 'c' is not an integer: 'x'"),
         ("0,0,0,0,0,1.0\n", "0,0,x,0,0,0.5\n", "counts.csv: column 'c' is not an integer: 'x'"),
         ("0,0,0,0,0,1.0\n", "0,0,0,0,0,abc\n", "counts.csv: column 'probability' is not a number: 'abc'"),
+        ("0,0,0,0,9,1.0\n", None,
+         "decomposition.csv: state indices must lie in 0..3, got (0, 0, 0, 0, 9)"),
+        ("0,0,0,0,0,nan\n", None, "decomposition.csv: non-finite coeff nan for term (0, 0, 0, 0, 0)"),
     ], ids=["repeated-term", "short-row", "repeated-event", "long-event-row", "non-integer-index",
-            "non-integer-event-index", "non-numeric-probability"])
+            "non-integer-event-index", "non-numeric-probability", "state-index-out-of-range",
+            "non-finite-coeff"])
     def test_malformed_csv_row_is_an_io_error(
         self, tmp_path, capsys, decomposition, counts, message
     ):
@@ -757,26 +761,32 @@ class TestConfig:
         assert out.stdout.strip() == "False", out.stderr
 
     # Each command line of the benchmark (perfbench/run.py) with its inputs,
-    # and the package modules it loads besides timeflip and timeflip.cli.
-    # Every command that runs one loads numpy and the three modules below
-    # the solver; the bare import loads nothing more.
+    # and the waveplate table check, with the exact set of package modules it
+    # loads besides timeflip and timeflip.cli.  Every command loads numpy; the
+    # bare import loads nothing more.
     @pytest.mark.parametrize("argv, modules", [
         ((), ()),
         (("robustness", "--setup", "qtf", "--out", "{out}/rob.json",
           "--witness-out", "{out}/witness.json", "--decomposition-out", "{out}/dec.csv"),
-         ("sdp", "witness")),
+         ("sdp", "supermaps", "tensor_core", "witness")),
         (("robustness", "--setup", "qtf", "--restricted", "--out", "{out}/rrob.json",
-          "--decomposition-out", "{out}/rdec.csv"), ("sdp", "witness")),
+          "--decomposition-out", "{out}/rdec.csv"), ("sdp", "supermaps", "tensor_core", "witness")),
         (("probabilities", "--decomposition-in", "{decomposition}", "--shots", "1e7",
-          "--repetitions", "100", "--seed", "1", "--out", "{out}/probs.csv"), ("witness",)),
-        (("validate", "--witness", "{witness}", "--out", "{out}/val.json"), ("sdp", "witness")),
-        (("game", "--strategy", "qtf", "--out", "{out}/game-qtf.csv"), ("game",)),
-        (("game", "--strategy", "switch", "--out", "{out}/game-switch.csv"), ("game",)),
-        (("game", "--pmax-sdp"), ("game", "sdp")),
+          "--repetitions", "100", "--seed", "1", "--out", "{out}/probs.csv"),
+         ("supermaps", "tensor_core", "witness")),
+        (("validate", "--witness", "{witness}", "--out", "{out}/val.json"),
+         ("sdp", "supermaps", "tensor_core", "witness")),
+        (("validate", "--gate-table", "--out", "{out}/table.json"),
+         ("game", "tensor_core", "waveplates")),
+        (("game", "--strategy", "qtf", "--out", "{out}/game-qtf.csv"), ("game", "tensor_core")),
+        (("game", "--strategy", "switch", "--out", "{out}/game-switch.csv"),
+         ("game", "tensor_core")),
+        (("game", "--pmax-sdp"), ("channels", "game", "sdp", "supermaps", "tensor_core")),
         (("robustness", "--setup", "{setup}", "--max-iter", "4000", "--out", "{out}/noisy.json"),
-         ("sdp",)),
+         ("sdp", "supermaps", "tensor_core")),
     ], ids=["import", "robustness", "robustness-restricted", "probabilities", "validate",
-            "game-qtf", "game-switch", "game-pmax", "robustness-setup-file"])
+            "validate-gate-table", "game-qtf", "game-switch", "game-pmax",
+            "robustness-setup-file"])
     def test_command_loads_only_the_modules_it_runs(self, artifacts, tmp_path, argv, modules):
         # a small setup file: a sequential setup on four wires
         rng = np.random.default_rng(7)
@@ -793,9 +803,7 @@ class TestConfig:
         out = _python(script, *(arg.format(**paths) for arg in argv))
         status, loaded = json.loads(out.stdout.splitlines()[-1])
         assert status == EXIT_OK, out.stderr
-        expected = {"timeflip", "timeflip.cli"}
-        if argv:
-            expected |= {"numpy", "timeflip.channels", "timeflip.supermaps", "timeflip.tensor_core"}
+        expected = {"timeflip", "timeflip.cli"} | ({"numpy"} if argv else set())
         assert set(loaded) == expected | {f"timeflip.{name}" for name in modules}
 
     def test_every_exported_name_resolves(self):

@@ -13,28 +13,31 @@ from hypothesis import strategies as st
 
 from helpers import gate_pair_to_dict, qtf_strategy_operator, switch_strategy_operator
 from timeflip.game import (
-    GAME_SLOTS,
     TAG_MINUS,
     TAG_PLUS,
-    WAVEPLATE_CONVENTIONS,
     GameRecord,
     GatePair,
     builtin_gate_sets,
-    builtin_gate_table,
     compute_pmax_fixed_direction,
+    game_slots,
     game_witness,
     gate_pair_from_dict,
-    gate_table_survey,
     load_gate_pairs,
     play_game,
     qtf_strategy,
     save_game_report,
     success_effects,
     switch_strategy,
-    verify_gate_table,
 )
 from timeflip.supermaps import check_multipartite
 from timeflip.tensor_core import double_ket, hs_inner
+from timeflip.waveplates import (
+    WAVEPLATE_CONVENTIONS,
+    GateTableRow,
+    builtin_gate_table,
+    gate_table_survey,
+    verify_gate_table,
+)
 
 _TOL = 1e-10
 _ROUTE_TOL = 1e-9
@@ -171,7 +174,7 @@ class TestStrategyOperators:
 
     def test_valid_in_general_but_in_neither_fixed_direction(self, qtf_op, switch_op):
         for op in (qtf_op, switch_op):
-            report = check_multipartite(op, GAME_SLOTS, (), ("C_O",))
+            report = check_multipartite(op, game_slots(), (), ("C_O",))
             assert report.passed["general"]
             assert not report.passed["forward"]
             assert not report.passed["backward"]
@@ -275,6 +278,20 @@ class TestGateTable:
             assert np.allclose(row.matrix.conj().T @ row.matrix, _I, atol=1e-12)
             assert len(row.angles) == 3
 
+    def test_table_rows_are_the_game_gates(self):
+        # the angles live in waveplates and the matrices in game: the table
+        # covers exactly the gates of the built-in sets, each one the game's
+        plus, minus = builtin_gate_sets()
+        gates = {}
+        for pair in plus + minus:
+            u_name, v_name = pair.name.strip("()").split(", ")
+            gates[u_name], gates[v_name] = pair.u, pair.v
+        table = builtin_gate_table()
+        assert len(gates) == 10
+        assert sorted(row.name for row in table) == sorted(gates)
+        for row in table:
+            assert np.array_equal(row.matrix, gates[row.name]), row.name
+
     def test_one_convention_reproduces_the_whole_table(self):
         report = verify_gate_table("retarder+/angle+")
         assert report.all_passed
@@ -366,15 +383,11 @@ class TestFileFormats:
 
 class TestGateTableRowValidation:
     def test_bad_matrix_rejected(self):
-        from timeflip.game import GateTableRow
-
         with pytest.raises(ValueError, match="unitary"):
             GateTableRow("bogus", np.ones((2, 2)), (0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="gate 'bogus' has non-finite entries"):
             GateTableRow("bogus", np.full((2, 2), np.nan), (0.0, 0.0, 0.0))
 
     def test_bad_angle_arity_rejected(self):
-        from timeflip.game import GateTableRow
-
         with pytest.raises(ValueError, match="triple"):
             GateTableRow("I", _I, (0.0, 0.0))

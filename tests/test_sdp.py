@@ -456,7 +456,7 @@ def _game_cap(direction, u=np.eye(32)):
     m_plus, m_minus = game.success_effects(plus + minus)
     cones = {"forward-only": ("forward",), "backward-only": ("backward",)}.get(direction, ("forward", "backward"))
     spans = {
-        name: SpanMask(game.game_layout(), game.GAME_SLOTS, (), ("C_O",), ConeId[name.upper()])
+        name: SpanMask(game.game_layout(), game.game_slots(), (), ("C_O",), ConeId[name.upper()])
         for name in cones
     }
     target = u @ (m_plus.matrix + m_minus.matrix) @ u.conj().T

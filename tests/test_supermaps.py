@@ -23,7 +23,7 @@ from helpers import (
 )
 from timeflip import supermaps
 from timeflip.channels import KrausChannel, input_output_inversion, kraus_to_choi
-from timeflip.game import GAME_SLOTS, game_layout
+from timeflip.game import game_layout, game_slots
 from timeflip.supermaps import (
     ROLE_GLOBAL_INPUT,
     ROLE_GLOBAL_OUTPUT,
@@ -351,7 +351,7 @@ def _span_case(name):
         s = qtf_plus_control()
         return s.op.layout, [s.slot()], ("B_it",), ("B_ot", "B_oc"), s.roles
     if name == "game":
-        return game_layout(), list(GAME_SLOTS), (), ("C_O",), None
+        return game_layout(), list(game_slots()), (), ("C_O",), None
     return _QUTRIT_LAYOUT, _QUTRIT_SLOTS, ("B_I",), ("B_O",), _QUTRIT_ROLES
 
 
