@@ -33,8 +33,8 @@ _EXPORTS = {
                       "check_multipartite", "check_setup", "definite_split", "qtf_choi",
                       "qtf_plus_control"),
         "tensor_core": ("HermitianOperator", "SystemLayout", "double_ket", "hs_inner",
-                        "identity", "partial_transpose", "permute_factors", "qubits",
-                        "tensor_product", "trace_and_replace"),
+                        "identity", "permute_factors", "qubits", "tensor_product",
+                        "trace_and_replace"),
         "witness": ("DecompositionTerm", "ProbabilityRecord", "WitnessReport",
                     "born_probabilities", "decompose_witness", "estimate_robustness",
                     "poisson_resample", "validate_witness", "z_score"),

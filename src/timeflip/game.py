@@ -319,14 +319,22 @@ def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str,
 def _gate_from_dict(obj: dict, key: str, label: str) -> np.ndarray:
     # each part is checked on its own: re + 1j * im would broadcast a
     # misshapen part and turn an infinite one into nan with a warning
-    re, im = (np.array(obj[key][part], dtype=float) for part in ("re", "im"))
-    for part, arr in (("re", re), ("im", im)):
+    gate = obj[key]
+    parts = []
+    for part in ("re", "im"):
+        try:
+            arr = np.array(gate[part], dtype=float)
+        except KeyError:
+            raise ValueError(f"{key}.{part} of pair {label} is missing") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}.{part} of pair {label} is not a matrix of numbers: {exc}") from None
         if arr.shape != (2, 2):
             raise ValueError(f"{key}.{part} of pair {label} must be a 2x2 matrix, "
                              f"got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{key} of pair {label} has non-finite entries")
-    return re + 1j * im
+        parts.append(arr)
+    return parts[0] + 1j * parts[1]
 
 
 def gate_pair_from_dict(obj: dict) -> GatePair:

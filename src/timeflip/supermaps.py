@@ -33,13 +33,10 @@ from .tensor_core import (
     min_eigenvalue,
     operator_from_dict,
     operator_to_dict,
-    partial_trace_matrix,
-    partial_transpose,
     permute_factors,
     qubits,
     relabel,
     split_factor,
-    tensor_product,
     trace_and_replace,
 )
 
@@ -440,32 +437,34 @@ def link_product(a: HermitianOperator, b: HermitianOperator, over: Iterable[str]
     The partial transpose sits on the contracted factors of the first operand;
     the result lives on the union of the remaining factors (first operand's
     extras first, then the second operand's order).
+
+    The shared row axes are contracted first and the shared column axes
+    traced after, the padded formula's own order: a matrix product, then a
+    partial trace.  So a link over one qubit, as in `qtf_plus_control` and
+    `sequential_setup`, matches the padded product bit for bit; contracting
+    both axis sets at once moves entries in the last bit.
     """
     over = set(over)
-    a_labels, b_labels = set(a.layout.labels), set(b.layout.labels)
-    missing = over - (a_labels & b_labels)
-    if missing:
+    common = set(a.layout.labels) & set(b.layout.labels)
+    if missing := over - common:
         raise ValueError(f"contraction labels {sorted(missing)} are not shared by both operands")
-    leftover = (a_labels & b_labels) - over
-    if leftover:
+    if leftover := common - over:
         raise ValueError(f"labels {sorted(leftover)} appear on both sides but are not contracted")
     for lab in over:
         if a.layout.dim(lab) != b.layout.dim(lab):
             raise ValueError(f"dimension mismatch on contracted label {lab!r}")
-    a_only = tuple(f for f in a.layout.factors if f[0] not in over)
-    union = SystemLayout(a_only + b.layout.factors)
-    order = union.labels
-
-    a_pad = tuple(f for f in b.layout.factors if f[0] not in a_labels)
-    a_full = a if not a_pad else tensor_product([a, identity(SystemLayout(a_pad))])
-    a_full = permute_factors(a_full, order)
-    b_full = b if not a_only else tensor_product([b, identity(SystemLayout(a_only))])
-    b_full = permute_factors(b_full, order)
-
-    raw = partial_transpose(a_full, over).matrix @ b_full.matrix
-    traced = partial_trace_matrix(raw, union.dims, union.positions(over))
-    kept = SystemLayout(tuple(f for f in union.factors if f[0] not in over))
-    return HermitianOperator(kept, traced)
+    shared = [lab for lab in a.layout.labels if lab in over]
+    a_rest, b_rest = ([lab for lab in op.layout.labels if lab not in over] for op in (a, b))
+    kept = SystemLayout(tuple(f for f in a.layout.factors + b.layout.factors if f[0] not in over))
+    d = prod(a.layout.dim(lab) for lab in shared)
+    na, nb = a.layout.total_dim // d, b.layout.total_dim // d
+    a4 = permute_factors(a, a_rest + shared).matrix.reshape(na, d, na, d)
+    b4 = permute_factors(b, shared + b_rest).matrix.reshape(d, nb, d, nb)
+    # t[i, j, w, k, v, l] = sum over w' of A[(i, w'), (j, w)] B[(w', k), (v, l)]
+    t = np.tensordot(a4, b4, axes=([1], [0]))
+    # np.trace with w and v leading took 9 us on qtf_plus_control, trailing 220 us
+    traced = np.trace(t.transpose(2, 4, 0, 3, 1, 5), axis1=0, axis2=1)
+    return HermitianOperator(kept, traced.reshape(na * nb, na * nb))
 
 
 def apply_supermap(setup: SetupOperator, choi: HermitianOperator) -> HermitianOperator:

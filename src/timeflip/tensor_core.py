@@ -1,8 +1,8 @@
 """Complex tensor algebra over labeled multi-qubit layouts.
 
-Products, partial traces, trace-and-replace maps, partial transposes, the
-double-ket vectorization and the operator file format.  Everything here is a
-pure function over immutable values; a single basis convention (row-major
+Products, trace-and-replace maps, factor permutations, the double-ket
+vectorization and the operator file format.  Everything here is a pure
+function over immutable values; a single basis convention (row-major
 composite indices, first layout factor most significant) is used throughout.
 Operators are `HermitianOperator`s over a layout; pure states are plain numpy
 vectors in the same convention, and `double_ket` is the one vectorization of a
@@ -161,20 +161,7 @@ def identity(layout: SystemLayout) -> HermitianOperator:
     return HermitianOperator(layout, np.eye(layout.total_dim))
 
 
-# -- raw-matrix kernels behind `trace_and_replace` and `link_product` ----------
-
-
-def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], traced: Sequence[int]) -> np.ndarray:
-    """Trace out the factors at the given positions of a raw matrix."""
-    dims = list(dims)
-    for k in sorted(traced, reverse=True):
-        p = prod(dims[:k])
-        d = dims[k]
-        q = prod(dims[k + 1:])
-        t = mat.reshape(p, d, q, p, d, q)
-        mat = np.trace(t, axis1=1, axis2=4).reshape(p * q, p * q)
-        dims.pop(k)
-    return mat
+# -- raw-matrix kernel behind `trace_and_replace` -----------------------------
 
 
 def trace_and_replace_matrix(mat: np.ndarray, dims: Sequence[int], replaced: Sequence[int]) -> np.ndarray:
@@ -197,17 +184,6 @@ def trace_and_replace(op: HermitianOperator, replaced: Iterable[str]) -> Hermiti
     r"""The map S -> Tr_X(S) \otimes I_X/d_X with X re-inserted in place."""
     positions = op.layout.positions(replaced)
     return HermitianOperator(op.layout, trace_and_replace_matrix(op.matrix, op.layout.dims, positions))
-
-
-def partial_transpose(op: HermitianOperator, labels: Iterable[str]) -> HermitianOperator:
-    """Transpose the factors with the given labels."""
-    dims = op.layout.dims
-    n = len(dims)
-    axes = list(range(2 * n))
-    for k in op.layout.positions(labels):
-        axes[k], axes[n + k] = axes[n + k], axes[k]
-    mat = op.matrix.reshape(*dims, *dims).transpose(axes).reshape(op.matrix.shape)
-    return HermitianOperator(op.layout, mat)
 
 
 def permute_factors(op: HermitianOperator, order: Sequence[str]) -> HermitianOperator:
@@ -283,9 +259,15 @@ def operator_from_dict(obj: dict) -> HermitianOperator:
     try:
         labels = obj["labels"]
         dims = obj["dims"]
-        parts = {part: np.array(obj[part], dtype=float) for part in ("re", "im")}
-        for part, values in parts.items():
-            reject_non_finite(values, f"'{part}'")
+        parts = {}
+        for part in ("re", "im"):
+            try:
+                parts[part] = np.array(obj[part], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"'{part}' is not a matrix of numbers: {exc}") from None
+            reject_non_finite(parts[part], f"'{part}'")
+        if parts["im"].shape != parts["re"].shape:  # else it would broadcast
+            raise ValueError(f"'im' has shape {parts['im'].shape}, unlike 're' of shape {parts['re'].shape}")
         matrix = parts["re"] + 1j * parts["im"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed operator record: {exc}") from exc

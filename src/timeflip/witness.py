@@ -499,19 +499,30 @@ def _field(path: str, number: int, row: dict, column: str, kind: type):
         ) from None
 
 
+def _indexed(path: str, columns: Sequence[str], rows, what: str):
+    """Each numbered row with its index tuple, read from the index columns;
+    two rows with one index tuple are an error naming the file and both."""
+    first = {}
+    for number, row in rows:
+        indices = tuple(_field(path, number, row, column, int) for column in columns)
+        if indices in first:
+            raise ValueError(f"rows {first[indices]} and {number} of {path}: repeated {what} {indices}")
+        first[indices] = number
+        yield number, indices, row
+
+
 def load_decomposition(path: str) -> list[DecompositionTerm]:
     header, arity, rows = _read_csv(path, "decomposition")
     if header[arity:] != ("coeff",):
         raise ValueError(f"unrecognized decomposition header {header} in {path}")
     terms = []
-    for number, row in rows:
-        indices = tuple(_field(path, number, row, column, int) for column in header[:arity])
+    for number, indices, row in _indexed(path, header[:arity], rows, "term"):
         coeff = _field(path, number, row, "coeff", float)
         try:
             terms.append(DecompositionTerm(indices, coeff))
         except ValueError as exc:
             raise ValueError(f"row {number} of {path}: {exc}") from None
-    return list(_by_indices(terms, "term").values())
+    return terms
 
 
 def save_probabilities(path: str, records: Sequence[ProbabilityRecord]) -> None:
@@ -548,8 +559,7 @@ def load_probabilities(path: str) -> list[ProbabilityRecord]:
             "probability, counts and shots, each at most once, with probability or both others"
         )
     records = []
-    for number, row in rows:
-        indices = tuple(_field(path, number, row, column, int) for column in header[:arity])
+    for number, indices, row in _indexed(path, header[:arity], rows, "event"):
         counts = _field(path, number, row, "counts", int) if row.get("counts") else None
         shots = _field(path, number, row, "shots", int) if row.get("shots") else None
         if "probability" in row:
@@ -562,4 +572,4 @@ def load_probabilities(path: str) -> list[ProbabilityRecord]:
             records.append(ProbabilityRecord(indices, probability, counts=counts, shots=shots))
         except ValueError as exc:
             raise ValueError(f"row {number} of {path}: {exc}") from None
-    return list(_by_indices(records, "event").values())
+    return records

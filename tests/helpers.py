@@ -26,7 +26,9 @@ from timeflip.supermaps import ConeId, SetupOperator, SpanMask, sequential_setup
 from timeflip.tensor_core import (
     HermitianOperator,
     SystemLayout,
+    identity,
     min_eigenvalue,
+    permute_factors,
     tensor_product,
     trace_and_replace_matrix,
 )
@@ -89,6 +91,34 @@ def oracle_trace_and_replace(mat, dims, replaced_positions):
             c = flat_index([col[k] for k in kept], red_dims)
             out[flat_index(row, dims), flat_index(col, dims)] = reduced[r, c] / scale
     return out
+
+
+def padded_link_product(a, b, over):
+    r"""The link product as its formula Tr_over[(A^T_over \otimes I)(I \otimes B)]:
+    both operands padded with identities to the union layout, A partially
+    transposed on the shared wires, one matrix product, then a partial trace
+    wire by wire.  The reference `supermaps.link_product` is checked against."""
+    over = set(over)
+    a_only = tuple(f for f in a.layout.factors if f[0] not in over)
+    union = SystemLayout(a_only + b.layout.factors)
+    a_pad = tuple(f for f in b.layout.factors if f[0] not in a.layout.labels)
+    a_full = a if not a_pad else tensor_product([a, identity(SystemLayout(a_pad))])
+    a_full = permute_factors(a_full, union.labels)
+    b_full = b if not a_only else tensor_product([b, identity(SystemLayout(a_only))])
+    b_full = permute_factors(b_full, union.labels)
+    dims = list(union.dims)
+    n = len(dims)
+    axes = list(range(2 * n))
+    for k in union.positions(over):
+        axes[k], axes[n + k] = axes[n + k], axes[k]
+    a_pt = a_full.matrix.reshape(*dims, *dims).transpose(axes).reshape(a_full.matrix.shape)
+    mat = a_pt @ b_full.matrix
+    for k in sorted(union.positions(over), reverse=True):
+        p, d, q = prod(dims[:k]), dims[k], prod(dims[k + 1:])
+        mat = np.trace(mat.reshape(p, d, q, p, d, q), axis1=1, axis2=4).reshape(p * q, p * q)
+        dims.pop(k)
+    kept = SystemLayout(tuple(f for f in union.factors if f[0] not in over))
+    return HermitianOperator(kept, mat)
 
 
 # The game's two superposition strategies as operators on the five game wires:

@@ -359,6 +359,25 @@ class TestGame:
         shape = np.shape(bad)
         assert f"v.{part} of pair {plus[0].name} must be a 2x2 matrix, got shape {shape}" in captured.err
 
+    @pytest.mark.parametrize("corrupt, problem", [
+        (lambda gate: gate["re"][0].__setitem__(1, "x"),
+         "re of pair {name} is not a matrix of numbers: could not convert string to float: 'x'"),
+        (lambda gate: gate.pop("im"), "im of pair {name} is missing"),
+    ], ids=["non-numeric-entry", "missing-part"])
+    @pytest.mark.parametrize("key", ["u", "v"])
+    def test_bad_pair_part_names_the_pair_and_the_field(self, tmp_path, capsys, key, corrupt,
+                                                         problem):
+        plus, _ = builtin_gate_sets()
+        record = gate_pair_to_dict(plus[1])
+        corrupt(record[key])
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps([gate_pair_to_dict(plus[0]), record]))
+        assert _run("game", "--pairs", str(path)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert "correct" not in captured.out
+        message = f"error: cannot load gate pairs: {key}.{problem.format(name=plus[1].name)}\n"
+        assert captured.err == message
+
     @pytest.mark.parametrize("extra", [(), ("--pmax-sdp",)])
     def test_empty_pair_file_is_an_io_error(self, tmp_path, capsys, extra):
         path = tmp_path / "pairs.json"
@@ -459,6 +478,12 @@ _LAYOUT_CORRUPTIONS = (
      "'dims' entry True of factor 'A_I' is not a positive whole number"),
     ("string-labels", lambda r: r.__setitem__("labels", "ABCDE"),
      "'labels' is not a list of strings: 'ABCDE'"),
+    ("non-numeric-re", lambda r: r["re"][3].__setitem__(5, "x"),
+     "'re' is not a matrix of numbers: could not convert string to float: 'x'"),
+    ("non-numeric-im", lambda r: r["im"][0].__setitem__(0, "x"),
+     "'im' is not a matrix of numbers: could not convert string to float: 'x'"),
+    ("misshapen-im", lambda r: r.__setitem__("im", r["im"][0]),
+     "'im' has shape (32,), unlike 're' of shape (32, 32)"),
 )
 
 
@@ -666,9 +691,11 @@ class TestBadInput:
         assert "non-finite probability nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("decomposition, counts, message", [
-        ("0,0,0,0,0,0.5\n0,0,0,0,0,0.5\n", None, "repeated term (0, 0, 0, 0, 0)"),
+        ("0,0,0,0,0,0.5\n0,0,0,0,0,0.5\n", None,
+         "decomposition.csv: repeated term (0, 0, 0, 0, 0)"),
         ("0,0,0,0,0\n", None, "row 2 of "),
-        ("0,0,0,0,0,1.0\n", "0,0,0,0,0,0.1\n0,0,0,0,0,0.9\n", "repeated event (0, 0, 0, 0, 0)"),
+        ("0,0,0,0,0,1.0\n", "0,0,0,0,0,0.1\n0,0,0,0,0,0.9\n",
+         "counts.csv: repeated event (0, 0, 0, 0, 0)"),
         ("0,0,0,0,0,1.0\n", "0,0,0,0,0,0.5,7\n", "counts.csv has 7 fields, expected 6"),
         ("0,0,x,0,0,0.5\n", None, "decomposition.csv: column 'c' is not an integer: 'x'"),
         ("0,0,0,0,0,1.0\n", "0,0,x,0,0,0.5\n", "counts.csv: column 'c' is not an integer: 'x'"),

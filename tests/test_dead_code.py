@@ -4,7 +4,9 @@ Every top-level function or class of `src/timeflip`, public or private, and
 every non-dunder method or property of a top-level class, must be referred to
 by the package's own code outside its definition (`__init__.py` excluded: an
 export is not a caller), or by the benchmark in `perfbench/`, or be listed in
-KEEP with the reason it stays.
+KEEP with the reason it stays.  Every module-level import of those modules
+must be used by the module that makes it; a name used only in an annotation
+counts as used.
 """
 
 from __future__ import annotations
@@ -104,3 +106,45 @@ def test_every_kept_definition_still_needs_its_entry():
     # an entry for a name that is gone, or that gained a live caller, is stale
     assert sorted({name for name, _ in KEEP} - _dead(set())) == []
     assert all(reason for _, reason in KEEP)
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name the module's top-level imports bind, and those under a
+    top-level `if` such as `if TYPE_CHECKING:`, with the line of its import."""
+    bound = {}
+    for stmt in tree.body:
+        for node in [stmt, *stmt.body] if isinstance(stmt, ast.If) else [stmt]:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return bound
+
+
+def _loaded(tree: ast.AST) -> set[str]:
+    """Every name the code reads, with those inside string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            note = node.returns
+        else:  # an argument's or an annotated assignment's
+            note = getattr(node, "annotation", None)
+        for part in ast.walk(note) if note else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                names |= _loaded(ast.parse(part.value, mode="eval"))
+    return names
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = _loaded(tree)
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree).items()
+                   if name not in loaded]
+    assert unused == []

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from helpers import (
     PAULI_I,
     PAULI_Y,
+    oracle_partial_trace,
     oracle_trace_and_replace,
+    padded_link_product,
     projector,
     random_bistochastic_channel,
     random_channel,
@@ -54,7 +56,6 @@ from timeflip.tensor_core import (
     hs_inner,
     identity,
     min_eigenvalue,
-    partial_trace_matrix,
     qubits,
     split_factor,
     tensor_product,
@@ -129,8 +130,8 @@ def test_qtf_choi_control_states_select_direction():
     for k, expected in ((0, ch), (1, input_output_inversion(ch))):
         plug = HermitianOperator(qubits("B_ic"), projector(np.eye(2)[k]))
         linked = link_product(plug, out, over={"B_ic"})
-        traced = linked.layout.positions(set(linked.layout.labels) - {"B_it", "B_ot"})
-        reduced = partial_trace_matrix(linked.matrix, linked.layout.dims, traced)
+        kept = linked.layout.positions({"B_it", "B_ot"})
+        reduced = oracle_partial_trace(linked.matrix, linked.layout.dims, kept)
         target = kraus_to_choi(expected, labels=("B_it", "B_ot"))
         assert np.allclose(reduced, target.matrix, atol=1e-12)
 
@@ -241,8 +242,7 @@ def test_apply_supermap_output_is_channel_normalized():
         ch = random_bistochastic_channel(rng)
         out = apply_supermap(setup, kraus_to_choi(ch))
         gin = setup.labels(ROLE_GLOBAL_INPUT)
-        traced = out.layout.positions(set(out.layout.labels) - set(gin))
-        marginal = partial_trace_matrix(out.matrix, out.layout.dims, traced)
+        marginal = oracle_partial_trace(out.matrix, out.layout.dims, out.layout.positions(gin))
         assert np.allclose(marginal, np.eye(len(marginal)), atol=1e-10)
 
 
@@ -272,6 +272,38 @@ def test_link_product_with_no_overlap_is_tensor_product():
     b = random_hermitian_operator(rng, qubits("z"))
     linked = link_product(a, b, over=set())
     assert np.allclose(linked.matrix, tensor_product([a, b]).matrix)
+
+
+def test_link_product_builds_the_setups_bit_for_bit_as_the_padded_product(monkeypatch):
+    # qtf_plus_control and the forward and backward combs of sequential_setup
+    # (what the noisy-setups benchmark instances are made of) come out with
+    # the same bits as when the padded reference does the linking
+    rng = np.random.default_rng(29)
+    builds = [qtf_plus_control]
+    for direction in (ConeId.FORWARD, ConeId.BACKWARD) * 3:
+        pre, post = random_channel(rng, 2, 4), random_channel(rng, 4, 2)
+        builds.append(lambda pre=pre, post=post, d=direction: sequential_setup(pre, post, 2, d))
+    direct = [build().op for build in builds]
+    monkeypatch.setattr(supermaps, "link_product", padded_link_product)
+    for got, build in zip(direct, builds):
+        want = build().op
+        assert got.layout == want.layout
+        assert np.array_equal(got.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("a_factors, b_factors, over", [
+    # two shared wires, in opposite orders and at different positions
+    ((("x", 2), ("s", 3), ("y", 3), ("t", 2)), (("t", 2), ("z", 3), ("s", 3)), {"s", "t"}),
+    ((("s", 2), ("x", 3)), (("y", 2), ("z", 2), ("s", 2)), {"s"}),
+    ((("s", 3), ("t", 2)), (("t", 2), ("s", 3)), {"s", "t"}),
+])
+def test_link_product_matches_the_padded_product_on_mixed_dimensions(a_factors, b_factors, over):
+    rng = np.random.default_rng(31)
+    a = random_hermitian_operator(rng, SystemLayout(a_factors))
+    b = random_hermitian_operator(rng, SystemLayout(b_factors))
+    got, want = link_product(a, b, over), padded_link_product(a, b, over)
+    assert got.layout == want.layout
+    assert np.allclose(got.matrix, want.matrix, rtol=0.0, atol=1e-12)
 
 
 def test_definite_split_of_zero_is_half_identity():

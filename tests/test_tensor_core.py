@@ -27,8 +27,6 @@ from timeflip.tensor_core import (
     identity,
     operator_from_dict,
     operator_to_dict,
-    partial_trace_matrix,
-    partial_transpose,
     permute_factors,
     qubits,
     tensor_product,
@@ -106,31 +104,6 @@ def test_tensor_product_rejects_duplicate_labels():
         tensor_product([identity(qubits("a")), identity(qubits("a"))])
 
 
-def test_partial_trace_maximally_entangled_marginal():
-    marg = partial_trace_matrix(projector(double_ket(np.eye(2))), (2, 2), traced=[1])
-    assert np.allclose(marg, np.eye(2))
-
-
-def test_partial_trace_of_identity():
-    out = partial_trace_matrix(np.eye(4), (2, 2), traced=[0])
-    assert np.allclose(out, 2 * np.eye(2))
-
-
-def test_partial_trace_choi_of_z_channel_input_marginal():
-    marg = partial_trace_matrix(projector(double_ket(PAULI_Z)), (2, 2), traced=[1])
-    assert np.allclose(marg, np.eye(2))
-
-
-def test_partial_trace_against_bruteforce_oracle():
-    rng = np.random.default_rng(7)
-    lay = SystemLayout((("a", 2), ("b", 3), ("c", 2)))
-    op = random_hermitian_operator(rng, lay)
-    got = partial_trace_matrix(op.matrix, lay.dims, traced=[1])
-    want = oracle_partial_trace(op.matrix, lay.dims, kept_positions=[0, 2])
-    assert np.allclose(got, want, atol=1e-12)
-    assert abs(np.trace(got).real - op.trace) < 1e-10
-
-
 def test_trace_and_replace_identity_and_traceless():
     lay = qubits("a", "b")
     assert np.allclose(trace_and_replace(identity(lay), {"a"}).matrix, np.eye(4))
@@ -169,16 +142,6 @@ def test_double_ket_transpose_is_factor_swap():
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     swapped = double_ket(m).reshape(3, 3).T.reshape(-1)
     assert np.array_equal(swapped, double_ket(m.T))
-
-
-def test_partial_transpose_is_involution_and_matches_full_transpose():
-    rng = np.random.default_rng(5)
-    lay = qubits("a", "b")
-    op = random_hermitian_operator(rng, lay)
-    pt = partial_transpose(op, {"a"})
-    assert np.allclose(partial_transpose(pt, {"a"}).matrix, op.matrix)
-    full = partial_transpose(pt, {"b"})
-    assert np.allclose(full.matrix, op.matrix.T)
 
 
 def test_permute_factors_roundtrip_and_mismatch():
@@ -266,5 +229,5 @@ class TestProperties:
         a = random_hermitian_operator(rng, qubits("a"))
         b = random_hermitian_operator(rng, qubits("b"))
         prod_op = tensor_product([a, b])
-        left = partial_trace_matrix(prod_op.matrix, (2, 2), traced=[1])
+        left = oracle_partial_trace(prod_op.matrix, (2, 2), kept_positions=[0])
         assert np.allclose(left, b.trace * a.matrix, atol=1e-10)

@@ -574,6 +574,17 @@ class TestCsvInterfaces:
         with pytest.raises(ValueError, match=re.escape(f"row 3 of {path} has neither")):
             load_probabilities(str(path))
 
+    @pytest.mark.parametrize("loader, value, what", [
+        (load_decomposition, "coeff", "term"),
+        (load_probabilities, "probability", "event"),
+    ], ids=["decomposition", "probabilities"])
+    def test_repeated_row_names_the_file_and_both_rows(self, tmp_path, loader, value, what):
+        path = tmp_path / "table.csv"
+        path.write_text(f"b,c,e,{value}\n0,1,2,0.5\n1,1,1,0.25\n\n0,1,2,0.5\n")
+        with pytest.raises(ValueError) as caught:
+            loader(str(path))
+        assert str(caught.value) == f"rows 2 and 5 of {path}: repeated {what} (0, 1, 2)"
+
     def test_unrecognized_headers_raise(self, tmp_path):
         # each header error names the header and the file
         path = tmp_path / "bad.csv"
