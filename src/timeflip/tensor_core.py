@@ -188,16 +188,21 @@ def trace_and_replace(op: HermitianOperator, replaced: Iterable[str]) -> Hermiti
 
 def permute_factors(op: HermitianOperator, order: Sequence[str]) -> HermitianOperator:
     """Reorder the tensor factors of an operator to the given label order."""
+    matrix = _permuted_matrix(op, order)
+    return HermitianOperator(SystemLayout(tuple((lab, op.layout.dim(lab)) for lab in order)), matrix)
+
+
+def _permuted_matrix(op: HermitianOperator, order: Sequence[str]) -> np.ndarray:
+    """The matrix of `op` with its factors in the given label order.  It is
+    exactly Hermitian, a permutation of a Hermitian matrix, so a caller that
+    needs only the matrix can skip `HermitianOperator`'s checks."""
     layout = op.layout
     if sorted(order) != sorted(layout.labels):
         raise ValueError(f"order {order} is not a permutation of {layout.labels}")
     perm = [layout.position(lab) for lab in order]
-    new_layout = SystemLayout(tuple(layout.factors[k] for k in perm))
     n = len(layout.dims)
     t = op.matrix.reshape(*layout.dims, *layout.dims)
-    axes = perm + [n + k for k in perm]
-    mat = t.transpose(axes).reshape(op.matrix.shape)
-    return HermitianOperator(new_layout, mat)
+    return t.transpose(perm + [n + k for k in perm]).reshape(op.matrix.shape)
 
 
 def split_factor(op: HermitianOperator, label: str, new_factors: Sequence[tuple[str, int]]) -> HermitianOperator:

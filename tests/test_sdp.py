@@ -60,7 +60,7 @@ from timeflip.tensor_core import (
     tensor_product,
     trace_and_replace,
 )
-from timeflip.witness import _span_masks as witness_span_masks, validate_witness
+from timeflip.witness import validate_witness
 
 _GAP_TOL = 1e-4
 
@@ -101,24 +101,29 @@ _SOLVED = {
 class TestEngine:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_psd_clip_survives_an_eigh_failure(self, monkeypatch, dtype):
-        # LAPACK's eigh can fail to converge on a finite block; the clip then
-        # decomposes the stack conjugated by a fixed reflection instead
+        # LAPACK's eigh can fail to converge on a finite block; the clip, and
+        # the cone step for the blocks it decomposes, then decompose the
+        # stack conjugated by a fixed reflection instead
         rng = np.random.default_rng(3)
         stack = np.stack([random_hermitian(rng, 8) for _ in range(3)])
         stack = np.real(stack) if dtype is float else stack
         expected = sdp._psd_clip(stack)
+        admm = sdp._Admm(_psd_stack_program(3, 8, dtype))
         eigh, calls = np.linalg.eigh, []
 
-        def fails_once(a, *args, **kwargs):
+        def fails_first(a, *args, **kwargs):
             calls.append(a)
-            if len(calls) == 1:
+            if len(calls) % 2:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", fails_once)
+        monkeypatch.setattr(np.linalg, "eigh", fails_first)
         clipped = sdp._psd_clip(stack)
         assert len(calls) == 2 and clipped.dtype == stack.dtype
         np.testing.assert_allclose(clipped, expected, atol=1e-12)
+        projected = admm._project_cone(stack.copy())
+        assert len(calls) == 4 and projected.dtype == stack.dtype
+        np.testing.assert_allclose(projected, expected, atol=1e-12)
 
     def test_trivial_shifted_positivity_program(self):
         rng = np.random.default_rng(3)
@@ -201,6 +206,97 @@ class TestEngine:
         assert back["converged"] is True
 
 
+def _psd_stack_program(k, n, dtype):
+    """k PSD blocks of size n and no rows; a complex objective makes the
+    splitting run complex."""
+    c = random_hermitian(np.random.default_rng(1), n)
+    return ConicProgram(
+        name="psd-stack",
+        n=n,
+        blocks=tuple(Block(f"X{j}", "psd") for j in range(k)),
+        matrix_rows=(),
+        objective={"X0": np.real(c) if dtype is float else c},
+    )
+
+
+@pytest.fixture
+def decomposed(monkeypatch):
+    """Per evaluation of the cone step, (evaluation, the names of the blocks
+    that went to `eigh`); each stack it decomposes must be a view of the
+    projected stack."""
+    seen, projected = [], []
+    project_cone, eigh = sdp._Admm._project_cone, np.linalg.eigh
+
+    def recording_cone(admm, m):
+        seen.append((admm.iterations + 1, []))
+        projected.append((admm, m))
+        try:
+            return project_cone(admm, m)
+        finally:
+            projected.clear()
+
+    def recording_eigh(a, *args, **kwargs):
+        if projected:
+            admm, m = projected[0]
+            assert np.shares_memory(a, m)
+            first = (a.ctypes.data - m.ctypes.data) // m[0].nbytes
+            seen[-1][1].extend(admm.names[first:first + len(a)])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(sdp._Admm, "_project_cone", recording_cone)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return seen
+
+
+class TestConeStep:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_the_reference_clip(self, dtype, decomposed):
+        # positive definite, indefinite, negative definite and zero blocks;
+        # then the same stack, the definite block skipping the decomposition;
+        # then that block turned indefinite, so its Cholesky factorization
+        # fails and eigh takes it
+        n = 8
+        tol = 100 * n * np.finfo(dtype).eps
+        rng = np.random.default_rng(7)
+        g = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if dtype is complex else 0)
+        definite = g @ g.conj().T / n + np.eye(n)
+        indefinite = random_hermitian(rng, n)
+        indefinite = np.real(indefinite) if dtype is float else indefinite
+        stack = np.stack([definite, indefinite, -definite, np.zeros((n, n))]).astype(dtype)
+        admm = sdp._Admm(_psd_stack_program(4, n, dtype))
+        assert admm.dtype is dtype
+        turned = stack.copy()
+        turned[0] = indefinite
+        for m, flagged, names in (
+            (stack, [True, False, False, False], ["X0", "X1", "X2", "X3"]),
+            (stack, [True, False, False, False], ["X1", "X2", "X3"]),
+            (turned, [False, False, False, False], ["X0", "X1", "X2", "X3"]),
+        ):
+            got = admm._project_cone(m.copy())
+            assert got.dtype == stack.dtype
+            assert np.max(np.abs(got - sdp._psd_clip(m))) <= tol * np.max(np.abs(m))
+            assert admm._definite == flagged
+            assert decomposed[-1][1] == names
+            if "X0" not in names:  # the definite block is its own projection
+                assert np.array_equal(got[0], m[0])
+
+    @pytest.mark.parametrize("case", ["definite-mixture", "qtf"])
+    def test_definite_blocks_skip_the_decomposition(self, qtf, case, decomposed):
+        # the witness run's Q block is positive definite in every evaluation
+        # from the second on for a definite mixture (robustness 0), and in
+        # evaluations 2 to 5 only on qtf; P_fwd and P_bwd never are
+        setup = definite_mixture(np.random.default_rng(17), qtf) if case == "definite-mixture" else qtf
+        report, _ = solve_max_robustness(setup)
+        assert report.converged
+        assert len(decomposed) == report.iterations
+        assert all(names[:2] == ["P_fwd", "P_bwd"] for _, names in decomposed)
+        with_q = [it for it, names in decomposed if "Q" in names]
+        if case == "qtf":
+            assert with_q == [1, 2, *range(6, report.iterations + 1)]
+        else:
+            assert with_q == [1, 2]
+
+
 class TestRebalance:
     """rho doubles when r exceeds 2 s, halves when s exceeds 2 r, within
     1e-5 <= rho <= 1e5, once per CHECKPOINT iterations: at the first accepted
@@ -239,21 +335,55 @@ class TestRebalance:
         monkeypatch.setattr(sdp._Admm, "_rebalance", recording)
         return seen
 
-    def test_checked_every_checkpoint(self, qtf, consulted):
+    @pytest.fixture
+    def accepted(self, monkeypatch):
+        """The iterations of the evaluations the safeguard accepts, in order.
+        An evaluation whose iteration is in `forced` gets an extrapolated
+        point moved 1e6 along every entry, off the trace row of every
+        program, which the safeguard must reject."""
+        spy = SimpleNamespace(iterations=[], forced=set())
+        step = sdp._Admm.step
+
+        def recording(admm):
+            if admm.iterations + 1 in spy.forced and admm._f is not None:
+                admm._next, admm._extrapolated = admm._next + 1e6, True
+            before = admm.x
+            step(admm)
+            if admm.x is not before:
+                spy.iterations.append(admm.iterations)
+
+        monkeypatch.setattr(sdp._Admm, "step", recording)
+        return spy
+
+    @staticmethod
+    def _rebalanced_at(accepted):
+        """The first accepted evaluation at or past each multiple of
+        CHECKPOINT, once per window."""
+        due, out = sdp.CHECKPOINT, []
+        for it in accepted:
+            if it >= due:
+                out.append(it)
+                due = (it // sdp.CHECKPOINT + 1) * sdp.CHECKPOINT
+        return out
+
+    def test_checked_every_checkpoint(self, qtf, consulted, accepted):
+        # the safeguard may drop the evaluation on a multiple (it drops 150
+        # and 200 of this run), and the check then falls on the next
+        # accepted one
         admm = sdp._Admm(_iterated_program(qtf, "value", 0.0))
         admm.run(0.0, 4 * sdp.CHECKPOINT)
-        assert consulted == [sdp.CHECKPOINT * k for k in range(1, 5)]
+        assert consulted == self._rebalanced_at(accepted.iterations)
+        assert {it // sdp.CHECKPOINT for it in consulted} >= {1, 2, 3}
 
-    def test_checked_once_per_window_past_dropped_checkpoints(self, qtf, consulted):
-        # the definite floor of the restricted witness of 150 iterations: the
-        # safeguard drops the evaluations at 100, 150 and 400, so the check
-        # falls on the next accepted one
-        _, w = _restricted_witness(qtf, 150)
-        consulted.clear()
-        prog = sdp.cone_value_programs(-w, witness_span_masks(), 4.0)[1]
-        sdp._Admm(prog).run(0.0, 9 * sdp.CHECKPOINT + sdp.CHECKPOINT // 2)
+    def test_checked_once_per_window_past_dropped_checkpoints(self, qtf, consulted, accepted):
+        # the evaluations at 100, 150 and 400 are dropped, so the check falls
+        # on the next accepted one, and once in each window
+        accepted.forced = {100, 150, 400}
+        sdp._Admm(_iterated_program(qtf, "value", 0.0)).run(0.0, 9 * sdp.CHECKPOINT + sdp.CHECKPOINT // 2)
+        assert not accepted.forced & set(accepted.iterations)
+        assert consulted == self._rebalanced_at(accepted.iterations)
         assert [it // sdp.CHECKPOINT for it in consulted] == list(range(1, 10))
-        assert consulted[1] % sdp.CHECKPOINT != 0
+        assert not {100, 150, 400} & set(consulted)
 
 
 class TestMaxRobustness:
