@@ -19,11 +19,11 @@ Cholesky factorization of it succeeds, and the others are clipped by one
 stacked eigendecomposition).  The iteration is run as a fixed-point map
 on one stack, with safeguarded type-II Anderson acceleration: an
 extrapolated point whose fixed-point residual exceeds the last accepted
-point's is dropped for the plain step.  A program invariant under complex
-conjugation runs in real float64 arithmetic, any other in complex: from the
-zero start the complex iterates of an invariant program stay real
-symmetric, so the choice changes the cost of an iteration, not the
-iteration.
+point's is dropped for the plain step.  The stack is real: a Hermitian
+block H is held as its real image Re H + Im H, whose symmetric and
+antisymmetric parts are Re H and Im H.  Only the cone step of a program that
+complex conjugation moves sees complex matrices; on a conjugation-invariant
+program the iterates stay real symmetric and the image is the block itself.
 
 Every program built here carries a polish step that converts an approximate
 point into an *exactly feasible* point of its own side; a bound is certified
@@ -85,10 +85,10 @@ STALL_DROP = 0.01
 # the affine step corrects the m coordinates outside its main class through
 # their basis matrices, dense (m, n^2) rows, while m <= DENSE_SHARE * n^2, and
 # through the change of basis of the whole stack above that.  Measured with
-# n = 32 on one CPU, per real step: the witness programs (m = 63 and 64, four
-# blocks) take 62 us with the rows and 231 us with the transforms (138 and
-# 398 us complex), the convex-hull game cap (238, two blocks) 182 and 174 us,
-# the forward-only cap (169, one block) 66 and 123 us.  Above the share the
+# n = 32 on one CPU, per step: the witness programs (m = 63 and 64, four
+# blocks) take 62 us with the rows and 231 us with the transforms, the
+# convex-hull game cap (238, two blocks) 182 and 174 us, the forward-only cap
+# (169, one block) 66 and 123 us.  Above the share the
 # rows' memory decides: their m n^2 floats (1.9 MB at 238) are the largest
 # array of a `game --pmax-sdp` run and take 1.2-2.3 ms to build
 DENSE_SHARE = 1 / 8
@@ -238,6 +238,23 @@ def _psd_shortfall(m: np.ndarray) -> float:
     return max(0.0, float(bound - vals[0]))
 
 
+def _real_image(m: np.ndarray) -> np.ndarray:
+    """Re m + Im m of a Hermitian matrix or stack: a real matrix whose
+    symmetric part is Re m and whose antisymmetric part is Im m."""
+    m = np.asarray(m)
+    return m.real + m.imag if np.iscomplexobj(m) else m
+
+
+def _hermitian(r: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix or stack whose real image is r."""
+    t = np.swapaxes(r, -1, -2)
+    h = np.empty(r.shape, dtype=complex)
+    np.add(r, t, out=h.real)
+    np.subtract(r, t, out=h.imag)
+    h *= 0.5
+    return h
+
+
 def _conjugation_invariant(prog: ConicProgram) -> bool:
     """Whether complex conjugation maps the program onto itself: every
     objective and row right-hand side is real, and every subspace projector
@@ -288,10 +305,10 @@ class _Admm:
     raw entries and adds the whole offset as a raw stack, then corrects each
     of the m other coordinates by (M_c - M) of its value.  Up to DENSE_SHARE
     of the n^2 coordinates the correction goes through their basis matrices
-    (`supermaps.basis_rows`; one real m x n^2 product each way, per real and
-    imaginary plane); above it through the change of basis of the whole
-    stack (`supermaps.basis_coords` and `basis_matrices`), whose cost does
-    not grow with m, and the rows are not built (timings at DENSE_SHARE).
+    (`supermaps.basis_rows`; one real m x n^2 product each way); above it
+    through the change of basis of the whole stack (`supermaps.basis_coords`
+    and `basis_matrices`), whose cost does not grow with m, and the rows are
+    not built (timings at DENSE_SHARE).
     The cone step applies each subspace block's projector and clips the
     positive semidefinite blocks with one stacked eigendecomposition, except
     those that are positive definite: a block whose last decomposition had
@@ -327,11 +344,14 @@ class _Admm:
     the memory is cleared; a rho change clears it too.  Every evaluation,
     a rejected one included, counts as an iteration.
 
-    The iterates are real symmetric (float64) when the program is invariant
-    under complex conjugation (`_conjugation_invariant`), complex Hermitian
-    otherwise.  From the zero start, the complex iteration on an invariant
-    program never leaves the real symmetric matrices, up to rounding, so the
-    real iterates are the same iteration in cheaper arithmetic.
+    Every stack is real: a Hermitian block H, n^2 real degrees of freedom,
+    is held as its real image R = Re H + Im H, n^2 floats.  The map is an
+    isometry, <R_A, R_B> = Re tr(A* B), so norms and the Anderson Gram matrix
+    are those of the blocks, and it commutes with the whole affine step,
+    whose maps are real and act alike on Re H and Im H.  Only the cone step,
+    `zs` and `slacks` rebuild H = ((R + R^T) + i (R - R^T))/2, and only on a
+    program that complex conjugation moves: an invariant program's iterates
+    stay real symmetric from the zero start, up to rounding, so R is H.
     """
 
     # 12 takes fewer iterations than 10 on every benchmark pair; 11, 13, 14,
@@ -348,7 +368,8 @@ class _Admm:
     def __init__(self, prog: ConicProgram):
         self.prog = prog
         self.names = [b.name for b in prog.blocks]
-        self.dtype = float if _conjugation_invariant(prog) else complex
+        # whether the cone step must see the blocks as complex matrices
+        self.hermitian = not _conjugation_invariant(prog)
         psd = [k for k, b in enumerate(prog.blocks) if b.kind == "psd"]
         # the programs list their PSD blocks side by side, so the cone step
         # reads and writes them as one slice of the stack, a view
@@ -377,39 +398,42 @@ class _Admm:
         self._f = self._g = None
         self._g_norm = np.inf
         shape = (self.MEMORY, *self.x.shape)
-        self._df = np.zeros(shape, dtype=self.dtype)
-        self._dg = np.zeros(shape, dtype=self.dtype)
-        # the same buffers as flat rows of real numbers, so a matrix product
-        # takes real Hilbert-Schmidt inner products and real combinations
-        self._df_rows = self._df.reshape(self.MEMORY, -1).view(float)
-        self._dg_rows = self._dg.reshape(self.MEMORY, -1).view(float)
+        self._df = np.zeros(shape)
+        self._dg = np.zeros(shape)
+        # the same buffers as flat rows, so a matrix product takes
+        # Hilbert-Schmidt inner products and combinations
+        self._df_rows = self._df.reshape(self.MEMORY, -1)
+        self._dg_rows = self._dg.reshape(self.MEMORY, -1)
         # Gram matrix of the dG and their products <dG_i, g> with the last g
         self._gram = np.zeros((self.MEMORY, self.MEMORY))
         self._h = np.zeros(self.MEMORY)
         self._filled = self._slot = 0
 
-    def _cast(self, m: np.ndarray) -> np.ndarray:
-        return np.real(m) if self.dtype is float else m
-
     def _stack(self, mats: Mapping[str, np.ndarray]) -> np.ndarray:
-        """The named matrices as one (k, n, n) stack, zero where a block is absent."""
+        """The real images of the named matrices as one (k, n, n) stack, zero
+        where a block is absent."""
         n = self.prog.n
-        out = np.zeros((len(self.names), n, n), dtype=self.dtype)
+        out = np.zeros((len(self.names), n, n))
         for k, name in enumerate(self.names):
             if name in mats:
-                out[k] = self._cast(np.asarray(mats[name]))
+                out[k] = _real_image(mats[name])
         return out
+
+    def _blocks(self, stack: np.ndarray) -> dict[str, np.ndarray]:
+        """The matrices of a stack of real images, name -> matrix (views of
+        the stack when the program is real)."""
+        return dict(zip(self.names, _hermitian(stack) if self.hermitian else stack))
 
     @property
     def zs(self) -> dict[str, np.ndarray]:
-        """The blocks of z as name -> matrix views."""
-        return dict(zip(self.names, self.z))
+        """The blocks of z."""
+        return self._blocks(self.z)
 
     @property
     def slacks(self) -> dict[str, np.ndarray]:
         """The slacks -rho * u of every block: each lies in its block's dual
         cone, and at a fixed point they solve the dual program."""
-        return dict(zip(self.names, -self.rho * self.u))
+        return self._blocks(-self.rho * self.u)
 
     def _prepare_affine(self) -> None:
         prog, k, n = self.prog, len(self.names), self.prog.n
@@ -418,12 +442,12 @@ class _Admm:
         if masked and prog.layout is None:
             raise ValueError(f"{prog.name}: a row with a support needs the program's layout")
         layout = prog.layout if masked else None
-        self._main, self._offset = None, np.zeros((k, n, n), dtype=self.dtype)
+        self._main, self._offset = None, np.zeros((k, n, n))
         self._basis, self._corrections = None, []
         if not rows:  # the projection is the identity
             return
         a = np.array([[row.coeffs.get(name, 0.0) for name in self.names] for row in rows])
-        rhs = np.array([self._cast(np.asarray(row.rhs)) for row in rows])
+        rhs = np.array([_real_image(row.rhs) for row in rows])
         rhs = rhs if layout is None else basis_coords(layout, rhs)
         coords = rhs.shape[1:]  # of one matrix: a pair of axes per wire, or (n, n)
         rhs = rhs.reshape(len(rows), -1)
@@ -432,7 +456,7 @@ class _Admm:
         every = np.ones(n * n, dtype=bool)
         held = np.array([every if row.support is None else np.ravel(row.support) for row in rows])
         patterns, labels = _row_classes(held)
-        ops, offset = [], np.zeros((k, n * n), dtype=self.dtype)
+        ops, offset = [], np.zeros((k, n * n))
         for j, pattern in enumerate(patterns):
             op = np.eye(k)
             if pattern.any():
@@ -465,29 +489,20 @@ class _Admm:
         flat = v.reshape(len(v), -1)
         out = (v if self._main is None else (self._main @ flat).reshape(v.shape)) + self._offset
         if self._corrections:
-            # the change of basis is real: a complex stack goes as its real
-            # and imaginary planes
-            planes = flat if self.dtype is float else np.concatenate((flat.real, flat.imag))
             if self._basis is None:  # through the change of basis of the whole stack
-                coords = basis_coords(self.prog.layout, planes.reshape(-1, *v.shape[1:]))
-                picked = coords.reshape(len(planes), -1)[:, self._minority]
+                coords = basis_coords(self.prog.layout, v)
+                picked = coords.reshape(len(v), -1)[:, self._minority]
             else:  # through the basis matrices
-                picked = planes @ self._basis.T
-            by_block = picked.reshape(-1, len(v), picked.shape[-1])  # a view
+                picked = flat @ self._basis.T
             for idx, op in self._corrections:
-                by_block[..., idx] = op @ by_block[..., idx]
+                picked[:, idx] = op @ picked[:, idx]
             if self._basis is None:
-                fixed = np.zeros((len(planes), v[0].size))
+                fixed = np.zeros_like(flat)
                 fixed[:, self._minority] = picked
                 fix = basis_matrices(self.prog.layout, fixed.reshape(coords.shape))
             else:
                 fix = picked @ self._basis
-            fix = fix.reshape(-1, *v.shape)
-            if self.dtype is float:
-                out += fix[0]
-            else:
-                out.real += fix[0]
-                out.imag += fix[1]
+            out += fix.reshape(v.shape)
         return out
 
     def _project_cone(self, m: np.ndarray) -> np.ndarray:
@@ -496,29 +511,36 @@ class _Admm:
         A PSD block flagged positive definite whose Cholesky factorization
         succeeds is its own projection.  The PSD blocks from the first to the
         last of the others go to one stacked `eigh` as they are (it reads
-        one triangle) and are rebuilt from their last `keep` eigenpairs,
-        `keep` the largest count of positive eigenvalues among them."""
+        one triangle), or as their Hermitian matrices when the program is
+        complex, and are rebuilt from their last `keep` eigenpairs, `keep`
+        the largest count of positive eigenvalues among them."""
         if self._definite:
             blocks = m[self.psd]  # a view when the PSD blocks are adjacent
+            mats = _hermitian(blocks) if self.hermitian else blocks
             need = [not definite for definite in self._definite]
             for j, definite in enumerate(self._definite):
                 if definite:
                     try:
-                        np.linalg.cholesky(blocks[j])
+                        np.linalg.cholesky(mats[j])
                     except np.linalg.LinAlgError:
                         need[j] = True
             if True in need:
                 lo, hi = need.index(True), len(need) - need[::-1].index(True)
-                vals, vecs = _eigh(blocks[lo:hi])
+                vals, vecs = _eigh(mats[lo:hi])
                 positive = vals > 0.0
                 self._definite[lo:hi] = positive[:, 0].tolist()
                 first = len(m[0]) - positive.sum(axis=1).max()
                 vals, vecs = vals[:, first:], vecs[..., first:]
-                np.matmul(vecs * np.clip(vals, 0.0, None)[:, None, :], _herm(vecs), out=blocks[lo:hi])
+                np.matmul(vecs * np.clip(vals, 0.0, None)[:, None, :], _herm(vecs), out=mats[lo:hi])
+                if self.hermitian:
+                    blocks[lo:hi] = _real_image(mats[lo:hi])
             if not isinstance(self.psd, slice):
                 m[self.psd] = blocks
         for k, project in self.sub:
-            m[k] = _sym(self._cast(project(m[k])))
+            if self.hermitian:
+                m[k] = _real_image(_sym(project(_hermitian(m[k]))))
+            else:  # drops what rounding leaves in the imaginary part
+                m[k] = _sym(np.real(project(m[k])))
         return m
 
     def step(self) -> None:
@@ -534,7 +556,7 @@ class _Admm:
         v -= self._shift
         x = self._project_affine(v)
         d = np.subtract(x, z, out=v)  # the affine step returns a new stack
-        flat = d.reshape(-1).view(float)
+        flat = d.reshape(-1)
         d_norm = math.sqrt(flat @ flat)
         self.iterations += 1
         if self._extrapolated and self.ALPHA * d_norm > self._g_norm:
@@ -617,7 +639,7 @@ class _Admm:
         self._gram[:m, j] = row
         # g = old g + dG_j, so each older <dG_i, g> gains <dG_i, dG_j>
         self._h[:m] += row
-        self._h[j] = rows[j] @ g.reshape(-1).view(float)
+        self._h[j] = rows[j] @ g.reshape(-1)
 
     def _forget(self) -> None:
         self._filled = self._slot = 0
@@ -633,7 +655,7 @@ class _Admm:
         if reg <= 0.0:
             return f, False
         gamma = np.linalg.solve(gram + reg * np.eye(m), self._h[:m])
-        step = (gamma @ self._df_rows[:m]).view(self.dtype).reshape(f.shape)
+        step = (gamma @ self._df_rows[:m]).reshape(f.shape)
         return np.subtract(f, step, out=step), True
 
     def run(self, tol: float, max_iter: int) -> None:

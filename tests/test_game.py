@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gate_pair_to_dict, qtf_strategy_operator, switch_strategy_operator
+from timeflip import sdp
 from timeflip.game import (
     TAG_MINUS,
     TAG_PLUS,
@@ -264,6 +265,13 @@ class TestFixedDirectionBound:
         for weights, cap in ((None, 0.91975), (balanced, 0.93245)):
             value = compute_pmax_fixed_direction(pairs, "convex-hull", weights)
             assert value == pytest.approx(cap, abs=1e-4)
+            if weights is None:
+                # the reported cap is a certified upper bound: at least the
+                # lower end of the bracket certified at a gap of 1e-10,
+                # [0.9197453055245, 0.9197453055360], and within the default
+                # gap above its upper end
+                assert value >= 0.9197453055245
+                assert value <= 0.9197453055360 + sdp.GAP_TOL
 
     def test_unknown_direction_rejected(self, pairs):
         with pytest.raises(ValueError, match="direction"):

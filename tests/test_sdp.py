@@ -90,6 +90,16 @@ def solved_restricted_rotated(qtf):
     return solve_max_robustness(rotated(qtf), restricted=True)
 
 
+@pytest.fixture(scope="module")
+def solved_half_definite(qtf):
+    return solve_max_robustness(half_definite(np.random.default_rng(2), qtf))
+
+
+@pytest.fixture(scope="module")
+def solved_definite_mixture(qtf):
+    return solve_max_robustness(definite_mixture(np.random.default_rng(17), qtf))
+
+
 _SOLVED = {
     "qtf": "solved",
     "restricted": "solved_restricted",
@@ -99,16 +109,17 @@ _SOLVED = {
 
 
 class TestEngine:
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_psd_clip_survives_an_eigh_failure(self, monkeypatch, dtype):
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["float", "complex"])
+    def test_psd_clip_survives_an_eigh_failure(self, monkeypatch, hermitian):
         # LAPACK's eigh can fail to converge on a finite block; the clip, and
         # the cone step for the blocks it decomposes, then decompose the
         # stack conjugated by a fixed reflection instead
         rng = np.random.default_rng(3)
         stack = np.stack([random_hermitian(rng, 8) for _ in range(3)])
-        stack = np.real(stack) if dtype is float else stack
+        stack = stack if hermitian else np.real(stack)
         expected = sdp._psd_clip(stack)
-        admm = sdp._Admm(_psd_stack_program(3, 8, dtype))
+        admm = sdp._Admm(_psd_stack_program(3, 8, hermitian))
+        assert admm.hermitian is hermitian
         eigh, calls = np.linalg.eigh, []
 
         def fails_first(a, *args, **kwargs):
@@ -121,9 +132,9 @@ class TestEngine:
         clipped = sdp._psd_clip(stack)
         assert len(calls) == 2 and clipped.dtype == stack.dtype
         np.testing.assert_allclose(clipped, expected, atol=1e-12)
-        projected = admm._project_cone(stack.copy())
-        assert len(calls) == 4 and projected.dtype == stack.dtype
-        np.testing.assert_allclose(projected, expected, atol=1e-12)
+        projected = admm._project_cone(sdp._real_image(stack))
+        assert len(calls) == 4 and projected.dtype == float
+        np.testing.assert_allclose(_matrices(admm, projected), expected, atol=1e-12)
 
     def test_trivial_shifted_positivity_program(self):
         rng = np.random.default_rng(3)
@@ -206,24 +217,32 @@ class TestEngine:
         assert back["converged"] is True
 
 
-def _psd_stack_program(k, n, dtype):
-    """k PSD blocks of size n and no rows; a complex objective makes the
-    splitting run complex."""
+def _psd_stack_program(k, n, hermitian):
+    """k PSD blocks of size n and no rows; a complex objective makes the cone
+    step decompose complex Hermitian matrices."""
     c = random_hermitian(np.random.default_rng(1), n)
     return ConicProgram(
         name="psd-stack",
         n=n,
         blocks=tuple(Block(f"X{j}", "psd") for j in range(k)),
         matrix_rows=(),
-        objective={"X0": np.real(c) if dtype is float else c},
+        objective={"X0": c if hermitian else np.real(c)},
     )
+
+
+def _matrices(admm, stack):
+    """The matrices of a stack of real images, as the run's cone step sees
+    them: complex Hermitian when the program is, else the images themselves."""
+    return sdp._hermitian(stack) if admm.hermitian else stack
 
 
 @pytest.fixture
 def decomposed(monkeypatch):
     """Per evaluation of the cone step, (evaluation, the names of the blocks
-    that went to `eigh`); each stack it decomposes must be a view of the
-    projected stack."""
+    that went to `eigh`).  Each stack it decomposes must be a view: of the
+    projected stack on a real program, of the Hermitian matrices of the PSD
+    blocks on a complex one; its blocks are named by their offset among the
+    PSD blocks."""
     seen, projected = [], []
     project_cone, eigh = sdp._Admm._project_cone, np.linalg.eigh
 
@@ -238,9 +257,14 @@ def decomposed(monkeypatch):
     def recording_eigh(a, *args, **kwargs):
         if projected:
             admm, m = projected[0]
-            assert np.shares_memory(a, m)
-            first = (a.ctypes.data - m.ctypes.data) // m[0].nbytes
-            seen[-1][1].extend(admm.names[first:first + len(a)])
+            psd = [blk.name for blk in admm.prog.blocks if blk.kind == "psd"]
+            if admm.hermitian:
+                assert np.iscomplexobj(a) and a.base is not None and len(a.base) == len(psd)
+                first = (a.ctypes.data - a.base.ctypes.data) // a[0].nbytes
+            else:  # m holds every block, the PSD ones from psd[0] on
+                assert np.shares_memory(a, m)
+                first = (a.ctypes.data - m.ctypes.data) // m[0].nbytes - admm.names.index(psd[0])
+            seen[-1][1].extend(psd[first:first + len(a)])
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(sdp._Admm, "_project_cone", recording_cone)
@@ -249,22 +273,23 @@ def decomposed(monkeypatch):
 
 
 class TestConeStep:
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_matches_the_reference_clip(self, dtype, decomposed):
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["float", "complex"])
+    def test_matches_the_reference_clip(self, hermitian, decomposed):
         # positive definite, indefinite, negative definite and zero blocks;
         # then the same stack, the definite block skipping the decomposition;
         # then that block turned indefinite, so its Cholesky factorization
         # fails and eigh takes it
         n = 8
+        dtype = complex if hermitian else float
         tol = 100 * n * np.finfo(dtype).eps
         rng = np.random.default_rng(7)
-        g = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if dtype is complex else 0)
+        g = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if hermitian else 0)
         definite = g @ g.conj().T / n + np.eye(n)
         indefinite = random_hermitian(rng, n)
-        indefinite = np.real(indefinite) if dtype is float else indefinite
+        indefinite = indefinite if hermitian else np.real(indefinite)
         stack = np.stack([definite, indefinite, -definite, np.zeros((n, n))]).astype(dtype)
-        admm = sdp._Admm(_psd_stack_program(4, n, dtype))
-        assert admm.dtype is dtype
+        admm = sdp._Admm(_psd_stack_program(4, n, hermitian))
+        assert admm.hermitian is hermitian
         turned = stack.copy()
         turned[0] = indefinite
         for m, flagged, names in (
@@ -272,13 +297,14 @@ class TestConeStep:
             (stack, [True, False, False, False], ["X1", "X2", "X3"]),
             (turned, [False, False, False, False], ["X0", "X1", "X2", "X3"]),
         ):
-            got = admm._project_cone(m.copy())
-            assert got.dtype == stack.dtype
-            assert np.max(np.abs(got - sdp._psd_clip(m))) <= tol * np.max(np.abs(m))
+            image = sdp._real_image(m)
+            got = admm._project_cone(image.copy())
+            assert got.dtype == float
+            assert np.max(np.abs(_matrices(admm, got) - sdp._psd_clip(m))) <= tol * np.max(np.abs(m))
             assert admm._definite == flagged
             assert decomposed[-1][1] == names
             if "X0" not in names:  # the definite block is its own projection
-                assert np.array_equal(got[0], m[0])
+                assert np.array_equal(got[0], image[0])
 
     @pytest.mark.parametrize("case", ["definite-mixture", "qtf"])
     def test_definite_blocks_skip_the_decomposition(self, qtf, case, decomposed):
@@ -483,7 +509,7 @@ class TestMaxRobustness:
             report, _ = solve_max_robustness(mixed)
             assert report.lower <= (1 - q) * base + _GAP_TOL
 
-    def test_iteration_budget(self, qtf, solved, solved_restricted, admm_runs):
+    def test_iteration_budget(self, qtf, solved, solved_restricted, solved_half_definite, admm_runs):
         # checkpointed where the gap's rate says it closes: 48 and 127
         # iterations, the validate floor 44, the game cap 40 and the
         # half-definite mixture 245; with checkpoints every 50 iterations
@@ -503,7 +529,7 @@ class TestMaxRobustness:
         floor, cap = (run.iterations for run in admm_runs)
         assert floor <= 60
         assert cap <= 50
-        report, _ = solve_max_robustness(half_definite(np.random.default_rng(2), qtf))
+        report, _ = solved_half_definite
         assert report.converged
         assert report.iterations <= 280
 
@@ -525,14 +551,15 @@ class TestMaxRobustness:
 
 
 @pytest.fixture
-def admm_dtypes(monkeypatch):
-    """Record the program name and iterate dtype of every splitting run."""
+def admm_arithmetic(monkeypatch):
+    """Record the program name of every splitting run, whether its cone step
+    sees complex Hermitian matrices, and the dtype of its iterates."""
     seen = []
 
     class Recording(sdp._Admm):
         def __init__(self, prog, *args, **kwargs):
             super().__init__(prog, *args, **kwargs)
-            seen.append((prog.name, self.x.dtype))
+            seen.append((prog.name, self.hermitian, self.x.dtype))
 
     monkeypatch.setattr(sdp, "_Admm", Recording)
     return seen
@@ -630,22 +657,24 @@ class TestExactPositivity:
 
 
 class TestArithmetic:
-    def test_real_and_complex_paths_agree(self, qtf, admm_dtypes):
+    def test_real_and_complex_paths_agree(self, qtf, admm_arithmetic):
         real_report, _ = solve_max_robustness(qtf)
-        assert {dtype for _, dtype in admm_dtypes} == {np.dtype(float)}
-        admm_dtypes.clear()
+        assert {hermitian for _, hermitian, _ in admm_arithmetic} == {False}
+        complex_at = len(admm_arithmetic)
         complex_report, _ = solve_max_robustness(rotated(qtf))
-        assert {dtype for _, dtype in admm_dtypes} == {np.dtype(complex)}
+        assert {hermitian for _, hermitian, _ in admm_arithmetic[complex_at:]} == {True}
+        # both run on real images
+        assert {dtype for _, _, dtype in admm_arithmetic} == {np.dtype(float)}
         assert real_report.gap <= _GAP_TOL and complex_report.gap <= _GAP_TOL
         assert abs(real_report.lower - complex_report.lower) <= 1e-6
         assert abs(real_report.upper - complex_report.upper) <= 1e-6
 
-    def test_projector_that_moves_under_conjugation_runs_complex(self, admm_dtypes):
+    def test_projector_that_moves_under_conjugation_runs_complex(self, admm_arithmetic):
         report = solve(_guard_program())
         assert report.converged
         split = (report.residuals["split:primal"], report.residuals["split:dual"])
         assert max(split) <= sdp.RESIDUAL_TOL
-        assert admm_dtypes == [("guard", np.dtype(complex))]
+        assert admm_arithmetic == [("guard", True, np.dtype(float))]
         # the optimum, from the same iteration run to tighter residuals
         prog = _guard_program()
         admm = sdp._Admm(prog)
@@ -656,19 +685,20 @@ class TestArithmetic:
     @pytest.mark.parametrize("phase", [0.0, 0.4])
     @pytest.mark.parametrize("program", ["witness", "restricted-witness", "value", "game-cap"])
     def test_affine_projection_meets_every_row(self, qtf, program, phase):
+        # every real stack is the real image of a stack of Hermitian
+        # matrices, and the projection is checked on those matrices
         prog = _iterated_program(qtf, program, phase)
         assert prog.matrix_rows
         admm = sdp._Admm(prog)
-        assert admm.dtype is (float if phase == 0.0 else complex)
+        assert admm.hermitian is (phase != 0.0)
         rng = np.random.default_rng(5)
         shape = admm.x.shape
-        v, w = (rng.normal(size=shape).astype(admm.dtype) for _ in range(2))
-        if admm.dtype is complex:
-            v = v + 1j * rng.normal(size=shape)
+        v, w = (rng.normal(size=shape) for _ in range(2))
         x = admm._project_affine(v)
-        assert np.max(np.abs(x - _projection_by_coordinates(prog, admm.names, v))) <= 1e-12
+        expected = _projection_by_coordinates(prog, admm.names, _matrices(admm, v))
+        assert np.max(np.abs(_matrices(admm, x) - expected)) <= 1e-12
         # each row on its support
-        residuals = sdp._feasibility_residuals(prog, dict(zip(admm.names, x)))
+        residuals = sdp._feasibility_residuals(prog, admm._blocks(x))
         for name, res in residuals.items():
             if name.startswith("row:"):
                 assert res <= 1e-10, name
@@ -690,12 +720,10 @@ class TestArithmetic:
             runs[form] = sdp._Admm(prog)
         assert runs["rows"]._basis is not None and runs["change-of-basis"]._basis is None
         admm = runs["rows"]
-        assert admm.dtype is (float if phase == 0.0 else complex)
+        assert admm.hermitian is (phase != 0.0)
         rng = np.random.default_rng(11)
-        v = rng.normal(size=admm.x.shape).astype(admm.dtype)
-        if admm.dtype is complex:
-            v = v + 1j * rng.normal(size=admm.x.shape)
-        x = {form: run._project_affine(v) for form, run in runs.items()}
+        v = rng.normal(size=admm.x.shape)  # the real image of a Hermitian stack
+        x = {form: _matrices(admm, run._project_affine(v)) for form, run in runs.items()}
         assert np.max(np.abs(x["rows"] - x["change-of-basis"])) <= 1e-12
         for form, point in x.items():
             residuals = sdp._feasibility_residuals(prog, dict(zip(admm.names, point)))
@@ -742,6 +770,43 @@ class TestArithmetic:
         assert len(expected) > 1
         assert np.array_equal(patterns, expected)
         assert np.array_equal(labels, inverse.ravel())
+
+
+class TestRealImage:
+    """The solver's stacks hold each Hermitian block H as Re H + Im H."""
+
+    def test_round_trip(self):
+        # exact where Re H +- Im H round to nothing (entries on a dyadic
+        # grid); elsewhere each entry comes back to within its rounding
+        rng = np.random.default_rng(41)
+        stack = np.stack([random_hermitian(rng, 8) for _ in range(3)])
+        dyadic = np.round(stack * 64) / 64
+        image = sdp._real_image(dyadic)
+        assert image.dtype == float
+        assert np.array_equal(sdp._hermitian(image), dyadic)
+        back = sdp._hermitian(sdp._real_image(stack))
+        assert np.array_equal(back, np.swapaxes(back.conj(), -1, -2))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(back - stack) <= 2 * eps * (np.abs(stack.real) + np.abs(stack.imag)))
+        # a real symmetric matrix is its own image
+        assert np.array_equal(sdp._real_image(stack.real), stack.real)
+
+    def test_isometry(self):
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            a, b = random_hermitian(rng, 16), random_hermitian(rng, 16)
+            inner = np.vdot(sdp._real_image(a), sdp._real_image(b))
+            assert abs(inner - np.trace(a.conj().T @ b).real) <= 1e-12
+
+    @pytest.mark.parametrize("program", ["witness", "restricted-witness", "value", "game-cap"])
+    def test_affine_step_commutes_with_the_image(self, qtf, program):
+        prog = _iterated_program(qtf, program, 0.4)
+        admm = sdp._Admm(prog)
+        assert admm.hermitian
+        rng = np.random.default_rng(47)
+        v = np.stack([random_hermitian(rng, prog.n) for _ in admm.names])
+        expected = sdp._real_image(_projection_by_coordinates(prog, admm.names, v))
+        assert np.max(np.abs(admm._project_affine(sdp._real_image(v)) - expected)) <= 1e-12
 
 
 def _projection_by_coordinates(prog, names, v):
@@ -829,6 +894,46 @@ class TestInvariance:
         report, _ = solve_max_robustness(setup, restricted=restricted)
         assert report.converged
         assert report.lower <= _closed_form(restricted) <= report.upper
+
+    @pytest.mark.parametrize("wires", [("A_I",), ("A_O",), ("A_I", "A_O")], ids="+".join)
+    def test_local_unitaries_on_the_slot_wires(self, qtf, wires, admm_arithmetic):
+        # every span is a trace-and-replace condition on wires, so a unitary
+        # on a slot wire maps every cone onto itself, and the restricted form
+        # pins and traces global wires only: both values stay, on programs
+        # whose cone step sees complex matrices
+        rng = np.random.default_rng(31)
+        u = reduce(np.kron, [random_unitary(rng, d) if label in wires else np.eye(d)
+                             for label, d in qtf.op.layout.factors])
+        setup = SetupOperator(HermitianOperator(qtf.op.layout, u @ qtf.op.matrix @ u.conj().T), qtf.roles)
+        for restricted in (False, True):
+            report, _ = solve_max_robustness(setup, restricted=restricted)
+            assert report.converged
+            assert report.lower <= _closed_form(restricted) <= report.upper
+        assert admm_arithmetic and all(hermitian for _, hermitian, _ in admm_arithmetic)
+
+    def test_every_witness_bounds_every_certified_upper(self, qtf, request):
+        # the witness program's feasible set depends on the layout and its
+        # spans, never on S, so a witness certified on one setup bounds the
+        # robustness of every setup on the qtf layout from below, and no
+        # certified upper bound may fall under it.  A restricted witness is
+        # feasible for the full program as well, not the other way round
+        setups = {
+            "solved": (qtf, False),
+            "solved_restricted": (qtf, True),
+            "solved_rotated": (rotated(qtf), False),
+            "solved_restricted_rotated": (rotated(qtf), True),
+            "solved_half_definite": (half_definite(np.random.default_rng(2), qtf), False),
+            "solved_definite_mixture": (definite_mixture(np.random.default_rng(17), qtf), False),
+        }
+        general = SpanMask.of_setup(qtf, ConeId.GENERAL)
+        s = {name: general.project(setup.op.matrix) for name, (setup, _) in setups.items()}
+        solved = {name: request.getfixturevalue(name) for name in setups}
+        for i, (own, witness) in solved.items():
+            assert abs(-hs_inner(witness.matrix, s[i]) - own.lower) <= 1e-9, i
+            for j, (report, _) in solved.items():
+                if setups[j][1] and not setups[i][1]:
+                    continue
+                assert -hs_inner(witness.matrix, s[j]) <= report.upper + 1e-9, (i, j)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bounds_ordered_on_random_setups(self, qtf, seed):
@@ -967,13 +1072,13 @@ class TestPositivityRepair:
         assert added > 0.0 and bump > 0.0
         assert value * geom.dd == pytest.approx(start + added + geom.n * bump, abs=1e-12)
 
-    def test_noise_polish_on_a_complex_definite_mixture(self, qtf):
+    def test_noise_polish_on_a_complex_definite_mixture(self, qtf, solved_definite_mixture):
         # the noise polish sets T = F + B - S from the projected and repaired
         # F and B, so every row holds to rounding on complex data too, and the
         # bump along the identity leaves T, F and B positive semidefinite
         mix = definite_mixture(np.random.default_rng(17), qtf)
         assert not sdp._conjugation_invariant(sdp._robustness_dual(sdp._SlotGeometry(mix), None))
-        report, _ = solve_max_robustness(mix)
+        report, _ = solved_definite_mixture
         rows = {k: v for k, v in report.residuals.items() if k.startswith("primal:row:")}
         assert len(rows) == 4
         assert max(rows.values()) <= 1e-12, rows
