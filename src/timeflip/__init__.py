@@ -30,11 +30,9 @@ _EXPORTS = {
         "sdp": ("ConicProgram", "SolveReport", "solve", "solve_cone_value",
                 "solve_max_robustness"),
         "supermaps": ("ConeId", "SetupOperator", "SlotSpec", "apply_supermap",
-                      "check_multipartite", "check_setup", "definite_split", "qtf_choi",
-                      "qtf_plus_control"),
+                      "check_multipartite", "check_setup", "qtf_choi", "qtf_plus_control"),
         "tensor_core": ("HermitianOperator", "SystemLayout", "double_ket", "hs_inner",
-                        "identity", "permute_factors", "qubits", "tensor_product",
-                        "trace_and_replace"),
+                        "permute_factors", "qubits", "tensor_product"),
         "witness": ("DecompositionTerm", "ProbabilityRecord", "WitnessReport",
                     "born_probabilities", "decompose_witness", "estimate_robustness",
                     "poisson_resample", "validate_witness", "z_score"),

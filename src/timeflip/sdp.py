@@ -21,9 +21,10 @@ on one stack, with safeguarded type-II Anderson acceleration: an
 extrapolated point whose fixed-point residual exceeds the last accepted
 point's is dropped for the plain step.  The stack is real: a Hermitian
 block H is held as its real image Re H + Im H, whose symmetric and
-antisymmetric parts are Re H and Im H.  Only the cone step of a program that
-complex conjugation moves sees complex matrices; on a conjugation-invariant
-program the iterates stay real symmetric and the image is the block itself.
+antisymmetric parts are Re H and Im H.  Only the cone step of a complex
+program, one with a complex objective or row right-hand side, sees complex
+matrices; data whose imaginary parts are exactly zero are stored real, so a
+real setup runs and polishes in real symmetric arithmetic.
 
 Every program built here carries a polish step that converts an approximate
 point into an *exactly feasible* point of its own side; a bound is certified
@@ -99,7 +100,9 @@ DENSE_SHARE = 1 / 8
 
 @dataclass(frozen=True)
 class Block:
-    """One operator variable: a name plus its cone membership."""
+    """One operator variable: a name plus its cone membership.  A subspace
+    block's projector maps real matrices to real ones, as E E*/d_ot of
+    `restricted_reduction` does."""
 
     name: str
     kind: str  # "psd" | "free" | "sub"
@@ -255,22 +258,11 @@ def _hermitian(r: np.ndarray) -> np.ndarray:
     return h
 
 
-def _conjugation_invariant(prog: ConicProgram) -> bool:
-    """Whether complex conjugation maps the program onto itself: every
-    objective and row right-hand side is real, and every subspace projector
-    keeps a fixed real symmetric probe real (row supports are real masks)."""
-    data = [*prog.objective.values(), *(row.rhs for row in prog.matrix_rows)]
-    if any(np.any(np.imag(m)) for m in data):
-        return False
-    projectors = [blk.project for blk in prog.blocks if blk.kind == "sub"]
-    if not projectors:
-        return True
-    # full support and no structure, built without numpy.random (about 5 MB
-    # of memory and 10 ms of import for one matrix)
-    g = np.sin(np.arange(1.0, prog.n * prog.n + 1.0)).reshape(prog.n, prog.n)
-    probe = g + g.T
-    bound = 1e-12 * np.linalg.norm(probe)
-    return all(np.linalg.norm(np.imag(project(probe))) <= bound for project in projectors)
+def _real_data(m: np.ndarray) -> np.ndarray:
+    """A complex array whose imaginary part is exactly zero as a real one;
+    any other array as it is."""
+    m = np.asarray(m)
+    return m.real if np.iscomplexobj(m) and not np.any(m.imag) else m
 
 
 # -- the splitting engine ----------------------------------------------------------
@@ -350,8 +342,9 @@ class _Admm:
     are those of the blocks, and it commutes with the whole affine step,
     whose maps are real and act alike on Re H and Im H.  Only the cone step,
     `zs` and `slacks` rebuild H = ((R + R^T) + i (R - R^T))/2, and only on a
-    program that complex conjugation moves: an invariant program's iterates
-    stay real symmetric from the zero start, up to rounding, so R is H.
+    complex program, one whose objective or some row's right-hand side is a
+    complex array.  A real program's iterates stay real symmetric from the
+    zero start, up to rounding, so R is H (see `Block` for its projectors).
     """
 
     # 12 takes fewer iterations than 10 on every benchmark pair; 11, 13, 14,
@@ -369,12 +362,13 @@ class _Admm:
         self.prog = prog
         self.names = [b.name for b in prog.blocks]
         # whether the cone step must see the blocks as complex matrices
-        self.hermitian = not _conjugation_invariant(prog)
+        data = [*prog.objective.values(), *(row.rhs for row in prog.matrix_rows)]
+        self.hermitian = any(np.iscomplexobj(m) for m in data)
         psd = [k for k, b in enumerate(prog.blocks) if b.kind == "psd"]
-        # the programs list their PSD blocks side by side, so the cone step
-        # reads and writes them as one slice of the stack, a view
-        adjacent = psd and psd[-1] - psd[0] == len(psd) - 1
-        self.psd = slice(psd[0], psd[-1] + 1) if adjacent else psd
+        if psd and psd[-1] - psd[0] != len(psd) - 1:
+            raise ValueError(f"{prog.name}: the PSD blocks must be listed side by side")
+        # the cone step reads and writes them as one slice of the stack, a view
+        self.psd = slice(psd[0], psd[-1] + 1) if psd else slice(0)
         # per PSD block, whether its last eigendecomposition found it
         # positive definite
         self._definite = [False] * len(psd)
@@ -515,7 +509,7 @@ class _Admm:
         complex, and are rebuilt from their last `keep` eigenpairs, `keep`
         the largest count of positive eigenvalues among them."""
         if self._definite:
-            blocks = m[self.psd]  # a view when the PSD blocks are adjacent
+            blocks = m[self.psd]  # a view
             mats = _hermitian(blocks) if self.hermitian else blocks
             need = [not definite for definite in self._definite]
             for j, definite in enumerate(self._definite):
@@ -534,13 +528,11 @@ class _Admm:
                 np.matmul(vecs * np.clip(vals, 0.0, None)[:, None, :], _herm(vecs), out=mats[lo:hi])
                 if self.hermitian:
                     blocks[lo:hi] = _real_image(mats[lo:hi])
-            if not isinstance(self.psd, slice):
-                m[self.psd] = blocks
         for k, project in self.sub:
             if self.hermitian:
                 m[k] = _real_image(_sym(project(_hermitian(m[k]))))
-            else:  # drops what rounding leaves in the imaginary part
-                m[k] = _sym(np.real(project(m[k])))
+            else:
+                m[k] = _sym(project(m[k]))
         return m
 
     def step(self) -> None:
@@ -671,7 +663,7 @@ def _feasibility_residuals(prog: ConicProgram, xs: Mapping[str, np.ndarray]) -> 
     violations at a point."""
     out: dict[str, float] = {}
     for row in prog.matrix_rows:
-        res = -np.asarray(row.rhs, dtype=complex)
+        res = -np.asarray(row.rhs)
         for name, coeff in row.coeffs.items():
             res = res + coeff * xs[name]
         if row.support is not None:
@@ -824,13 +816,13 @@ class _SlotGeometry:
         self.layout = setup.op.layout
         self.n = self.layout.total_dim
         self.dd = setup.trace_target
-        self.eye = np.eye(self.n, dtype=complex)
+        self.eye = np.eye(self.n)
         self.general, self.forward, self.backward = (
             SpanMask.of_setup(setup, cone) for cone in ConeId
         )
         # the setup matrix re-projected onto its span, so the polish identities
-        # close to floating-point accuracy
-        self.s_mat = _sym(self.general.project(setup.op.matrix))
+        # close to floating-point accuracy; real when the setup is
+        self.s_mat = _real_data(_sym(self.general.project(setup.op.matrix)))
 
 
 def _complement(mask: SpanMask) -> Callable:
@@ -884,7 +876,7 @@ def _robustness_primal(geom: _SlotGeometry) -> ConicProgram:
     setup E*(S) (`restricted_reduction`), its polish first applying E* to
     the witness run's slacks."""
     n, dd, eye, s = geom.n, geom.dd, geom.eye, geom.s_mat
-    zero = np.zeros((n, n), dtype=complex)
+    zero = np.zeros((n, n))
     rows = (
         MatrixRow("noise-in-span", {"T": 1.0}, zero, ~geom.general.keep),
         MatrixRow("forward-in-span", {"F": 1.0}, zero, ~geom.forward.keep),
@@ -941,7 +933,7 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
     is the certificate part W_d."""
     n, dd, eye, s = geom.n, geom.dd, geom.eye, geom.s_mat
     restricted = witness_subspace is not None
-    zero = np.zeros((n, n), dtype=complex)
+    zero = np.zeros((n, n))
     c_fwd, c_bwd, c_gen = (_complement(m) for m in (geom.forward, geom.backward, geom.general))
     blocks = (
         Block("W", "sub", witness_subspace) if restricted else Block("W", "free"),
@@ -1152,10 +1144,10 @@ def cone_value_programs(
         raise ValueError("the spans of a cone-value program must share one layout")
     n = layout.total_dim
     dd = float(trace_target)
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(n)
     names = list(spans)
-    zero = np.zeros((n, n), dtype=complex)
-    target = np.asarray(target, dtype=complex)
+    zero = np.zeros((n, n))
+    target = _real_data(target)
     identity = identity_coordinate(layout)
 
     rows_p = [MatrixRow(f"{name}-in-span", {name: 1.0}, zero, ~spans[name].keep) for name in names]

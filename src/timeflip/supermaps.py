@@ -30,7 +30,6 @@ from .tensor_core import (
     SystemLayout,
     _permuted_matrix,
     atomic_write_text,
-    identity,
     min_eigenvalue,
     operator_from_dict,
     operator_to_dict,
@@ -38,7 +37,6 @@ from .tensor_core import (
     qubits,
     relabel,
     split_factor,
-    trace_and_replace,
 )
 
 if TYPE_CHECKING:
@@ -534,24 +532,6 @@ def sequential_setup(
         g_out: ROLE_GLOBAL_OUTPUT,
     }
     return SetupOperator(s, roles)
-
-
-# -- definite-direction splitting -------------------------------------------------
-
-
-def definite_split(setup: SetupOperator) -> tuple[HermitianOperator, HermitianOperator]:
-    """Split I + S into a forward and a backward part.
-
-    Returns (I/2 + t_out(S), I/2 + S - t_out(S)) with t_out the
-    trace-and-replace over the slot-output wires.  For S in the general span
-    with uniform global input and Hilbert-Schmidt norm at most 1/2, both parts
-    are positive semidefinite members of the forward / backward spans, so
-    I + S decomposes over the definite-direction cone.
-    """
-    op = setup.op
-    half = 0.5 * identity(op.layout)
-    fwd_part = trace_and_replace(op, setup.labels(ROLE_SLOT_OUTPUT))
-    return half + fwd_part, half + (op - fwd_part)
 
 
 # -- setup file format -------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Complex tensor algebra over labeled multi-qubit layouts.
 
-Products, trace-and-replace maps, factor permutations, the double-ket
+Products, the trace-and-replace kernel, factor permutations, the double-ket
 vectorization and the operator file format.  Everything here is a pure
 function over immutable values; a single basis convention (row-major
 composite indices, first layout factor most significant) is used throughout.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import prod
 from numbers import Real
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class SystemLayout:
             if lab == label:
                 return k
         raise KeyError(f"no factor labeled {label!r}")
-
-    def positions(self, labels: Iterable[str]) -> tuple[int, ...]:
-        return tuple(sorted(self.position(lab) for lab in set(labels)))
 
 
 def qubits(*labels: str) -> SystemLayout:
@@ -157,11 +154,7 @@ def tensor_product(ops: Sequence[HermitianOperator]) -> HermitianOperator:
     return HermitianOperator(layout, reduce(np.kron, [op.matrix for op in ops]))
 
 
-def identity(layout: SystemLayout) -> HermitianOperator:
-    return HermitianOperator(layout, np.eye(layout.total_dim))
-
-
-# -- raw-matrix kernel behind `trace_and_replace` -----------------------------
+# -- trace-and-replace kernel, kept only because perfbench binds it ------------
 
 
 def trace_and_replace_matrix(mat: np.ndarray, dims: Sequence[int], replaced: Sequence[int]) -> np.ndarray:
@@ -178,12 +171,6 @@ def trace_and_replace_matrix(mat: np.ndarray, dims: Sequence[int], replaced: Seq
 
 
 # -- labeled operations -------------------------------------------------------
-
-
-def trace_and_replace(op: HermitianOperator, replaced: Iterable[str]) -> HermitianOperator:
-    r"""The map S -> Tr_X(S) \otimes I_X/d_X with X re-inserted in place."""
-    positions = op.layout.positions(replaced)
-    return HermitianOperator(op.layout, trace_and_replace_matrix(op.matrix, op.layout.dims, positions))
 
 
 def permute_factors(op: HermitianOperator, order: Sequence[str]) -> HermitianOperator:

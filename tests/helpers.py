@@ -22,11 +22,10 @@ from timeflip.game import (
     _symmetric_projector,
     game_layout,
 )
-from timeflip.supermaps import ConeId, SetupOperator, SpanMask, sequential_setup
+from timeflip.supermaps import ROLE_SLOT_OUTPUT, ConeId, SetupOperator, SpanMask, sequential_setup
 from timeflip.tensor_core import (
     HermitianOperator,
     SystemLayout,
-    identity,
     min_eigenvalue,
     permute_factors,
     tensor_product,
@@ -48,6 +47,15 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # No proof backs them: a certified bracket that excludes one is unsound.
 QTF_ROBUSTNESS = 0.40068034295576
 QTF_ROBUSTNESS_RESTRICTED = 0.17157287525381
+
+
+def identity(layout: SystemLayout) -> HermitianOperator:
+    return HermitianOperator(layout, np.eye(layout.total_dim))
+
+
+def positions(layout: SystemLayout, labels) -> tuple[int, ...]:
+    """The sorted factor positions of the given labels."""
+    return tuple(sorted(layout.position(lab) for lab in set(labels)))
 
 
 def flat_index(multi, dims):
@@ -93,6 +101,22 @@ def oracle_trace_and_replace(mat, dims, replaced_positions):
     return out
 
 
+def definite_split(setup: SetupOperator) -> tuple[HermitianOperator, HermitianOperator]:
+    """Split I + S into a forward and a backward part.
+
+    Returns (I/2 + t_out(S), I/2 + S - t_out(S)) with t_out the
+    trace-and-replace over the slot-output wires, by the oracle.  For S in
+    the general span with uniform global input and Hilbert-Schmidt norm at
+    most 1/2, both parts are positive semidefinite members of the forward /
+    backward spans, so I + S decomposes over the definite-direction cone.
+    """
+    op, layout = setup.op, setup.op.layout
+    half = 0.5 * identity(layout)
+    replaced = positions(layout, setup.labels(ROLE_SLOT_OUTPUT))
+    fwd_part = HermitianOperator(layout, oracle_trace_and_replace(op.matrix, layout.dims, replaced))
+    return half + fwd_part, half + (op - fwd_part)
+
+
 def padded_link_product(a, b, over):
     r"""The link product as its formula Tr_over[(A^T_over \otimes I)(I \otimes B)]:
     both operands padded with identities to the union layout, A partially
@@ -109,11 +133,11 @@ def padded_link_product(a, b, over):
     dims = list(union.dims)
     n = len(dims)
     axes = list(range(2 * n))
-    for k in union.positions(over):
+    for k in positions(union, over):
         axes[k], axes[n + k] = axes[n + k], axes[k]
     a_pt = a_full.matrix.reshape(*dims, *dims).transpose(axes).reshape(a_full.matrix.shape)
     mat = a_pt @ b_full.matrix
-    for k in sorted(union.positions(over), reverse=True):
+    for k in sorted(positions(union, over), reverse=True):
         p, d, q = prod(dims[:k]), dims[k], prod(dims[k + 1:])
         mat = np.trace(mat.reshape(p, d, q, p, d, q), axis1=1, axis2=4).reshape(p * q, p * q)
         dims.pop(k)
@@ -367,7 +391,7 @@ def pin_and_trace_projector(setup) -> Callable[[np.ndarray], np.ndarray]:
     traced out and replaced by I/d_ot."""
     layout = setup.op.layout
     pin = reduce(np.kron, [np.diag([1.0, 0.0]) if lab == "B_it" else np.eye(d) for lab, d in layout.factors])
-    replaced = layout.positions(("B_ot",))
+    replaced = positions(layout, ("B_ot",))
     return lambda m: trace_and_replace_matrix(pin @ m @ pin, layout.dims, replaced)
 
 

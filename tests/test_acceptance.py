@@ -15,6 +15,7 @@ from helpers import (
     QTF_ROBUSTNESS,
     QTF_ROBUSTNESS_RESTRICTED,
     definite_mixture,
+    definite_split,
     oracle_term,
     random_bistochastic_channel,
     random_span_element,
@@ -25,7 +26,6 @@ from timeflip.game import TAG_PLUS, builtin_gate_sets, qtf_strategy, switch_stra
 from timeflip.sdp import solve_max_robustness
 from timeflip.supermaps import (
     apply_supermap,
-    definite_split,
     qtf_choi,
     qtf_plus_control,
 )

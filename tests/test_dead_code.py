@@ -23,7 +23,6 @@ KEEP = (
     ("channels.input_output_inversion",
      "acceptance criterion 7: the inversion equals the flip supermap on bistochastic channels"),
     ("supermaps.apply_supermap", "acceptance criterion 7: applies the flip supermap to a channel"),
-    ("supermaps.definite_split", "acceptance criterion 6: splits a span element into definite parts"),
     ("witness.z_score", "acceptance criterion 9: the significance arithmetic"),
     ("game.game_witness", "README: the game witness and its p_max reading"),
 )

@@ -17,6 +17,8 @@ from helpers import (
     definite_mixture,
     exactly_positive_definite,
     half_definite,
+    oracle_trace_and_replace,
+    positions,
     random_channel,
     random_fixed_direction,
     random_general_setup,
@@ -58,7 +60,6 @@ from timeflip.tensor_core import (
     permute_factors,
     qubits,
     tensor_product,
-    trace_and_replace,
 )
 from timeflip.witness import validate_witness
 
@@ -98,6 +99,12 @@ def solved_half_definite(qtf):
 @pytest.fixture(scope="module")
 def solved_definite_mixture(qtf):
     return solve_max_robustness(definite_mixture(np.random.default_rng(17), qtf))
+
+
+@pytest.fixture(scope="module")
+def solved_definite_part(qtf):
+    """The definite part D of `solved_half_definite`'s setup, S/2 + D/2."""
+    return solve_max_robustness(definite_mixture(np.random.default_rng(2), qtf))
 
 
 _SOLVED = {
@@ -184,6 +191,18 @@ class TestEngine:
             objective={},
         )
         with pytest.raises(ValueError, match="dependent"):
+            solve(prog)
+
+    def test_psd_blocks_apart_raise(self):
+        # the cone step reads and writes the PSD blocks as one slice
+        prog = ConicProgram(
+            name="apart",
+            n=2,
+            blocks=(Block("X", "psd"), Block("F", "free"), Block("Y", "psd")),
+            matrix_rows=(),
+            objective={},
+        )
+        with pytest.raises(ValueError, match="^apart: the PSD blocks must be listed side by side$"):
             solve(prog)
 
     def test_subspace_block_requires_projector(self):
@@ -539,7 +558,8 @@ class TestMaxRobustness:
         eye_op = HermitianOperator(qtf.op.layout, np.eye(qtf.op.layout.total_dim))
         noise = lam0 * eye_op.matrix
         shifted = s + noise
-        tau = trace_and_replace(HermitianOperator(qtf.op.layout, shifted), ("A_O",)).matrix
+        layout = qtf.op.layout
+        tau = oracle_trace_and_replace(shifted, layout.dims, positions(layout, ("A_O",)))
         fwd_half = lam0 / 2 * eye_op.matrix + (tau - noise / 2)
         bwd_half = lam0 / 2 * eye_op.matrix + (shifted - tau)
         assert min_eigenvalue(noise) > 0
@@ -565,28 +585,34 @@ def admm_arithmetic(monkeypatch):
     return seen
 
 
-def _guard_program() -> ConicProgram:
-    """Real data, but a span, span{I, H} with H = sx + sy, that conjugation
-    moves: the optimum X = I/2 + H/(2 sqrt 2) of min -<sx, X> is complex.
-    The trace is a row on the identity coordinate of a one-wire layout."""
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    h = sx + np.array([[0.0, -1j], [1j, 0.0]])
-    layout = qubits("a")
+class _Through:
+    """A module whose given attributes replace the wrapped module's."""
 
-    def project(m):
-        return np.trace(m) / 2 * np.eye(2) + np.real(np.trace(h @ m)) / 4 * h
+    def __init__(self, module, **attrs):
+        self._module = module
+        self.__dict__.update(attrs)
 
-    return ConicProgram(
-        name="guard",
-        n=2,
-        blocks=(Block("X", "psd"), Block("X_span", "sub", project)),
-        matrix_rows=(
-            MatrixRow("in-span", {"X": 1.0, "X_span": -1.0}, np.zeros((2, 2))),
-            MatrixRow("trace", {"X": 1.0}, np.eye(2) / 2, identity_coordinate(layout)),
-        ),
-        objective={"X": -sx},
-        layout=layout,
-    )
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+@pytest.fixture
+def solver_linalg(monkeypatch):
+    """Record, for every eigh, eigvalsh and cholesky call of the solver
+    module, whether its argument is complex."""
+    seen = []
+
+    def spy(function):
+        def recorded(a, *args, **kwargs):
+            seen.append(np.iscomplexobj(a))
+            return function(a, *args, **kwargs)
+
+        return recorded
+
+    names = ("eigh", "eigvalsh", "cholesky")
+    linalg = _Through(np.linalg, **{name: spy(getattr(np.linalg, name)) for name in names})
+    monkeypatch.setattr(sdp, "np", _Through(np, linalg=linalg))
+    return seen
 
 
 def _restricted_witness(qtf, iterations):
@@ -669,18 +695,18 @@ class TestArithmetic:
         assert abs(real_report.lower - complex_report.lower) <= 1e-6
         assert abs(real_report.upper - complex_report.upper) <= 1e-6
 
-    def test_projector_that_moves_under_conjugation_runs_complex(self, admm_arithmetic):
-        report = solve(_guard_program())
-        assert report.converged
-        split = (report.residuals["split:primal"], report.residuals["split:dual"])
-        assert max(split) <= sdp.RESIDUAL_TOL
-        assert admm_arithmetic == [("guard", True, np.dtype(float))]
-        # the optimum, from the same iteration run to tighter residuals
-        prog = _guard_program()
-        admm = sdp._Admm(prog)
-        admm.run(1e-9, sdp.MAX_ITER)
-        assert max(admm.split) <= 1e-9
-        assert abs(prog.value_at(admm.zs) + 1 / np.sqrt(2)) <= 1e-6
+    def test_real_setups_decompose_real_matrices(self, qtf, solver_linalg):
+        # the runs and the polishes of a real setup, its witness check and
+        # the game cap factor only real matrices; a complex setup's do not
+        _, witness_op = solve_max_robustness(qtf)
+        solve_max_robustness(qtf, restricted=True)
+        assert validate_witness(witness_op).certificate_ok
+        plus, minus = game.builtin_gate_sets()
+        game.compute_pmax_fixed_direction(plus + minus, "convex-hull")
+        assert solver_linalg and not any(solver_linalg)
+        real_calls = len(solver_linalg)
+        solve_max_robustness(rotated(qtf))
+        assert any(solver_linalg[real_calls:])
 
     @pytest.mark.parametrize("phase", [0.0, 0.4])
     @pytest.mark.parametrize("program", ["witness", "restricted-witness", "value", "game-cap"])
@@ -935,6 +961,13 @@ class TestInvariance:
                     continue
                 assert -hs_inner(witness.matrix, s[j]) <= report.upper + 1e-9, (i, j)
 
+    def test_robustness_is_convex(self, solved, solved_half_definite, solved_definite_part):
+        # noises that split S and D split S/2 + D/2 at the mean trace, so
+        # R(S/2 + D/2) <= R(S)/2 + R(D)/2, and no certified lower bound of
+        # the mixture may exceed the mean of the parts' certified upper bounds
+        mixture, s, d = (report for report, _ in (solved_half_definite, solved, solved_definite_part))
+        assert mixture.lower <= 0.5 * s.upper + 0.5 * d.upper + 1e-9
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bounds_ordered_on_random_setups(self, qtf, seed):
         report, _ = solve_max_robustness(_half_random(qtf, seed), max_iter=300)
@@ -1077,7 +1110,7 @@ class TestPositivityRepair:
         # F and B, so every row holds to rounding on complex data too, and the
         # bump along the identity leaves T, F and B positive semidefinite
         mix = definite_mixture(np.random.default_rng(17), qtf)
-        assert not sdp._conjugation_invariant(sdp._robustness_dual(sdp._SlotGeometry(mix), None))
+        assert sdp._Admm(sdp._robustness_dual(sdp._SlotGeometry(mix), None)).hermitian
         report, _ = solved_definite_mixture
         rows = {k: v for k, v in report.residuals.items() if k.startswith("primal:row:")}
         assert len(rows) == 4
@@ -1152,6 +1185,20 @@ class TestRestrictedReduction:
         # the identity goes to |0><0| on B_it, the identity on every other wire
         p0 = np.kron(np.eye(4), np.kron(np.diag([1.0, 0.0]), np.eye(n // 8)))
         assert np.array_equal(project(np.eye(n)), p0)
+
+    @pytest.mark.parametrize("d_ot", [2, 3])
+    def test_projector_keeps_real_matrices_real(self, qtf, d_ot):
+        # what keeps a real program real (`sdp.Block`): a real matrix goes
+        # to the real part of its complex image, exactly
+        setup = qtf if d_ot == 2 else qutrit_target_output(qtf)
+        project, n = restricted_projector(setup), setup.op.layout.total_dim
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            m = rng.standard_normal((n, n))
+            got, via_complex = project(m), project(m.astype(complex))
+            assert got.dtype == np.float64
+            assert not np.any(via_complex.imag)
+            assert np.array_equal(got, via_complex.real)
 
     @pytest.mark.parametrize("order", ["layout", "reordered", "qutrit-target-output"])
     def test_projector_matches_the_pin_and_trace_form_bit_for_bit(self, qtf, order):

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from helpers import (
     PAULI_I,
     PAULI_Y,
+    definite_split,
+    identity,
     oracle_partial_trace,
     oracle_trace_and_replace,
     padded_link_product,
+    positions,
     projector,
     random_bistochastic_channel,
     random_channel,
@@ -40,7 +43,6 @@ from timeflip.supermaps import (
     basis_rows,
     check_multipartite,
     check_setup,
-    definite_split,
     link_product,
     qtf_choi,
     qtf_plus_control,
@@ -54,7 +56,6 @@ from timeflip.tensor_core import (
     HermitianOperator,
     SystemLayout,
     hs_inner,
-    identity,
     min_eigenvalue,
     qubits,
     split_factor,
@@ -130,7 +131,7 @@ def test_qtf_choi_control_states_select_direction():
     for k, expected in ((0, ch), (1, input_output_inversion(ch))):
         plug = HermitianOperator(qubits("B_ic"), projector(np.eye(2)[k]))
         linked = link_product(plug, out, over={"B_ic"})
-        kept = linked.layout.positions({"B_it", "B_ot"})
+        kept = positions(linked.layout, {"B_it", "B_ot"})
         reduced = oracle_partial_trace(linked.matrix, linked.layout.dims, kept)
         target = kraus_to_choi(expected, labels=("B_it", "B_ot"))
         assert np.allclose(reduced, target.matrix, atol=1e-12)
@@ -242,7 +243,7 @@ def test_apply_supermap_output_is_channel_normalized():
         ch = random_bistochastic_channel(rng)
         out = apply_supermap(setup, kraus_to_choi(ch))
         gin = setup.labels(ROLE_GLOBAL_INPUT)
-        marginal = oracle_partial_trace(out.matrix, out.layout.dims, out.layout.positions(gin))
+        marginal = oracle_partial_trace(out.matrix, out.layout.dims, positions(out.layout, gin))
         assert np.allclose(marginal, np.eye(len(marginal)), atol=1e-10)
 
 
@@ -417,7 +418,7 @@ def _defined_conditions(layout, slots, global_in, global_out):
 
 def _oracle_condition(mat, layout, groups, always):
     def t(m, labels):
-        return oracle_trace_and_replace(m, layout.dims, layout.positions(labels))
+        return oracle_trace_and_replace(m, layout.dims, positions(layout, labels))
 
     out = t(mat, always)
     for group in groups:

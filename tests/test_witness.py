@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     half_definite,
+    identity,
     oracle_term,
     projector,
     random_general_setup,
@@ -30,7 +31,6 @@ from timeflip.tensor_core import (
     HermitianOperator,
     double_ket,
     hs_inner,
-    identity,
     permute_factors,
     qubits,
     relabel,
