@@ -242,18 +242,13 @@ def _normalized_weights(pairs: Sequence[GatePair], weights) -> np.ndarray:
     return arr
 
 
-def _gate_choi(mat: np.ndarray) -> np.ndarray:
-    from .channels import KrausChannel, kraus_to_choi
-
-    return kraus_to_choi(KrausChannel([mat])).matrix
-
-
 def success_effects(pairs: Sequence[GatePair],
                     weights=None) -> tuple[HermitianOperator, HermitianOperator]:
     """Weighted payoff operators (M_plus, M_minus) on the game wires.
 
     M_t = sum over pairs tagged t of  w * (Choi(U) (x) Choi(V) (x) P_t)^T,
-    where P_t projects the answer wire onto |+> (plus) or |-> (minus).
+    where Choi(U) = |U>><<U| is built from `double_ket(U)` and P_t projects
+    the answer wire onto |+> (plus) or |-> (minus).
     Contracting a strategy operator S as Tr[(M_plus + M_minus) S] gives its
     average success probability on the weighted pair ensemble.
     """
@@ -263,7 +258,8 @@ def success_effects(pairs: Sequence[GatePair],
             TAG_MINUS: np.zeros((32, 32), dtype=complex)}
     for weight, pair in zip(w, pairs):
         port = _PORT_PROJECTORS[0] if pair.tag == TAG_PLUS else _PORT_PROJECTORS[1]
-        term = np.kron(np.kron(_gate_choi(pair.u), _gate_choi(pair.v)), port)
+        u, v = double_ket(pair.u), double_ket(pair.v)
+        term = np.kron(np.kron(np.outer(u, u.conj()), np.outer(v, v.conj())), port)
         sums[pair.tag] += weight * term.T
     return (HermitianOperator(layout, sums[TAG_PLUS]),
             HermitianOperator(layout, sums[TAG_MINUS]))
@@ -306,7 +302,7 @@ def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str,
         spans["forward"] = SpanMask(layout, game_slots(), (), ("C_O",), ConeId.FORWARD)
     if direction in ("backward-only", "convex-hull"):
         spans["backward"] = SpanMask(layout, game_slots(), (), ("C_O",), ConeId.BACKWARD)
-    report = solve_cone_value(target, spans, trace_target=4.0)
+    report = solve_cone_value(target, spans)
     if not report.converged:
         raise ValueError(f"fixed-direction bound did not certify: gap {report.gap:.3e}")
     return min(1.0, float(report.upper))

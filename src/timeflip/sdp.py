@@ -7,24 +7,26 @@ mask over the product-basis coordinates of the program's layout: the
 coordinates a span keeps (X - Y in the span's complement is X = Y there),
 those it drops (X in the span is X = 0 there), or the identity coordinate,
 which carries the trace.  A consensus ADMM iteration holds the k blocks of a
-program as (k, n, n) stacks and alternates an exact affine projection (per
-class of coordinates where the same rows hold, a precomputed k x k operator
-on the block index plus an offset; the largest class's operator applied to
-the raw entries, the other coordinates corrected through their basis
-matrices, or through the change of basis of the whole stack when they are
-more than DENSE_SHARE of all) with the cone projections (subspace blocks
-apply their projectors; a positive semidefinite block that was positive
-definite at its last eigendecomposition is its own projection while a
-Cholesky factorization of it succeeds, and the others are clipped by one
-stacked eigendecomposition).  The iteration is run as a fixed-point map
-on one stack, with safeguarded type-II Anderson acceleration: an
-extrapolated point whose fixed-point residual exceeds the last accepted
-point's is dropped for the plain step.  The stack is real: a Hermitian
-block H is held as its real image Re H + Im H, whose symmetric and
+program as (k, n, n) stacks, n the dimension of its layout, and alternates
+an exact affine projection (per class of coordinates where the same rows
+hold, a precomputed k x k operator on the block index plus an offset; the
+largest class's operator applied to the raw entries, the other coordinates
+corrected through their basis matrices, or through the change of basis of
+the whole stack when they are more than DENSE_SHARE of all) with the cone
+projections (subspace blocks apply their projectors; a positive semidefinite
+block that was positive definite at its last eigendecomposition is its own
+projection while a Cholesky factorization of it succeeds, and the others are
+clipped by one stacked eigendecomposition).  The iteration is run as a
+fixed-point map on one stack, with safeguarded type-II Anderson
+acceleration: an extrapolated point whose fixed-point residual exceeds the
+last accepted point's is dropped for the plain step.  The stack is real: a
+Hermitian block H is held as its real image Re H + Im H, whose symmetric and
 antisymmetric parts are Re H and Im H.  Only the cone step of a complex
 program, one with a complex objective or row right-hand side, sees complex
-matrices; data whose imaginary parts are exactly zero are stored real, so a
-real setup runs and polishes in real symmetric arithmetic.
+matrices.  A `HermitianOperator` whose imaginary part is exactly zero holds
+a real matrix, so a real setup's data arrive real and it runs and polishes
+in real symmetric arithmetic.  The trace normalization of every program is
+the `SpanMask.trace_target` of its spans.
 
 Every program built here carries a polish step that converts an approximate
 point into an *exactly feasible* point of its own side; a bound is certified
@@ -121,7 +123,7 @@ class MatrixRow:
 
     With a `support`, a boolean mask over the product-basis coordinates of
     the program's layout (shaped like `SpanMask.keep`), the row holds on
-    those coordinates only; without one it holds on every entry."""
+    those coordinates only; without one it holds on every coordinate."""
 
     name: str
     coeffs: Mapping[str, float]
@@ -134,8 +136,9 @@ class ConicProgram:
     """One side of a conic pair, in block form.
 
     `objective` holds the true objective operators: the value of a point is
-    sum_k <objective_k, x_k>, minimized or maximized per `sense`.  `layout`,
-    needed when a row has a support, gives the coordinates it masks.
+    sum_k <objective_k, x_k>, minimized or maximized per `sense`.  `layout`
+    gives every block's dimension, its total_dim, and the product-basis
+    coordinates a row's support masks.
     `polish`, when present, maps the final cone-side iterate (block name ->
     matrix) to an exactly feasible point and its certified value.
     `slack_map`, on the min side of a pair, builds that side's point from
@@ -143,14 +146,13 @@ class ConicProgram:
     """
 
     name: str
-    n: int
+    layout: SystemLayout
     blocks: tuple[Block, ...]
     matrix_rows: tuple[MatrixRow, ...]
     objective: Mapping[str, np.ndarray]
     sense: str = "min"
     polish: Callable | None = None
     slack_map: Mapping[str, str] = field(default_factory=dict)
-    layout: SystemLayout | None = None
 
     def value_at(self, xs: Mapping[str, np.ndarray]) -> float:
         return float(sum(hs_inner(c, xs[name]) for name, c in self.objective.items()))
@@ -258,13 +260,6 @@ def _hermitian(r: np.ndarray) -> np.ndarray:
     return h
 
 
-def _real_data(m: np.ndarray) -> np.ndarray:
-    """A complex array whose imaginary part is exactly zero as a real one;
-    any other array as it is."""
-    m = np.asarray(m)
-    return m.real if np.iscomplexobj(m) and not np.any(m.imag) else m
-
-
 # -- the splitting engine ----------------------------------------------------------
 
 
@@ -291,12 +286,12 @@ class _Admm:
     A_c on the block index and the offset c_c = A_c^T (A_c A_c^T)^{-1} b,
     both precomputed; a class where no row holds has M_c = I and no offset.
     The coordinates are those of the orthogonal change to the product basis
-    (`supermaps.basis_coords`), or the raw entries, one class, when no row
-    is masked.  The operator M of the largest class acts on the block index
-    only, so it commutes with the change of basis: the step applies M to the
-    raw entries and adds the whole offset as a raw stack, then corrects each
-    of the m other coordinates by (M_c - M) of its value.  Up to DENSE_SHARE
-    of the n^2 coordinates the correction goes through their basis matrices
+    of the program's layout (`supermaps.basis_coords`).  The operator M of
+    the largest class acts on the block index only, so it commutes with the
+    change of basis: the step applies M to the raw entries and adds the
+    whole offset as a raw stack, then corrects each of the m other
+    coordinates by (M_c - M) of its value.  Up to DENSE_SHARE of the n^2
+    coordinates the correction goes through their basis matrices
     (`supermaps.basis_rows`; one real m x n^2 product each way); above it
     through the change of basis of the whole stack (`supermaps.basis_coords`
     and `basis_matrices`), whose cost does not grow with m, and the rows are
@@ -406,7 +401,7 @@ class _Admm:
     def _stack(self, mats: Mapping[str, np.ndarray]) -> np.ndarray:
         """The real images of the named matrices as one (k, n, n) stack, zero
         where a block is absent."""
-        n = self.prog.n
+        n = self.prog.layout.total_dim
         out = np.zeros((len(self.names), n, n))
         for k, name in enumerate(self.names):
             if name in mats:
@@ -430,20 +425,15 @@ class _Admm:
         return self._blocks(-self.rho * self.u)
 
     def _prepare_affine(self) -> None:
-        prog, k, n = self.prog, len(self.names), self.prog.n
-        rows = prog.matrix_rows
-        masked = any(row.support is not None for row in rows)
-        if masked and prog.layout is None:
-            raise ValueError(f"{prog.name}: a row with a support needs the program's layout")
-        layout = prog.layout if masked else None
+        prog, k = self.prog, len(self.names)
+        rows, layout, n = prog.matrix_rows, prog.layout, prog.layout.total_dim
         self._main, self._offset = None, np.zeros((k, n, n))
         self._basis, self._corrections = None, []
         if not rows:  # the projection is the identity
             return
         a = np.array([[row.coeffs.get(name, 0.0) for name in self.names] for row in rows])
-        rhs = np.array([_real_image(row.rhs) for row in rows])
-        rhs = rhs if layout is None else basis_coords(layout, rhs)
-        coords = rhs.shape[1:]  # of one matrix: a pair of axes per wire, or (n, n)
+        rhs = basis_coords(layout, np.array([_real_image(row.rhs) for row in rows]))
+        coords = rhs.shape[1:]  # of one matrix: a pair of axes per wire
         rhs = rhs.reshape(len(rows), -1)
         # which rows hold at each coordinate; a class is one pattern of them,
         # with the operator I and no offset where no row holds
@@ -468,7 +458,7 @@ class _Admm:
         minority = order[labels[order] != main]  # grouped by class
         self._main = ops[main] if patterns[main].any() else None
         offset = offset.reshape(k, *coords)
-        self._offset = offset if layout is None else basis_matrices(layout, offset)
+        self._offset = basis_matrices(layout, offset)
         if len(minority):
             self._minority = minority
             if len(minority) <= DENSE_SHARE * n * n:
@@ -815,14 +805,14 @@ class _SlotGeometry:
     def __init__(self, setup: SetupOperator):
         self.layout = setup.op.layout
         self.n = self.layout.total_dim
-        self.dd = setup.trace_target
         self.eye = np.eye(self.n)
         self.general, self.forward, self.backward = (
             SpanMask.of_setup(setup, cone) for cone in ConeId
         )
+        self.dd = self.general.trace_target
         # the setup matrix re-projected onto its span, so the polish identities
         # close to floating-point accuracy; real when the setup is
-        self.s_mat = _real_data(_sym(self.general.project(setup.op.matrix)))
+        self.s_mat = _sym(self.general.project(setup.op.matrix))
 
 
 def _complement(mask: SpanMask) -> Callable:
@@ -908,7 +898,7 @@ def _robustness_primal(geom: _SlotGeometry) -> ConicProgram:
 
     return ConicProgram(
         name="robustness:primal",
-        n=n,
+        layout=geom.layout,
         blocks=(Block("T", "psd"), Block("F", "psd"), Block("B", "psd")),
         matrix_rows=rows,
         objective={"T": eye / dd},
@@ -916,7 +906,6 @@ def _robustness_primal(geom: _SlotGeometry) -> ConicProgram:
         polish=polish,
         # T, F and B are the slacks of the witness program's Q, P_fwd and P_bwd
         slack_map={"T": "Q", "F": "P_fwd", "B": "P_bwd"},
-        layout=geom.layout,
     )
 
 
@@ -972,13 +961,12 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
     tag = "robustness-restricted" if restricted else "robustness"
     return ConicProgram(
         name=f"{tag}:dual",
-        n=n,
+        layout=geom.layout,
         blocks=blocks,
         matrix_rows=rows,
         objective={"W": -s},
         sense="max",
         polish=polish,
-        layout=geom.layout,
     )
 
 
@@ -1118,7 +1106,6 @@ def solve_max_robustness(
     report.extras["certificate"] = tuple(
         HermitianOperator(geom.layout, point["W"] - point[part]) for part in ("P_fwd", "P_bwd")
     )
-    report.extras["restricted"] = restricted
     return report, witness
 
 
@@ -1128,26 +1115,25 @@ def solve_max_robustness(
 def cone_value_programs(
     target: np.ndarray,
     spans: Mapping[str, SpanMask],
-    trace_target: float,
 ) -> tuple[ConicProgram, ConicProgram]:
     """max <target, sum_d S_d> over operators S_d, each positive semidefinite
-    inside its named span, with fixed total trace; plus the matching
+    inside its named span, with total trace dd; plus the matching
     upper-bound program.  Returned as (min side, max side).
 
-    The spans share one layout.  The value program has S_d = 0 off the
-    coordinates span d keeps and sum_d S_d = (dd/n) I on the identity
-    coordinate; the bound program has N = nu I and N - Q_d = target on the
-    coordinates span d keeps, nu I - target - Q_d being the complement part
-    Z_d."""
-    layout = next(iter(spans.values())).layout
-    if any(mask.layout != layout for mask in spans.values()):
-        raise ValueError("the spans of a cone-value program must share one layout")
+    The spans share one layout and one trace normalization dd, their
+    `trace_target`.  The value program has S_d = 0 off the coordinates span d
+    keeps and sum_d S_d = (dd/n) I on the identity coordinate; the bound
+    program has N = nu I and N - Q_d = target on the coordinates span d
+    keeps, nu I - target - Q_d being the complement part Z_d.  The programs
+    are real when `target` is."""
+    first = next(iter(spans.values()))
+    layout, dd = first.layout, first.trace_target
+    if any(mask.layout != layout or mask.trace_target != dd for mask in spans.values()):
+        raise ValueError("the spans of a cone-value program must share one layout and one trace")
     n = layout.total_dim
-    dd = float(trace_target)
     eye = np.eye(n)
     names = list(spans)
     zero = np.zeros((n, n))
-    target = _real_data(target)
     identity = identity_coordinate(layout)
 
     rows_p = [MatrixRow(f"{name}-in-span", {name: 1.0}, zero, ~spans[name].keep) for name in names]
@@ -1170,13 +1156,12 @@ def cone_value_programs(
 
     value_prog = ConicProgram(
         name="cone-value:value",
-        n=n,
+        layout=layout,
         blocks=tuple(Block(name, "psd") for name in names),
         matrix_rows=tuple(rows_p),
         objective=dict.fromkeys(names, target),
         sense="max",
         polish=polish_value,
-        layout=layout,
     )
 
     complements = {name: _complement(spans[name]) for name in names}
@@ -1197,14 +1182,13 @@ def cone_value_programs(
 
     bound_prog = ConicProgram(
         name="cone-value:bound",
-        n=n,
+        layout=layout,
         blocks=(Block("N", "free"), *(Block(f"Q_{name}", "psd") for name in names)),
         matrix_rows=tuple(rows_d),
         objective={"N": (dd / n) * eye},
         sense="min",
         polish=polish_bound,
         slack_map={f"Q_{name}": name for name in names},
-        layout=layout,
     )
     return bound_prog, value_prog
 
@@ -1212,20 +1196,15 @@ def cone_value_programs(
 def solve_cone_value(
     target: np.ndarray,
     spans: Mapping[str, SpanMask],
-    trace_target: float,
     done: Callable[[float, float], bool] = _gap_closed,
 ) -> SolveReport:
-    """Certified maximum of <target, .> over trace-normalized mixtures of the
-    named cones, each given by the mask of its span: `upper` bounds the
-    maximum from above and `lower` is attained by an exactly feasible
-    mixture (reported in extras["parts"]).  extras["complements"] holds the
-    bound side's complement part Z_d of each span.  The run ends converged
-    at the first checkpoint (`_next_checkpoint`) where done(upper, lower)
-    holds, by default where the certified gap is at most GAP_TOL; a
-    checkpoint comes early when the split residuals first reach
-    RESIDUAL_TOL."""
-    bound_prog, value_prog = cone_value_programs(target, spans, trace_target)
-    report = _solve_pair(bound_prog, value_prog, MAX_ITER, done)
-    point = report.extras["lower_point"]
-    report.extras["parts"] = {name: HermitianOperator(bound_prog.layout, point[name]) for name in spans}
-    return report
+    """Certified maximum of <target, .> over mixtures of the named cones, each
+    given by the mask of its span, normalized to the spans' `trace_target`:
+    `upper` bounds the maximum from above and `lower` is attained by an
+    exactly feasible mixture, whose part in each span is in
+    extras["lower_point"].  extras["complements"] holds the bound side's
+    complement part Z_d of each span.  The run ends converged at the first
+    checkpoint (`_next_checkpoint`) where done(upper, lower) holds, by
+    default where the certified gap is at most GAP_TOL; a checkpoint comes
+    early when the split residuals first reach RESIDUAL_TOL."""
+    return _solve_pair(*cone_value_programs(target, spans), MAX_ITER, done)

@@ -117,15 +117,6 @@ class SetupOperator:
     def slot_output_dim(self) -> int:
         return self.role_dim(ROLE_SLOT_OUTPUT)
 
-    @property
-    def global_input_dim(self) -> int:
-        return self.role_dim(ROLE_GLOBAL_INPUT)
-
-    @property
-    def trace_target(self) -> float:
-        """Trace normalization of a valid setup: d_slot * d_global_input."""
-        return float(self.slot_input_dim * self.global_input_dim)
-
     def slot(self) -> SlotSpec:
         return SlotSpec(self.labels(ROLE_SLOT_INPUT), self.labels(ROLE_SLOT_OUTPUT))
 
@@ -233,6 +224,8 @@ class SpanMask:
     """The named span as a 0/1 mask over the product-basis coordinates of a
     layout (`basis_coords`): `picks` maps each condition name to the
     coordinates it picks and `keep` holds those no condition picks.
+    `trace_target` is the trace of a valid setup on these wires, the global
+    input dimension times the product of the slots' input dimensions.
 
     Uniform global input: replacing everything but the global input must
     equal replacing everything.  Then one condition per non-empty subset of
@@ -252,6 +245,7 @@ class SpanMask:
         which: ConeId,
     ):
         self.layout = layout
+        self.trace_target = float(_group_dim(layout, global_in) * prod(_group_dim(layout, s.input) for s in slots))
         shape = _pair_shape(layout.dims)
         index = np.indices(shape)
         traceless = {lab: (index[2 * k] > 0) | (index[2 * k + 1] > 0) for k, lab in enumerate(layout.labels)}
@@ -371,12 +365,10 @@ def check_multipartite(
         if _group_dim(layout, s.input) != _group_dim(layout, s.output):
             raise ValueError(f"slot {k + 1} input and output dimensions differ")
 
-    residuals = {
-        cone.value: SpanMask(layout, slots, global_in, global_out, cone).residuals(op.matrix)
-        for cone in ConeId
-    }
+    masks = {cone: SpanMask(layout, slots, global_in, global_out, cone) for cone in ConeId}
+    residuals = {cone.value: mask.residuals(op.matrix) for cone, mask in masks.items()}
     trace = op.trace
-    target = float(_group_dim(layout, global_in) * prod(_group_dim(layout, s.input) for s in slots))
+    target = masks[ConeId.GENERAL].trace_target
     min_eig = min_eigenvalue(op)
     in_cone = min_eig >= -tol and abs(trace - target) <= tol * max(1.0, abs(target))
     passed = {cone: in_cone and all(r <= tol for r in res.values()) for cone, res in residuals.items()}

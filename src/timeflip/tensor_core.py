@@ -1,12 +1,13 @@
-"""Complex tensor algebra over labeled multi-qubit layouts.
+"""Tensor algebra over labeled multi-qubit layouts.
 
 Products, the trace-and-replace kernel, factor permutations, the double-ket
 vectorization and the operator file format.  Everything here is a pure
 function over immutable values; a single basis convention (row-major
 composite indices, first layout factor most significant) is used throughout.
-Operators are `HermitianOperator`s over a layout; pure states are plain numpy
-vectors in the same convention, and `double_ket` is the one vectorization of a
-matrix, input wire first.
+Operators are `HermitianOperator`s over a layout, real float64 matrices when
+their imaginary parts are exactly zero and complex ones otherwise; pure states
+are plain numpy vectors in the same convention, and `double_ket` is the one
+vectorization of a matrix, input wire first.
 """
 
 from __future__ import annotations
@@ -95,7 +96,12 @@ def reject_non_finite(values: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A dense complex matrix over a layout, Hermitian by construction."""
+    """A dense matrix over a layout, Hermitian by construction.
+
+    The matrix is checked and symmetrized as a complex one, then stored as a
+    read-only float64 copy when its imaginary part is exactly zero, and as
+    complex128 otherwise: a real operator stays real, so every consumer of
+    its matrix (eigenvalues, the solver's data) runs in real arithmetic."""
 
     layout: SystemLayout
     matrix: np.ndarray
@@ -113,6 +119,8 @@ class HermitianOperator:
         if deviation > SYMMETRIZE_WARN_TOL:
             warnings.warn(f"symmetrizing nearly-Hermitian matrix (asymmetry {deviation:.3e})")
         m = (m + m.conj().T) / 2
+        if not m.imag.any():
+            m = np.ascontiguousarray(m.real)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

@@ -32,8 +32,6 @@ from .tensor_core import (
 WIRE_LABELS = ("A_I", "A_O", "B_it", "B_ot", "B_oc")
 
 CERTIFICATE_TOL = 1e-8
-# trace of a setup on the experiment layout
-_TRACE = 4.0
 ZERO_COEFF_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
 PROBABILITY_TOL = 1e-12
@@ -210,10 +208,11 @@ class WitnessReport:
 def validate_witness(op: HermitianOperator, tol: float | None = None) -> WitnessReport:
     """Check witness validity against the definite-direction cone.
 
-    Certifies a lower bound on min Tr(W S') over trace-normalized definite
-    setups S', that is over mixtures of setups in the exact forward and
-    backward cones (uniform global input and normalization included);
-    validity means the bound is >= -tol, with tol sdp.GAP_TOL by default.
+    Certifies a lower bound on min Tr(W S') over definite setups S' of
+    trace dd (the spans' `trace_target`, 4 here), that is over mixtures of
+    setups in the exact forward and backward cones (uniform global input and
+    normalization included); validity means the bound is >= -tol, with tol
+    sdp.GAP_TOL by default.
     The floor pair's one stop rule is that it has decided the certificate
     question: the certified minimum is at least -dd * CERTIFICATE_TOL (a
     certificate exists), a definite setup attains less than -tol (the
@@ -232,12 +231,13 @@ def validate_witness(op: HermitianOperator, tol: float | None = None) -> Witness
     require_experiment_layout(op.layout, "a witness")
     if tol is None:
         tol = GAP_TOL
-    margin = _TRACE * CERTIFICATE_TOL
+    spans = _span_masks()
+    margin = spans["forward"].trace_target * CERTIFICATE_TOL
 
     def decided(upper: float, lower: float) -> bool:
         return upper <= margin or lower > tol or upper - lower <= margin
 
-    floor = solve_cone_value(-op.matrix, _span_masks(), trace_target=_TRACE, done=decided)
+    floor = solve_cone_value(-op.matrix, spans, done=decided)
     # not -(...): a zero bound would give -0.0
     min_value = 0.0 - floor.upper
     attained = 0.0 - floor.lower

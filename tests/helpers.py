@@ -322,6 +322,12 @@ def random_span_element(
     return SetupOperator(op, setup.roles)
 
 
+def trace_target(setup: SetupOperator) -> float:
+    """The trace of a valid setup on the wires of `setup`, read from its
+    general span."""
+    return SpanMask.of_setup(setup, ConeId.GENERAL).trace_target
+
+
 def random_general_setup(rng, template) -> SetupOperator:
     """A generic trace-normalized element of the general cone: project a random
     positive operator onto the span, then float it back to positivity with
@@ -333,7 +339,7 @@ def random_general_setup(rng, template) -> SetupOperator:
     m = SpanMask.of_setup(raw, ConeId.GENERAL).project(raw.op.matrix)
     floor = -min(min_eigenvalue(m), 0.0)
     m = m + 1.01 * floor * np.eye(n)
-    m *= template.trace_target / np.trace(m).real
+    m *= trace_target(template) / np.trace(m).real
     return SetupOperator(HermitianOperator(layout, m), template.roles)
 
 

@@ -100,6 +100,7 @@ class TestRobustness:
             "iterations", "residuals", "converged",
         }
         assert report["command"] == "robustness"
+        assert report["restricted"] is False
         assert report["robustness"] == report["lower"]
         assert report["converged"] is True
         assert report["lower"] <= QTF_ROBUSTNESS <= report["upper"]
@@ -122,6 +123,7 @@ class TestRobustness:
         assert _run("robustness", "--restricted", "--decomposition-out", decomposition,
                     "--out", str(out)) == EXIT_OK
         report = json.loads(out.read_text())
+        assert report["restricted"] is True
         assert report["lower"] <= QTF_ROBUSTNESS_RESTRICTED <= report["upper"]
         assert report["gap"] <= 1e-4
         # the restricted witness costs at most 59 experiment settings
@@ -808,7 +810,7 @@ class TestConfig:
         (("game", "--strategy", "qtf", "--out", "{out}/game-qtf.csv"), ("game", "tensor_core")),
         (("game", "--strategy", "switch", "--out", "{out}/game-switch.csv"),
          ("game", "tensor_core")),
-        (("game", "--pmax-sdp"), ("channels", "game", "sdp", "supermaps", "tensor_core")),
+        (("game", "--pmax-sdp"), ("game", "sdp", "supermaps", "tensor_core")),
         (("robustness", "--setup", "{setup}", "--max-iter", "4000", "--out", "{out}/noisy.json"),
          ("sdp", "supermaps", "tensor_core")),
     ], ids=["import", "robustness", "robustness-restricted", "probabilities", "validate",

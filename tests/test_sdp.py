@@ -29,6 +29,7 @@ from helpers import (
     restricted_projector,
     rotated,
     shifted_robustness_primal,
+    trace_target,
 )
 from timeflip import game, sdp, witness
 from timeflip.sdp import (
@@ -44,9 +45,11 @@ from timeflip.supermaps import (
     ROLE_SLOT_OUTPUT,
     ConeId,
     SetupOperator,
+    SlotSpec,
     SpanMask,
     basis_coords,
     basis_matrices,
+    check_setup,
     identity_coordinate,
     qtf_plus_control,
     sequential_setup,
@@ -149,7 +152,7 @@ class TestEngine:
         s = g @ g.conj().T / 8
         prog = ConicProgram(
             name="trivial",
-            n=8,
+            layout=SystemLayout((("x", 8),)),
             blocks=(Block("T", "psd"), Block("R", "psd")),
             matrix_rows=(MatrixRow("shifted-positivity", {"T": 1.0, "R": -1.0}, -s),),
             objective={"T": np.eye(8) / 4},
@@ -164,11 +167,10 @@ class TestEngine:
         layout = SystemLayout((("a", 4),))
         prog = ConicProgram(
             name="traced",
-            n=4,
+            layout=layout,
             blocks=(Block("X", "psd"),),
             matrix_rows=(MatrixRow("trace", {"X": 1.0}, eye / 2, identity_coordinate(layout)),),
             objective={"X": np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)},
-            layout=layout,
         )
         report = solve(prog)
         assert report.converged
@@ -182,7 +184,7 @@ class TestEngine:
         zero = np.zeros((2, 2))
         prog = ConicProgram(
             name="dependent",
-            n=2,
+            layout=SystemLayout((("x", 2),)),
             blocks=(Block("X", "psd"), Block("Y", "psd")),
             matrix_rows=(
                 MatrixRow("first", {"X": 1.0, "Y": 1.0}, zero),
@@ -197,7 +199,7 @@ class TestEngine:
         # the cone step reads and writes the PSD blocks as one slice
         prog = ConicProgram(
             name="apart",
-            n=2,
+            layout=SystemLayout((("x", 2),)),
             blocks=(Block("X", "psd"), Block("F", "free"), Block("Y", "psd")),
             matrix_rows=(),
             objective={},
@@ -215,11 +217,10 @@ class TestEngine:
         layout = qubits("a")
         prog = ConicProgram(
             name="lone",
-            n=2,
+            layout=layout,
             blocks=(Block("X", "psd"),),
             matrix_rows=(MatrixRow("trace", {"X": 1.0}, np.eye(2) / 2, identity_coordinate(layout)),),
             objective={"X": np.diag([1.0, 3.0])},
-            layout=layout,
         )
         report = solve(prog)
         assert report.converged
@@ -242,7 +243,7 @@ def _psd_stack_program(k, n, hermitian):
     c = random_hermitian(np.random.default_rng(1), n)
     return ConicProgram(
         name="psd-stack",
-        n=n,
+        layout=SystemLayout((("x", n),)),
         blocks=tuple(Block(f"X{j}", "psd") for j in range(k)),
         matrix_rows=(),
         objective={"X0": c if hermitian else np.real(c)},
@@ -465,7 +466,7 @@ class TestMaxRobustness:
         p_e = setup_span_projector(qtf, ConeId.GENERAL)
         assert np.linalg.norm(p_f(w_fwd)) <= 1e-9
         assert np.linalg.norm(p_b(w_bwd)) <= 1e-9
-        z = eye / qtf.trace_target - w - q
+        z = eye / trace_target(qtf) - w - q
         assert np.linalg.norm(p_e(z)) <= 1e-9
 
     def test_witness_nonnegative_on_fixed_directions(self, qtf, solved):
@@ -488,7 +489,6 @@ class TestMaxRobustness:
         assert report.converged
         assert report.gap <= _GAP_TOL
         assert report.lower <= QTF_ROBUSTNESS_RESTRICTED <= report.upper
-        assert report.extras["restricted"] is True
 
     def test_restricted_witness_in_subspace(self, qtf, solved_restricted):
         _, witness = solved_restricted
@@ -520,7 +520,7 @@ class TestMaxRobustness:
         base = base_report.upper
         layout = qtf.op.layout
         n = layout.total_dim
-        white = (qtf.trace_target / n) * np.eye(n)
+        white = (trace_target(qtf) / n) * np.eye(n)
         for q in (0.25, 0.5, 0.75):
             mixed = SetupOperator(
                 HermitianOperator(layout, (1 - q) * qtf.op.matrix + q * white), qtf.roles
@@ -554,7 +554,7 @@ class TestMaxRobustness:
 
     def test_strict_feasibility_probes(self, qtf):
         s = SpanMask.of_setup(qtf, ConeId.GENERAL).project(qtf.op.matrix)
-        lam0 = 2 * qtf.trace_target + 1
+        lam0 = 2 * trace_target(qtf) + 1
         eye_op = HermitianOperator(qtf.op.layout, np.eye(qtf.op.layout.total_dim))
         noise = lam0 * eye_op.matrix
         shifted = s + noise
@@ -565,9 +565,9 @@ class TestMaxRobustness:
         assert min_eigenvalue(noise) > 0
         assert min_eigenvalue(fwd_half) > 0
         assert min_eigenvalue(bwd_half) > 0
-        w0 = eye_op.matrix / (2 * qtf.trace_target)
+        w0 = eye_op.matrix / (2 * trace_target(qtf))
         assert abs(hs_inner(w0, s) - 0.5) <= 1e-12
-        assert min_eigenvalue(eye_op.matrix / qtf.trace_target - w0) > 0
+        assert min_eigenvalue(eye_op.matrix / trace_target(qtf) - w0) > 0
 
 
 @pytest.fixture
@@ -585,21 +585,10 @@ def admm_arithmetic(monkeypatch):
     return seen
 
 
-class _Through:
-    """A module whose given attributes replace the wrapped module's."""
-
-    def __init__(self, module, **attrs):
-        self._module = module
-        self.__dict__.update(attrs)
-
-    def __getattr__(self, name):
-        return getattr(self._module, name)
-
-
 @pytest.fixture
-def solver_linalg(monkeypatch):
-    """Record, for every eigh, eigvalsh and cholesky call of the solver
-    module, whether its argument is complex."""
+def linalg_calls(monkeypatch):
+    """Record, for every np.linalg.eigh, eigvalsh and cholesky call in the
+    process, whether its argument is complex."""
     seen = []
 
     def spy(function):
@@ -609,9 +598,8 @@ def solver_linalg(monkeypatch):
 
         return recorded
 
-    names = ("eigh", "eigvalsh", "cholesky")
-    linalg = _Through(np.linalg, **{name: spy(getattr(np.linalg, name)) for name in names})
-    monkeypatch.setattr(sdp, "np", _Through(np, linalg=linalg))
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
     return seen
 
 
@@ -643,19 +631,20 @@ def _game_cap(direction, u=np.eye(32)):
         for name in cones
     }
     target = u @ (m_plus.matrix + m_minus.matrix) @ u.conj().T
-    return sdp.cone_value_programs(target, spans, 4.0)[1]
+    return sdp.cone_value_programs(target, spans)[1]
 
 
 def _iterated_program(qtf, program, phase):
     """An iterated program on qtf conjugated by a phase on its last wire:
     the witness program, full or restricted, or the definite value program;
-    or the game cap's value program, its payoff conjugated the same way."""
-    u = np.kron(np.eye(16), np.diag([1.0, np.exp(1j * phase)]))
+    or the game cap's value program, its payoff conjugated the same way.
+    At phase 0 the conjugation is the real identity, so the data stay real."""
+    u = np.kron(np.eye(16), np.diag([1.0, np.exp(1j * phase) if phase else 1.0]))
     if program == "game-cap":
         return _game_cap("convex-hull", u)
     s = u @ SpanMask.of_setup(qtf, ConeId.GENERAL).project(qtf.op.matrix) @ u.conj().T
     if program == "value":
-        return sdp.cone_value_programs(s, _definite_spans(qtf), qtf.trace_target)[1]
+        return sdp.cone_value_programs(s, _definite_spans(qtf))[1]
     setup = SetupOperator(HermitianOperator(qtf.op.layout, s), qtf.roles)
     restricted = program == "restricted-witness"
     subspace = restricted_projector(setup) if restricted else None
@@ -695,18 +684,21 @@ class TestArithmetic:
         assert abs(real_report.lower - complex_report.lower) <= 1e-6
         assert abs(real_report.upper - complex_report.upper) <= 1e-6
 
-    def test_real_setups_decompose_real_matrices(self, qtf, solver_linalg):
-        # the runs and the polishes of a real setup, its witness check and
-        # the game cap factor only real matrices; a complex setup's do not
+    def test_real_setups_decompose_real_matrices(self, qtf, linalg_calls):
+        # the membership check, the runs and the polishes of a real setup,
+        # its witness check with the certificate's residuals and the game cap
+        # factor only real matrices, anywhere in the process; a complex
+        # setup's do not
+        check_setup(qtf)
         _, witness_op = solve_max_robustness(qtf)
         solve_max_robustness(qtf, restricted=True)
         assert validate_witness(witness_op).certificate_ok
         plus, minus = game.builtin_gate_sets()
         game.compute_pmax_fixed_direction(plus + minus, "convex-hull")
-        assert solver_linalg and not any(solver_linalg)
-        real_calls = len(solver_linalg)
+        assert linalg_calls and not any(linalg_calls)
+        real_calls = len(linalg_calls)
         solve_max_robustness(rotated(qtf))
-        assert any(solver_linalg[real_calls:])
+        assert any(linalg_calls[real_calls:])
 
     @pytest.mark.parametrize("phase", [0.0, 0.4])
     @pytest.mark.parametrize("program", ["witness", "restricted-witness", "value", "game-cap"])
@@ -766,7 +758,7 @@ class TestArithmetic:
         if program in game.PMAX_DIRECTIONS:
             prog = _game_cap(program)
         elif program == "validate-floor":
-            prog = sdp.cone_value_programs(-qtf.op.matrix, witness._span_masks(), witness._TRACE)[1]
+            prog = sdp.cone_value_programs(-qtf.op.matrix, witness._span_masks())[1]
         else:
             prog = _iterated_program(qtf, program, 0.0)
         tracemalloc.start()
@@ -778,7 +770,7 @@ class TestArithmetic:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        m, n = len(admm._minority), prog.n
+        m, n = len(admm._minority), prog.layout.total_dim
         assert m == {"convex-hull": 238, "forward-only": 169, "backward-only": 169,
                      "validate-floor": 64}.get(program, 63)
         cap = program in game.PMAX_DIRECTIONS
@@ -789,7 +781,7 @@ class TestArithmetic:
     @pytest.mark.parametrize("program", ["witness", "restricted-witness", "value", "game-cap"])
     def test_row_classes_match_unique_columns(self, qtf, program):
         prog = _iterated_program(qtf, program, 0.0)
-        every = np.ones(prog.n * prog.n, dtype=bool)
+        every = np.ones(prog.layout.total_dim**2, dtype=bool)
         held = np.array([every if row.support is None else row.support.ravel() for row in prog.matrix_rows])
         patterns, labels = sdp._row_classes(held)
         expected, inverse = np.unique(held.T, axis=0, return_inverse=True)
@@ -830,7 +822,7 @@ class TestRealImage:
         admm = sdp._Admm(prog)
         assert admm.hermitian
         rng = np.random.default_rng(47)
-        v = np.stack([random_hermitian(rng, prog.n) for _ in admm.names])
+        v = np.stack([random_hermitian(rng, prog.layout.total_dim) for _ in admm.names])
         expected = sdp._real_image(_projection_by_coordinates(prog, admm.names, v))
         assert np.max(np.abs(admm._project_affine(sdp._real_image(v)) - expected)) <= 1e-12
 
@@ -1009,9 +1001,8 @@ _PAIR_DRIVERS = {
     "full": lambda qtf: solve_max_robustness(qtf)[0],
     "restricted": lambda qtf: solve_max_robustness(qtf, restricted=True)[0],
     "cone-value": lambda qtf: solve_cone_value(
-        SpanMask.of_setup(qtf, ConeId.GENERAL).project(qtf.op.matrix) / qtf.trace_target,
+        SpanMask.of_setup(qtf, ConeId.GENERAL).project(qtf.op.matrix) / trace_target(qtf),
         _definite_spans(qtf),
-        qtf.trace_target,
     ),
 }
 
@@ -1050,7 +1041,7 @@ class TestOneRunPerPair:
                 assert np.linalg.eigvalsh(m)[0] >= 0.0, blk.name
             else:
                 assert np.linalg.norm(m - blk.project(m)) <= 1e-9, blk.name
-        upper = np.trace(point["T"]).real / setup.trace_target
+        upper = np.trace(point["T"]).real / trace_target(setup)
         assert report.upper == pytest.approx(upper, abs=1e-12)
         assert report.lower <= report.upper <= report.lower + _GAP_TOL
 
@@ -1143,7 +1134,7 @@ class TestRestrictedReduction:
         # S + T splits into F + B up to a part the restricted witness cannot see
         shift = f + b - t - setup.op.matrix
         assert np.linalg.norm(restricted_projector(setup)(shift)) <= 1e-9
-        assert np.trace(t).real / setup.trace_target == pytest.approx(report.upper, abs=1e-12)
+        assert np.trace(t).real / trace_target(setup) == pytest.approx(report.upper, abs=1e-12)
 
     def test_target_output_may_be_the_only_global_output(self):
         # the reduced setup keeps B_ot at dimension one, so it still has a
@@ -1222,29 +1213,42 @@ class TestRestrictedReduction:
 
 
 class TestConeValue:
+    def test_spans_must_share_layout_and_trace(self, qtf):
+        layout, slots = qtf.op.layout, [SlotSpec(("A_I",), ("A_O",))]
+        full = SpanMask(layout, slots, ("B_it",), ("B_ot", "B_oc"), ConeId.FORWARD)
+        # B_it as a global output: same layout, trace 2 instead of 4
+        outputs = SpanMask(layout, slots, (), ("B_it", "B_ot", "B_oc"), ConeId.BACKWARD)
+        assert (full.trace_target, outputs.trace_target) == (4.0, 2.0)
+        target = np.eye(layout.total_dim)
+        with pytest.raises(ValueError, match="share one layout and one trace"):
+            sdp.cone_value_programs(target, {"forward": full, "backward": outputs})
+        other = SpanMask.of_setup(qutrit_target_output(qtf), ConeId.BACKWARD)
+        with pytest.raises(ValueError, match="share one layout and one trace"):
+            sdp.cone_value_programs(target, {"forward": full, "backward": other})
+
     def test_general_cone_self_overlap_is_purity(self, qtf):
         # the maximizer of <S/dd, .> over the general cone is S itself, with
         # value Tr(S^2)/dd = dd for a rank-one setup of trace dd
         geom_spans = {"general": SpanMask.of_setup(qtf, ConeId.GENERAL)}
         s = geom_spans["general"].project(qtf.op.matrix)
-        report = solve_cone_value(s / qtf.trace_target, geom_spans, qtf.trace_target)
+        report = solve_cone_value(s / trace_target(qtf), geom_spans)
         assert report.converged
-        assert abs(report.upper - qtf.trace_target) <= 1e-4
-        assert abs(report.lower - qtf.trace_target) <= 1e-4
+        assert abs(report.upper - trace_target(qtf)) <= 1e-4
+        assert abs(report.lower - trace_target(qtf)) <= 1e-4
 
     def test_definite_value_stays_below_general(self, qtf):
         s = SpanMask.of_setup(qtf, ConeId.GENERAL).project(qtf.op.matrix)
         spans = _definite_spans(qtf)
-        report = solve_cone_value(s / qtf.trace_target, spans, qtf.trace_target)
+        report = solve_cone_value(s / trace_target(qtf), spans)
         assert report.converged
-        assert report.upper < qtf.trace_target - 0.5
-        parts = report.extras["parts"]
-        total = sum(np.trace(p.matrix).real for p in parts.values())
-        assert abs(total - qtf.trace_target) <= 1e-9
+        assert report.upper < trace_target(qtf) - 0.5
+        parts = {name: report.extras["lower_point"][name] for name in spans}
+        total = sum(np.trace(part).real for part in parts.values())
+        assert abs(total - trace_target(qtf)) <= 1e-9
         for name, part in parts.items():
-            assert min_eigenvalue(part.matrix) >= -1e-11
+            assert min_eigenvalue(part) >= -1e-11
             projector = spans[name].project
-            assert np.linalg.norm(part.matrix - projector(part.matrix)) <= 1e-9
+            assert np.linalg.norm(part - projector(part)) <= 1e-9
 
 
 class TestStopRule:
@@ -1347,7 +1351,7 @@ class TestStopRule:
             "forward": SpanMask.of_setup(qtf, ConeId.FORWARD),
             "backward": SpanMask.of_setup(qtf, ConeId.BACKWARD),
         }
-        _, value_prog = sdp.cone_value_programs(-w, spans, qtf.trace_target)
+        _, value_prog = sdp.cone_value_programs(-w, spans)
         admm = sdp._Admm(value_prog)
         admm.run(0.0, 5000)
         assert admm.iterations == 5000

@@ -25,8 +25,10 @@ from helpers import (
     random_hermitian,
     random_hermitian_operator,
     random_span_element,
+    qutrit_target_output,
 )
 from timeflip import supermaps
+from timeflip.sdp import restricted_reduction
 from timeflip.channels import KrausChannel, input_output_inversion, kraus_to_choi
 from timeflip.game import game_layout, game_slots
 from timeflip.supermaps import (
@@ -153,6 +155,19 @@ def test_qtf_choi_matches_controlled_kraus_form():
         expected = split_factor(expected, "go", (("B_ot", 2), ("B_oc", 2)))
         assert out.layout == expected.layout
         assert np.allclose(out.matrix, expected.matrix, atol=1e-12)
+
+
+def test_span_trace_target_is_the_membership_reports():
+    # each span reads the trace normalization off the wires it is built from
+    qtf = qtf_plus_control()
+    reduced = restricted_reduction(qtf)[0]
+    for setup, expected in ((qtf, 4.0), (reduced, 2.0), (qutrit_target_output(qtf), 4.0)):
+        for cone in ConeId:
+            assert SpanMask.of_setup(setup, cone).trace_target == check_setup(setup).trace_target == expected
+    report = check_multipartite(identity(game_layout()), game_slots(), (), ("C_O",))
+    for cone in ConeId:
+        mask = SpanMask(game_layout(), game_slots(), (), ("C_O",), cone)
+        assert mask.trace_target == report.trace_target == 4.0
 
 
 def test_qtf_plus_control_passes_general_only():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import stat
 
@@ -69,6 +70,27 @@ def test_hermitian_constructor_rejects_non_finite_entries(value):
     m[0, 0] = value
     with pytest.raises(ValueError, match=r"non-finite matrix entry .* at \[0, 0\]"):
         HermitianOperator(qubits("a"), m)
+
+
+@pytest.mark.parametrize("data, dtype", [
+    (np.array([[1.0, 2.0 + 0j], [2.0, -1.0]]), np.float64),  # zero imaginary part
+    (np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -1.0]]), np.complex128),
+    (np.array([[1, 2], [2, -1]]), np.float64),
+])
+def test_matrix_is_real_exactly_when_its_imaginary_part_is_zero(data, dtype):
+    op = HermitianOperator(qubits("a"), data)
+    assert op.matrix.dtype == dtype
+    assert op.matrix.flags.c_contiguous and not op.matrix.flags.writeable
+    np.testing.assert_array_equal(op.matrix, data)
+
+
+def test_real_operator_record_is_unchanged():
+    # a real matrix writes the same record its complex twin did
+    record = operator_to_dict(HermitianOperator(qubits("a"), np.array([[1.0, 2.0], [2.0, -1.0]])))
+    assert json.dumps(record) == (
+        '{"labels": ["a"], "dims": [2], "re": [[1.0, 2.0], [2.0, -1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}'
+    )
+    assert operator_from_dict(record).matrix.dtype == np.float64
 
 
 def test_tensor_product_identity_case():

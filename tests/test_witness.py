@@ -19,6 +19,7 @@ from helpers import (
     random_general_setup,
     random_hermitian_operator,
     rotated,
+    trace_target,
 )
 from timeflip.sdp import solve_cone_value, solve_max_robustness
 from timeflip.supermaps import (
@@ -472,20 +473,20 @@ class TestValidateWitness:
             "backward": SpanMask.of_setup(qtf, ConeId.BACKWARD),
         }
         floor = solve_cone_value(
-            -w.matrix, spans, qtf.trace_target, done=lambda upper, lower: upper - lower <= 1e-10
+            -w.matrix, spans, done=lambda upper, lower: upper - lower <= 1e-10
         )
         assert floor.converged
         # shifting by c I/dd shifts the floor by c: this one's is 1e-7
         target = 1e-7
         shift = target + (floor.upper + floor.lower) / 2
-        shifted = w + identity(w.layout) * (shift / qtf.trace_target)
+        shifted = w + identity(w.layout) * (shift / trace_target(qtf))
         report = validate_witness(shifted)
         assert report.valid and report.certificate_ok
         assert report.min_definite_value <= target + 1e-9
 
     def test_shifted_below_tolerance_is_invalid(self, qtf, solved):
         _, w = solved
-        shifted = w - identity(w.layout) * (1e-3 / qtf.trace_target)
+        shifted = w - identity(w.layout) * (1e-3 / trace_target(qtf))
         report = validate_witness(shifted)
         assert not report.valid and not report.certificate_ok
         assert report.certificate is None
