@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .tensor_core import HermitianOperator, SystemLayout, atomic_write_text, double_ket, qubits
+from .tensor_core import HermitianOperator, SystemLayout, atomic_write_text, double_ket, qubits, reject_non_finite
 
 if TYPE_CHECKING:
     from .supermaps import SlotSpec
@@ -85,8 +85,7 @@ def _as_gate(matrix, what: str) -> np.ndarray:
     mat = np.asarray(matrix, dtype=complex)
     if mat.shape != (2, 2):
         raise ValueError(f"{what} must be a 2x2 matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{what} has non-finite entries")
+    reject_non_finite(mat, what)
     if np.linalg.norm(mat.conj().T @ mat - _ID, 2) > UNITARY_TOL:
         raise ValueError(f"{what} is not unitary within {UNITARY_TOL:g}")
     return mat
@@ -160,8 +159,7 @@ def _as_state(vec, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(vec, dtype=complex).reshape(-1)
     if arr.shape != (dim,):
         raise ValueError(f"{what} must be a {dim}-component vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} has non-finite entries")
+    reject_non_finite(arr, what)
     if abs(np.linalg.norm(arr) - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"{what} is not normalized")
     return arr
@@ -327,8 +325,7 @@ def _gate_from_dict(obj: dict, key: str, label: str) -> np.ndarray:
         if arr.shape != (2, 2):
             raise ValueError(f"{key}.{part} of pair {label} must be a 2x2 matrix, "
                              f"got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{key} of pair {label} has non-finite entries")
+        reject_non_finite(arr, f"{key}.{part} of pair {label}")
         parts.append(arr)
     return parts[0] + 1j * parts[1]
 

@@ -73,6 +73,7 @@ from .tensor_core import (
     HermitianOperator,
     SystemLayout,
     hs_inner,
+    min_eigenvalue,
 )
 
 RESIDUAL_TOL = 1e-6
@@ -228,10 +229,6 @@ def _psd_clip(m: np.ndarray) -> np.ndarray:
     stacked eigendecomposition of its Hermitian parts."""
     vals, vecs = _eigh(_sym(m))
     return (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ _herm(vecs)
-
-
-def _lmin(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(_sym(m))[0])
 
 
 def _psd_shortfall(m: np.ndarray) -> float:
@@ -663,7 +660,7 @@ def _feasibility_residuals(prog: ConicProgram, xs: Mapping[str, np.ndarray]) -> 
     worst_sub = 0.0
     for blk in prog.blocks:
         if blk.kind == "psd":
-            worst_psd = max(worst_psd, -min(_lmin(xs[blk.name]), 0.0))
+            worst_psd = max(worst_psd, -min(min_eigenvalue(_sym(xs[blk.name])), 0.0))
         elif blk.kind == "sub":
             worst_sub = max(
                 worst_sub, float(np.linalg.norm(xs[blk.name] - blk.project(xs[blk.name])))
@@ -941,7 +938,7 @@ def _robustness_dual(geom: _SlotGeometry, witness_subspace: Callable | None) -> 
     else:
         w0 = eye / (2 * dd)
         interior = {"W": w0, "P_fwd": w0, "P_bwd": w0, "Q": eye / dd - w0}
-    margins = {name: _lmin(interior[name]) for name in ("P_fwd", "P_bwd", "Q")}
+    margins = {name: min_eigenvalue(_sym(interior[name])) for name in ("P_fwd", "P_bwd", "Q")}
 
     def polish(zs):
         w = _sym(witness_subspace(zs["W"])) if restricted else _sym(zs["W"])
@@ -1141,7 +1138,7 @@ def cone_value_programs(
     rows_p.append(trace)
     white = (dd / (n * len(names))) * eye
     interior = dict.fromkeys(names, white)
-    margins = dict.fromkeys(names, _lmin(white))
+    margins = dict.fromkeys(names, min_eigenvalue(_sym(white)))
 
     def polish_value(zs):
         parts = {name: _sym(spans[name].project(zs[name])) for name in names}
@@ -1173,7 +1170,7 @@ def cone_value_programs(
 
     def polish_bound(zs):
         zmats = {name: _sym(complements[name](-target - zs[f"Q_{name}"])) for name in names}
-        nu = max(-_lmin(-target - zmats[name]) for name in names)
+        nu = max(-min_eigenvalue(_sym(-target - zmats[name])) for name in names)
         nu += abs(nu) * 1e-12
         solution: dict[str, np.ndarray] = {"N": nu * eye}
         for name in names:

@@ -4,10 +4,11 @@ Products, the trace-and-replace kernel, factor permutations, the double-ket
 vectorization and the operator file format.  Everything here is a pure
 function over immutable values; a single basis convention (row-major
 composite indices, first layout factor most significant) is used throughout.
-Operators are `HermitianOperator`s over a layout, real float64 matrices when
-their imaginary parts are exactly zero and complex ones otherwise; pure states
-are plain numpy vectors in the same convention, and `double_ket` is the one
-vectorization of a matrix, input wire first.
+Operators are `HermitianOperator`s over a layout, each matrix checked in its
+own dtype: real float64 matrices when their imaginary parts are exactly zero
+and complex ones otherwise; pure states are plain numpy vectors in the same
+convention, and `double_ket` is the one vectorization of a matrix, input wire
+first.
 """
 
 from __future__ import annotations
@@ -98,28 +99,31 @@ def reject_non_finite(values: np.ndarray, what: str) -> None:
 class HermitianOperator:
     """A dense matrix over a layout, Hermitian by construction.
 
-    The matrix is checked and symmetrized as a complex one, then stored as a
-    read-only float64 copy when its imaginary part is exactly zero, and as
-    complex128 otherwise: a real operator stays real, so every consumer of
-    its matrix (eigenvalues, the solver's data) runs in real arithmetic."""
+    The matrix is checked and symmetrized in its own dtype, integers as
+    float64, and stored as a read-only float64 or complex128 array; a complex
+    matrix whose symmetrized imaginary part is exactly zero is stored as its
+    real part.  So a real operator stays real, and every consumer of its
+    matrix (eigenvalues, the solver's data) runs in real arithmetic."""
 
     layout: SystemLayout
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        m = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
         n = self.layout.total_dim
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match layout dimension {n}")
         # a NaN asymmetry would compare false against the tolerances below
         reject_non_finite(m, "matrix")
-        deviation = float(np.max(np.abs(m - m.conj().T))) if n else 0.0
+        adjoint = m.conj().T if m.dtype == complex else m.T
+        deviation = float(np.max(np.abs(m - adjoint)))
         if deviation > HERMITIAN_ERROR_TOL:
             raise ValueError(f"matrix is not Hermitian (max asymmetry {deviation:.3e})")
         if deviation > SYMMETRIZE_WARN_TOL:
             warnings.warn(f"symmetrizing nearly-Hermitian matrix (asymmetry {deviation:.3e})")
-        m = (m + m.conj().T) / 2
-        if not m.imag.any():
+        m = (m + adjoint) / 2
+        if m.dtype == complex and not m.imag.any():
             m = np.ascontiguousarray(m.real)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -182,22 +186,16 @@ def trace_and_replace_matrix(mat: np.ndarray, dims: Sequence[int], replaced: Seq
 
 
 def permute_factors(op: HermitianOperator, order: Sequence[str]) -> HermitianOperator:
-    """Reorder the tensor factors of an operator to the given label order."""
-    matrix = _permuted_matrix(op, order)
-    return HermitianOperator(SystemLayout(tuple((lab, op.layout.dim(lab)) for lab in order)), matrix)
-
-
-def _permuted_matrix(op: HermitianOperator, order: Sequence[str]) -> np.ndarray:
-    """The matrix of `op` with its factors in the given label order.  It is
-    exactly Hermitian, a permutation of a Hermitian matrix, so a caller that
-    needs only the matrix can skip `HermitianOperator`'s checks."""
+    """Reorder the tensor factors of an operator to the given label order.
+    The permuted matrix is exactly Hermitian, so its checks change no entry."""
     layout = op.layout
     if sorted(order) != sorted(layout.labels):
         raise ValueError(f"order {order} is not a permutation of {layout.labels}")
     perm = [layout.position(lab) for lab in order]
     n = len(layout.dims)
     t = op.matrix.reshape(*layout.dims, *layout.dims)
-    return t.transpose(perm + [n + k for k in perm]).reshape(op.matrix.shape)
+    matrix = t.transpose(perm + [n + k for k in perm]).reshape(op.matrix.shape)
+    return HermitianOperator(SystemLayout(tuple((lab, layout.dim(lab)) for lab in order)), matrix)
 
 
 def split_factor(op: HermitianOperator, label: str, new_factors: Sequence[tuple[str, int]]) -> HermitianOperator:

@@ -78,13 +78,14 @@ def require_experiment_layout(layout: SystemLayout, what: str) -> None:
 
 
 def _state_indices(indices) -> tuple[int, ...]:
-    """The indices of a full (5) or restricted (3) event as ints in 0..3."""
-    idx = tuple(int(i) for i in indices)
-    if len(idx) not in (5, 3):
-        raise ValueError(f"expected 5 (full) or 3 (restricted) indices, got {len(idx)}")
-    if any(i < 0 or i > 3 for i in idx):
-        raise ValueError(f"state indices must lie in 0..3, got {idx}")
-    return idx
+    """The indices of a full (5) or restricted (3) event as ints in 0..3; an
+    index with a fractional part, or not finite, is an error, as for counts."""
+    indices = tuple(indices)
+    if len(indices) not in (5, 3):
+        raise ValueError(f"expected 5 (full) or 3 (restricted) indices, got {len(indices)}")
+    if not all(0 <= i <= 3 and float(i).is_integer() for i in indices):
+        raise ValueError(f"state indices must be whole numbers in 0..3, got {indices}")
+    return tuple(int(i) for i in indices)
 
 
 @dataclass(frozen=True)

@@ -354,6 +354,18 @@ def definite_mixture(rng, template) -> SetupOperator:
     return SetupOperator(HermitianOperator(layout, mixed), template.roles)
 
 
+def rotated_mixture(rng, template) -> SetupOperator:
+    """0.5 * template under Haar unitaries on every wire + 0.5 * a definite
+    mixture with its roles: a general setup with nonzero robustness (0.0897
+    on the qtf template with seed 0), where `random_general_setup` lands in
+    the definite cone.  A local unitary maps every cone onto itself."""
+    layout = template.op.layout
+    u = reduce(np.kron, [random_unitary(rng, d) for d in layout.dims])
+    turned = u @ template.op.matrix @ u.conj().T
+    mixed = 0.5 * turned + 0.5 * definite_mixture(rng, template).op.matrix
+    return SetupOperator(HermitianOperator(layout, mixed), template.roles)
+
+
 def half_definite(rng, template) -> SetupOperator:
     """0.5 * template + 0.5 * a definite mixture with its roles.  On the qtf
     template with seed 2 its robustness is 0.0474, and its optimal witness

@@ -344,7 +344,7 @@ class TestGame:
             warnings.simplefilter("always")
             assert _run("game", "--pairs", str(path)) == EXIT_IO
         assert not caught
-        message = f"cannot load gate pairs: u of pair {plus[0].name} has non-finite entries"
+        message = f"cannot load gate pairs: non-finite u.{part} of pair {plus[0].name} entry {bad} at [0, 0]"
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("part", ["re", "im"])
@@ -703,7 +703,7 @@ class TestBadInput:
         ("0,0,0,0,0,1.0\n", "0,0,x,0,0,0.5\n", "counts.csv: column 'c' is not an integer: 'x'"),
         ("0,0,0,0,0,1.0\n", "0,0,0,0,0,abc\n", "counts.csv: column 'probability' is not a number: 'abc'"),
         ("0,0,0,0,9,1.0\n", None,
-         "decomposition.csv: state indices must lie in 0..3, got (0, 0, 0, 0, 9)"),
+         "decomposition.csv: state indices must be whole numbers in 0..3, got (0, 0, 0, 0, 9)"),
         ("0,0,0,0,0,nan\n", None, "decomposition.csv: non-finite coeff nan for term (0, 0, 0, 0, 0)"),
     ], ids=["repeated-term", "short-row", "repeated-event", "long-event-row", "non-integer-index",
             "non-integer-event-index", "non-numeric-probability", "state-index-out-of-range",

@@ -104,9 +104,9 @@ class TestGatePair:
     def test_non_finite_entry_names_the_matrix_and_the_pair(self, bad):
         spoiled = _I.copy()
         spoiled[0, 0] = bad
-        with pytest.raises(ValueError, match=r"^u of pair \(I, X\) has non-finite entries$"):
+        with pytest.raises(ValueError, match=r"^non-finite u of pair \(I, X\) entry .* at \[0, 0\]$"):
             GatePair(spoiled, _X, TAG_PLUS, name="(I, X)")
-        with pytest.raises(ValueError, match=r"^v of pair \(u, v\) has non-finite entries$"):
+        with pytest.raises(ValueError, match=r"^non-finite v of pair \(u, v\) entry .* at \[0, 0\]$"):
             GatePair(_I, spoiled, TAG_PLUS)
 
 
@@ -134,7 +134,7 @@ class TestQtfStrategy:
     def test_non_finite_target_rejected(self, pairs, bad):
         # abs(nan - 1) > tol is false, so the norm check alone lets nan through
         for strategy in (lambda psi: qtf_strategy(pairs[0], psi), qtf_strategy_operator):
-            with pytest.raises(ValueError, match="target_state has non-finite entries"):
+            with pytest.raises(ValueError, match=r"non-finite target_state entry .* at \[0\]"):
                 strategy((bad, 0.0))
 
 
@@ -262,16 +262,18 @@ class TestFixedDirectionBound:
         # the 13 plus pairs and half on the 8 minus pairs
         plus, minus = builtin_gate_sets()
         balanced = [0.5 / len(plus)] * len(plus) + [0.5 / len(minus)] * len(minus)
-        for weights, cap in ((None, 0.91975), (balanced, 0.93245)):
+        # each cap with the bracket it certifies at a gap of 1e-10
+        cases = (
+            (None, 0.91975, (0.9197453055245, 0.9197453055360)),
+            (balanced, 0.93245, (0.9324483929665, 0.9324483929698)),
+        )
+        for weights, cap, (low, high) in cases:
             value = compute_pmax_fixed_direction(pairs, "convex-hull", weights)
             assert value == pytest.approx(cap, abs=1e-4)
-            if weights is None:
-                # the reported cap is a certified upper bound: at least the
-                # lower end of the bracket certified at a gap of 1e-10,
-                # [0.9197453055245, 0.9197453055360], and within the default
-                # gap above its upper end
-                assert value >= 0.9197453055245
-                assert value <= 0.9197453055360 + sdp.GAP_TOL
+            # the reported cap is a certified upper bound: at least the lower
+            # end of the bracket, and within the default gap above its upper end
+            assert value >= low
+            assert value <= high + sdp.GAP_TOL
 
     def test_unknown_direction_rejected(self, pairs):
         with pytest.raises(ValueError, match="direction"):
@@ -393,7 +395,7 @@ class TestGateTableRowValidation:
     def test_bad_matrix_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             GateTableRow("bogus", np.ones((2, 2)), (0.0, 0.0, 0.0))
-        with pytest.raises(ValueError, match="gate 'bogus' has non-finite entries"):
+        with pytest.raises(ValueError, match=r"non-finite gate 'bogus' entry \(nan\+0j\) at \[0, 0\]"):
             GateTableRow("bogus", np.full((2, 2), np.nan), (0.0, 0.0, 0.0))
 
     def test_bad_angle_arity_rejected(self):

@@ -28,6 +28,7 @@ from helpers import (
     random_unitary,
     restricted_projector,
     rotated,
+    rotated_mixture,
     shifted_robustness_primal,
     trace_target,
 )
@@ -102,6 +103,11 @@ def solved_half_definite(qtf):
 @pytest.fixture(scope="module")
 def solved_definite_mixture(qtf):
     return solve_max_robustness(definite_mixture(np.random.default_rng(17), qtf))
+
+
+@pytest.fixture(scope="module")
+def solved_rotated_mixture(qtf):
+    return solve_max_robustness(rotated_mixture(np.random.default_rng(0), qtf))
 
 
 @pytest.fixture(scope="module")
@@ -480,8 +486,9 @@ class TestMaxRobustness:
     def test_witness_normalization_on_general_cone(self, qtf, solved):
         _, witness = solved
         rng = np.random.default_rng(23)
-        for _ in range(20):
-            probe = random_general_setup(rng, qtf)
+        probes = [random_general_setup(rng, qtf) for _ in range(20)]
+        probes += [rotated_mixture(rng, qtf) for _ in range(5)]
+        for probe in probes:
             assert hs_inner(witness.matrix, probe.op.matrix) <= 1.0 + 1e-6
 
     def test_restricted_value(self, solved_restricted):
@@ -942,6 +949,7 @@ class TestInvariance:
             "solved_restricted_rotated": (rotated(qtf), True),
             "solved_half_definite": (half_definite(np.random.default_rng(2), qtf), False),
             "solved_definite_mixture": (definite_mixture(np.random.default_rng(17), qtf), False),
+            "solved_rotated_mixture": (rotated_mixture(np.random.default_rng(0), qtf), False),
         }
         general = SpanMask.of_setup(qtf, ConeId.GENERAL)
         s = {name: general.project(setup.op.matrix) for name, (setup, _) in setups.items()}
@@ -952,6 +960,13 @@ class TestInvariance:
                 if setups[j][1] and not setups[i][1]:
                     continue
                 assert -hs_inner(witness.matrix, s[j]) <= report.upper + 1e-9, (i, j)
+
+    def test_rotated_mixture_is_not_definite(self, solved_rotated_mixture):
+        # unlike `random_general_setup`, whose draws all certify robustness
+        # 0, it gives the cross-certificate test a nonzero case off qtf
+        report, _ = solved_rotated_mixture
+        assert report.converged
+        assert report.lower >= 0.05
 
     def test_robustness_is_convex(self, solved, solved_half_definite, solved_definite_part):
         # noises that split S and D split S/2 + D/2 at the mean trace, so

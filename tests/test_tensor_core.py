@@ -21,6 +21,7 @@ from helpers import (
     projector,
     random_hermitian_operator,
 )
+from timeflip import tensor_core
 from timeflip.tensor_core import (
     HermitianOperator,
     SystemLayout,
@@ -82,6 +83,22 @@ def test_matrix_is_real_exactly_when_its_imaginary_part_is_zero(data, dtype):
     assert op.matrix.dtype == dtype
     assert op.matrix.flags.c_contiguous and not op.matrix.flags.writeable
     np.testing.assert_array_equal(op.matrix, data)
+
+
+def test_real_matrix_is_checked_in_its_own_dtype(monkeypatch):
+    # a real matrix never goes through a complex copy, and it is symmetrized
+    # bit for bit as its complex twin is
+    seen = []
+    check = tensor_core.reject_non_finite
+    monkeypatch.setattr(tensor_core, "reject_non_finite", lambda m, what: (seen.append(m.dtype), check(m, what)))
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(8, 8))
+    m = g + g.T + 1e-13 * rng.normal(size=(8, 8))
+    real = HermitianOperator(qubits("a", "b", "c"), m)
+    twin = HermitianOperator(qubits("a", "b", "c"), m.astype(complex))
+    assert seen == [np.float64, np.complex128]
+    assert real.matrix.dtype == twin.matrix.dtype == np.float64
+    assert np.array_equal(real.matrix, twin.matrix)
 
 
 def test_real_operator_record_is_unchanged():

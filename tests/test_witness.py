@@ -105,6 +105,17 @@ class TestDomainTypes:
             DecompositionTerm((0, 1, 2, 3, 4), 1.0)
         assert DecompositionTerm((3, 2, 1), 0.5).restricted
 
+    @pytest.mark.parametrize("record, indices", [
+        (DecompositionTerm, (1.7, 0, 0, 0, 0)),
+        (ProbabilityRecord, (2.9, 1, 0)),
+        (DecompositionTerm, (float("inf"), 0, 0, 0, 0)),
+        (ProbabilityRecord, (0, float("nan"), 0)),
+    ])
+    def test_indices_are_whole_numbers(self, record, indices):
+        # int() would truncate 1.7 to 1 and raise OverflowError on inf
+        with pytest.raises(ValueError, match=rf"whole numbers in 0\.\.3, got {re.escape(str(indices))}$"):
+            record(indices, 0.1)
+
     def test_probability_bounds(self):
         with pytest.raises(ValueError):
             ProbabilityRecord((0, 0, 0, 0, 0), -1e-3)
