@@ -1,11 +1,11 @@
 """Tools for quantum setups with indefinite input-output direction.
 
-Layered as: tensor_core (labeled tensor algebra), channels (Kraus/Choi forms
-and the input-output inversion), supermaps (setup cones and the coherently
-controlled time-direction setup), sdp (conic solver and robustness programs),
-witness (decomposition, Born probabilities, resampling), game (two-gate
-direction-guessing game), waveplates (the built-in gates' waveplate angles),
-cli (command-line front end).
+Layered as: tensor_core (labeled tensor algebra), channels (Kraus/Choi
+forms), supermaps (setup cones and the coherently controlled time-direction
+setup), sdp (conic solver and robustness programs), witness (decomposition,
+Born probabilities, resampling), game (two-gate direction-guessing game),
+waveplates (the built-in gates' waveplate angles), cli (command-line front
+end).
 """
 
 import importlib
@@ -24,12 +24,12 @@ del _var
 _EXPORTS = {
     name: module
     for module, names in {
-        "channels": ("KrausChannel", "input_output_inversion", "is_bistochastic", "kraus_to_choi"),
+        "channels": ("KrausChannel", "kraus_to_choi"),
         "game": ("GatePair", "builtin_gate_sets", "compute_pmax_fixed_direction",
-                 "game_witness", "play_game", "qtf_strategy", "switch_strategy"),
+                 "play_game", "qtf_strategy", "switch_strategy"),
         "sdp": ("ConicProgram", "SolveReport", "solve", "solve_cone_value",
                 "solve_max_robustness"),
-        "supermaps": ("ConeId", "SetupOperator", "SlotSpec", "apply_supermap",
+        "supermaps": ("ConeId", "SetupOperator", "SlotSpec",
                       "check_multipartite", "check_setup", "qtf_choi", "qtf_plus_control"),
         "tensor_core": ("HermitianOperator", "SystemLayout", "double_ket", "hs_inner",
                         "permute_factors", "qubits", "tensor_product"),

@@ -1,5 +1,4 @@
-"""Quantum channels in Kraus and Choi form, bistochasticity tests, and the
-transpose-based input-output inversion."""
+"""Quantum channels in Kraus and Choi form."""
 
 from __future__ import annotations
 
@@ -44,20 +43,3 @@ def kraus_to_choi(ch: KrausChannel, labels: tuple[str, str] = ("in", "out")) -> 
         choi += np.outer(vec, vec.conj())
     return HermitianOperator(layout, choi)
 
-
-def is_bistochastic(ch: KrausChannel) -> bool:
-    """True iff the channel is unital within TP_TOL; every KrausChannel is
-    already trace-preserving within it."""
-    if ch.in_dim != ch.out_dim:
-        raise ValueError(f"bistochasticity needs in_dim == out_dim, got {ch.in_dim} != {ch.out_dim}")
-    unital = float(np.max(np.abs(sum(k @ k.conj().T for k in ch.kraus) - np.eye(ch.in_dim))))
-    return unital <= TP_TOL
-
-
-def input_output_inversion(ch: KrausChannel) -> KrausChannel:
-    """The bidirectional-device inversion: entrywise transpose of each Kraus
-    operator in the computational basis.  At the Choi level this swaps the
-    input and output tensor factors."""
-    if not is_bistochastic(ch):
-        raise ValueError("input-output inversion is defined for bistochastic channels only")
-    return KrausChannel([k.T for k in ch.kraus])

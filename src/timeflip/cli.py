@@ -205,8 +205,8 @@ def cmd_probabilities(args: argparse.Namespace) -> int:
 
     try:
         estimate = estimate_robustness(terms, probs)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_FAIL)
+    except ValueError as exc:  # Born probabilities cover every term: the counts lack one
+        return _fail(f"{args.counts_in}: {exc}", EXIT_IO)
 
     try:
         if args.out:

@@ -86,7 +86,10 @@ def _as_gate(matrix, what: str) -> np.ndarray:
     if mat.shape != (2, 2):
         raise ValueError(f"{what} must be a 2x2 matrix, got shape {mat.shape}")
     reject_non_finite(mat, what)
-    if np.linalg.norm(mat.conj().T @ mat - _ID, 2) > UNITARY_TOL:
+    # no entry of a unitary exceeds 1 in modulus; a larger one could overflow
+    # the product to inf and NaN, which compare false against the tolerance
+    if (np.abs(mat).max() > 1 + UNITARY_TOL
+            or np.linalg.norm(mat.conj().T @ mat - _ID, 2) > UNITARY_TOL):
         raise ValueError(f"{what} is not unitary within {UNITARY_TOL:g}")
     return mat
 
@@ -224,7 +227,7 @@ def switch_strategy(pair: GatePair) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Payoff operators, the game witness, and the fixed-direction bound.
+# Payoff operators and the fixed-direction bound.
 # ---------------------------------------------------------------------------
 
 def _normalized_weights(pairs: Sequence[GatePair], weights) -> np.ndarray:
@@ -261,21 +264,6 @@ def success_effects(pairs: Sequence[GatePair],
         sums[pair.tag] += weight * term.T
     return (HermitianOperator(layout, sums[TAG_PLUS]),
             HermitianOperator(layout, sums[TAG_MINUS]))
-
-
-def game_witness(pairs: Sequence[GatePair], weights=None,
-                 p_max: float = 0.89) -> HermitianOperator:
-    """Witness  W = I/4 - (M_plus + M_minus)/p_max  on the game wires.
-
-    ``p_max`` must be a bound on the success probability attainable with both
-    gates used in a single fixed direction; any strategy S with
-    Tr(W S) < 0 then certifies success beyond that cap.
-    """
-    if not 0.0 < p_max < 1.0:
-        raise ValueError(f"p_max must lie strictly between 0 and 1, got {p_max}")
-    m_plus, m_minus = success_effects(pairs, weights)
-    mat = np.eye(32) / 4.0 - (m_plus.matrix + m_minus.matrix) / p_max
-    return HermitianOperator(game_layout(), mat)
 
 
 def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str,
@@ -320,7 +308,7 @@ def _gate_from_dict(obj: dict, key: str, label: str) -> np.ndarray:
             arr = np.array(gate[part], dtype=float)
         except KeyError:
             raise ValueError(f"{key}.{part} of pair {label} is missing") from None
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"{key}.{part} of pair {label} is not a matrix of numbers: {exc}") from None
         if arr.shape != (2, 2):
             raise ValueError(f"{key}.{part} of pair {label} must be a 2x2 matrix, "

@@ -9,8 +9,8 @@ them are diagonal in one product operator basis, so every condition and every
 span is a 0/1 support mask over that basis.  The same masks produce the
 subspace projectors used by the conic solver and the one membership report,
 which answers the general, forward and backward cones together; the module
-also builds the coherently controlled direction-flip setup and applies
-supermaps via the link contraction.
+also builds the coherently controlled direction-flip setup and composes
+processes via the link contraction.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .tensor_core import (
     operator_to_dict,
     permute_factors,
     qubits,
-    relabel,
     split_factor,
 )
 
@@ -285,9 +284,11 @@ class SpanMask:
         return basis_matrices(self.layout, basis_coords(self.layout, mat) * self.keep)
 
     def residuals(self, mat: np.ndarray) -> dict[str, float]:
-        """Hilbert-Schmidt norm of the part each condition picks."""
+        """Hilbert-Schmidt norm of the part each condition picks; a norm
+        beyond float range reads inf."""
         coords = basis_coords(self.layout, mat)
-        return {name: float(np.linalg.norm(coords[picked])) for name, picked in self.picks.items()}
+        with np.errstate(over="ignore"):
+            return {name: float(np.linalg.norm(coords[picked])) for name, picked in self.picks.items()}
 
 
 def span_projector(
@@ -457,30 +458,6 @@ def link_product(a: HermitianOperator, b: HermitianOperator, over: Iterable[str]
     # np.trace with w and v leading took 9 us on qtf_plus_control, trailing 220 us
     traced = np.trace(t.transpose(2, 4, 0, 3, 1, 5), axis1=0, axis2=1)
     return HermitianOperator(kept, traced.reshape(na * nb, na * nb))
-
-
-def apply_supermap(setup: SetupOperator, choi: HermitianOperator) -> HermitianOperator:
-    """Plug a device, given by its two-factor Choi operator (input, output),
-    into the setup's slot; returns the Choi operator of the induced process on
-    the global wires, in the setup's layout order.
-
-    When the slot wires consist of several labels, the device's composite
-    input/output indices must be ordered like those labels in the setup layout.
-    """
-    if len(choi.layout.factors) != 2:
-        raise ValueError("device Choi operator must have exactly two factors (input, output)")
-    (c_in, d_in), (c_out, d_out) = choi.layout.factors
-    if d_in != setup.slot_input_dim or d_out != setup.slot_output_dim:
-        raise ValueError(
-            f"device dimensions ({d_in}, {d_out}) do not match the slot "
-            f"({setup.slot_input_dim}, {setup.slot_output_dim})"
-        )
-    sin = setup.labels(ROLE_SLOT_INPUT)
-    sout = setup.labels(ROLE_SLOT_OUTPUT)
-    lifted = relabel(choi, {c_in: "slot:in", c_out: "slot:out"})
-    lifted = split_factor(lifted, "slot:in", tuple((lab, setup.op.layout.dim(lab)) for lab in sin))
-    lifted = split_factor(lifted, "slot:out", tuple((lab, setup.op.layout.dim(lab)) for lab in sout))
-    return link_product(lifted, setup.op, over=set(sin) | set(sout))
 
 
 def sequential_setup(

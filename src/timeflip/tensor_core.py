@@ -44,7 +44,10 @@ class SystemLayout:
             if not isinstance(lab, str):
                 raise ValueError(f"layout label {lab!r} is not a string")
             # a bool is an int to Python, and int(2.7) is 2: both are refused
-            whole = isinstance(dim, Real) and not isinstance(dim, bool) and float(dim).is_integer()
+            try:
+                whole = isinstance(dim, Real) and not isinstance(dim, bool) and float(dim).is_integer()
+            except OverflowError:  # an int beyond float range
+                raise ValueError(f"'dims' entry of factor {lab!r} is beyond float range") from None
             if not whole or dim < 1:
                 raise ValueError(f"'dims' entry {dim!r} of factor {lab!r} is not a positive whole number")
         factors = tuple((lab, int(dim)) for lab, dim in self.factors)
@@ -116,13 +119,17 @@ class HermitianOperator:
             raise ValueError(f"matrix shape {m.shape} does not match layout dimension {n}")
         # a NaN asymmetry would compare false against the tolerances below
         reject_non_finite(m, "matrix")
-        adjoint = m.conj().T if m.dtype == complex else m.T
-        deviation = float(np.max(np.abs(m - adjoint)))
+        # halved first: m - adjoint and m + adjoint can overflow where the
+        # halves cannot, and halving is exact unless it lands in the subnormal
+        # range, so every other input keeps the bits the sum would give
+        half = m / 2
+        adjoint = half.conj().T if m.dtype == complex else half.T
+        deviation = 2 * float(np.max(np.abs(half - adjoint)))
         if deviation > HERMITIAN_ERROR_TOL:
             raise ValueError(f"matrix is not Hermitian (max asymmetry {deviation:.3e})")
         if deviation > SYMMETRIZE_WARN_TOL:
             warnings.warn(f"symmetrizing nearly-Hermitian matrix (asymmetry {deviation:.3e})")
-        m = (m + adjoint) / 2
+        m = half + adjoint
         if m.dtype == complex and not m.imag.any():
             m = np.ascontiguousarray(m.real)
         m.flags.writeable = False
@@ -213,12 +220,6 @@ def split_factor(op: HermitianOperator, label: str, new_factors: Sequence[tuple[
     return HermitianOperator(SystemLayout(tuple(factors)), op.matrix)
 
 
-def relabel(op: HermitianOperator, mapping: dict) -> HermitianOperator:
-    """Rename factors without moving them."""
-    factors = tuple((mapping.get(lab, lab), dim) for lab, dim in op.layout.factors)
-    return HermitianOperator(SystemLayout(factors), op.matrix)
-
-
 def double_ket(m: np.ndarray) -> np.ndarray:
     r"""Vectorize a matrix as |M>> = sum_ij <i|M|j> |j>|i>: input wire first,
     amplitude M[i, j] at composite index (j, i).  For a Kraus operator of
@@ -261,7 +262,7 @@ def operator_from_dict(obj: dict) -> HermitianOperator:
         for part in ("re", "im"):
             try:
                 parts[part] = np.array(obj[part], dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (OverflowError, TypeError, ValueError) as exc:
                 raise ValueError(f"'{part}' is not a matrix of numbers: {exc}") from None
             reject_non_finite(parts[part], f"'{part}'")
         if parts["im"].shape != parts["re"].shape:  # else it would broadcast

@@ -153,8 +153,13 @@ class ProbabilityRecord:
 
 
 def _whole_number(value, name: str) -> int:
-    """A count as an int; a value with a fractional part, or not finite, is an error."""
-    if not float(value).is_integer():
+    """A count as an int; a value with a fractional part, not finite or beyond
+    float range is an error."""
+    try:
+        whole = float(value).is_integer()
+    except OverflowError:  # an int too large for a float
+        raise ValueError(f"{name} is beyond float range") from None
+    if not whole:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -238,7 +243,13 @@ def validate_witness(op: HermitianOperator, tol: float | None = None) -> Witness
     def decided(upper: float, lower: float) -> bool:
         return upper <= margin or lower > tol or upper - lower <= margin
 
-    floor = solve_cone_value(-op.matrix, spans, done=decided)
+    # a witness is the one operator the solver takes unnormalized: entries
+    # near the float range overflow its squared norms into inf and NaN
+    try:
+        with np.errstate(over="raise"):
+            floor = solve_cone_value(-op.matrix, spans, done=decided)
+    except FloatingPointError as exc:
+        raise ValueError(f"the witness's entries are too large for the solver: {exc}") from None
     # not -(...): a zero bound would give -0.0
     min_value = 0.0 - floor.upper
     attained = 0.0 - floor.lower
@@ -490,14 +501,18 @@ def _read_csv(path: str, what: str):
 
 def _field(path: str, number: int, row: dict, column: str, kind: type):
     """One field of a CSV row read as an int or a float; a field that is not
-    one names the file, the row and the column."""
+    one, or an int beyond float range, names the file, the row and the column."""
     try:
-        return kind(row[column])
+        value = kind(row[column])
+        float(value)  # an int beyond float range raises OverflowError
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise ValueError(
             f"row {number} of {path}: column {column!r} is not {what}: {row[column]!r}"
         ) from None
+    except OverflowError:
+        raise ValueError(f"row {number} of {path}: column {column!r} is beyond float range") from None
+    return value
 
 
 def _indexed(path: str, columns: Sequence[str], rows, what: str):

@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from timeflip import sdp
-from timeflip.channels import KrausChannel
+from timeflip.channels import TP_TOL, KrausChannel
 from timeflip.game import (
     _MINUS_KET,
     _PLUS_KET,
@@ -21,13 +21,23 @@ from timeflip.game import (
     _switch_branches,
     _symmetric_projector,
     game_layout,
+    success_effects,
 )
-from timeflip.supermaps import ROLE_SLOT_OUTPUT, ConeId, SetupOperator, SpanMask, sequential_setup
+from timeflip.supermaps import (
+    ROLE_SLOT_INPUT,
+    ROLE_SLOT_OUTPUT,
+    ConeId,
+    SetupOperator,
+    SpanMask,
+    link_product,
+    sequential_setup,
+)
 from timeflip.tensor_core import (
     HermitianOperator,
     SystemLayout,
     min_eigenvalue,
     permute_factors,
+    split_factor,
     tensor_product,
     trace_and_replace_matrix,
 )
@@ -145,6 +155,54 @@ def padded_link_product(a, b, over):
     return HermitianOperator(kept, mat)
 
 
+def relabel(op: HermitianOperator, mapping: dict) -> HermitianOperator:
+    """Rename factors without moving them."""
+    factors = tuple((mapping.get(lab, lab), dim) for lab, dim in op.layout.factors)
+    return HermitianOperator(SystemLayout(factors), op.matrix)
+
+
+def is_bistochastic(ch: KrausChannel) -> bool:
+    """True iff the channel is unital within TP_TOL; every KrausChannel is
+    already trace-preserving within it."""
+    if ch.in_dim != ch.out_dim:
+        raise ValueError(f"bistochasticity needs in_dim == out_dim, got {ch.in_dim} != {ch.out_dim}")
+    unital = float(np.max(np.abs(sum(k @ k.conj().T for k in ch.kraus) - np.eye(ch.in_dim))))
+    return unital <= TP_TOL
+
+
+def input_output_inversion(ch: KrausChannel) -> KrausChannel:
+    """The bidirectional-device inversion: entrywise transpose of each Kraus
+    operator in the computational basis.  At the Choi level this swaps the
+    input and output tensor factors."""
+    if not is_bistochastic(ch):
+        raise ValueError("input-output inversion is defined for bistochastic channels only")
+    return KrausChannel([k.T for k in ch.kraus])
+
+
+def apply_supermap(setup: SetupOperator, choi: HermitianOperator) -> HermitianOperator:
+    """Plug a device, given by its two-factor Choi operator (input, output),
+    into the setup's slot; returns the Choi operator of the induced process on
+    the global wires, in the setup's layout order.
+
+    When the slot wires consist of several labels, the device's composite
+    input/output indices must be ordered like those labels in the setup layout.
+    """
+    if len(choi.layout.factors) != 2:
+        raise ValueError("device Choi operator must have exactly two factors (input, output)")
+    (c_in, d_in), (c_out, d_out) = choi.layout.factors
+    if d_in != setup.slot_input_dim or d_out != setup.slot_output_dim:
+        raise ValueError(
+            f"device dimensions ({d_in}, {d_out}) do not match the slot "
+            f"({setup.slot_input_dim}, {setup.slot_output_dim})"
+        )
+    sin = setup.labels(ROLE_SLOT_INPUT)
+    sout = setup.labels(ROLE_SLOT_OUTPUT)
+    lifted = relabel(choi, {c_in: "slot:in", c_out: "slot:out"})
+    lifted = split_factor(lifted, "slot:in", tuple((lab, setup.op.layout.dim(lab)) for lab in sin))
+    lifted = split_factor(lifted, "slot:out", tuple((lab, setup.op.layout.dim(lab)) for lab in sout))
+    return link_product(lifted, setup.op, over=set(sin) | set(sout))
+
+
 # The game's two superposition strategies as operators on the five game wires:
 # the reference that `qtf_strategy`, `switch_strategy`, `success_effects` and
 # `game_witness` are checked against.
@@ -205,6 +263,21 @@ def switch_strategy_operator() -> HermitianOperator:
     effect_plus = np.kron(proj, plus_p) + np.kron(comp, minus_p)
     effects = [effect_plus, np.eye(8) - effect_plus]
     return _strategy_operator(column, effects)
+
+
+def game_witness(pairs: Sequence[GatePair], weights=None,
+                 p_max: float = 0.89) -> HermitianOperator:
+    """Witness  W = I/4 - (M_plus + M_minus)/p_max  on the game wires.
+
+    ``p_max`` must be a bound on the success probability attainable with both
+    gates used in a single fixed direction; any strategy S with
+    Tr(W S) < 0 then certifies success beyond that cap.
+    """
+    if not 0.0 < p_max < 1.0:
+        raise ValueError(f"p_max must lie strictly between 0 and 1, got {p_max}")
+    m_plus, m_minus = success_effects(pairs, weights)
+    mat = np.eye(32) / 4.0 - (m_plus.matrix + m_minus.matrix) / p_max
+    return HermitianOperator(game_layout(), mat)
 
 
 def gate_pair_to_dict(pair: GatePair) -> dict:

@@ -14,21 +14,19 @@ import pytest
 from helpers import (
     QTF_ROBUSTNESS,
     QTF_ROBUSTNESS_RESTRICTED,
+    apply_supermap,
     definite_mixture,
     definite_split,
+    input_output_inversion,
     oracle_term,
     random_bistochastic_channel,
     random_span_element,
 )
-from timeflip.channels import input_output_inversion, kraus_to_choi, KrausChannel
+from timeflip.channels import kraus_to_choi, KrausChannel
 from timeflip.cli import EXIT_OK, main as cli_main
 from timeflip.game import TAG_PLUS, builtin_gate_sets, qtf_strategy, switch_strategy
 from timeflip.sdp import solve_max_robustness
-from timeflip.supermaps import (
-    apply_supermap,
-    qtf_choi,
-    qtf_plus_control,
-)
+from timeflip.supermaps import qtf_choi, qtf_plus_control
 from timeflip.tensor_core import (
     HermitianOperator,
     min_eigenvalue,

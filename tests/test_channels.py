@@ -12,17 +12,14 @@ from helpers import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    input_output_inversion,
+    is_bistochastic,
     projector,
     random_bistochastic_channel,
     random_channel,
     random_unitary,
 )
-from timeflip.channels import (
-    KrausChannel,
-    input_output_inversion,
-    is_bistochastic,
-    kraus_to_choi,
-)
+from timeflip.channels import KrausChannel, kraus_to_choi
 from timeflip.tensor_core import double_ket, permute_factors
 
 

@@ -21,6 +21,7 @@ from helpers import (
     half_definite,
     qutrit_target_output,
     random_channel,
+    relabel,
     shifted_robustness_primal,
 )
 from timeflip import cli, sdp
@@ -28,6 +29,7 @@ from timeflip.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from timeflip.game import builtin_gate_sets
 from timeflip.supermaps import (
     SetupOperator,
+    load_setup,
     qtf_plus_control,
     save_setup,
     sequential_setup,
@@ -38,7 +40,6 @@ from timeflip.tensor_core import (
     SystemLayout,
     operator_to_dict,
     qubits,
-    relabel,
     save_operator,
 )
 from timeflip.witness import load_decomposition, load_probabilities
@@ -291,12 +292,17 @@ class TestProbabilities:
         assert f"row 2 of {counts}: probability 0.9 is more than half a count" in captured.err
         assert captured.out == ""
 
-    def test_incomplete_counts_fail_validation(self, artifacts, tmp_path):
+    def test_incomplete_counts_are_an_io_error(self, artifacts, tmp_path, capsys):
+        # a counts file without a contributing term is a fault of the input
         counts_path = tmp_path / "short.csv"
         counts_path.write_text("a,b,c,d,e,probability\n0,0,0,0,0,0.5\n")
         status = _run("probabilities", "--decomposition-in",
                       artifacts["decomposition"], "--counts-in", str(counts_path))
-        assert status == EXIT_FAIL
+        assert status == EXIT_IO
+        captured = capsys.readouterr()
+        assert re.search(rf"^error: {re.escape(str(counts_path))}: missing probability for "
+                         r"contributing term \(\d, \d, \d, \d, \d\)$", captured.err)
+        assert captured.out == ""
 
 
 class TestGame:
@@ -526,6 +532,69 @@ class TestBadInput:
         path.write_text(json.dumps(record))
         assert _run(*argv, "--setup", str(path)) == EXIT_IO
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, field, message", [
+        (("validate", "--setup"), ("re", 0, 0), "'re' is not a matrix of numbers"),
+        (("robustness", "--setup"), ("dims", 0), "'dims' entry of factor 'A_I' is beyond float range"),
+        (("validate", "--witness"), ("im", 3, 5), "'im' is not a matrix of numbers"),
+        (("game", "--pairs"), (0, "u", "re", 1, 0), "u.re of pair plus-0 is not a matrix of numbers"),
+    ], ids=["validate-setup", "robustness-setup", "validate-witness", "game-pairs"])
+    def test_integer_beyond_float_range_is_an_io_error(self, tmp_path, capsys, argv, field, message):
+        # JSON integers are exact: 10**400 reads as an int that no float holds
+        if argv[1] == "--pairs":
+            plus, _ = builtin_gate_sets()
+            record = [{**gate_pair_to_dict(plus[0]), "name": "plus-0"}]
+        elif argv[1] == "--setup":
+            record = setup_to_dict(qtf_plus_control())
+        else:
+            record = operator_to_dict(qtf_plus_control().op)
+        target = record
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = 10**400
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(record))
+        assert _run(*argv, str(path)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot load ") and message in captured.err
+        assert captured.out == ""
+
+    def test_huge_finite_entry_is_an_honest_failure(self, tmp_path, capsys):
+        # 1e308 is finite; symmetrizing it must not turn it into inf and NaN
+        record = setup_to_dict(qtf_plus_control())
+        record["re"][0][0] = 1e308
+        path = tmp_path / "setup.json"
+        path.write_text(json.dumps(record))
+        assert np.isfinite(load_setup(str(path)).op.matrix).all()
+        for command in ("validate", "robustness"):
+            assert _run(command, "--setup", str(path)) == EXIT_FAIL, command
+            captured = capsys.readouterr()
+            assert "nan" not in captured.out + captured.err, command
+
+    def test_witness_too_large_to_solve_is_an_io_error(self, tmp_path, capsys):
+        # a Hermitian witness with a diagonal entry of 1e200 loads, but its
+        # solve squares that entry beyond float range
+        record = operator_to_dict(qtf_plus_control().op)
+        record["re"][11][11] = 1e200
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(record))
+        assert _run("validate", "--witness", str(path)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the witness's entries are too large for the solver: overflow")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("row", ["0,0,0,0,0,5,{big}", "0,0,0,0,0,{big},7"], ids=["shots", "counts"])
+    def test_count_beyond_float_range_is_an_io_error(self, tmp_path, capsys, row):
+        decomposition = tmp_path / "decomposition.csv"
+        decomposition.write_text("a,b,c,d,e,coeff\n0,0,0,0,0,1.0\n")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("a,b,c,d,e,counts,shots\n" + row.format(big=10**400) + "\n")
+        assert _run("probabilities", "--decomposition-in", str(decomposition),
+                    "--counts-in", str(counts)) == EXIT_IO
+        captured = capsys.readouterr()
+        column = "shots" if row.endswith("{big}") else "counts"
+        assert f"row 2 of {counts}: column {column!r} is beyond float range" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--setup", "--witness"])
     @pytest.mark.parametrize("content", [None, "{not json", "{}", "3"],

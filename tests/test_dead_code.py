@@ -20,11 +20,8 @@ BENCHMARK = ROOT / "perfbench"
 
 # (module.name, reason): definitions no program code calls that stay anyway
 KEEP = (
-    ("channels.input_output_inversion",
-     "acceptance criterion 7: the inversion equals the flip supermap on bistochastic channels"),
-    ("supermaps.apply_supermap", "acceptance criterion 7: applies the flip supermap to a channel"),
-    ("witness.z_score", "acceptance criterion 9: the significance arithmetic"),
-    ("game.game_witness", "README: the game witness and its p_max reading"),
+    ("witness.z_score",
+     "the significance `probabilities` is to print; acceptance criterion 9 checks its arithmetic"),
 )
 
 

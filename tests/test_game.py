@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gate_pair_to_dict, qtf_strategy_operator, switch_strategy_operator
+from helpers import game_witness, gate_pair_to_dict, qtf_strategy_operator, switch_strategy_operator
 from timeflip import sdp
 from timeflip.game import (
     TAG_MINUS,
@@ -21,7 +21,6 @@ from timeflip.game import (
     builtin_gate_sets,
     compute_pmax_fixed_direction,
     game_slots,
-    game_witness,
     gate_pair_from_dict,
     load_gate_pairs,
     play_game,
@@ -91,6 +90,14 @@ class TestGatePair:
     def test_non_unitary_matrix_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             GatePair(0.5 * _I, _I, TAG_PLUS)
+
+    @pytest.mark.parametrize("big", [1e200, 1e308, -1e308j])
+    def test_huge_finite_entry_is_not_unitary(self, big):
+        # U^dag U overflows to inf and NaN here, and NaN > tol is false
+        spoiled = _I.copy()
+        spoiled[0, 0] = big
+        with pytest.raises(ValueError, match="unitary"):
+            GatePair(spoiled, _I, TAG_PLUS)
 
     def test_wrong_tag_rejected(self):
         with pytest.raises(ValueError, match="relation"):

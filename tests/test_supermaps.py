@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from helpers import (
     PAULI_I,
     PAULI_Y,
+    apply_supermap,
     definite_split,
     identity,
+    input_output_inversion,
     oracle_partial_trace,
     oracle_trace_and_replace,
     padded_link_product,
@@ -29,7 +31,7 @@ from helpers import (
 )
 from timeflip import supermaps
 from timeflip.sdp import restricted_reduction
-from timeflip.channels import KrausChannel, input_output_inversion, kraus_to_choi
+from timeflip.channels import KrausChannel, kraus_to_choi
 from timeflip.game import game_layout, game_slots
 from timeflip.supermaps import (
     ROLE_GLOBAL_INPUT,
@@ -40,7 +42,6 @@ from timeflip.supermaps import (
     SetupOperator,
     SlotSpec,
     SpanMask,
-    apply_supermap,
     basis_matrices,
     basis_rows,
     check_multipartite,

@@ -101,6 +101,27 @@ def test_real_matrix_is_checked_in_its_own_dtype(monkeypatch):
     assert np.array_equal(real.matrix, twin.matrix)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_symmetrizing_keeps_the_bits_of_the_mean(dtype):
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(8, 8)).astype(dtype)
+    if dtype == np.complex128:
+        g += 1j * rng.normal(size=(8, 8))
+    m = g + g.conj().T + 1e-13 * rng.normal(size=(8, 8))
+    assert np.array_equal(HermitianOperator(qubits("a", "b", "c"), m).matrix, (m + m.conj().T) / 2)
+
+
+def test_symmetrizing_a_finite_entry_does_not_overflow():
+    # 1e308 + 1e308 overflows; 1e308 / 2 + 1e308 / 2 does not
+    m = np.eye(2)
+    m[0, 0] = 1e308
+    op = HermitianOperator(qubits("a"), m)
+    assert np.isfinite(op.matrix).all() and op.matrix[0, 0] == 1e308
+    # nor does the asymmetry of an imaginary diagonal entry, 2e308
+    with pytest.raises(ValueError, match=r"not Hermitian \(max asymmetry inf\)"):
+        HermitianOperator(qubits("a"), np.diag([1e308j, 1.0]))
+
+
 def test_real_operator_record_is_unchanged():
     # a real matrix writes the same record its complex twin did
     record = operator_to_dict(HermitianOperator(qubits("a"), np.array([[1.0, 2.0], [2.0, -1.0]])))

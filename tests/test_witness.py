@@ -18,6 +18,7 @@ from helpers import (
     projector,
     random_general_setup,
     random_hermitian_operator,
+    relabel,
     rotated,
     trace_target,
 )
@@ -34,7 +35,6 @@ from timeflip.tensor_core import (
     hs_inner,
     permute_factors,
     qubits,
-    relabel,
     tensor_product,
 )
 from timeflip.witness import (
@@ -141,6 +141,11 @@ class TestDomainTypes:
     def test_counts_and_shots_are_whole_numbers(self, counts, shots):
         with pytest.raises(ValueError, match="whole number"):
             ProbabilityRecord((0, 0, 0, 0, 0), 0.5, counts=counts, shots=shots)
+
+    @pytest.mark.parametrize("counts, shots", [(10, 10**400), (10**400, 10**400)], ids=["shots", "both"])
+    def test_counts_and_shots_beyond_float_range_are_rejected(self, counts, shots):
+        with pytest.raises(ValueError, match="shots is beyond float range"):
+            ProbabilityRecord((0, 0, 0, 0, 0), 1e-399, counts=counts, shots=shots)
 
     def test_probability_lies_within_half_a_count(self):
         # 1 count of 100 shots: 0.015 is half a count away, 0.9 is not
