@@ -52,8 +52,9 @@ def _document(kind: str):
 
 
 def _draw_path(data, node) -> tuple:
-    """A path from the root into the document, one step at a time, so that
-    a top-level key is drawn as often as a matrix entry."""
+    """A path from the root into the document, drawn one level at a time,
+    so that a short path, to a key such as `dims`, comes up as often as a
+    path into a matrix."""
     path = ()
     while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3), label="stop") > 0:
         key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))),
@@ -128,27 +129,27 @@ def _check_json(kind, tmp_path, capsys, data) -> None:
     _check(capsys, [*_COMMANDS[kind], str(file)], wrote_nan)
 
 
-@settings(_SETTINGS, max_examples=40)
+@settings(_SETTINGS, max_examples=100)
 @given(data=st.data())
 def test_mutated_setup_file(tmp_path, capsys, data):
     _check_json("setup", tmp_path, capsys, data)
 
 
-@settings(_SETTINGS, max_examples=12)
+@settings(_SETTINGS, max_examples=25)
 @given(data=st.data())
 def test_mutated_witness_file(tmp_path, capsys, data):
     # few examples: a witness that loads costs a solve
     _check_json("witness", tmp_path, capsys, data)
 
 
-@settings(_SETTINGS, max_examples=40)
+@settings(_SETTINGS, max_examples=100)
 @given(data=st.data())
 def test_mutated_gate_pair_file(tmp_path, capsys, data):
     _check_json("pairs", tmp_path, capsys, data)
 
 
 @pytest.mark.parametrize("mutated", sorted(_CSV))
-@settings(_SETTINGS, max_examples=40)
+@settings(_SETTINGS, max_examples=100)
 @given(row=st.integers(0, 3), field=st.integers(0, 7),
        op=st.sampled_from(("replace", "delete", "repeat", "shorten", "lengthen")),
        value=st.sampled_from(_CSV_VALUES))
