@@ -34,7 +34,8 @@ _NUMBER_RULES = (
     # numpy's Poisson sampler rejects a mean above about 9.2e18
     ("shots", "--shots", lambda v: 1 <= v <= 1e18 and v.is_integer(),
      "a whole number between 1 and 1e18"),
-    ("repetitions", "--repetitions", lambda v: v >= 2, ">= 2"),
+    # one generator per repetition: about 80 s at the ceiling on the qtf witness
+    ("repetitions", "--repetitions", lambda v: 2 <= v <= 10**6, "between 2 and 10**6"),
     ("seed", "--seed", lambda v: v >= 0, ">= 0"),
 )
 

@@ -313,7 +313,7 @@ def _gate_from_dict(obj: dict, key: str, label: str) -> np.ndarray:
         if arr.shape != (2, 2):
             raise ValueError(f"{key}.{part} of pair {label} must be a 2x2 matrix, "
                              f"got shape {arr.shape}")
-        reject_non_finite(arr, f"{key}.{part} of pair {label}")
+        reject_non_finite(arr, f"{key}.{part} of pair {label}", gate[part])
         parts.append(arr)
     return parts[0] + 1j * parts[1]
 

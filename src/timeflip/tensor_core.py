@@ -86,8 +86,10 @@ def qubits(*labels: str) -> SystemLayout:
     return SystemLayout(tuple((lab, 2) for lab in labels))
 
 
-def reject_non_finite(values: np.ndarray, what: str) -> None:
-    """Raise a ValueError naming the first NaN or infinite entry of `values`."""
+def reject_non_finite(values: np.ndarray, what: str, source=None) -> None:
+    """Raise a ValueError naming the first NaN or infinite entry of `values`.
+    `source` is the JSON data `values` was read from, if any: numpy reads a
+    null there as NaN, and the message names it as null."""
     # the largest |entry| is finite when every entry is; np.isfinite waits for
     # the failure path, since its first call adds 128 kB to a process's RSS
     if math.isfinite(np.abs(values).max(initial=0.0)):
@@ -95,6 +97,8 @@ def reject_non_finite(values: np.ndarray, what: str) -> None:
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:  # else |entry| overflowed on finite parts
         where = bad[0].tolist()
+        if source is not None and reduce(lambda node, k: node[k], where, source) is None:
+            raise ValueError(f"{what} entry at {where} is null, not a number")
         raise ValueError(f"non-finite {what} entry {values[tuple(where)]} at {where}")
 
 
@@ -138,30 +142,6 @@ class HermitianOperator:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        self._check_same_layout(other)
-        return HermitianOperator(self.layout, self.matrix + other.matrix)
-
-    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
-        self._check_same_layout(other)
-        return HermitianOperator(self.layout, self.matrix - other.matrix)
-
-    def __neg__(self) -> "HermitianOperator":
-        return HermitianOperator(self.layout, -self.matrix)
-
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        if isinstance(scalar, (complex, np.complexfloating)):
-            if scalar.imag != 0:
-                raise TypeError("scaling by a non-real number breaks Hermiticity")
-            scalar = scalar.real
-        return HermitianOperator(self.layout, self.matrix * float(scalar))
-
-    __rmul__ = __mul__
-
-    def _check_same_layout(self, other: "HermitianOperator") -> None:
-        if self.layout != other.layout:
-            raise ValueError(f"layout mismatch: {self.layout.labels} vs {other.layout.labels}")
 
 
 def tensor_product(ops: Sequence[HermitianOperator]) -> HermitianOperator:
@@ -264,7 +244,7 @@ def operator_from_dict(obj: dict) -> HermitianOperator:
                 parts[part] = np.array(obj[part], dtype=float)
             except (OverflowError, TypeError, ValueError) as exc:
                 raise ValueError(f"'{part}' is not a matrix of numbers: {exc}") from None
-            reject_non_finite(parts[part], f"'{part}'")
+            reject_non_finite(parts[part], f"'{part}'", obj[part])
         if parts["im"].shape != parts["re"].shape:  # else it would broadcast
             raise ValueError(f"'im' has shape {parts['im'].shape}, unlike 're' of shape {parts['re'].shape}")
         matrix = parts["re"] + 1j * parts["im"]

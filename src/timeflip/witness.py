@@ -108,10 +108,6 @@ class DecompositionTerm:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "coeff", coeff)
 
-    @property
-    def restricted(self) -> bool:
-        return len(self.indices) == 3
-
 
 @dataclass(frozen=True)
 class ProbabilityRecord:
@@ -180,8 +176,8 @@ def certificate_residuals(
     return {
         "forward-membership": float(np.linalg.norm(masks["forward"].project(z_fwd.matrix))),
         "backward-membership": float(np.linalg.norm(masks["backward"].project(z_bwd.matrix))),
-        "forward-psd": max(0.0, -min_eigenvalue(op - z_fwd)),
-        "backward-psd": max(0.0, -min_eigenvalue(op - z_bwd)),
+        "forward-psd": max(0.0, -min_eigenvalue(op.matrix - z_fwd.matrix)),
+        "backward-psd": max(0.0, -min_eigenvalue(op.matrix - z_bwd.matrix)),
     }
 
 

@@ -59,8 +59,8 @@ QTF_ROBUSTNESS = 0.40068034295576
 QTF_ROBUSTNESS_RESTRICTED = 0.17157287525381
 
 
-def identity(layout: SystemLayout) -> HermitianOperator:
-    return HermitianOperator(layout, np.eye(layout.total_dim))
+def identity(layout: SystemLayout, scale: float = 1.0) -> HermitianOperator:
+    return HermitianOperator(layout, np.eye(layout.total_dim) * scale)
 
 
 def positions(layout: SystemLayout, labels) -> tuple[int, ...]:
@@ -121,10 +121,11 @@ def definite_split(setup: SetupOperator) -> tuple[HermitianOperator, HermitianOp
     backward spans, so I + S decomposes over the definite-direction cone.
     """
     op, layout = setup.op, setup.op.layout
-    half = 0.5 * identity(layout)
+    half = identity(layout, 0.5).matrix
     replaced = positions(layout, setup.labels(ROLE_SLOT_OUTPUT))
-    fwd_part = HermitianOperator(layout, oracle_trace_and_replace(op.matrix, layout.dims, replaced))
-    return half + fwd_part, half + (op - fwd_part)
+    fwd_part = HermitianOperator(layout, oracle_trace_and_replace(op.matrix, layout.dims, replaced)).matrix
+    return (HermitianOperator(layout, half + fwd_part),
+            HermitianOperator(layout, half + (op.matrix - fwd_part)))
 
 
 def padded_link_product(a, b, over):

@@ -373,7 +373,9 @@ class TestGame:
         (lambda gate: gate.pop("im"), "im of pair {name} is missing"),
         (lambda gate: gate["im"][1].__setitem__(0, 10**400),
          "im of pair {name} is not a matrix of numbers: int too large to convert to float"),
-    ], ids=["non-numeric-entry", "missing-part", "integer-beyond-float-range"])
+        (lambda gate: gate["re"][1].__setitem__(1, None),
+         "re of pair {name} entry at [1, 1] is null, not a number"),
+    ], ids=["non-numeric-entry", "missing-part", "integer-beyond-float-range", "null-entry"])
     @pytest.mark.parametrize("key", ["u", "v"])
     def test_bad_pair_part_names_the_pair_and_the_field(self, tmp_path, capsys, key, corrupt,
                                                          problem):
@@ -501,6 +503,9 @@ _LAYOUT_CORRUPTIONS = (
      "'im' is not a matrix of numbers: int too large to convert to float"),
     ("huge-dim", lambda r: r["dims"].__setitem__(0, 10**400),
      "'dims' entry of factor 'A_I' is beyond float range"),
+    # numpy reads a JSON null as NaN, which the file does not hold
+    ("null-re", lambda r: r["re"][3].__setitem__(5, None),
+     "'re' entry at [3, 5] is null, not a number"),
 )
 
 
@@ -785,6 +790,8 @@ class TestConfig:
         (("probabilities", "--shots", "nan"), "--shots"),
         (("probabilities", "--repetitions", "1"), "--repetitions"),
         (("probabilities", "--shots", "2.5"), "--shots"),
+        (("probabilities", "--shots", "10", "--repetitions", str(10**6 + 1)), "--repetitions"),
+        (("probabilities", "--shots", "10", "--repetitions", str(10**400)), "--repetitions"),
     ])
     def test_out_of_range_number_is_a_parse_error(self, capsys, argv, flag):
         assert _run(*argv) == EXIT_IO

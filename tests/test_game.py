@@ -212,8 +212,8 @@ class TestStrategyOperators:
 
     def test_perfect_success_on_builtin_ensemble(self, pairs, qtf_op, switch_op):
         m_plus, m_minus = success_effects(pairs)
-        assert hs_inner(m_plus + m_minus, qtf_op) == pytest.approx(1.0, abs=1e-10)
-        assert hs_inner(m_plus + m_minus, switch_op) == pytest.approx(1.0, abs=1e-10)
+        assert hs_inner(m_plus.matrix + m_minus.matrix, qtf_op) == pytest.approx(1.0, abs=1e-10)
+        assert hs_inner(m_plus.matrix + m_minus.matrix, switch_op) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestGameWitness:

@@ -232,7 +232,8 @@ def test_random_combs_pass_their_direction_only():
     bwd = _random_comb(rng, ConeId.BACKWARD)
     assert check_setup(fwd).passed == {"general": True, "forward": True, "backward": False}
     assert check_setup(bwd).passed == {"general": True, "forward": False, "backward": True}
-    mix = SetupOperator(0.5 * fwd.op + 0.5 * bwd.op, _PLAIN_ROLES)
+    mix_matrix = 0.5 * fwd.op.matrix + 0.5 * bwd.op.matrix
+    mix = SetupOperator(HermitianOperator(fwd.op.layout, mix_matrix), _PLAIN_ROLES)
     assert check_setup(mix).passed == {"general": True, "forward": False, "backward": False}
 
 
@@ -243,14 +244,15 @@ def test_apply_supermap_is_bilinear():
     c1 = kraus_to_choi(random_bistochastic_channel(rng))
     c2 = kraus_to_choi(random_bistochastic_channel(rng))
     lam = 0.3
-    mixed_setup = SetupOperator(lam * fwd.op + (1 - lam) * bwd.op, _PLAIN_ROLES)
+    mixed_matrix = lam * fwd.op.matrix + (1 - lam) * bwd.op.matrix
+    mixed_setup = SetupOperator(HermitianOperator(fwd.op.layout, mixed_matrix), _PLAIN_ROLES)
     lhs = apply_supermap(mixed_setup, c1)
-    rhs = lam * apply_supermap(fwd, c1) + (1 - lam) * apply_supermap(bwd, c1)
-    assert np.linalg.norm(lhs.matrix - rhs.matrix) <= 1e-10
+    rhs = lam * apply_supermap(fwd, c1).matrix + (1 - lam) * apply_supermap(bwd, c1).matrix
+    assert np.linalg.norm(lhs.matrix - rhs) <= 1e-10
     mixed_choi = HermitianOperator(c1.layout, lam * c1.matrix + (1 - lam) * c2.matrix)
     lhs = apply_supermap(fwd, mixed_choi)
-    rhs = lam * apply_supermap(fwd, c1) + (1 - lam) * apply_supermap(fwd, c2)
-    assert np.linalg.norm(lhs.matrix - rhs.matrix) <= 1e-10
+    rhs = lam * apply_supermap(fwd, c1).matrix + (1 - lam) * apply_supermap(fwd, c2).matrix
+    assert np.linalg.norm(lhs.matrix - rhs) <= 1e-10
 
 
 def test_apply_supermap_output_is_channel_normalized():

@@ -146,20 +146,6 @@ def test_tensor_product_zz_sign():
     assert np.allclose(zz.matrix @ ket01, -ket01)
 
 
-@pytest.mark.parametrize(
-    "scalar", [2 + 0j, np.complex128(2), 2j], ids=["complex", "complex128", "imaginary"]
-)
-def test_scaling_by_a_complex_scalar(scalar):
-    # a complex with zero imaginary part scales by its real part; numpy's
-    # complex128 used to reach float() and raise ComplexWarning
-    op = HermitianOperator(qubits("a"), PAULI_Z)
-    if scalar.imag:
-        with pytest.raises(TypeError, match="non-real"):
-            op * scalar
-    else:
-        assert np.array_equal((op * scalar).matrix, 2 * PAULI_Z)
-
-
 def test_tensor_product_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         tensor_product([identity(qubits("a")), identity(qubits("a"))])
