@@ -33,7 +33,6 @@ GATE_TAGS = (TAG_PLUS, TAG_MINUS)
 UNITARY_TOL = 1e-10
 TAG_TOL = 1e-10
 STATE_NORM_TOL = 1e-10
-WEIGHT_TOL = 1e-9
 CERTAINTY_TOL = 1e-9
 
 GAME_WIRE_LABELS = ("A_I", "A_O", "B_I", "B_O", "C_O")
@@ -230,34 +229,23 @@ def switch_strategy(pair: GatePair) -> float:
 # Payoff operators and the fixed-direction bound.
 # ---------------------------------------------------------------------------
 
-def _normalized_weights(pairs: Sequence[GatePair], weights) -> np.ndarray:
-    if weights is None:
-        if not pairs:
-            raise ValueError("at least one gate pair is required")
-        return np.full(len(pairs), 1.0 / len(pairs))
-    arr = np.asarray(weights, dtype=float)
-    if arr.shape != (len(pairs),):
-        raise ValueError("weights must match the number of gate pairs")
-    if np.any(arr < 0.0) or abs(arr.sum() - 1.0) > WEIGHT_TOL:
-        raise ValueError("weights must form a probability distribution")
-    return arr
+def success_effects(pairs: Sequence[GatePair]) -> tuple[HermitianOperator, HermitianOperator]:
+    """Payoff operators (M_plus, M_minus) on the game wires.
 
-
-def success_effects(pairs: Sequence[GatePair],
-                    weights=None) -> tuple[HermitianOperator, HermitianOperator]:
-    """Weighted payoff operators (M_plus, M_minus) on the game wires.
-
-    M_t = sum over pairs tagged t of  w * (Choi(U) (x) Choi(V) (x) P_t)^T,
-    where Choi(U) = |U>><<U| is built from `double_ket(U)` and P_t projects
-    the answer wire onto |+> (plus) or |-> (minus).
-    Contracting a strategy operator S as Tr[(M_plus + M_minus) S] gives its
-    average success probability on the weighted pair ensemble.
+    M_t = sum over pairs tagged t of  (Choi(U) (x) Choi(V) (x) P_t)^T / N,
+    where N is the number of pairs, Choi(U) = |U>><<U| is built from
+    `double_ket(U)` and P_t projects the answer wire onto |+> (plus) or |->
+    (minus).  Contracting a strategy operator S as Tr[(M_plus + M_minus) S]
+    gives its average success probability over the pair list, so a pair
+    listed k times weighs k times as much.
     """
-    w = _normalized_weights(pairs, weights)
+    if not pairs:
+        raise ValueError("at least one gate pair is required")
+    weight = 1.0 / len(pairs)
     layout = game_layout()
     sums = {TAG_PLUS: np.zeros((32, 32), dtype=complex),
             TAG_MINUS: np.zeros((32, 32), dtype=complex)}
-    for weight, pair in zip(w, pairs):
+    for pair in pairs:
         port = _PORT_PROJECTORS[0] if pair.tag == TAG_PLUS else _PORT_PROJECTORS[1]
         u, v = double_ket(pair.u), double_ket(pair.v)
         term = np.kron(np.kron(np.outer(u, u.conj()), np.outer(v, v.conj())), port)
@@ -266,8 +254,7 @@ def success_effects(pairs: Sequence[GatePair],
             HermitianOperator(layout, sums[TAG_MINUS]))
 
 
-def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str,
-                                 weights=None) -> float:
+def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str) -> float:
     """Certified cap on the success probability of fixed-direction strategies.
 
     ``direction`` selects the strategy class: "forward-only" and
@@ -280,7 +267,7 @@ def compute_pmax_fixed_direction(pairs: Sequence[GatePair], direction: str,
 
     if direction not in PMAX_DIRECTIONS:
         raise ValueError(f"direction must be one of {PMAX_DIRECTIONS}, got {direction!r}")
-    m_plus, m_minus = success_effects(pairs, weights)
+    m_plus, m_minus = success_effects(pairs)
     target = m_plus.matrix + m_minus.matrix
     layout = game_layout()
     spans: dict[str, SpanMask] = {}

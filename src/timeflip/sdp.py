@@ -140,8 +140,10 @@ class ConicProgram:
     sum_k <objective_k, x_k>, minimized or maximized per `sense`.  `layout`
     gives every block's dimension, its total_dim, and the product-basis
     coordinates a row's support masks.
-    `polish`, when present, maps the final cone-side iterate (block name ->
-    matrix) to an exactly feasible point and its certified value.
+    `polish` maps the final cone-side iterate (block name -> matrix) to an
+    exactly feasible point and its certified value; `solve` and the pair
+    driver call it, so only the splitting engine `_Admm` runs a program
+    without one.
     `slack_map`, on the min side of a pair, builds that side's point from
     the max side's run: block -> the max-side block whose slack it is.
     """
@@ -155,23 +157,20 @@ class ConicProgram:
     polish: Callable | None = None
     slack_map: Mapping[str, str] = field(default_factory=dict)
 
-    def value_at(self, xs: Mapping[str, np.ndarray]) -> float:
-        return float(sum(hs_inner(c, xs[name]) for name, c in self.objective.items()))
-
 
 @dataclass
 class SolveReport:
     """Bounds and diagnostics of one solve: a matched pair or a lone program.
 
-    `upper` and `lower` bracket the optimum; each is certified when its point
-    was polished into an exactly feasible point of its side.  A pair fills
-    both, and `gap` is their difference.  A lone program fills only its own
-    side (`upper` for a min program, `lower` for a max program) and leaves
-    the other at +inf or -inf, so it never claims a finite gap.  `converged`
-    means, for a pair, that its stop rule held on the bracket (by default a
-    gap of at most GAP_TOL), and for a lone program that the split residuals
-    are at most RESIDUAL_TOL.  `iterations` counts every evaluation of the
-    splitting map, rejected extrapolations included.
+    `upper` and `lower` bracket the optimum; each is certified, the value of
+    a point polished into an exactly feasible point of its side.  A pair
+    fills both, and `gap` is their difference.  A lone program fills only
+    its own side (`upper` for a min program, `lower` for a max program) and
+    leaves the other at +inf or -inf, so it never claims a finite gap.
+    `converged` means, for a pair, that its stop rule held on the bracket (by
+    default a gap of at most GAP_TOL), and for a lone program that the split
+    residuals are at most RESIDUAL_TOL.  `iterations` counts every evaluation
+    of the splitting map, rejected extrapolations included.
     `extras` holds the polished points, `upper_point` and `lower_point`
     (block name -> matrix), next to the polish diagnostics and whatever the
     driver adds.
@@ -683,20 +682,16 @@ def _side_residuals(
 def solve(prog: ConicProgram) -> SolveReport:
     """Run the splitting iteration on one program and polish its point.
 
-    The report fills only this program's side with the value of its point:
-    `upper` for a min program, `lower` for a max program; the other bound is
-    infinite.  The value is certified when the program has a polish; without
-    one the point is the cone-side iterate.  The point is reported in
+    The report fills only this program's side with the certified value of
+    the polished point: `upper` for a min program, `lower` for a max
+    program; the other bound is infinite.  The polished point is reported in
     extras["upper_point"] or extras["lower_point"], next to the polish
     diagnostics, and `converged` means both split residuals are <=
     RESIDUAL_TOL within MAX_ITER iterations.
     """
     admm = _Admm(prog)
     admm.run(RESIDUAL_TOL, MAX_ITER)
-    if prog.polish is not None:
-        value, point, extras = prog.polish(admm.zs)
-    else:
-        value, point, extras = prog.value_at(admm.zs), admm.zs, {}
+    value, point, extras = prog.polish(admm.zs)
     side = "upper" if prog.sense == "min" else "lower"
     bounds = {"upper": np.inf, "lower": -np.inf, side: value}
     split = admm.split

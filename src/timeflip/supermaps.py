@@ -369,7 +369,7 @@ def check_multipartite(
     residuals = {cone.value: mask.residuals(op.matrix) for cone, mask in masks.items()}
     trace = op.trace
     target = masks[ConeId.GENERAL].trace_target
-    min_eig = min_eigenvalue(op)
+    min_eig = min_eigenvalue(op.matrix)
     in_cone = min_eig >= -tol and abs(trace - target) <= tol * max(1.0, abs(target))
     passed = {cone: in_cone and all(r <= tol for r in res.values()) for cone, res in residuals.items()}
     return SetupReport(trace, target, min_eig, residuals, tol, passed)

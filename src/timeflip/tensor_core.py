@@ -86,7 +86,11 @@ def qubits(*labels: str) -> SystemLayout:
     return SystemLayout(tuple((lab, 2) for lab in labels))
 
 
-def reject_non_finite(values: np.ndarray, what: str, source=None) -> None:
+# the `source` of an array not read from JSON: a JSON null is None
+_NOT_FROM_JSON = object()
+
+
+def reject_non_finite(values: np.ndarray, what: str, source=_NOT_FROM_JSON) -> None:
     """Raise a ValueError naming the first NaN or infinite entry of `values`.
     `source` is the JSON data `values` was read from, if any: numpy reads a
     null there as NaN, and the message names it as null."""
@@ -95,11 +99,12 @@ def reject_non_finite(values: np.ndarray, what: str, source=None) -> None:
     if math.isfinite(np.abs(values).max(initial=0.0)):
         return
     bad = np.argwhere(~np.isfinite(values))
-    if bad.size:  # else |entry| overflowed on finite parts
-        where = bad[0].tolist()
-        if source is not None and reduce(lambda node, k: node[k], where, source) is None:
-            raise ValueError(f"{what} entry at {where} is null, not a number")
-        raise ValueError(f"non-finite {what} entry {values[tuple(where)]} at {where}")
+    if len(bad):  # else |entry| overflowed on finite parts
+        where = bad[0].tolist()  # empty when `values` is 0-d, a lone number
+        entry, at = (f"{what} entry", f" at {where}") if where else (what, "")
+        if source is not _NOT_FROM_JSON and reduce(lambda node, k: node[k], where, source) is None:
+            raise ValueError(f"{entry}{at} is null, not a number")
+        raise ValueError(f"non-finite {entry} {values[tuple(where)]}{at}")
 
 
 @dataclass(frozen=True)
@@ -210,15 +215,12 @@ def double_ket(m: np.ndarray) -> np.ndarray:
     return m.T.reshape(-1)
 
 
-def hs_inner(a: HermitianOperator | np.ndarray, b: HermitianOperator | np.ndarray) -> float:
-    """Real Hilbert-Schmidt inner product Tr(A^dag B) of Hermitian operands."""
-    ma = a.matrix if isinstance(a, HermitianOperator) else a
-    mb = b.matrix if isinstance(b, HermitianOperator) else b
-    return float(np.vdot(ma, mb).real)
+def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Real Hilbert-Schmidt inner product Tr(A^dag B) of Hermitian matrices."""
+    return float(np.vdot(a, b).real)
 
 
-def min_eigenvalue(op: HermitianOperator | np.ndarray) -> float:
-    m = op.matrix if isinstance(op, HermitianOperator) else op
+def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 

@@ -266,8 +266,7 @@ def switch_strategy_operator() -> HermitianOperator:
     return _strategy_operator(column, effects)
 
 
-def game_witness(pairs: Sequence[GatePair], weights=None,
-                 p_max: float = 0.89) -> HermitianOperator:
+def game_witness(pairs: Sequence[GatePair], p_max: float = 0.89) -> HermitianOperator:
     """Witness  W = I/4 - (M_plus + M_minus)/p_max  on the game wires.
 
     ``p_max`` must be a bound on the success probability attainable with both
@@ -276,7 +275,7 @@ def game_witness(pairs: Sequence[GatePair], weights=None,
     """
     if not 0.0 < p_max < 1.0:
         raise ValueError(f"p_max must lie strictly between 0 and 1, got {p_max}")
-    m_plus, m_minus = success_effects(pairs, weights)
+    m_plus, m_minus = success_effects(pairs)
     mat = np.eye(32) / 4.0 - (m_plus.matrix + m_minus.matrix) / p_max
     return HermitianOperator(game_layout(), mat)
 

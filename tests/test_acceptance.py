@@ -133,7 +133,7 @@ def test_criterion_06_definite_split_positivity(qtf):
     for _ in range(200):
         element = random_span_element(qtf, rng, hs_norm=0.5)
         fwd_part, bwd_part = definite_split(element)
-        worst = min(min_eigenvalue(fwd_part), min_eigenvalue(bwd_part), worst)
+        worst = min(min_eigenvalue(fwd_part.matrix), min_eigenvalue(bwd_part.matrix), worst)
     ok = worst >= -1e-10
     _report(6, ok, f"200 splits, smallest eigenvalue {worst:.2e}")
     assert ok

@@ -506,6 +506,9 @@ _LAYOUT_CORRUPTIONS = (
     # numpy reads a JSON null as NaN, which the file does not hold
     ("null-re", lambda r: r["re"][3].__setitem__(5, None),
      "'re' entry at [3, 5] is null, not a number"),
+    # a lone number where a matrix belongs is named before its shape
+    ("nan-parts", lambda r: r.update(re=float("nan"), im=float("nan")), "non-finite 're' nan"),
+    ("null-part", lambda r: r.__setitem__("re", None), "'re' is null, not a number"),
 )
 
 

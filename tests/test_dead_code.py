@@ -6,7 +6,9 @@ by the package's own code outside its definition (`__init__.py` excluded: an
 export is not a caller), or by the benchmark in `perfbench/`, or be listed in
 KEEP with the reason it stays.  Every module-level import of those modules
 must be used by the module that makes it; a name used only in an annotation
-counts as used.
+counts as used.  Every defaulted parameter of a function or method there
+must be passed by some call in the package or the benchmark, or be listed in
+KEEP_PARAMETERS with the reason it stays.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ KEEP = (
     ("witness.z_score",
      "the significance `probabilities` is to print; acceptance criterion 9 checks its arithmetic"),
 )
+
+# (module.function.parameter, reason): defaulted parameters no call passes
+# that stay anyway
+KEEP_PARAMETERS = ()
 
 
 def _referred(nodes) -> set[str]:
@@ -144,3 +150,61 @@ def test_every_module_level_import_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree).items()
                    if name not in loaded]
     assert unused == []
+
+
+def _functions(body, prefix: str, cls: str | None = None):
+    """(qualified name, definition, name a call uses, whether the first
+    parameter is bound) for every function or method under the statements,
+    nested ones included; a call names `__init__` by its class."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}.{node.name}", node.name)
+        elif isinstance(node, ast.FunctionDef):
+            name = f"{prefix}.{node.name}"
+            yield name, node, cls if node.name == "__init__" else node.name, cls is not None
+            yield from _functions(node.body, name)
+        else:  # an if, for, with or try block
+            for field in ("body", "orelse", "handlers", "finalbody"):
+                yield from _functions(getattr(node, field, ()), prefix, cls)
+
+
+def _passes(call: ast.Call, index: int | None, param: str) -> bool:
+    """Whether a call passes the parameter, by keyword or at positional
+    `index` (None when it is keyword-only); *args or **kwargs pass them all."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return any(k.arg == param for k in call.keywords) or (index is not None and len(call.args) > index)
+
+
+def _unpassed() -> set[str]:
+    """The module.function.parameter of every defaulted parameter of the
+    package that no call in the package or the benchmark passes.  A call is
+    matched to a definition by the name it calls, as `_referred` matches
+    references."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted(BENCHMARK.glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unpassed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, fn, callee, bound in _functions(tree.body, path.stem):
+            args = fn.args
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            defaulted = [(k - bound, a.arg) for k, a in enumerate(positional) if k >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            unpassed |= {f"{name}.{param}" for index, param in defaulted
+                         if not any(_passes(call, index, param) for call in calls.get(callee, ()))}
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed():
+    kept = {name for name, _ in KEEP_PARAMETERS}
+    unpassed = _unpassed()
+    assert sorted(unpassed - kept) == []
+    # an entry for a parameter that is gone, or that a call now passes, is stale
+    assert sorted(kept - unpassed) == []
+    assert all(reason for _, reason in KEEP_PARAMETERS)

@@ -195,8 +195,8 @@ class TestStrategyOperators:
             port0 = m_plus if pair.tag == TAG_PLUS else m_minus
             p0_sim, p1_sim = qtf_strategy(pair, (1.0, 0.0))
             p_sim = p0_sim if pair.tag == TAG_PLUS else p1_sim
-            assert abs(hs_inner(port0, qtf_op) - p_sim) <= _ROUTE_TOL
-            assert abs(hs_inner(port0, switch_op) - switch_strategy(pair)) <= _ROUTE_TOL
+            assert abs(hs_inner(port0.matrix, qtf_op.matrix) - p_sim) <= _ROUTE_TOL
+            assert abs(hs_inner(port0.matrix, switch_op.matrix) - switch_strategy(pair)) <= _ROUTE_TOL
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 20))
     @settings(max_examples=10, deadline=None)
@@ -208,20 +208,20 @@ class TestStrategyOperators:
         p0, p1 = qtf_strategy(pair, psi)
         winner_effect = m_plus if pair.tag == TAG_PLUS else m_minus
         p_sim = p0 if pair.tag == TAG_PLUS else p1
-        assert abs(hs_inner(winner_effect, op) - p_sim) <= _ROUTE_TOL
+        assert abs(hs_inner(winner_effect.matrix, op.matrix) - p_sim) <= _ROUTE_TOL
 
     def test_perfect_success_on_builtin_ensemble(self, pairs, qtf_op, switch_op):
         m_plus, m_minus = success_effects(pairs)
-        assert hs_inner(m_plus.matrix + m_minus.matrix, qtf_op) == pytest.approx(1.0, abs=1e-10)
-        assert hs_inner(m_plus.matrix + m_minus.matrix, switch_op) == pytest.approx(1.0, abs=1e-10)
+        assert hs_inner(m_plus.matrix + m_minus.matrix, qtf_op.matrix) == pytest.approx(1.0, abs=1e-10)
+        assert hs_inner(m_plus.matrix + m_minus.matrix, switch_op.matrix) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestGameWitness:
     def test_flags_both_superposition_strategies(self, pairs, qtf_op, switch_op):
         w = game_witness(pairs)
         expected = 1.0 - 1.0 / 0.89
-        assert hs_inner(w, qtf_op) == pytest.approx(expected, abs=1e-10)
-        assert hs_inner(w, switch_op) == pytest.approx(expected, abs=1e-10)
+        assert hs_inner(w.matrix, qtf_op.matrix) == pytest.approx(expected, abs=1e-10)
+        assert hs_inner(w.matrix, switch_op.matrix) == pytest.approx(expected, abs=1e-10)
 
     def test_does_not_flag_a_constant_guess(self, pairs):
         # Prepare |+> on the answer wire regardless of the gates: right on the
@@ -232,14 +232,6 @@ class TestGameWitness:
         value = float(np.trace(w.matrix @ const).real)
         assert value == pytest.approx(1.0 - (13.0 / 21.0) / 0.89, abs=1e-10)
         assert value > 0.0
-
-    def test_weight_validation(self, pairs):
-        with pytest.raises(ValueError, match="number of gate pairs"):
-            game_witness(pairs, weights=[1.0])
-        bad = np.full(len(pairs), 1.0 / len(pairs))
-        bad[0] += 0.1
-        with pytest.raises(ValueError, match="probability distribution"):
-            game_witness(pairs, weights=bad)
 
     def test_pmax_range_validation(self, pairs):
         for bad in (0.0, 1.0, 1.2, -0.3):
@@ -266,16 +258,17 @@ class TestFixedDirectionBound:
 
     def test_builtin_ensemble_caps(self, pairs):
         # uniform over the 21 pairs, and class-balanced: half the weight on
-        # the 13 plus pairs and half on the 8 minus pairs
+        # the 13 plus pairs and half on the 8 minus pairs, each plus pair
+        # listed 8 times and each minus pair 13 times
         plus, minus = builtin_gate_sets()
-        balanced = [0.5 / len(plus)] * len(plus) + [0.5 / len(minus)] * len(minus)
+        balanced = [*plus] * len(minus) + [*minus] * len(plus)
         # each cap with the bracket it certifies at a gap of 1e-10
         cases = (
-            (None, 0.91975, (0.9197453055245, 0.9197453055360)),
+            (pairs, 0.91975, (0.9197453055245, 0.9197453055360)),
             (balanced, 0.93245, (0.9324483929665, 0.9324483929698)),
         )
-        for weights, cap, (low, high) in cases:
-            value = compute_pmax_fixed_direction(pairs, "convex-hull", weights)
+        for ensemble, cap, (low, high) in cases:
+            value = compute_pmax_fixed_direction(ensemble, "convex-hull")
             assert value == pytest.approx(cap, abs=1e-4)
             # the reported cap is a certified upper bound: at least the lower
             # end of the bracket, and within the default gap above its upper end

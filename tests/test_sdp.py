@@ -163,9 +163,9 @@ class TestEngine:
             matrix_rows=(MatrixRow("shifted-positivity", {"T": 1.0, "R": -1.0}, -s),),
             objective={"T": np.eye(8) / 4},
         )
-        report = solve(prog)
-        assert report.converged
-        assert abs(report.upper) <= 1e-5
+        converged, value, _ = _run_unpolished(prog)
+        assert converged
+        assert abs(value) <= 1e-5
 
     def test_scalar_row_is_projected_exactly(self):
         # the trace as a row on the identity coordinate of a one-wire layout
@@ -178,13 +178,13 @@ class TestEngine:
             matrix_rows=(MatrixRow("trace", {"X": 1.0}, eye / 2, identity_coordinate(layout)),),
             objective={"X": np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)},
         )
-        report = solve(prog)
-        assert report.converged
-        solution = report.extras["upper_point"]["X"]
+        converged, value, point = _run_unpolished(prog)
+        assert converged
+        solution = point["X"]
         # the cone-side iterate meets the trace row to splitting accuracy
         assert abs(np.trace(solution).real - 2.0) <= 1e-4
         # mass should concentrate on the cheapest diagonal entry
-        assert abs(report.upper - 2.0) <= 1e-4
+        assert abs(value - 2.0) <= 1e-4
 
     def test_dependent_rows_raise(self):
         zero = np.zeros((2, 2))
@@ -199,7 +199,7 @@ class TestEngine:
             objective={},
         )
         with pytest.raises(ValueError, match="dependent"):
-            solve(prog)
+            sdp._Admm(prog)
 
     def test_psd_blocks_apart_raise(self):
         # the cone step reads and writes the PSD blocks as one slice
@@ -211,7 +211,7 @@ class TestEngine:
             objective={},
         )
         with pytest.raises(ValueError, match="^apart: the PSD blocks must be listed side by side$"):
-            solve(prog)
+            sdp._Admm(prog)
 
     def test_subspace_block_requires_projector(self):
         with pytest.raises(ValueError, match="projector"):
@@ -221,12 +221,21 @@ class TestEngine:
 
     def test_lone_min_program_claims_no_gap(self):
         layout = qubits("a")
+        cost = np.diag([1.0, 3.0])
+
+        def polish(zs):
+            # the clipped iterate rescaled to unit trace is exactly feasible
+            x = sdp._psd_clip(zs["X"])
+            x = x / np.trace(x)
+            return hs_inner(cost, x), {"X": x}, {}
+
         prog = ConicProgram(
             name="lone",
             layout=layout,
             blocks=(Block("X", "psd"),),
             matrix_rows=(MatrixRow("trace", {"X": 1.0}, np.eye(2) / 2, identity_coordinate(layout)),),
-            objective={"X": np.diag([1.0, 3.0])},
+            objective={"X": cost},
+            polish=polish,
         )
         report = solve(prog)
         assert report.converged
@@ -241,6 +250,16 @@ class TestEngine:
         back = json.loads(payload)
         assert set(back) == {"upper", "lower", "gap", "iterations", "residuals", "converged"}
         assert back["converged"] is True
+
+
+def _run_unpolished(prog):
+    """A splitting run to RESIDUAL_TOL: whether both split residuals met it,
+    and the objective value of the cone-side iterate, with the iterate."""
+    admm = sdp._Admm(prog)
+    admm.run(sdp.RESIDUAL_TOL, sdp.MAX_ITER)
+    point = admm.zs
+    value = sum(hs_inner(c, point[name]) for name, c in prog.objective.items())
+    return max(admm.split) <= sdp.RESIDUAL_TOL, value, point
 
 
 def _psd_stack_program(k, n, hermitian):

@@ -341,8 +341,8 @@ def test_definite_split_yields_psd_directional_parts():
     for _ in range(10):
         s = random_span_element(template, rng, hs_norm=0.5)
         f, b = definite_split(s)
-        assert min_eigenvalue(f) >= -1e-10
-        assert min_eigenvalue(b) >= -1e-10
+        assert min_eigenvalue(f.matrix) >= -1e-10
+        assert min_eigenvalue(b.matrix) >= -1e-10
         assert np.linalg.norm(f.matrix - fwd_proj(f.matrix)) <= 1e-10
         assert np.linalg.norm(b.matrix - bwd_proj(b.matrix)) <= 1e-10
 
@@ -536,9 +536,9 @@ class TestSpanProperties:
         template = SetupOperator(identity(_plain_layout()), _PLAIN_ROLES)
         s = random_span_element(template, rng, hs_norm=hs_norm)
         f, b = definite_split(s)
-        assert min_eigenvalue(f) >= -1e-10
-        assert min_eigenvalue(b) >= -1e-10
-        assert hs_inner(f, b) >= -1e-9  # both parts stay close to I/2, never oppose
+        assert min_eigenvalue(f.matrix) >= -1e-10
+        assert min_eigenvalue(b.matrix) >= -1e-10
+        assert hs_inner(f.matrix, b.matrix) >= -1e-9  # both parts stay close to I/2, never oppose
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)

@@ -381,7 +381,7 @@ class TestEstimatorProperties:
         setup = random_general_setup(rng, qtf_plus_control())
         terms = decompose_witness(w)
         estimate = estimate_robustness(terms, born_probabilities(setup, terms))
-        assert estimate == pytest.approx(-hs_inner(w, setup.op), abs=_TOL)
+        assert estimate == pytest.approx(-hs_inner(w.matrix, setup.op.matrix), abs=_TOL)
 
 
 class TestPoissonResampler:
@@ -446,7 +446,7 @@ class TestValidateWitness:
         assert report.valid
         assert report.min_definite_value >= -1e-4
         assert report.certificate_ok
-        assert hs_inner(w_opt, qtf.op) == pytest.approx(-0.4007, abs=_VALUE_TOL)
+        assert hs_inner(w_opt.matrix, qtf.op.matrix) == pytest.approx(-0.4007, abs=_VALUE_TOL)
 
     def test_solver_certificate_verifies(self, solved):
         report, w_opt = solved
